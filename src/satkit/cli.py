@@ -23,6 +23,7 @@ from .semantics import (
     check_fragment, delta_structure, free_tower, gallery, henkin_extend,
     models, sc_tower, structure_oracle, val_t,
 )
+from .sexpr import ParseError
 from .skolem import QuantSeq, find_skolem_table, is_skolem_operator, table_of
 from .translate import g_bound, g_bound_at_least, translate_proof
 
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

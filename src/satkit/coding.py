@@ -121,18 +121,6 @@ def seq_concat(a: SeqCode, b: SeqCode) -> SeqCode:
     return seq_encode(seq_decode(a) + seq_decode(b))
 
 
-def seq_restrict(s: SeqCode, n: int) -> SeqCode:
-    return seq_encode(seq_decode(s)[:n])
-
-
-def is_seq_code(code: int) -> bool:
-    try:
-        seq_decode(SeqCode(code))
-        return True
-    except InvalidCode:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # finite sets (characteristic bitsets: x in y iff bit x of y)
 

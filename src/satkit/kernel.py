@@ -9,6 +9,17 @@ can be stored as finite truncations for demonstration, but never check.
 
 Rule tags: axiom1..axiom12, axiomL, weak, or-i1, or-i2, or-i3, neg-i,
 cut, ex-i, m-rule, and the extensions prop, i-ex-inf, m-inf, skolem, pred.
+
+Invariants the checker relies on: syntax nodes are immutable and carry
+cached facts (hash, free variables, template flag, parameter bases), so
+reading a fact never re-walks a subtree. Instantiating a schema returns
+every subtree and subproof that lacks the parameter as it is, and
+instantiates each distinct sentence once, so the instance shares objects
+and its set comparisons succeed on identity. Sharing changes no check:
+every sample is re-checked node by node. A sample that takes an element
+out of the naturals is a located error at that sample. The caches belong
+to this process and are never serialised (string hashes are randomised
+per process).
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ class Sequent:
             if isinstance(f, sx.Term):
                 raise KernelError("sequents hold sentences, not terms")
             try:
-                tp.has_templates(f)  # walks the tree; rejects abbreviations
+                tp.has_templates(f)  # raises on an abbreviation
             except tp.TemplateError:
                 raise KernelError(f"abbreviation in a sequent: {f!r}") from None
             if not tp.t_is_closed(f):
@@ -162,43 +173,48 @@ def _const_elem(t) -> Optional[Element]:
 
 
 def bases_of(x) -> frozenset[str]:
-    out: set[str] = set()
+    """The parameter bases in an object's element slots, cached per node."""
+    bs = getattr(x, "_bs", None)
+    if bs is None:
+        bs = sx.cache_fact(x, "_bs", sx.canonical(_bases(x)))
+    return bs
 
-    def go(y):
-        if isinstance(y, (tp.TemplTerm, tp.TemplForm)):
-            go(y.obj)
-        elif isinstance(y, sx.Const):
-            if isinstance(y.elem, Sym):
-                out.add(y.elem.base)
-        elif isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
-            if isinstance(y.index, Sym):
-                out.add(y.index.base)
-            if getattr(y, "payload", None) is not None:
-                go(y.payload)
-        elif isinstance(y, sx.Succ):
-            go(y.arg)
-        elif isinstance(y, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-            go(y.left)
-            go(y.right)
-        elif isinstance(y, sx.Not):
-            go(y.body)
-        elif isinstance(y, sx.Ex):
-            go(y.body)
 
-    go(x)
-    return frozenset(out)
+def _bases(y) -> frozenset[str]:
+    if isinstance(y, (tp.TemplTerm, tp.TemplForm)):
+        return bases_of(y.obj)
+    if isinstance(y, sx.Const):
+        return frozenset((y.elem.base,)) if isinstance(y.elem, Sym) else sx.EMPTY
+    if isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
+        out = frozenset((y.index.base,))
+        payload = getattr(y, "payload", None)
+        return out if payload is None else out | bases_of(payload)
+    if isinstance(y, (sx.Zero, sx.Var)):
+        return sx.EMPTY
+    if isinstance(y, sx.Succ):
+        return bases_of(y.arg)
+    if isinstance(y, (sx.Not, sx.Ex, sx.All)):
+        return bases_of(y.body)
+    if isinstance(y, (sx.BEx, sx.BAll)):
+        return bases_of(y.bound) | bases_of(y.body)
+    if isinstance(y, (sx.Add, sx.Mul, sx.Eq, sx.Or, sx.And, sx.Imp, sx.Iff, sx.Xor, sx.Lt)):
+        return bases_of(y.left) | bases_of(y.right)
+    raise KernelError(f"cannot read the parameters of {y!r}")
 
 
 def subst_elem_in_obj(x, base: str, value: Element):
-    """Instantiate a parameter base inside every element slot of an object."""
+    """Instantiate a parameter base inside every element slot of an object.
+
+    An object whose bases lack the parameter is returned as it is, so the
+    copy shares every untouched subtree with the original."""
+    if base not in bases_of(x):
+        return x
     if isinstance(x, tp.TemplTerm):
         return tp.TemplTerm(subst_elem_in_obj(x.obj, base, value))
     if isinstance(x, tp.TemplForm):
         return tp.TemplForm(subst_elem_in_obj(x.obj, base, value))
     if isinstance(x, sx.Const):
         return sx.const(subst_base(x.elem, base, value))
-    if isinstance(x, (sx.Zero, sx.Var)):
-        return x
     if isinstance(x, sx.SymTermRef):
         idx = subst_base(x.index, base, value)
         if isinstance(idx, Std):
@@ -223,28 +239,52 @@ def subst_elem_in_obj(x, base: str, value: Element):
 
 
 def subst_param_proof(p: Proof, base: str, value: Element) -> Proof:
-    concl = Sequent(frozenset(subst_elem_in_obj(f, base, value) for f in p.conclusion))
-    prems = tuple(subst_param_proof(q, base, value) for q in p.premises)
-    uni = None
-    if p.uniform is not None:
-        uni = Uniform(p.uniform.params,
-                      subst_param_proof(p.uniform.schema, base, value),
-                      p.uniform.sampled)
-    info = dict(p.info)
-    if "witness" in info:
-        info["witness"] = subst_base(info["witness"], base, value)
-    if "prop" in info:
-        pre_hyps = [vee(q.conclusion.sentences) for q in p.premises]
-        post_hyps = [vee(q.conclusion.sentences) for q in prems]
-        info["prop"] = {"cert": _subst_certificate(
-            info["prop"]["cert"], base, value,
-            dict(zip(pre_hyps, post_hyps)),
-            vee(concl.sentences))}
-    if "skolem" in info:
-        sk = dict(info["skolem"])
-        sk["phi"] = subst_elem_in_obj(sk["phi"], base, value)
-        info["skolem"] = sk
-    return Proof(concl, p.rule, prems, uni, info)
+    """Instantiate a parameter base throughout a proof.
+
+    One call instantiates each distinct sentence once, so equal sentences
+    of the copy are one object. A subproof that does not mention the
+    parameter, and carries no certificate, is returned as it is.
+    """
+    memo: dict = {}
+
+    def inst(f):
+        g = memo.get(f)
+        if g is None:
+            g = memo[f] = subst_elem_in_obj(f, base, value)
+        return g
+
+    def go(p: Proof) -> Proof:
+        old = p.conclusion.sentences
+        new = [inst(f) for f in old]
+        same = all(g is f for f, g in zip(old, new))
+        concl = p.conclusion if same else Sequent(frozenset(new))
+        prems = tuple(go(q) for q in p.premises)
+        same = same and all(q2 is q for q2, q in zip(prems, p.premises))
+        uni = p.uniform
+        if uni is not None:
+            schema = go(uni.schema)
+            if schema is not uni.schema:
+                uni, same = Uniform(uni.params, schema, uni.sampled), False
+        info = dict(p.info)
+        if "witness" in info:
+            info["witness"] = subst_base(info["witness"], base, value)
+            same = same and info["witness"] is p.info["witness"]
+        if "skolem" in info:
+            sk = dict(info["skolem"])
+            sk["phi"] = inst(sk["phi"])
+            same = same and sk["phi"] is info["skolem"]["phi"]
+            info["skolem"] = sk
+        if "prop" in info:
+            pre_hyps = [vee(q.conclusion.sentences) for q in p.premises]
+            post_hyps = [vee(q.conclusion.sentences) for q in prems]
+            info["prop"] = {"cert": _subst_certificate(
+                info["prop"]["cert"], base, value,
+                dict(zip(pre_hyps, post_hyps)),
+                vee(concl.sentences))}
+            same = False
+        return p if same else Proof(concl, p.rule, prems, uni, info)
+
+    return go(p)
 
 
 def _subst_certificate(cert, base: str, value: Element,
@@ -743,13 +783,23 @@ class _Checker:
                     if h is None:
                         return None
                     for k, (e,) in enumerate(u.sampled):
-                        instp = subst_param_proof(u.schema, base, e)
-                        hk = self.check(instp, path + ("s", k), params)
-                        if hk is None:
+                        instp = self._instantiate(u.schema, ((base, e),), path + ("s", k))
+                        if instp is None or self.check(instp, path + ("s", k), params) is None:
                             return None
                     return h + 1
         self.fail(path, "schema conclusion does not instantiate a negated existential")
         return None
+
+    def _instantiate(self, schema: Proof, assignment, path) -> Optional[Proof]:
+        """The schema at one sample; None, with a located error, when a
+        sample takes some element of the schema out of the naturals."""
+        try:
+            for base, e in assignment:
+                schema = subst_param_proof(schema, base, e)
+        except (ElementError, KernelError) as exc:
+            self.fail(path, f"sample does not instantiate the schema: {exc}")
+            return None
+        return schema
 
     # -- extensions
 
@@ -863,11 +913,8 @@ class _Checker:
                     if h is None:
                         return None
                     for k, values in enumerate(u.sampled):
-                        instp = u.schema
-                        for b, e in zip(u.params, values):
-                            instp = subst_param_proof(instp, b, e)
-                        hk = self.check(instp, path + ("s", k), params)
-                        if hk is None:
+                        instp = self._instantiate(u.schema, zip(u.params, values), path + ("s", k))
+                        if instp is None or self.check(instp, path + ("s", k), params) is None:
                             return None
                     return h + 1
         self.fail(path, "schema conclusion is not a block instance")

@@ -558,13 +558,6 @@ def _tree_contains(tree: sx.Formula, node: sx.Formula) -> bool:
         _tree_contains(tree.left, node) or _tree_contains(tree.right, node))
 
 
-def implication_cert(x: sx.Formula, t: sx.Formula) -> PropCertificate:
-    """A certificate of x -> t for disjunction trees with placeable leaves."""
-    b = CertBuilder()
-    idx = b.tree_implication(x, t)
-    return b.certificate(b.lines[idx].formula)
-
-
 def weakening_cert(source: sx.Formula, target: sx.Formula) -> PropCertificate:
     """Certificate of target from the single hypothesis source."""
     b = CertBuilder()

@@ -281,13 +281,6 @@ def parse_formula(text: str) -> sx.Formula:
     return f
 
 
-def parse_term(text: str) -> sx.Term:
-    t = parse_obj(read_one(text))
-    if not isinstance(t, sx.Term):
-        raise ParseError("expected a term, found a formula")
-    return t
-
-
 def parse_chain(text: str) -> tp.ApproxChain:
     node = read_one(text)
     if not (isinstance(node, list) and node and node[0] == "chain"):

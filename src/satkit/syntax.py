@@ -6,6 +6,12 @@ before a formula enters the proof kernel. Nonstandard-length formula and
 term families (disjunction towers, successor towers) are represented by
 lazy reference leaves indexed by a symbolic element, and unfold one level
 at a time.
+
+Nodes are immutable. Each carries slots for facts computed once, on first
+use, from its children: its hash and free variables here, its template
+flag in ``template`` and its parameter bases in ``kernel``. Cached sets
+are shared through ``canonical``. The caches live only in this process
+(string hashes differ between processes) and are never serialised.
 """
 
 from __future__ import annotations
@@ -25,20 +31,68 @@ class CaptureRisk(SyntaxError_):
 
 
 # ---------------------------------------------------------------------------
+# immutable nodes with cached facts
+
+# the slots every node carries: its hash, free variables (read through
+# template symbols), template flag and parameter bases; unset until first
+# asked for, so read them with getattr(x, slot, None)
+FACT_SLOTS = ("_h", "_fv", "_tm", "_bs")
+
+EMPTY: frozenset = frozenset()
+_CANONICAL: dict[frozenset, frozenset] = {EMPTY: EMPTY}
+
+
+def canonical(s: frozenset) -> frozenset:
+    """The one shared object for a set of cached facts."""
+    return _CANONICAL.setdefault(s, s)
+
+
+def cache_fact(x, slot: str, value):
+    """Store a fact in a node's slot and return it."""
+    object.__setattr__(x, slot, value)
+    return value
+
+
+def _cached_hash(self) -> int:
+    h = getattr(self, "_h", None)
+    if h is None:
+        h = cache_fact(self, "_h", self._field_hash())
+    return h
+
+
+def node(cls):
+    """A frozen, slotted dataclass whose hash is computed once per node.
+
+    The hash is the dataclass hash over the fields, so it is the same in
+    every process for nodes whose fields hold no strings."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _cached_hash
+    return cls
+
+
+class Sealed:
+    """A template symbol: a box whose object is read through for free
+    variables. The box classes themselves live in ``template``."""
+
+    __slots__ = ()
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
 class Term:
-    __slots__ = ()
+    __slots__ = FACT_SLOTS
 
 
-@dataclass(frozen=True)
+@node
 class Zero(Term):
     def __str__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
+@node
 class Const(Term):
     elem: Element
 
@@ -48,29 +102,29 @@ class Const(Term):
             raise SyntaxError_("Const(0) must be constructed as Zero via const()")
 
 
-@dataclass(frozen=True)
+@node
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True)
+@node
 class Succ(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@node
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@node
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@node
 class SymTermRef(Term):
     """A closed term family of nonstandard height, unfolded lazily.
 
@@ -108,35 +162,35 @@ def var(i: int) -> Var:
 
 
 class Formula:
-    __slots__ = ()
+    __slots__ = FACT_SLOTS
 
     extended = False
 
 
-@dataclass(frozen=True)
+@node
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Ex(Formula):
     index: int
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class SymFormulaRef(Formula):
     """A closed formula family of nonstandard depth, unfolded lazily.
 
@@ -161,49 +215,49 @@ class SymFormulaRef(Formula):
 # extended (abbreviation) connectives; the kernel accepts none of these
 
 
-@dataclass(frozen=True)
+@node
 class And(Formula):
     extended = True
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Imp(Formula):
     extended = True
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Iff(Formula):
     extended = True
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Xor(Formula):
     extended = True
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node
 class All(Formula):
     extended = True
     index: int
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Lt(Formula):
     extended = True
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@node
 class BEx(Formula):
     """Bounded existential: exists v_index < bound, body."""
 
@@ -213,7 +267,7 @@ class BEx(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class BAll(Formula):
     extended = True
     index: int
@@ -271,8 +325,16 @@ def unfold_ref(x: Obj) -> Obj:
 
 
 def free_vars(x: Obj) -> frozenset[int]:
+    """Free variables, reading through template symbols; cached per node."""
+    fv = getattr(x, "_fv", None)
+    if fv is None:
+        fv = cache_fact(x, "_fv", canonical(_free_vars(x)))
+    return fv
+
+
+def _free_vars(x: Obj) -> frozenset[int]:
     if isinstance(x, (Zero, Const, SymTermRef, SymFormulaRef)):
-        return frozenset()
+        return EMPTY
     if isinstance(x, Var):
         return frozenset((x.index,))
     if isinstance(x, Succ):
@@ -289,6 +351,8 @@ def free_vars(x: Obj) -> frozenset[int]:
         return free_vars(x.body) - {x.index}
     if isinstance(x, (BEx, BAll)):
         return (free_vars(x.body) - {x.index}) | free_vars(x.bound)
+    if isinstance(x, Sealed):
+        return free_vars(x.obj)
     raise SyntaxError_(f"free_vars: unknown node {x!r}")
 
 
@@ -299,37 +363,40 @@ def is_closed(x: Obj) -> bool:
 def substitute(x: Obj, t: Term, i: int) -> Obj:
     """Replace every free occurrence of v_i by t; bound occurrences stay.
 
-    Raises CaptureRisk when t has a variable that is bound at some
-    substitution site. All internal callers substitute closed terms.
+    Subtrees in which v_i is not free are returned as they are. Raises
+    CaptureRisk when t has a variable that is bound at some substitution
+    site. All internal callers substitute closed terms.
     """
     tv = free_vars(t)
 
-    def go(y: Obj, shadow: frozenset[int]):
+    def go(y: Obj):
+        # go descends only where v_i is free, so no binder above y binds it
+        if i not in free_vars(y):
+            return y
         if isinstance(y, Var):
-            if y.index == i and i not in shadow:
-                return t
-            return y
-        if isinstance(y, (Zero, Const, SymTermRef, SymFormulaRef)):
-            return y
+            return t
         if isinstance(y, Succ):
-            return Succ(go(y.arg, shadow))
+            return Succ(go(y.arg))
         if isinstance(y, (Add, Mul, Eq, Lt)):
-            return type(y)(go(y.left, shadow), go(y.right, shadow))
+            return type(y)(go(y.left), go(y.right))
         if isinstance(y, Not):
-            return Not(go(y.body, shadow))
+            return Not(go(y.body))
         if isinstance(y, (Or, And, Imp, Iff, Xor)):
-            return type(y)(go(y.left, shadow), go(y.right, shadow))
+            return type(y)(go(y.left), go(y.right))
         if isinstance(y, (Ex, All)):
-            if i not in shadow and y.index != i and y.index in tv and i in free_vars(y.body):
+            if y.index in tv:
                 raise CaptureRisk(f"v{y.index} of the substituted term is captured")
-            return type(y)(y.index, go(y.body, shadow | {y.index}))
+            return type(y)(y.index, go(y.body))
         if isinstance(y, (BEx, BAll)):
-            if i not in shadow and y.index != i and y.index in tv and i in free_vars(y.body):
-                raise CaptureRisk(f"v{y.index} of the substituted term is captured")
-            return type(y)(y.index, go(y.bound, shadow), go(y.body, shadow | {y.index}))
+            body = y.body
+            if y.index != i and i in free_vars(body):
+                if y.index in tv:
+                    raise CaptureRisk(f"v{y.index} of the substituted term is captured")
+                body = go(body)
+            return type(y)(y.index, go(y.bound), body)
         raise SyntaxError_(f"substitute: unknown node {y!r}")
 
-    return go(x, frozenset())
+    return go(x)
 
 
 @dataclass(frozen=True)

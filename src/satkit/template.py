@@ -28,8 +28,8 @@ class PreconditionFailed(TemplateError):
     pass
 
 
-@dataclass(frozen=True)
-class TemplTerm(sx.Term):
+@sx.node
+class TemplTerm(sx.Sealed, sx.Term):
     obj: sx.Term
 
     def __post_init__(self):
@@ -37,8 +37,8 @@ class TemplTerm(sx.Term):
             raise TemplateError("boxes hold plain terms")
 
 
-@dataclass(frozen=True)
-class TemplForm(sx.Formula):
+@sx.node
+class TemplForm(sx.Sealed, sx.Formula):
     obj: sx.Formula
 
     def __post_init__(self):
@@ -54,6 +54,15 @@ def templ(x: sx.Obj) -> TObj:
 
 
 def has_templates(x: TObj) -> bool:
+    """Does x hold a template symbol? Raises TemplateError on an
+    abbreviation outside a template symbol. Cached per node."""
+    t = getattr(x, "_tm", None)
+    if t is None:
+        t = sx.cache_fact(x, "_tm", _has_templates(x))
+    return t
+
+
+def _has_templates(x: TObj) -> bool:
     if isinstance(x, (TemplTerm, TemplForm)):
         return True
     if isinstance(x, (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)):
@@ -61,7 +70,9 @@ def has_templates(x: TObj) -> bool:
     if isinstance(x, sx.Succ):
         return has_templates(x.arg)
     if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return has_templates(x.left) or has_templates(x.right)
+        # both sides, so that an abbreviation on the right always raises
+        left = has_templates(x.left)
+        return has_templates(x.right) or left
     if isinstance(x, sx.Not):
         return has_templates(x.body)
     if isinstance(x, sx.Ex):
@@ -70,22 +81,11 @@ def has_templates(x: TObj) -> bool:
 
 
 def t_free_vars(x: TObj) -> frozenset[int]:
-    """Free variables, reading through template symbols into their objects."""
-    if isinstance(x, (TemplTerm, TemplForm)):
-        return sx.free_vars(x.obj)
-    if isinstance(x, (sx.Zero, sx.Const, sx.SymTermRef, sx.SymFormulaRef)):
-        return frozenset()
-    if isinstance(x, sx.Var):
-        return frozenset((x.index,))
-    if isinstance(x, sx.Succ):
-        return t_free_vars(x.arg)
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return t_free_vars(x.left) | t_free_vars(x.right)
-    if isinstance(x, sx.Not):
-        return t_free_vars(x.body)
-    if isinstance(x, sx.Ex):
-        return t_free_vars(x.body) - {x.index}
-    raise TemplateError(f"non-primitive node {x!r}")
+    """Free variables, reading through template symbols into their objects.
+
+    Raises TemplateError on an abbreviation outside a template symbol."""
+    has_templates(x)
+    return sx.free_vars(x)
 
 
 def t_is_closed(x: TObj) -> bool:
@@ -93,7 +93,11 @@ def t_is_closed(x: TObj) -> bool:
 
 
 def templ_substitute(x: TObj, e: Element, i: int) -> TObj:
-    """Substitute the constant naming e for v_i, pushing inside templates."""
+    """Substitute the constant naming e for v_i, pushing inside templates.
+
+    A subtree in which v_i is not free is returned as it is."""
+    if i not in t_free_vars(x):
+        return x
     c = sx.const(e)
     if isinstance(x, TemplTerm):
         return TemplTerm(sx.substitute(x.obj, c, i))

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 
 import satkit.syntax as sx
-from satkit.elements import Std, std
+import satkit.template as tp
+from satkit.elements import Std, std, sym
 
 
 def random_term(rng: random.Random, depth: int, max_const: int = 20,
@@ -54,6 +55,33 @@ def random_closed_formula(rng: random.Random, depth: int, max_const: int = 20):
     for i in sorted(sx.free_vars(f)):
         f = sx.Ex(i, f)
     return f
+
+
+def random_templated(rng: random.Random, depth: int, bases: str = "pq") -> sx.Obj:
+    """A primitive formula with some constants made parametric (over the
+    given bases), some lazy family leaves, and some parts sealed in
+    template symbols."""
+
+    def go(x, top):
+        if not top and rng.random() < 0.1:
+            return tp.templ(x)
+        if isinstance(x, sx.Const) and rng.random() < 0.4:
+            return sx.const(sym(rng.choice(bases), 1, rng.randrange(3)))
+        if isinstance(x, sx.Zero) and rng.random() < 0.3:
+            return sx.numeral(sym(rng.choice(bases)))
+        if isinstance(x, sx.Eq) and rng.random() < 0.1:
+            return sx.delta(sym(rng.choice(bases)))
+        if isinstance(x, sx.Succ):
+            return sx.Succ(go(x.arg, False))
+        if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
+            return type(x)(go(x.left, False), go(x.right, False))
+        if isinstance(x, sx.Not):
+            return sx.Not(go(x.body, False))
+        if isinstance(x, sx.Ex):
+            return sx.Ex(x.index, go(x.body, False))
+        return x
+
+    return go(random_formula(rng, depth), True)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,24 @@ class TestProofCommands:
         code, out = run_cli(["check", "--in", str(f)], capsys)
         assert code == 1 and "ok: False" in out
 
+    @pytest.mark.parametrize("damage", ["truncated", "unknown-head"])
+    @pytest.mark.parametrize("command", ["check", "translate"])
+    def test_malformed_file_exits_2(self, proof_file, tmp_path, capsys, damage, command):
+        # exit 1 means a failed check; a file that does not parse is bad input
+        text = proof_file.read_text()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            text = text.replace("(= ", "(equals ", 1)
+        proof_file.write_text(text)
+        args = [command, "--in", str(proof_file)]
+        if command == "translate":
+            args += ["--out", str(tmp_path / "out.sexp")]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestWitnessCommands:
     def test_delta(self, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import satkit.syntax as sx
@@ -8,8 +10,8 @@ from satkit.corpus import (
 )
 from satkit.elements import Sym, std, sym
 from satkit.kernel import (
-    KernelError, M_FREE_POLICY, M_POLICY, Proof, RulePolicy, Sequent,
-    Uniform, check, match_instance, seq, vee,
+    DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, Proof, RulePolicy, Sequent,
+    Uniform, check, match_instance, seq, subst_param_proof, vee,
 )
 from satkit.skolem import quantseq, table_of
 
@@ -174,6 +176,36 @@ class TestExistentialRules:
         node = Proof(seq(target), "m-rule", (),
                      Uniform((base,), schema, ((std(0),), (std(1),))))
         assert not check(node, M_POLICY).ok
+
+    def test_sample_leaving_the_naturals_is_a_located_error(self):
+        # the schema cuts on c_{q/2} = c_{q/2}; at q := 1 that constant
+        # would name 1/2, so sample 1 cannot be instantiated
+        q = sx.const(Sym("q"))
+        half = sx.const(sym("q", Fraction(1, 2)))
+        claim = n(n(e(q, q)))
+        schema = Proof(seq(claim), "cut", (
+            Proof(seq(claim, e(half, half)), "weak", (Proof(seq(e(half, half)), "axiom3"),)),
+            Proof(seq(claim, n(e(half, half))), "weak", (
+                Proof(seq(claim), "neg-i", (Proof(seq(e(q, q)), "axiom3"),)),)),
+        ))
+        target = n(sx.Ex(0, n(e(v(0), v(0)))))
+        node = Proof(seq(target), "m-rule", (),
+                     Uniform(("q",), schema, tuple((s,) for s in DEFAULT_SAMPLES)))
+        rep = check(node, M_POLICY)
+        assert not rep.ok
+        assert [str(err).split(":")[0] for err in rep.errors] == ["s/1"]
+        assert "not a natural" in rep.first_error()
+
+    def test_instantiation_shares_what_lacks_the_parameter(self):
+        plain = e(c(3), c(3))
+        plain_proof = Proof(seq(plain), "axiom3")
+        mentions = e(sx.const(Sym("p")), sx.const(Sym("p")))
+        p = Proof(seq(mentions, plain), "weak", (plain_proof,))
+        got = subst_param_proof(p, "p", std(4))
+        assert got.conclusion.sentences == {e(c(4), c(4)), plain}
+        assert got.premises[0] is plain_proof
+        assert any(f is plain for f in got.conclusion)
+        assert subst_param_proof(plain_proof, "p", std(4)) is plain_proof
 
     def test_unsampled_uniform_rejected(self):
         base = "p"

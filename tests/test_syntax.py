@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satkit.syntax as sx
+import satkit.template as tp
 from satkit.coding import godel_decode, godel_encode
-from satkit.elements import Std, std, sym
-from generators import random_formula, random_term
+from satkit.elements import Std, Sym, std, sym
+from satkit.kernel import bases_of
+from generators import random_formula, random_templated, random_term
 
 
 def v(i):
@@ -157,3 +160,86 @@ class TestCodingBridge:
         for _ in range(500):
             x = random_formula(rng, 4) if rng.random() < 0.7 else random_term(rng, 4)
             assert godel_decode(godel_encode(x)) == x
+
+
+# uncached reference walks for the facts that nodes cache
+
+
+def _parts(x):
+    return [v for v in (getattr(x, f.name) for f in dataclasses.fields(x))
+            if isinstance(v, (sx.Term, sx.Formula))]
+
+
+def _nodes(x):
+    yield x
+    for part in _parts(x):
+        yield from _nodes(part)
+
+
+def _rebuild(x):
+    """A copy of x made of new nodes, none of which has a cached fact."""
+    if not isinstance(x, (sx.Term, sx.Formula)):
+        return x
+    return type(x)(*(_rebuild(getattr(x, f.name)) for f in dataclasses.fields(x)))
+
+
+def _ref_free_vars(x) -> set:
+    if isinstance(x, sx.Var):
+        return {x.index}
+    if isinstance(x, (sx.SymTermRef, sx.SymFormulaRef)):
+        return set()
+    below = set().union(*(_ref_free_vars(p) for p in _parts(x)))
+    return below - {x.index} if isinstance(x, sx.Ex) else below
+
+
+def _ref_has_templates(x) -> bool:
+    if isinstance(x, (tp.TemplTerm, tp.TemplForm)):
+        return True
+    return any(_ref_has_templates(p) for p in _parts(x))
+
+
+def _ref_bases(x) -> set:
+    own = set()
+    if isinstance(x, sx.Const) and isinstance(x.elem, Sym):
+        own = {x.elem.base}
+    if isinstance(x, (sx.SymTermRef, sx.SymFormulaRef)):
+        own = {x.index.base}
+    return own.union(*(_ref_bases(p) for p in _parts(x)))
+
+
+class TestCachedFacts:
+    @staticmethod
+    def _agree(y):
+        assert tp.t_free_vars(y) == _ref_free_vars(y)
+        assert tp.has_templates(y) == _ref_has_templates(y)
+        assert bases_of(y) == _ref_bases(y)
+        assert hash(y) == hash(_rebuild(y))
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=120, deadline=None)
+    def test_cached_facts_match_fresh_walks(self, seed):
+        rng = random.Random(seed)
+        x = random_templated(rng, 4)
+        twin = _rebuild(x)
+        assert twin is not x and twin == x and hash(twin) == hash(x)
+        # facts asked root first on one copy, leaves first on the other
+        for y in _nodes(x):
+            self._agree(y)
+        for y in reversed(list(_nodes(twin))):
+            self._agree(y)
+        # each cached set is one shared object per distinct set
+        assert sx.free_vars(twin) is sx.free_vars(x)
+        assert bases_of(twin) is bases_of(x)
+
+    def test_equal_nodes_built_apart(self):
+        a = sx.Ex(0, sx.Or(sx.Eq(v(0), sx.const(sym("p"))), tp.TemplForm(sx.FALSUM)))
+        b = sx.Ex(0, sx.Or(sx.Eq(v(0), sx.const(sym("p"))), tp.TemplForm(sx.FALSUM)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert sx.Not(a) != a and sx.Add(v(0), v(1)) != sx.Mul(v(0), v(1))
+
+    def test_nodes_are_immutable(self):
+        f = sx.Eq(v(0), v(1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.left = v(2)
+        assert not hasattr(f, "__dict__")
