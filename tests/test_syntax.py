@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -237,6 +238,13 @@ class TestCachedFacts:
         assert a is not b and a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert sx.Not(a) != a and sx.Add(v(0), v(1)) != sx.Mul(v(0), v(1))
+
+    def test_pickling_carries_no_cached_fact(self):
+        # string hashes differ between processes, so caches must not travel
+        f = sx.Eq(sx.const(sym("p")), sx.Succ(v(0)))
+        hash(f), tp.t_free_vars(f), bases_of(f)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and all(getattr(g, slot, None) is None for slot in sx.FACT_SLOTS)
 
     def test_nodes_are_immutable(self):
         f = sx.Eq(v(0), v(1))
