@@ -199,6 +199,16 @@ def subst_base(a: Element, base: str, value: Element) -> Element:
     """
     if isinstance(a, Std) or a.base != base:
         return a
+    if a.coeff.denominator == 1:
+        # an integral coefficient needs no Fraction arithmetic
+        q = a.coeff.numerator
+        if isinstance(value, Std):
+            r = q * value.n + a.offset
+            if r < 0:
+                raise Indeterminate(f"instantiation of {a} at {value} is not a natural")
+            return Std(r)
+        return Sym(value.base, value.coeff if q == 1 else q * value.coeff,
+                   q * value.offset + a.offset)
     if isinstance(value, Std):
         r = a.coeff * value.n + a.offset
         if r.denominator != 1 or r < 0:

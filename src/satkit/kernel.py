@@ -11,15 +11,19 @@ Rule tags: axiom1..axiom12, axiomL, weak, or-i1, or-i2, or-i3, neg-i,
 cut, ex-i, m-rule, and the extensions prop, i-ex-inf, m-inf, skolem, pred.
 
 Invariants the checker relies on: syntax nodes are immutable and carry
-cached facts (hash, free variables, template flag, parameter bases), so
-reading a fact never re-walks a subtree. Instantiating a schema returns
-every subtree and subproof that lacks the parameter as it is, and
-instantiates each distinct sentence once, so the instance shares objects
-and its set comparisons succeed on identity. Sharing changes no check:
-every sample is re-checked node by node. A sample that takes an element
-out of the naturals is a located error at that sample. The caches belong
-to this process and are never serialised (string hashes are randomised
-per process).
+cached facts (hash, free variables, primitivity, template flag, parameter
+bases), so reading a fact never re-walks a subtree. Instantiating a
+schema returns every subtree and subproof that lacks the parameter as it
+is. Each ``check`` call keeps one instantiation memo per (parameter,
+value), read and filled at every node level by every schema, sample and
+certificate line of that call, so each distinct subtree is instantiated
+once per value and equal sentences of the instances are one object,
+whose set comparisons succeed on identity. The memo ends with its call
+and is never kept across calls. Sharing changes no check: every sample
+is re-checked node by node. A sample that takes an element out of the
+naturals is a located error at that sample. The caches belong to this
+process and are never serialised (string hashes are randomised per
+process).
 """
 
 from __future__ import annotations
@@ -202,17 +206,27 @@ def _bases(y) -> frozenset[str]:
     raise KernelError(f"cannot read the parameters of {y!r}")
 
 
-def subst_elem_in_obj(x, base: str, value: Element):
+def subst_elem_in_obj(x, base: str, value: Element, memo: dict):
     """Instantiate a parameter base inside every element slot of an object.
 
-    An object whose bases lack the parameter is returned as it is, so the
-    copy shares every untouched subtree with the original."""
+    ``memo`` holds the instances already made at ``base := value``; it is
+    read and filled at every node level, so each distinct subtree is
+    instantiated once per memo. An object whose bases lack the parameter
+    is returned as it is, so the copy shares every untouched subtree with
+    the original."""
     if base not in bases_of(x):
         return x
+    y = memo.get(x)
+    if y is None:
+        y = memo[x] = _subst_elem(x, base, value, memo)
+    return y
+
+
+def _subst_elem(x, base: str, value: Element, memo: dict):
     if isinstance(x, tp.TemplTerm):
-        return tp.TemplTerm(subst_elem_in_obj(x.obj, base, value))
+        return tp.TemplTerm(subst_elem_in_obj(x.obj, base, value, memo))
     if isinstance(x, tp.TemplForm):
-        return tp.TemplForm(subst_elem_in_obj(x.obj, base, value))
+        return tp.TemplForm(subst_elem_in_obj(x.obj, base, value, memo))
     if isinstance(x, sx.Const):
         return sx.const(subst_base(x.elem, base, value))
     if isinstance(x, sx.SymTermRef):
@@ -222,36 +236,38 @@ def subst_elem_in_obj(x, base: str, value: Element):
         return sx.SymTermRef(x.family, idx)
     if isinstance(x, sx.SymFormulaRef):
         idx = subst_base(x.index, base, value)
-        payload = None if x.payload is None else subst_elem_in_obj(x.payload, base, value)
+        payload = None if x.payload is None else subst_elem_in_obj(x.payload, base, value, memo)
         if isinstance(idx, Std):
             return sx.delta(idx) if x.family == "delta" else sx.epsilon(idx, payload)
         return sx.SymFormulaRef(x.family, idx, payload)
     if isinstance(x, sx.Succ):
-        return sx.Succ(subst_elem_in_obj(x.arg, base, value))
+        return sx.Succ(subst_elem_in_obj(x.arg, base, value, memo))
     if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return type(x)(subst_elem_in_obj(x.left, base, value),
-                       subst_elem_in_obj(x.right, base, value))
+        return type(x)(subst_elem_in_obj(x.left, base, value, memo),
+                       subst_elem_in_obj(x.right, base, value, memo))
     if isinstance(x, sx.Not):
-        return sx.Not(subst_elem_in_obj(x.body, base, value))
+        return sx.Not(subst_elem_in_obj(x.body, base, value, memo))
     if isinstance(x, sx.Ex):
-        return sx.Ex(x.index, subst_elem_in_obj(x.body, base, value))
+        return sx.Ex(x.index, subst_elem_in_obj(x.body, base, value, memo))
     raise KernelError(f"cannot instantiate inside {x!r}")
 
 
-def subst_param_proof(p: Proof, base: str, value: Element) -> Proof:
+def subst_param_proof(p: Proof, base: str, value: Element,
+                      memo: Optional[dict] = None) -> Proof:
     """Instantiate a parameter base throughout a proof.
 
-    One call instantiates each distinct sentence once, so equal sentences
-    of the copy are one object. A subproof that does not mention the
-    parameter, and carries no certificate, is returned as it is.
+    ``memo`` is the instantiation memo for ``base := value`` (see
+    ``subst_elem_in_obj``); a checker passes the one it keeps for the
+    length of a check, and without one the call starts its own. Equal
+    sentences of the copy are one object. A subproof that does not
+    mention the parameter, and carries no certificate, is returned as it
+    is.
     """
-    memo: dict = {}
+    if memo is None:
+        memo = {}
 
     def inst(f):
-        g = memo.get(f)
-        if g is None:
-            g = memo[f] = subst_elem_in_obj(f, base, value)
-        return g
+        return subst_elem_in_obj(f, base, value, memo)
 
     def go(p: Proof) -> Proof:
         old = p.conclusion.sentences
@@ -278,7 +294,7 @@ def subst_param_proof(p: Proof, base: str, value: Element) -> Proof:
             pre_hyps = [vee(q.conclusion.sentences) for q in p.premises]
             post_hyps = [vee(q.conclusion.sentences) for q in prems]
             info["prop"] = {"cert": _subst_certificate(
-                info["prop"]["cert"], base, value,
+                info["prop"]["cert"], inst,
                 dict(zip(pre_hyps, post_hyps)),
                 vee(concl.sentences))}
             same = False
@@ -287,27 +303,23 @@ def subst_param_proof(p: Proof, base: str, value: Element) -> Proof:
     return go(p)
 
 
-def _subst_certificate(cert, base: str, value: Element,
-                       hyp_map: dict, goal):
+def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):
     """Replay a certificate under parameter instantiation.
 
-    Substitution can disturb the code-canonical disjunction orderings, so
-    hypothesis lines are re-derived from the instantiated canonical forms
-    and the final line is regrouped onto the instantiated goal.
+    ``inst`` instantiates one formula through the caller's memo, so a
+    formula that recurs across lines is instantiated once. Substitution
+    can disturb the code-canonical disjunction orderings, so hypothesis
+    lines are re-derived from the instantiated canonical forms and the
+    final line is regrouped onto the instantiated goal.
     """
     from .propcalc import CertBuilder, PropError
     b = CertBuilder()
     remap: dict[int, int] = {}
     for i, line in enumerate(cert.lines):
-        f2 = subst_elem_in_obj(line.formula, base, value)
+        f2 = inst(line.formula)
         tag = line.just[0]
         if tag == "hyp":
-            pre = line.formula
-            canon = None
-            for old, new in hyp_map.items():
-                if old == pre:
-                    canon = new
-                    break
+            canon = hyp_map.get(line.formula)
             if canon is None or canon == f2:
                 remap[i] = b.hyp(f2 if canon is None else canon)
             else:
@@ -316,8 +328,7 @@ def _subst_certificate(cert, base: str, value: Element,
                 remap[i] = b.mp(k, j)
         elif tag == "ax":
             _, scheme, form, args = line.just
-            new_args = tuple(subst_elem_in_obj(a, base, value) for a in args)
-            remap[i] = b.ax(scheme, form, new_args)
+            remap[i] = b.ax(scheme, form, tuple(inst(a) for a in args))
         elif tag == "ax-fo":
             remap[i] = b._emit(f2, ("ax-fo",))
         elif tag == "mp":
@@ -560,6 +571,8 @@ class _Checker:
     def __init__(self, policy: RulePolicy):
         self.policy = policy
         self.errors: list[CheckError] = []
+        # one instantiation memo per (parameter, value), for this check only
+        self.instances: dict[tuple[str, Element], dict] = {}
 
     def fail(self, path, reason: str):
         self.errors.append(CheckError(tuple(path), reason))
@@ -795,7 +808,8 @@ class _Checker:
         sample takes some element of the schema out of the naturals."""
         try:
             for base, e in assignment:
-                schema = subst_param_proof(schema, base, e)
+                memo = self.instances.setdefault((base, e), {})
+                schema = subst_param_proof(schema, base, e, memo)
         except (ElementError, KernelError) as exc:
             self.fail(path, f"sample does not instantiate the schema: {exc}")
             return None

@@ -8,10 +8,11 @@ lazy reference leaves indexed by a symbolic element, and unfold one level
 at a time.
 
 Nodes are immutable. Each carries slots for facts computed once, on first
-use, from its children: its hash and free variables here, its template
-flag in ``template`` and its parameter bases in ``kernel``. Cached sets
-are shared through ``canonical``. The caches live only in this process
-(string hashes differ between processes) and are never serialised.
+use, from its children: its hash, free variables and primitivity here,
+its template flag in ``template`` and its parameter bases in ``kernel``.
+Cached sets are shared through ``canonical``. The caches live only in
+this process (string hashes differ between processes) and are never
+serialised.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ class CaptureRisk(SyntaxError_):
 # immutable nodes with cached facts
 
 # the slots every node carries: its hash, free variables (read through
-# template symbols), template flag and parameter bases; unset until first
-# asked for, so read them with getattr(x, slot, None)
-FACT_SLOTS = ("_h", "_fv", "_tm", "_bs")
+# template symbols), primitivity, template flag and parameter bases; unset
+# until first asked for, so read them with getattr(x, slot, None)
+FACT_SLOTS = ("_h", "_fv", "_pr", "_tm", "_bs")
 
 EMPTY: frozenset = frozenset()
 _CANONICAL: dict[frozenset, frozenset] = {EMPTY: EMPTY}
@@ -279,6 +280,14 @@ Obj = Union[Term, Formula]
 
 
 def is_primitive(x: Obj) -> bool:
+    """Built from the primitive connectives alone; cached per node."""
+    pr = getattr(x, "_pr", None)
+    if pr is None:
+        pr = cache_fact(x, "_pr", _is_primitive(x))
+    return pr
+
+
+def _is_primitive(x: Obj) -> bool:
     if isinstance(x, Term):
         return True
     if x.extended:

@@ -151,7 +151,12 @@ def _unfold_term(obj: sx.Term) -> sx.Term:
 
 
 def f_step(tau: sx.Obj, x: TObj) -> TObj:
-    """Unfold every template leaf whose object is congruent to tau."""
+    """Unfold every template leaf whose object is congruent to tau.
+
+    A subtree with no template leaf congruent to tau is returned as it
+    is; a node is rebuilt only when one of its children changed."""
+    if not has_templates(x):  # raises on an abbreviation
+        return x
     if isinstance(x, TemplForm):
         if isinstance(tau, sx.Formula) and skeleton_congruent(x.obj, tau):
             return _unfold_formula(x.obj)
@@ -160,17 +165,18 @@ def f_step(tau: sx.Obj, x: TObj) -> TObj:
         if isinstance(tau, sx.Term) and skeleton_congruent(x.obj, tau):
             return _unfold_term(x.obj)
         return x
-    if isinstance(x, (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)):
-        return x
     if isinstance(x, sx.Succ):
-        return sx.Succ(f_step(tau, x.arg))
+        arg = f_step(tau, x.arg)
+        return x if arg is x.arg else sx.Succ(arg)
     if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return type(x)(f_step(tau, x.left), f_step(tau, x.right))
-    if isinstance(x, sx.Not):
-        return sx.Not(f_step(tau, x.body))
-    if isinstance(x, sx.Ex):
-        return sx.Ex(x.index, f_step(tau, x.body))
-    raise TemplateError(f"non-primitive node {x!r}")
+        left, right = f_step(tau, x.left), f_step(tau, x.right)
+        if left is x.left and right is x.right:
+            return x
+        return type(x)(left, right)
+    body = f_step(tau, x.body)  # Not or Ex: has_templates admits no other node
+    if body is x.body:
+        return x
+    return sx.Not(body) if isinstance(x, sx.Not) else sx.Ex(x.index, body)
 
 
 # ---------------------------------------------------------------------------

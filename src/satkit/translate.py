@@ -77,28 +77,6 @@ def g_bound_at_least(n: int, m: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# lifting a template proof through a chain
-
-
-def lift(q: Proof, f: tp.ApproxChain) -> Proof:
-    """Apply a chain to every sequent of a template proof.
-
-    Approximating functions preserve template axioms and commute with every
-    rule, so the image of a checked proof checks.
-    """
-    concl = Sequent(frozenset(tp.apply_chain(f, g) for g in q.conclusion))
-    prems = tuple(lift(p, f) for p in q.premises)
-    uni = None
-    if q.uniform is not None:
-        uni = Uniform(q.uniform.params, lift(q.uniform.schema, f), q.uniform.sampled)
-    return Proof(concl, q.rule, prems, uni, dict(q.info))
-
-
-def chain_image(f: tp.ApproxChain, sentences) -> frozenset:
-    return frozenset(tp.apply_to_object(f, g) for g in sentences)
-
-
-# ---------------------------------------------------------------------------
 # per-axiom unfolding targets
 
 
@@ -240,6 +218,37 @@ class _Translator:
     def __init__(self, policy: RulePolicy):
         self.policy = policy
         self.traces: list[NodeTrace] = []
+        # one memo per chain, from a template sentence to its image under
+        # the chain; it lives as long as this translation
+        self.images: dict[tp.ApproxChain, dict] = {}
+
+    def image(self, f: tp.ApproxChain, x: tp.TObj) -> tp.TObj:
+        """The image of a template sentence under a chain, computed once
+        per translation."""
+        memo = self.images.setdefault(f, {})
+        y = memo.get(x)
+        if y is None:
+            y = memo[x] = tp.apply_chain(f, x)
+        return y
+
+    def lift(self, q: Proof, f: tp.ApproxChain) -> Proof:
+        """Apply a chain to every sequent of a template proof.
+
+        One translation computes one image per chain and sentence, however
+        many sequents hold the sentence. Approximating functions preserve
+        template axioms and commute with every rule, so the image of a
+        checked proof checks.
+        """
+        concl = Sequent(frozenset(self.image(f, g) for g in q.conclusion))
+        prems = tuple(self.lift(p, f) for p in q.premises)
+        uni = None
+        if q.uniform is not None:
+            uni = Uniform(q.uniform.params, self.lift(q.uniform.schema, f), q.uniform.sampled)
+        return Proof(concl, q.rule, prems, uni, dict(q.info))
+
+    def chain_image(self, f: tp.ApproxChain, sentences) -> frozenset:
+        """The approximations of plain sentences under a chain."""
+        return frozenset(self.image(f, tp.templ(g)) for g in sentences)
 
     def run(self, p: Proof, params: frozenset = frozenset()):
         tag = p.rule
@@ -256,13 +265,13 @@ class _Translator:
                 return f, q
             parts = _decomposition(p, self.policy, params)
             f = tp.normalize(tp.chain(*_axiom_steps(tag, parts, c)))
-            q = Proof(Sequent(chain_image(f, c)), tag)
+            q = Proof(Sequent(self.chain_image(f, c)), tag)
             self.traces.append(NodeTrace(tag, len(f), ()))
             return f, q
 
         if tag == "weak":
             f0, q0 = self.run(p.premises[0], params)
-            q = Proof(Sequent(chain_image(f0, c)), "weak", (q0,))
+            q = Proof(Sequent(self.chain_image(f0, c)), "weak", (q0,))
             self.traces.append(NodeTrace(tag, len(f0), (len(f0),)))
             return f0, q
 
@@ -270,9 +279,9 @@ class _Translator:
             d = _decomposition(p, self.policy, params)["d"]
             f0, q0 = self.run(p.premises[0], params)
             f = tp.uniform_union([f0, tp.chain(d)])
-            q0 = lift(q0, f)
-            self._expect(q0, chain_image(f, p.premises[0].conclusion.sentences))
-            q = Proof(Sequent(chain_image(f, c)), tag, (q0,))
+            q0 = self.lift(q0, f)
+            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
+            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0,))
             self.traces.append(NodeTrace(tag, len(f), (len(f0),)))
             return f, q
 
@@ -285,10 +294,10 @@ class _Translator:
                 f0, f1,
                 tp.chain(disj, d, sx.Not(disj.left), sx.Not(disj.right)),
             ])
-            q0, q1 = lift(q0, f), lift(q1, f)
-            self._expect(q0, chain_image(f, p.premises[0].conclusion.sentences))
-            self._expect(q1, chain_image(f, p.premises[1].conclusion.sentences))
-            q = Proof(Sequent(chain_image(f, c)), tag, (q0, q1))
+            q0, q1 = self.lift(q0, f), self.lift(q1, f)
+            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
+            self._expect(q1, self.chain_image(f, p.premises[1].conclusion.sentences))
+            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0, q1))
             self.traces.append(NodeTrace(tag, len(f), (len(f0), len(f1))))
             return f, q
 
@@ -296,9 +305,9 @@ class _Translator:
             d = _decomposition(p, self.policy, params)["d"]
             f0, q0 = self.run(p.premises[0], params)
             f = tp.uniform_union([f0, tp.chain(d.body, d)])
-            q0 = lift(q0, f)
-            self._expect(q0, chain_image(f, p.premises[0].conclusion.sentences))
-            q = Proof(Sequent(chain_image(f, c)), tag, (q0,))
+            q0 = self.lift(q0, f)
+            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
+            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0,))
             self.traces.append(NodeTrace(tag, len(f), (len(f0),)))
             return f, q
 
@@ -307,10 +316,10 @@ class _Translator:
             f0, q0 = self.run(p.premises[0], params)
             f1, q1 = self.run(p.premises[1], params)
             f = tp.uniform_union([f0, f1, tp.chain(sx.Not(cf))])
-            q0, q1 = lift(q0, f), lift(q1, f)
-            self._expect(q0, chain_image(f, p.premises[0].conclusion.sentences))
-            self._expect(q1, chain_image(f, p.premises[1].conclusion.sentences))
-            q = Proof(Sequent(chain_image(f, c)), tag, (q0, q1))
+            q0, q1 = self.lift(q0, f), self.lift(q1, f)
+            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
+            self._expect(q1, self.chain_image(f, p.premises[1].conclusion.sentences))
+            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0, q1))
             self.traces.append(NodeTrace(tag, len(f), (len(f0), len(f1))))
             return f, q
 
@@ -319,17 +328,17 @@ class _Translator:
             d = dec["d"]
             f0, q0 = self.run(p.premises[0], params)
             f = tp.uniform_union([f0, tp.chain(d)])
-            q0 = lift(q0, f)
-            self._expect(q0, chain_image(f, p.premises[0].conclusion.sentences))
+            q0 = self.lift(q0, f)
+            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
             # the substitution-commutation identity used by the rule image
             w = dec.get("witness")
             if w is not None:
-                lhs = tp.apply_to_object(f, tp.templ_substitute(d.body, w, d.index))
-                rhs_base = tp.apply_to_object(f, d.body)
+                lhs = self.image(f, tp.templ(tp.templ_substitute(d.body, w, d.index)))
+                rhs_base = self.image(f, tp.templ(d.body))
                 if lhs != tp.templ_substitute(rhs_base, w, d.index):
                     raise TranslateError("substitution does not commute with the chain")
             info = {} if w is None else {"witness": w}
-            q = Proof(Sequent(chain_image(f, c)), tag, (q0,), info=info)
+            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0,), info=info)
             self.traces.append(NodeTrace(tag, len(f), (len(f0),)))
             return f, q
 
@@ -344,10 +353,10 @@ class _Translator:
             f = tp.uniform_union([
                 f_uniform, tp.chain(d.body, d),
             ])
-            q0 = lift(q0, f)
-            self._expect(q0, chain_image(f, schema.conclusion.sentences))
+            q0 = self.lift(q0, f)
+            self._expect(q0, self.chain_image(f, schema.conclusion.sentences))
             uni = Uniform((base,), q0, p.uniform.sampled)
-            q = Proof(Sequent(chain_image(f, c)), tag, (), uni)
+            q = Proof(Sequent(self.chain_image(f, c)), tag, (), uni)
             self.traces.append(NodeTrace(
                 tag, len(f), (len(f0),), premise_size=len(prem_sentences)))
             return f, q

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satkit.elements import (
     Indeterminate, PartialOrderError, Sym, Underflow, add, affine_hits,
@@ -109,6 +111,19 @@ class TestOrder:
                         assert lt(x, z)
 
 
+def _fraction_subst_base(a, value):
+    """``subst_base(a, "p", value)`` in Fraction arithmetic throughout."""
+    if isinstance(value, Sym):
+        off = a.coeff * value.offset + a.offset
+        if off.denominator != 1:
+            raise Indeterminate("fractional offset")
+        return Sym(value.base, a.coeff * value.coeff, int(off))
+    r = a.coeff * value.n + a.offset
+    if r.denominator != 1 or r < 0:
+        raise Indeterminate("not a natural")
+    return std(int(r))
+
+
 class TestInstantiation:
     def test_affine_evaluation(self):
         a = Sym("p", Fraction(1), 3)
@@ -120,6 +135,35 @@ class TestInstantiation:
         with pytest.raises(Indeterminate):
             subst_base(a, "p", std(1))
         assert subst_base(a, "p", std(5)) == std(3)
+
+    @given(num=st.integers(1, 40), den_exp=st.sampled_from([0, 0, 1, 3]),
+           offset=st.integers(-60, 60), n=st.integers(0, 40),
+           vnum=st.integers(1, 9), vden_exp=st.integers(0, 2),
+           voffset=st.integers(-20, 20), symbolic=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_path_matches_fraction_arithmetic(
+            self, num, den_exp, offset, n, vnum, vden_exp, voffset, symbolic):
+        a = Sym("p", Fraction(num, 2 ** den_exp), offset)
+        value = Sym("b", Fraction(vnum, 2 ** vden_exp), voffset) if symbolic else std(n)
+        try:
+            want = _fraction_subst_base(a, value)
+        except Indeterminate:
+            with pytest.raises(Indeterminate):
+                subst_base(a, "p", value)
+            return
+        got = subst_base(a, "p", value)
+        assert got == want and str(got) == str(want)
+        if isinstance(got, Sym):
+            assert isinstance(got.coeff, Fraction)
+
+    def test_integer_path_rejects_a_negative_result(self):
+        a = Sym("p", Fraction(3), -7)
+        assert a.coeff.denominator == 1
+        with pytest.raises(Indeterminate):
+            subst_base(a, "p", std(2))
+        with pytest.raises(Indeterminate):
+            _fraction_subst_base(a, std(2))
+        assert subst_base(a, "p", std(3)) == _fraction_subst_base(a, std(3)) == std(2)
 
     def test_affine_hits(self):
         a = Sym("p", Fraction(1), 1)  # p + 1

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,10 @@ from satkit.corpus import (
     axiom_instances, base_corpus, commute_or_proof, mprop_entries,
     neq_from_hypotheses, omega_demo_proof,
 )
-from satkit.elements import Sym, std, sym
+from satkit.elements import Std, Sym, std, subst_base, sym
 from satkit.kernel import (
     DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, Proof, RulePolicy, Sequent,
-    Uniform, check, match_instance, seq, subst_param_proof, vee,
+    Uniform, bases_of, check, match_instance, seq, subst_param_proof, vee,
 )
 from satkit.skolem import quantseq, table_of
 
@@ -214,6 +215,74 @@ class TestExistentialRules:
         node = Proof(seq(target), "m-rule", (), Uniform((base,), schema, ()))
         rep = check(node, RulePolicy(extra_axioms=lambda f: True))
         assert not rep.ok and "unsampled" in rep.first_error().lower()
+
+
+def _proof_nodes(p):
+    yield p
+    for q in p.premises:
+        yield from _proof_nodes(q)
+    if p.uniform is not None:
+        yield from _proof_nodes(p.uniform.schema)
+
+
+def _ref_inst(x, base, value):
+    """Instantiate ``base := value`` in every element slot, with no memo,
+    rebuilding every node."""
+    if isinstance(x, sx.Const):
+        return sx.const(subst_base(x.elem, base, value))
+    if isinstance(x, sx.SymTermRef):
+        idx = subst_base(x.index, base, value)
+        if isinstance(idx, Std):
+            return sx.numeral(idx) if x.family == "num" else sx.addtower(idx)
+        return sx.SymTermRef(x.family, idx)
+    if isinstance(x, sx.SymFormulaRef):
+        idx = subst_base(x.index, base, value)
+        payload = None if x.payload is None else _ref_inst(x.payload, base, value)
+        if isinstance(idx, Std):
+            return sx.delta(idx) if x.family == "delta" else sx.epsilon(idx, payload)
+        return sx.SymFormulaRef(x.family, idx, payload)
+    return type(x)(*(_ref_inst(v, base, value) if isinstance(v, (sx.Term, sx.Formula)) else v
+                     for v in (getattr(x, f.name) for f in dataclasses.fields(x))))
+
+
+class TestInstantiationMemo:
+    def test_memoized_instantiation_matches_a_fresh_one(self):
+        # one memo per (parameter, value) shared by every call, as within
+        # one check, against a fresh memo per call and an unmemoized walk;
+        # instantiating a proof instantiates every prop and pred node in it
+        from satkit.transform import to_certified_calculus
+        proofs = [e.proof for e in mprop_entries()] + \
+            [to_certified_calculus(e.proof) for e in base_corpus()]
+        shared: dict = {}
+        certified = parametric = 0
+        for p in proofs:
+            bases = set().union(*(bases_of(f) for q in _proof_nodes(p) for f in q.conclusion))
+            for base in sorted(bases) or ["p"]:
+                for value in DEFAULT_SAMPLES:
+                    memo = shared.setdefault((base, value), {})
+                    got = subst_param_proof(p, base, value, memo)
+                    fresh = subst_param_proof(p, base, value)
+                    assert got == fresh
+                    for old, a, b in zip(_proof_nodes(p), _proof_nodes(got),
+                                         _proof_nodes(fresh)):
+                        assert a.conclusion.sentences == b.conclusion.sentences == {
+                            _ref_inst(f, base, value) for f in old.conclusion}
+                        if old.rule in ("prop", "pred"):
+                            assert a.info["prop"]["cert"].lines == \
+                                b.info["prop"]["cert"].lines
+                            certified += 1
+                            parametric += bool(bases)
+        assert certified > 0 and parametric > 0
+
+    def test_equal_sentences_share_one_instance_across_calls(self):
+        mentions = e(sx.const(Sym("p")), sx.const(Sym("p")))
+        memo: dict = {}
+        first = subst_param_proof(Proof(seq(mentions), "axiom3"), "p", std(4), memo)
+        twin = e(sx.const(Sym("p")), sx.const(Sym("p")))
+        second = subst_param_proof(Proof(seq(twin, ZERO_EQ), "weak", (first,)),
+                                   "p", std(4), memo)
+        (a,) = first.conclusion.sentences
+        assert a == e(c(4), c(4)) and any(f is a for f in second.conclusion)
 
 
 class TestExtendedRules:

@@ -11,7 +11,7 @@ import satkit.template as tp
 from satkit.coding import godel_decode, godel_encode
 from satkit.elements import Std, Sym, std, sym
 from satkit.kernel import bases_of
-from generators import random_formula, random_templated, random_term
+from generators import random_bounded_sentence, random_formula, random_templated, random_term
 
 
 def v(i):
@@ -208,9 +208,18 @@ def _ref_bases(x) -> set:
     return own.union(*(_ref_bases(p) for p in _parts(x)))
 
 
+def _ref_is_primitive(x) -> bool:
+    if isinstance(x, (sx.Term, sx.Eq, sx.SymFormulaRef)):
+        return True
+    if isinstance(x, (sx.Not, sx.Or, sx.Ex)):
+        return all(_ref_is_primitive(p) for p in _parts(x))
+    return False  # an abbreviation or a template formula
+
+
 class TestCachedFacts:
     @staticmethod
     def _agree(y):
+        assert sx.is_primitive(y) == _ref_is_primitive(y)
         assert tp.t_free_vars(y) == _ref_free_vars(y)
         assert tp.has_templates(y) == _ref_has_templates(y)
         assert bases_of(y) == _ref_bases(y)
@@ -231,6 +240,16 @@ class TestCachedFacts:
         # each cached set is one shared object per distinct set
         assert sx.free_vars(twin) is sx.free_vars(x)
         assert bases_of(twin) is bases_of(x)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_primitivity_matches_a_fresh_walk_over_abbreviations(self, seed):
+        rng = random.Random(seed)
+        f = random_bounded_sentence(rng, 3)
+        g = sx.Or(sx.expand_abbreviation(f), f) if rng.random() < 0.5 else f
+        for y in _nodes(g):
+            assert sx.is_primitive(y) == _ref_is_primitive(y)
+        assert sx.is_primitive(_rebuild(g)) == _ref_is_primitive(g)
 
     def test_equal_nodes_built_apart(self):
         a = sx.Ex(0, sx.Or(sx.Eq(v(0), sx.const(sym("p"))), tp.TemplForm(sx.FALSUM)))

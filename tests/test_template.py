@@ -1,11 +1,15 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satkit.syntax as sx
 import satkit.template as tp
+from satkit.congruence import skeleton_congruent
 from satkit.elements import Sym, std, sym
-from generators import random_formula
+from generators import random_formula, random_templated
 
 
 def c(n):
@@ -44,7 +48,54 @@ class TestTemplSubstitute:
         assert tp.templ_substitute(f, std(3), 0) == f
 
 
+def _parts(x):
+    return [getattr(x, f.name) for f in dataclasses.fields(x)
+            if isinstance(getattr(x, f.name), (sx.Term, sx.Formula))]
+
+
+def _nodes(x):
+    """Every node outside template symbols, root first."""
+    yield x
+    if not isinstance(x, (tp.TemplTerm, tp.TemplForm)):
+        for part in _parts(x):
+            yield from _nodes(part)
+
+
+def _opens(tau, x) -> bool:
+    if isinstance(x, tp.TemplForm):
+        return isinstance(tau, sx.Formula) and skeleton_congruent(x.obj, tau)
+    return isinstance(x, tp.TemplTerm) and isinstance(tau, sx.Term) \
+        and skeleton_congruent(x.obj, tau)
+
+
+def _ref_f_step(tau, x):
+    """One approximating step that rebuilds every node it passes."""
+    if isinstance(x, tp.TemplForm):
+        return tp._unfold_formula(x.obj) if _opens(tau, x) else x
+    if isinstance(x, tp.TemplTerm):
+        return tp._unfold_term(x.obj) if _opens(tau, x) else x
+    if not _parts(x):
+        return x
+    return type(x)(*(_ref_f_step(tau, v) if isinstance(v, (sx.Term, sx.Formula)) else v
+                     for v in (getattr(x, f.name) for f in dataclasses.fields(x))))
+
+
 class TestFStep:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_rebuilding_walk_and_shares_what_it_leaves(self, seed):
+        rng = random.Random(seed)
+        x = random_templated(rng, 4)
+        leaves = [y.obj for y in _nodes(x) if isinstance(y, (tp.TemplTerm, tp.TemplForm))]
+        pool = [o for leaf in leaves for o in sx.subobjects(leaf)] + \
+            list(sx.subobjects(random_formula(rng, 2)))
+        for tau in rng.sample(pool, min(len(pool), 6)):
+            for y in _nodes(x):
+                got = tp.f_step(tau, y)
+                assert got == _ref_f_step(tau, y)
+                if not any(_opens(tau, z) for z in _nodes(y)):
+                    assert got is y
+
     def test_delta_unfolds_one_level(self):
         d2, d1 = sx.delta(2), sx.delta(1)
         got = tp.f_step(d2, boxed(d2))

@@ -1,8 +1,9 @@
 import pytest
 
 import satkit.syntax as sx
+import satkit.translate as tr
 import satkit.template as tp
-from satkit.corpus import base_corpus, commute_or_proof
+from satkit.corpus import base_corpus, commute_or_proof, mprop_entries
 from satkit.elements import std
 from satkit.kernel import (
     M_POLICY, Proof, TEMPLATE_POLICY, check, seq, template_policy_for,
@@ -112,6 +113,35 @@ class TestProofTranslation:
                 elif trace.rule == "m-rule":
                     kk = max(ch[0], 1)
                     assert k <= (2 ** kk - 1) * trace.premise_size + 2
+
+    def test_memoized_images_match_an_image_per_occurrence(self, monkeypatch):
+        class PerOccurrence(tr._Translator):
+            def image(self, f, x):
+                return tp.apply_chain(f, x)
+
+        made = []
+        apply_chain = tp.apply_chain
+
+        def counted(f, x):
+            made.append((f, x))
+            return apply_chain(f, x)
+
+        translated = 0
+        for entry in base_corpus() + mprop_entries():
+            try:
+                res = translate_proof(entry.proof, entry.policy)
+            except (UnsupportedRule, UncheckedInput):
+                continue
+            translated += 1
+            ref = PerOccurrence(entry.policy)
+            f, q = ref.run(entry.proof)
+            assert (res.chain, res.proof, res.traces) == (f, q, ref.traces), entry.name
+            made.clear()
+            with monkeypatch.context() as m:
+                m.setattr(tp, "apply_chain", counted)
+                translate_proof(entry.proof, entry.policy)
+            assert len(made) == len(set(made)), entry.name
+        assert translated == len(base_corpus())
 
     def test_unchecked_input_rejected(self):
         bad = Proof(seq(e(c(1), c(2))), "axiom3")
