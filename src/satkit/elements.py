@@ -199,26 +199,18 @@ def subst_base(a: Element, base: str, value: Element) -> Element:
     """
     if isinstance(a, Std) or a.base != base:
         return a
-    if a.coeff.denominator == 1:
-        # an integral coefficient needs no Fraction arithmetic
-        q = a.coeff.numerator
-        if isinstance(value, Std):
-            r = q * value.n + a.offset
-            if r < 0:
-                raise Indeterminate(f"instantiation of {a} at {value} is not a natural")
-            return Std(r)
-        return Sym(value.base, value.coeff if q == 1 else q * value.coeff,
-                   q * value.offset + a.offset)
+    # integer arithmetic on the dyadic coefficient's numerator and denominator
+    num, den = a.coeff.numerator, a.coeff.denominator
     if isinstance(value, Std):
-        r = a.coeff * value.n + a.offset
-        if r.denominator != 1 or r < 0:
+        r, rem = divmod(num * value.n + a.offset * den, den)
+        if rem or r < 0:
             raise Indeterminate(f"instantiation of {a} at {value} is not a natural")
-        return Std(int(r))
-    coeff = a.coeff * value.coeff
-    off = a.coeff * value.offset + a.offset
-    if off.denominator != 1:
+        return Std(r)
+    off, rem = divmod(num * value.offset + a.offset * den, den)
+    if rem:
         raise Indeterminate(f"instantiation of {a} at {value} has fractional offset")
-    return Sym(value.base, coeff, int(off))
+    # num == den only for the coefficient 1, since a Fraction is kept in lowest terms
+    return Sym(value.base, value.coeff if num == den else a.coeff * value.coeff, off)
 
 
 def affine_hits(a: Element, base: str, target: Element) -> bool:

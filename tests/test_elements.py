@@ -141,7 +141,7 @@ class TestInstantiation:
            vnum=st.integers(1, 9), vden_exp=st.integers(0, 2),
            voffset=st.integers(-20, 20), symbolic=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_integer_path_matches_fraction_arithmetic(
+    def test_matches_fraction_arithmetic(
             self, num, den_exp, offset, n, vnum, vden_exp, voffset, symbolic):
         a = Sym("p", Fraction(num, 2 ** den_exp), offset)
         value = Sym("b", Fraction(vnum, 2 ** vden_exp), voffset) if symbolic else std(n)
@@ -156,14 +156,15 @@ class TestInstantiation:
         if isinstance(got, Sym):
             assert isinstance(got.coeff, Fraction)
 
-    def test_integer_path_rejects_a_negative_result(self):
-        a = Sym("p", Fraction(3), -7)
-        assert a.coeff.denominator == 1
-        with pytest.raises(Indeterminate):
-            subst_base(a, "p", std(2))
-        with pytest.raises(Indeterminate):
-            _fraction_subst_base(a, std(2))
-        assert subst_base(a, "p", std(3)) == _fraction_subst_base(a, std(3)) == std(2)
+    def test_negative_result_matches_fraction_arithmetic(self):
+        # an integral and a dyadic coefficient, each just below and at zero
+        for a, low, high in [(Sym("p", Fraction(3), -7), 2, 3),
+                             (Sym("p", Fraction(1, 2), -3), 4, 6)]:
+            with pytest.raises(Indeterminate):
+                subst_base(a, "p", std(low))
+            with pytest.raises(Indeterminate):
+                _fraction_subst_base(a, std(low))
+            assert subst_base(a, "p", std(high)) == _fraction_subst_base(a, std(high))
 
     def test_affine_hits(self):
         a = Sym("p", Fraction(1), 1)  # p + 1
