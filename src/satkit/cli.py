@@ -2,7 +2,8 @@
 
 Every subcommand has a --json twin of its text output with the same
 verdicts; reports carry no timestamps, so fixed inputs give byte-identical
-output across runs. Exit codes: 0 success, 1 check failure, 2 usage.
+output across runs. Exit codes: 0 success, 1 check failure, 2 bad input,
+usage, or input nested too deeply.
 """
 
 from __future__ import annotations
@@ -381,6 +382,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError, KeyError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError as e:
+        print(f"error: input nested too deeply ({e})", file=sys.stderr)
         return 2
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

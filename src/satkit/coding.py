@@ -234,47 +234,34 @@ def _index_symbols(n: int) -> list[int]:
     return syms
 
 
+# the symbol each codable node class writes before its index and parts
+SYMBOL_OF = {
+    sx.Zero: SYM_ZERO, sx.Const: SYM_CONST, sx.Var: SYM_VAR, sx.Succ: SYM_SC,
+    sx.Add: SYM_ADD, sx.Mul: SYM_MUL, sx.Eq: SYM_EQ, sx.Not: SYM_NOT,
+    sx.Or: SYM_OR, sx.Ex: SYM_EXISTS,
+}
+
+
 def _emit(x: sx.Obj, out: list[int]) -> None:
-    if isinstance(x, sx.Zero):
-        out.append(SYM_ZERO)
-    elif isinstance(x, sx.Const):
-        if not isinstance(x.elem, Std):
-            raise NotEncodable(f"constant {x.elem} has no standard code")
-        out.append(SYM_CONST)
-        out.extend(_index_symbols(x.elem.n))
-    elif isinstance(x, sx.Var):
-        out.append(SYM_VAR)
-        out.extend(_index_symbols(x.index))
-    elif isinstance(x, sx.Succ):
-        out.append(SYM_SC)
-        _emit(x.arg, out)
-    elif isinstance(x, sx.Add):
-        out.append(SYM_ADD)
-        _emit(x.left, out)
-        _emit(x.right, out)
-    elif isinstance(x, sx.Mul):
-        out.append(SYM_MUL)
-        _emit(x.left, out)
-        _emit(x.right, out)
-    elif isinstance(x, sx.Eq):
-        out.append(SYM_EQ)
-        _emit(x.left, out)
-        _emit(x.right, out)
-    elif isinstance(x, sx.Not):
-        out.append(SYM_NOT)
-        _emit(x.body, out)
-    elif isinstance(x, sx.Or):
-        out.append(SYM_OR)
-        _emit(x.left, out)
-        _emit(x.right, out)
-    elif isinstance(x, sx.Ex):
-        out.append(SYM_EXISTS)
-        out.extend(_index_symbols(x.index))
-        _emit(x.body, out)
-    elif isinstance(x, (sx.SymTermRef, sx.SymFormulaRef)):
-        raise NotEncodable(f"family reference {x!r} has no standard code")
-    else:
-        raise NotEncodable(f"abbreviation {x!r} must be expanded before coding")
+    """Write x's symbols in pre-order; iterative, so any nesting depth is
+    fine."""
+    stack = [x]
+    pop, push, put = stack.pop, stack.extend, out.append  # bound once: most calls code small objects
+    while stack:
+        y = pop()
+        sym = SYMBOL_OF.get(type(y))
+        if sym is None:
+            if isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
+                raise NotEncodable(f"family reference {y!r} has no standard code")
+            raise NotEncodable(f"abbreviation {y!r} must be expanded before coding")
+        put(sym)
+        if sym == SYM_CONST:
+            if not isinstance(y.elem, Std):
+                raise NotEncodable(f"constant {y.elem} has no standard code")
+            out.extend(_index_symbols(y.elem.n))
+        elif sym == SYM_VAR or sym == SYM_EXISTS:
+            out.extend(_index_symbols(y.index))
+        push(y.children[::-1])
 
 
 def godel_encode(x: sx.Obj) -> GodelCode:

@@ -36,7 +36,8 @@ class Generalization:
     right: sx.VarAssignment
 
 
-_LEAVES = (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)
+# the leaves that substitution relates: a variable and the constants
+_ATOMS = (sx.Zero, sx.Const, sx.Var)
 
 
 def _as_const(x: sx.Obj) -> Optional[Element]:
@@ -89,15 +90,14 @@ class _Builder:
 def _max_index(x: sx.Obj) -> int:
     top = -1
     for o in sx.subobjects(x):
-        if isinstance(o, sx.Var):
-            top = max(top, o.index)
-        elif isinstance(o, (sx.Ex, sx.All, sx.BEx, sx.BAll)):
+        if type(o) is sx.Var or o.scope:
             top = max(top, o.index)
     return top
 
 
 def _zip(x: sx.Obj, y: sx.Obj, b: _Builder, shadow: frozenset[int]) -> sx.Obj:
-    if isinstance(x, _LEAVES) or isinstance(y, _LEAVES):
+    kx, ky = x.children, y.children
+    if not kx or not ky:
         xv, yv = _as_const(x), _as_const(y)
         if isinstance(x, sx.Var) and isinstance(y, sx.Var):
             if x.index != y.index:
@@ -120,24 +120,22 @@ def _zip(x: sx.Obj, y: sx.Obj, b: _Builder, shadow: frozenset[int]) -> sx.Obj:
             if xv == yv:
                 return sx.const(xv)
             return b.fresh_var(xv, yv)
-        # symbolic family references are opaque leaves: congruent iff equal
-        if x == y and isinstance(x, (sx.SymTermRef, sx.SymFormulaRef)):
+        # other leaves (family references, template symbols) are opaque:
+        # congruent iff equal
+        if x == y:
             return x
         raise _NotCongruent
     if type(x) is not type(y):
         raise _NotCongruent
-    if isinstance(x, sx.Succ):
-        return sx.Succ(_zip(x.arg, y.arg, b, shadow))
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return type(x)(_zip(x.left, y.left, b, shadow),
-                       _zip(x.right, y.right, b, shadow))
-    if isinstance(x, sx.Not):
-        return sx.Not(_zip(x.body, y.body, b, shadow))
-    if isinstance(x, sx.Ex):
+    if x.extended:
+        raise CongruenceError(f"congruence over non-primitive node {x!r}")
+    inner = shadow
+    if x.scope:
         if x.index != y.index:
             raise _NotCongruent
-        return sx.Ex(x.index, _zip(x.body, y.body, b, shadow | {x.index}))
-    raise CongruenceError(f"congruence over non-primitive node {x!r}")
+        inner = shadow | {x.index}
+    return x.rebuild(*(_zip(a, c, b, inner if pos in x.scope else shadow)
+                       for pos, (a, c) in enumerate(zip(kx, ky))))
 
 
 def generalize(x: sx.Obj, y: sx.Obj) -> Optional[Generalization]:
@@ -176,25 +174,17 @@ def skeleton_congruent(x: sx.Obj, y: sx.Obj) -> bool:
     is what keeps unfolding stable under constant substitution, which the
     substitution-commutation law requires.
     """
-    if isinstance(x, sx.Term) != isinstance(y, sx.Term):
-        return False
-    if isinstance(x, _LEAVES) or isinstance(y, _LEAVES):
-        if isinstance(x, (sx.SymTermRef, sx.SymFormulaRef)) or \
-                isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
-            return x == y
-        return isinstance(x, _LEAVES) and isinstance(y, _LEAVES)
     if type(x) is not type(y):
+        return type(x) in _ATOMS and type(y) in _ATOMS
+    kids = x.children
+    if not kids:
+        # other leaves (family references, template symbols) are opaque
+        return type(x) in _ATOMS or x == y
+    if x.extended:
+        raise CongruenceError(f"congruence over non-primitive node {x!r}")
+    if x.scope and x.index != y.index:
         return False
-    if isinstance(x, sx.Succ):
-        return skeleton_congruent(x.arg, y.arg)
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return skeleton_congruent(x.left, y.left) and \
-            skeleton_congruent(x.right, y.right)
-    if isinstance(x, sx.Not):
-        return skeleton_congruent(x.body, y.body)
-    if isinstance(x, sx.Ex):
-        return x.index == y.index and skeleton_congruent(x.body, y.body)
-    raise CongruenceError(f"congruence over non-primitive node {x!r}")
+    return all(map(skeleton_congruent, kids, y.children))
 
 
 # ---------------------------------------------------------------------------

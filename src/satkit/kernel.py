@@ -29,6 +29,8 @@ process).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Callable, Optional
 
 from . import syntax as sx
@@ -185,25 +187,16 @@ def bases_of(x) -> frozenset[str]:
 
 
 def _bases(y) -> frozenset[str]:
-    if isinstance(y, (tp.TemplTerm, tp.TemplForm)):
+    # the element slots: a constant, a family index and an eps payload
+    if isinstance(y, sx.Sealed):
         return bases_of(y.obj)
-    if isinstance(y, sx.Const):
+    if type(y) is sx.Const:
         return frozenset((y.elem.base,)) if isinstance(y.elem, Sym) else sx.EMPTY
     if isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
         out = frozenset((y.index.base,))
         payload = getattr(y, "payload", None)
         return out if payload is None else out | bases_of(payload)
-    if isinstance(y, (sx.Zero, sx.Var)):
-        return sx.EMPTY
-    if isinstance(y, sx.Succ):
-        return bases_of(y.arg)
-    if isinstance(y, (sx.Not, sx.Ex, sx.All)):
-        return bases_of(y.body)
-    if isinstance(y, (sx.BEx, sx.BAll)):
-        return bases_of(y.bound) | bases_of(y.body)
-    if isinstance(y, (sx.Add, sx.Mul, sx.Eq, sx.Or, sx.And, sx.Imp, sx.Iff, sx.Xor, sx.Lt)):
-        return bases_of(y.left) | bases_of(y.right)
-    raise KernelError(f"cannot read the parameters of {y!r}")
+    return reduce(or_, map(bases_of, y.children), sx.EMPTY)
 
 
 def subst_elem_in_obj(x, base: str, value: Element, memo: dict):
@@ -223,11 +216,9 @@ def subst_elem_in_obj(x, base: str, value: Element, memo: dict):
 
 
 def _subst_elem(x, base: str, value: Element, memo: dict):
-    if isinstance(x, tp.TemplTerm):
-        return tp.TemplTerm(subst_elem_in_obj(x.obj, base, value, memo))
-    if isinstance(x, tp.TemplForm):
-        return tp.TemplForm(subst_elem_in_obj(x.obj, base, value, memo))
-    if isinstance(x, sx.Const):
+    if isinstance(x, sx.Sealed):
+        return type(x)(subst_elem_in_obj(x.obj, base, value, memo))
+    if type(x) is sx.Const:
         return sx.const(subst_base(x.elem, base, value))
     if isinstance(x, sx.SymTermRef):
         idx = subst_base(x.index, base, value)
@@ -240,16 +231,9 @@ def _subst_elem(x, base: str, value: Element, memo: dict):
         if isinstance(idx, Std):
             return sx.delta(idx) if x.family == "delta" else sx.epsilon(idx, payload)
         return sx.SymFormulaRef(x.family, idx, payload)
-    if isinstance(x, sx.Succ):
-        return sx.Succ(subst_elem_in_obj(x.arg, base, value, memo))
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return type(x)(subst_elem_in_obj(x.left, base, value, memo),
-                       subst_elem_in_obj(x.right, base, value, memo))
-    if isinstance(x, sx.Not):
-        return sx.Not(subst_elem_in_obj(x.body, base, value, memo))
-    if isinstance(x, sx.Ex):
-        return sx.Ex(x.index, subst_elem_in_obj(x.body, base, value, memo))
-    raise KernelError(f"cannot instantiate inside {x!r}")
+    if x.extended:
+        raise KernelError(f"cannot instantiate inside {x!r}")
+    return x.rebuild(*(subst_elem_in_obj(k, base, value, memo) for k in x.children))
 
 
 def subst_param_proof(p: Proof, base: str, value: Element,
@@ -347,7 +331,7 @@ def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):
 # axiom matchers; each returns a parts dict or None
 
 
-def _closed_term(t, policy: RulePolicy) -> bool:
+def _closed_term(t) -> bool:
     return isinstance(t, sx.Term) and tp.t_is_closed(t)
 
 
@@ -374,27 +358,27 @@ def match_axiom2(s: frozenset, params: frozenset):
     return {"a": a, "b": b}
 
 
-def match_axiom3(s: frozenset, policy: RulePolicy):
+def match_axiom3(s: frozenset):
     if len(s) != 1:
         return None
     (f,) = s
-    if isinstance(f, sx.Eq) and f.left == f.right and _closed_term(f.left, policy):
+    if isinstance(f, sx.Eq) and f.left == f.right and _closed_term(f.left):
         return {"t": f.left}
     return None
 
 
-def match_axiom4(s: frozenset, policy: RulePolicy):
+def match_axiom4(s: frozenset):
     for f in s:
         if isinstance(f, sx.Not) and isinstance(f.body, sx.Eq):
             t, r = f.body.left, f.body.right
-            if not (_closed_term(t, policy) and _closed_term(r, policy)):
+            if not (_closed_term(t) and _closed_term(r)):
                 continue
             if s == {f, sx.Eq(r, t)}:
                 return {"t": t, "r": r}
     return None
 
 
-def match_axiom5(s: frozenset, policy: RulePolicy):
+def match_axiom5(s: frozenset):
     negs = [f for f in s if isinstance(f, sx.Not) and isinstance(f.body, sx.Eq)]
     for f1 in negs:
         for f2 in negs:
@@ -402,33 +386,33 @@ def match_axiom5(s: frozenset, policy: RulePolicy):
             r2, u = f2.body.left, f2.body.right
             if r2 != r:
                 continue
-            if not all(_closed_term(x, policy) for x in (t, r, u)):
+            if not all(_closed_term(x) for x in (t, r, u)):
                 continue
             if s == {f1, f2, sx.Eq(t, u)}:
                 return {"t": t, "r": r, "s": u}
     return None
 
 
-def _match_compat(s: frozenset, policy: RulePolicy, head):
+def _match_compat(s: frozenset, head):
     # axiom6/7/8 share the shape {t != t', r != r', h(t,r) = h(t',r')}
     for f in s:
         if not (isinstance(f, sx.Eq) and isinstance(f.left, head) and isinstance(f.right, head)):
             continue
         if head is sx.Succ:
-            t, tp_, pairs = f.left.arg, f.right.arg, None
+            t, tp_ = f.left.arg, f.right.arg
             n1 = sx.Not(sx.Eq(t, tp_))
-            if s == {n1, f} and _closed_term(t, policy) and _closed_term(tp_, policy):
+            if s == {n1, f} and _closed_term(t) and _closed_term(tp_):
                 return {"t": t, "t2": tp_, "eq": f}
             continue
         t, r = f.left.left, f.left.right
         t2, r2 = f.right.left, f.right.right
         n1, n2 = sx.Not(sx.Eq(t, t2)), sx.Not(sx.Eq(r, r2))
-        if s == {n1, n2, f} and all(_closed_term(x, policy) for x in (t, r, t2, r2)):
+        if s == {n1, n2, f} and all(_closed_term(x) for x in (t, r, t2, r2)):
             return {"t": t, "r": r, "t2": t2, "r2": r2, "eq": f}
     return None
 
 
-def _match_ground_op(s: frozenset, params: frozenset, op: str):
+def _match_ground_op(s: frozenset, op: str):
     if len(s) != 1:
         return None
     (f,) = s
@@ -459,12 +443,12 @@ def _match_ground_op(s: frozenset, params: frozenset, op: str):
         return None
 
 
-def match_axiom12(s: frozenset, policy: RulePolicy):
+def match_axiom12(s: frozenset):
     if len(s) != 1:
         return None
     (f,) = s
     if (isinstance(f, sx.Ex) and f.index == 0 and isinstance(f.body, sx.Eq)
-            and f.body.right == sx.Var(0) and _closed_term(f.body.left, policy)):
+            and f.body.right == sx.Var(0) and _closed_term(f.body.left)):
         return {"t": f.body.left}
     return None
 
@@ -475,27 +459,27 @@ def match_axiom(tag: str, s: frozenset, policy: RulePolicy, params: frozenset):
     if tag == "axiom2":
         return match_axiom2(s, params)
     if tag == "axiom3":
-        return match_axiom3(s, policy)
+        return match_axiom3(s)
     if tag == "axiom4":
-        return match_axiom4(s, policy)
+        return match_axiom4(s)
     if tag == "axiom5":
-        return match_axiom5(s, policy)
+        return match_axiom5(s)
     if tag == "axiom6":
-        return _match_compat(s, policy, sx.Succ)
+        return _match_compat(s, sx.Succ)
     if tag == "axiom7":
-        return _match_compat(s, policy, sx.Add)
+        return _match_compat(s, sx.Add)
     if tag == "axiom8":
-        return _match_compat(s, policy, sx.Mul)
+        return _match_compat(s, sx.Mul)
     if tag == "axiom9":
-        return _match_ground_op(s, params, "sc")
+        return _match_ground_op(s, "sc")
     if tag == "axiom10":
-        return _match_ground_op(s, params, "+")
+        return _match_ground_op(s, "+")
     if tag == "axiom11":
-        return _match_ground_op(s, params, "*")
+        return _match_ground_op(s, "*")
     if tag == "axiom12":
         if not policy.axiom12_allowed:
             return None
-        return match_axiom12(s, policy)
+        return match_axiom12(s)
     return None
 
 
@@ -520,36 +504,26 @@ def match_instance(f, i: int, psi) -> Optional[list[Element]]:
             if a != b:
                 raise No
             return
-        if isinstance(a, sx.Var) and a.index == i:
+        if type(a) is sx.Var and a.index == i:
             e = _const_elem(b)
             if e is None:
                 raise No
             found.append(e)
             return
-        if isinstance(a, (tp.TemplTerm, tp.TemplForm)):
-            if type(a) is not type(b):
-                raise No
-            walk(a.obj, b.obj, shadowed)
-            return
-        if type(a) is not type(b):
+        if type(a) is not type(b) or a.extended:
             raise No
-        if isinstance(a, (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)):
+        if isinstance(a, sx.Sealed):
+            walk(a.obj, b.obj, False)
+            return
+        kids = a.children
+        if not kids:
             if a != b:
                 raise No
             return
-        if isinstance(a, sx.Succ):
-            walk(a.arg, b.arg, shadowed)
-        elif isinstance(a, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-            walk(a.left, b.left, shadowed)
-            walk(a.right, b.right, shadowed)
-        elif isinstance(a, sx.Not):
-            walk(a.body, b.body, shadowed)
-        elif isinstance(a, sx.Ex):
-            if a.index != b.index:
-                raise No
-            walk(a.body, b.body, shadowed or a.index == i)
-        else:
+        if a.scope and a.index != b.index:
             raise No
+        for pos, (x, y) in enumerate(zip(kids, b.children)):
+            walk(x, y, pos in a.scope and a.index == i)
 
     try:
         walk(f, psi, False)

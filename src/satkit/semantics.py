@@ -156,38 +156,22 @@ def _candidate_elems(t_struct: TStructure, body) -> list[Element]:
     out: list[Element] = []
 
     def go(x):
-        if isinstance(x, tp.TemplTerm):
+        if isinstance(x, (tp.TemplTerm, sx.SymTermRef)):
             try:
                 out.append(val_t(t_struct, x))
             except ElementError:
                 pass
             return
-        if isinstance(x, tp.TemplForm):
+        if x.extended:
             return
-        if isinstance(x, (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)):
-            if isinstance(x, sx.SymTermRef):
-                try:
-                    out.append(val_t(t_struct, x))
-                except ElementError:
-                    pass
-            return
-        if isinstance(x, sx.Eq):
+        if type(x) is sx.Eq:
             for side in (x.left, x.right):
                 try:
                     out.append(val_t(t_struct, side))
                 except (ElementError, SemanticsError):
                     pass
-            go(x.left)
-            go(x.right)
-        elif isinstance(x, sx.Succ):
-            go(x.arg)
-        elif isinstance(x, (sx.Add, sx.Mul, sx.Or)):
-            go(x.left)
-            go(x.right)
-        elif isinstance(x, sx.Not):
-            go(x.body)
-        elif isinstance(x, sx.Ex):
-            go(x.body)
+        for k in x.children:
+            go(k)
 
     go(body)
     return [e for e in out if not (isinstance(e, Sym) and e.base in t_struct.outside_bases)]

@@ -8,6 +8,7 @@ trees of (rule <tag> (concl ...) ...) nodes.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Union
 
 from . import syntax as sx
@@ -46,30 +47,21 @@ def tokenize(text: str) -> list[str]:
 
 
 def read_nodes(text: str) -> list[Node]:
-    tokens = tokenize(text)
-    pos = 0
-
-    def read() -> Node:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        t = tokens[pos]
-        pos += 1
+    """The top-level expressions of a text; iterative, so any nesting
+    depth reads."""
+    nodes: list[Node] = []
+    open_lists: list[list] = []
+    for t in tokenize(text):
         if t == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read())
-            if pos >= len(tokens):
-                raise ParseError("unbalanced parenthesis")
-            pos += 1
-            return items
+            open_lists.append([])
+            continue
         if t == ")":
-            raise ParseError("stray closing parenthesis")
-        return t
-
-    nodes = []
-    while pos < len(tokens):
-        nodes.append(read())
+            if not open_lists:
+                raise ParseError("stray closing parenthesis")
+            t = open_lists.pop()
+        (open_lists[-1] if open_lists else nodes).append(t)
+    if open_lists:
+        raise ParseError("unbalanced parenthesis")
     return nodes
 
 
@@ -84,11 +76,29 @@ def read_one(text: str) -> Node:
 # printing
 
 
+# The nodes written (head [index] part ...): a binder's index, then its
+# children, or a template symbol's object. Atoms and family references
+# have their own forms.
+HEADS = {
+    "sc": sx.Succ, "+": sx.Add, "*": sx.Mul, "=": sx.Eq, "not": sx.Not,
+    "or": sx.Or, "ex": sx.Ex, "tf": tp.TemplForm, "tt": tp.TemplTerm,
+    "and": sx.And, "imp": sx.Imp, "iff": sx.Iff, "xor": sx.Xor, "all": sx.All,
+    "lt": sx.Lt, "bex": sx.BEx, "ball": sx.BAll,
+}
+HEAD_OF = {cls: head for head, cls in HEADS.items()}
+
+
 def print_elem(e: Element) -> str:
     return str(e)
 
 
 def print_obj(x) -> str:
+    head = HEAD_OF.get(type(x))
+    if head is not None:
+        if x.scope:
+            return f"({head} {x.index} {' '.join(map(print_obj, x.children))})"
+        parts = (x.obj,) if isinstance(x, sx.Sealed) else x.children
+        return f"({head} {' '.join(map(print_obj, parts))})"
     if isinstance(x, sx.Zero):
         return "0"
     if isinstance(x, sx.Var):
@@ -97,46 +107,12 @@ def print_obj(x) -> str:
         if isinstance(x.elem, Std):
             return f"c{x.elem.n}"
         return f"c{print_elem(x.elem)}"
-    if isinstance(x, sx.Succ):
-        return f"(sc {print_obj(x.arg)})"
-    if isinstance(x, sx.Add):
-        return f"(+ {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.Mul):
-        return f"(* {print_obj(x.left)} {print_obj(x.right)})"
     if isinstance(x, sx.SymTermRef):
         return f"({x.family} {print_elem(x.index)})"
-    if isinstance(x, sx.Eq):
-        return f"(= {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.Not):
-        return f"(not {print_obj(x.body)})"
-    if isinstance(x, sx.Or):
-        return f"(or {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.Ex):
-        return f"(ex {x.index} {print_obj(x.body)})"
     if isinstance(x, sx.SymFormulaRef):
         if x.family == "delta":
             return f"(delta {print_elem(x.index)})"
         return f"(eps {print_elem(x.index)} {print_obj(x.payload)})"
-    if isinstance(x, tp.TemplForm):
-        return f"(tf {print_obj(x.obj)})"
-    if isinstance(x, tp.TemplTerm):
-        return f"(tt {print_obj(x.obj)})"
-    if isinstance(x, sx.And):
-        return f"(and {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.Imp):
-        return f"(imp {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.Iff):
-        return f"(iff {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.Xor):
-        return f"(xor {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.All):
-        return f"(all {x.index} {print_obj(x.body)})"
-    if isinstance(x, sx.Lt):
-        return f"(lt {print_obj(x.left)} {print_obj(x.right)})"
-    if isinstance(x, sx.BEx):
-        return f"(bex {x.index} {print_obj(x.bound)} {print_obj(x.body)})"
-    if isinstance(x, sx.BAll):
-        return f"(ball {x.index} {print_obj(x.bound)} {print_obj(x.body)})"
     raise ParseError(f"cannot print {x!r}")
 
 
@@ -218,60 +194,64 @@ def parse_elem_node(node: Node) -> Element:
     return parse_element(node)
 
 
-def parse_obj(node: Node):
-    if isinstance(node, str):
-        if node == "0":
-            return sx.ZERO
-        if node.startswith("v") and node[1:].isdigit():
-            return sx.Var(int(node[1:]))
-        if node.startswith("c") and len(node) > 1:
-            return sx.const(parse_element(node[1:]))
-        raise ParseError(f"unknown atom {node!r}")
+def _parse_atom(node: str):
+    if node == "0":
+        return sx.ZERO
+    if node.startswith("v") and node[1:].isdigit():
+        return sx.Var(int(node[1:]))
+    if node.startswith("c") and len(node) > 1:
+        return sx.const(parse_element(node[1:]))
+    raise ParseError(f"unknown atom {node!r}")
+
+
+# how to build each compound expression (head [lead] part ...): the
+# constructor, how many arguments follow the head, and the reader of a
+# leading argument that is not a part (a binder's index, a family's
+# element)
+BUILDERS = {head: (cls, len(fields(cls)), int if cls.scope else None)
+            for head, cls in HEADS.items()}
+BUILDERS.update({"num": (sx.numeral, 1, parse_elem_node),
+                 "addtower": (sx.addtower, 1, parse_elem_node),
+                 "delta": (sx.delta, 1, parse_elem_node),
+                 "eps": (sx.epsilon, 2, parse_elem_node)})
+
+
+def _open(node: list):
+    """A frame for a compound expression: its constructor, the leading
+    argument, the objects built so far and the part expressions left."""
     if not node or not isinstance(node[0], str):
         raise ParseError(f"bad expression {node!r}")
-    head, args = node[0], node[1:]
-    if head == "sc":
-        return sx.Succ(parse_obj(args[0]))
-    if head == "+":
-        return sx.Add(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "*":
-        return sx.Mul(parse_obj(args[0]), parse_obj(args[1]))
-    if head in ("num", "addtower"):
-        idx = parse_elem_node(args[0])
-        return sx.numeral(idx) if head == "num" else sx.addtower(idx)
-    if head == "=":
-        return sx.Eq(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "not":
-        return sx.Not(parse_obj(args[0]))
-    if head == "or":
-        return sx.Or(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "ex":
-        return sx.Ex(int(args[0]), parse_obj(args[1]))
-    if head == "delta":
-        return sx.delta(parse_elem_node(args[0]))
-    if head == "eps":
-        return sx.epsilon(parse_elem_node(args[0]), parse_obj(args[1]))
-    if head == "tf":
-        return tp.TemplForm(parse_obj(args[0]))
-    if head == "tt":
-        return tp.TemplTerm(parse_obj(args[0]))
-    if head == "and":
-        return sx.And(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "imp":
-        return sx.Imp(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "iff":
-        return sx.Iff(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "xor":
-        return sx.Xor(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "all":
-        return sx.All(int(args[0]), parse_obj(args[1]))
-    if head == "lt":
-        return sx.Lt(parse_obj(args[0]), parse_obj(args[1]))
-    if head == "bex":
-        return sx.BEx(int(args[0]), parse_obj(args[1]), parse_obj(args[2]))
-    if head == "ball":
-        return sx.BAll(int(args[0]), parse_obj(args[1]), parse_obj(args[2]))
-    raise ParseError(f"unknown head {head!r}")
+    head = node[0]
+    if head not in BUILDERS:
+        raise ParseError(f"unknown head {head!r}")
+    make, need, read_lead = BUILDERS[head]
+    if len(node) <= need:
+        raise ParseError(f"({head} ...) takes {need} arguments")
+    if read_lead is None:
+        return make, None, [], iter(node[1:need + 1])
+    return make, read_lead(node[1]), [], iter(node[2:need + 1])
+
+
+def parse_obj(node: Node):
+    """The term or formula an expression denotes; iterative, so any
+    nesting depth parses."""
+    if isinstance(node, str):
+        return _parse_atom(node)
+    stack = [_open(node)]
+    while True:
+        make, lead, built, parts = stack[-1]
+        for part in parts:
+            if isinstance(part, str):
+                built.append(_parse_atom(part))
+            else:
+                stack.append(_open(part))
+                break
+        else:  # every part built
+            obj = make(*built) if lead is None else make(lead, *built)
+            stack.pop()
+            if not stack:
+                return obj
+            stack[-1][2].append(obj)
 
 
 def parse_formula(text: str) -> sx.Formula:

@@ -7,6 +7,25 @@ term families (disjunction towers, successor towers) are represented by
 lazy reference leaves indexed by a symbolic element, and unfold one level
 at a time.
 
+Every node class, here and in ``template``, follows one structural
+protocol, and the walks over syntax are written against it:
+
+- ``x.children`` is the tuple of x's Term- and Formula-typed fields, in
+  field order. Leaves have none: ``Zero``, ``Const``, ``Var``, the family
+  references (an ``eps`` reference's payload formula is data, not a
+  child) and the template boxes (a box is sealed; a walk that reads
+  through it does so explicitly, through ``obj``).
+- ``x.rebuild(*children)`` is the same node over new children, keeping
+  every other field (a binder's ``index``); a leaf's returns x itself.
+- ``scope`` is a class attribute: the positions in ``x.children`` over
+  which a binder's ``index`` is bound, ``()`` for non-binders. ``Ex`` and
+  ``All`` bind in their body; ``BEx`` and ``BAll`` in their body and not
+  in their bound.
+- ``extended`` is true on the abbreviation classes.
+
+All four are read from the node's class, so a walk dispatches without
+naming node classes or looking fields up by name.
+
 Nodes are immutable. Each carries slots for facts computed once, on first
 use, from its children: its hash, free variables and primitivity here,
 its template flag in ``template`` and its parameter bases in ``kernel``.
@@ -17,8 +36,10 @@ serialised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, fields
+from functools import reduce
+from operator import attrgetter, or_
+from typing import Iterator, Mapping, Optional, Union, get_type_hints
 
 from .elements import Element, Std, Sym, elem_lt, pred, std
 
@@ -62,29 +83,64 @@ def _cached_hash(self) -> int:
 
 
 def node(cls):
-    """A frozen, slotted dataclass whose hash is computed once per node.
+    """A frozen, slotted dataclass whose hash is computed once per node,
+    with the structural protocol (``children``, ``rebuild``) set up from
+    its field types.
 
     The hash is the dataclass hash over the fields, so it is the same in
     every process for nodes whose fields hold no strings."""
     cls = dataclass(frozen=True, slots=True)(cls)
     cls._field_hash = cls.__hash__
     cls.__hash__ = _cached_hash
+    names = [f.name for f in fields(cls)]
+    hints = get_type_hints(cls)
+    kids = () if issubclass(cls, Sealed) else tuple(
+        n for n in names if isinstance(hints[n], type) and issubclass(hints[n], Node))
+    if kids and names != ["index"] * bool(cls.scope) + list(kids):
+        raise TypeError(f"{cls.__name__}: an inner node's fields are its children, "
+                        "after the index of a binder")
+    if len(kids) > 1:
+        cls.children = property(attrgetter(*kids))
+    elif kids:
+        cls.children = property(lambda x, get=attrgetter(*kids): (get(x),))
+    if cls.scope:
+        cls.rebuild = _rebuild_binder
+    elif kids:
+        cls.rebuild = staticmethod(cls)
     return cls
+
+
+def _rebuild_binder(x, *kids):
+    return type(x)(x.index, *kids)
 
 
 class Sealed:
     """A template symbol: a box whose object is read through for free
-    variables. The box classes themselves live in ``template``."""
+    variables. The box classes themselves live in ``template``; for the
+    structural protocol a box is a leaf."""
 
     __slots__ = ()
+
+
+class Node:
+    """The common base of terms and formulas; see the module docstring."""
+
+    __slots__ = FACT_SLOTS
+
+    extended = False
+    scope: tuple[int, ...] = ()
+    children: tuple = ()  # a leaf's
+
+    def rebuild(self):
+        return self  # a leaf's
 
 
 # ---------------------------------------------------------------------------
 # terms
 
 
-class Term:
-    __slots__ = FACT_SLOTS
+class Term(Node):
+    __slots__ = ()
 
 
 @node
@@ -162,10 +218,8 @@ def var(i: int) -> Var:
 # formulas
 
 
-class Formula:
-    __slots__ = FACT_SLOTS
-
-    extended = False
+class Formula(Node):
+    __slots__ = ()
 
 
 @node
@@ -187,6 +241,7 @@ class Or(Formula):
 
 @node
 class Ex(Formula):
+    scope = (0,)
     index: int
     body: Formula
 
@@ -247,6 +302,7 @@ class Xor(Formula):
 @node
 class All(Formula):
     extended = True
+    scope = (0,)
     index: int
     body: Formula
 
@@ -263,6 +319,7 @@ class BEx(Formula):
     """Bounded existential: exists v_index < bound, body."""
 
     extended = True
+    scope = (1,)
     index: int
     bound: Term
     body: Formula
@@ -271,6 +328,7 @@ class BEx(Formula):
 @node
 class BAll(Formula):
     extended = True
+    scope = (1,)
     index: int
     bound: Term
     body: Formula
@@ -290,17 +348,9 @@ def is_primitive(x: Obj) -> bool:
 def _is_primitive(x: Obj) -> bool:
     if isinstance(x, Term):
         return True
-    if x.extended:
+    if x.extended or isinstance(x, Sealed):  # an abbreviation or a template formula
         return False
-    if isinstance(x, Eq):
-        return True
-    if isinstance(x, Not):
-        return is_primitive(x.body)
-    if isinstance(x, Or):
-        return is_primitive(x.left) and is_primitive(x.right)
-    if isinstance(x, Ex):
-        return is_primitive(x.body)
-    return isinstance(x, SymFormulaRef)
+    return all(map(is_primitive, x.children))
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +392,16 @@ def free_vars(x: Obj) -> frozenset[int]:
 
 
 def _free_vars(x: Obj) -> frozenset[int]:
-    if isinstance(x, (Zero, Const, SymTermRef, SymFormulaRef)):
-        return EMPTY
-    if isinstance(x, Var):
-        return frozenset((x.index,))
-    if isinstance(x, Succ):
-        return free_vars(x.arg)
-    if isinstance(x, (Add, Mul)):
-        return free_vars(x.left) | free_vars(x.right)
-    if isinstance(x, (Eq, Lt)):
-        return free_vars(x.left) | free_vars(x.right)
-    if isinstance(x, Not):
-        return free_vars(x.body)
-    if isinstance(x, (Or, And, Imp, Iff, Xor)):
-        return free_vars(x.left) | free_vars(x.right)
-    if isinstance(x, (Ex, All)):
-        return free_vars(x.body) - {x.index}
-    if isinstance(x, (BEx, BAll)):
-        return (free_vars(x.body) - {x.index}) | free_vars(x.bound)
-    if isinstance(x, Sealed):
-        return free_vars(x.obj)
-    raise SyntaxError_(f"free_vars: unknown node {x!r}")
+    kids = x.children
+    if not kids:
+        # a family reference is a closed leaf, its eps payload included
+        if type(x) is Var:
+            return frozenset((x.index,))
+        return free_vars(x.obj) if isinstance(x, Sealed) else EMPTY
+    sets = map(free_vars, kids)
+    if x.scope:
+        sets = [s - {x.index} if pos in x.scope else s for pos, s in enumerate(sets)]
+    return reduce(or_, sets)
 
 
 def is_closed(x: Obj) -> bool:
@@ -372,9 +411,10 @@ def is_closed(x: Obj) -> bool:
 def substitute(x: Obj, t: Term, i: int) -> Obj:
     """Replace every free occurrence of v_i by t; bound occurrences stay.
 
-    Subtrees in which v_i is not free are returned as they are. Raises
-    CaptureRisk when t has a variable that is bound at some substitution
-    site. All internal callers substitute closed terms.
+    Subtrees in which v_i is not free are returned as they are, and
+    template symbols are substituted inside. Raises CaptureRisk when t has
+    a variable that is bound at some substitution site. All internal
+    callers substitute closed terms.
     """
     tv = free_vars(t)
 
@@ -382,28 +422,18 @@ def substitute(x: Obj, t: Term, i: int) -> Obj:
         # go descends only where v_i is free, so no binder above y binds it
         if i not in free_vars(y):
             return y
-        if isinstance(y, Var):
-            return t
-        if isinstance(y, Succ):
-            return Succ(go(y.arg))
-        if isinstance(y, (Add, Mul, Eq, Lt)):
-            return type(y)(go(y.left), go(y.right))
-        if isinstance(y, Not):
-            return Not(go(y.body))
-        if isinstance(y, (Or, And, Imp, Iff, Xor)):
-            return type(y)(go(y.left), go(y.right))
-        if isinstance(y, (Ex, All)):
-            if y.index in tv:
+        kids = y.children
+        if not kids:  # v_i itself, or a template symbol to read through
+            return t if type(y) is Var else type(y)(go(y.obj))
+        scope = y.scope
+        if scope:
+            if y.index == i:  # v_i is free only outside the binder's scope
+                return y.rebuild(*[k if pos in scope else go(k) for pos, k in enumerate(kids)])
+            if y.index in tv and any(i in free_vars(kids[pos]) for pos in scope):
                 raise CaptureRisk(f"v{y.index} of the substituted term is captured")
-            return type(y)(y.index, go(y.body))
-        if isinstance(y, (BEx, BAll)):
-            body = y.body
-            if y.index != i and i in free_vars(body):
-                if y.index in tv:
-                    raise CaptureRisk(f"v{y.index} of the substituted term is captured")
-                body = go(body)
-            return type(y)(y.index, go(y.bound), body)
-        raise SyntaxError_(f"substitute: unknown node {y!r}")
+        if len(kids) == 1:  # no map for the common unary case (numeral towers)
+            return y.rebuild(go(kids[0]))
+        return y.rebuild(*map(go, kids))
 
     return go(x)
 
@@ -458,30 +488,21 @@ class VarAssignment:
 
 
 def multi_substitute(x: Obj, a: VarAssignment) -> Obj:
-    """Simultaneous substitution of constants for all assigned variables."""
+    """Simultaneous substitution of constants for all assigned variables,
+    inside template symbols too."""
 
     def go(y: Obj, shadow: frozenset[int]):
-        if isinstance(y, Var):
+        if type(y) is Var:
             if y.index not in shadow:
                 e = a.lookup(y.index)
                 if e is not None:
                     return const(e)
             return y
-        if isinstance(y, (Zero, Const, SymTermRef, SymFormulaRef)):
-            return y
-        if isinstance(y, Succ):
-            return Succ(go(y.arg, shadow))
-        if isinstance(y, (Add, Mul, Eq, Lt)):
-            return type(y)(go(y.left, shadow), go(y.right, shadow))
-        if isinstance(y, Not):
-            return Not(go(y.body, shadow))
-        if isinstance(y, (Or, And, Imp, Iff, Xor)):
-            return type(y)(go(y.left, shadow), go(y.right, shadow))
-        if isinstance(y, (Ex, All)):
-            return type(y)(y.index, go(y.body, shadow | {y.index}))
-        if isinstance(y, (BEx, BAll)):
-            return type(y)(y.index, go(y.bound, shadow), go(y.body, shadow | {y.index}))
-        raise SyntaxError_(f"multi_substitute: unknown node {y!r}")
+        if isinstance(y, Sealed):
+            return type(y)(go(y.obj, shadow))
+        inner = shadow | {y.index} if y.scope else shadow
+        return y.rebuild(*(go(k, inner if pos in y.scope else shadow)
+                           for pos, k in enumerate(y.children)))
 
     return go(x, frozenset())
 
@@ -596,45 +617,32 @@ def _offset(idx: Element, base: Element) -> Element:
 
 
 def skeleton_depth(x: Obj) -> Element:
-    """Constructor-path length with every node counted; leaves at depth 1."""
-    if isinstance(x, (Zero, Const, Var)):
-        return std(1)
-    if isinstance(x, Succ):
-        return _bump(skeleton_depth(x.arg))
-    if isinstance(x, (Add, Mul, Eq, Lt, Or, And, Imp, Iff, Xor)):
-        return _elem_max1(skeleton_depth(x.left), skeleton_depth(x.right))
-    if isinstance(x, Not):
-        return _bump(skeleton_depth(x.body))
-    if isinstance(x, (Ex, All)):
-        return _bump(skeleton_depth(x.body))
-    if isinstance(x, (BEx, BAll)):
-        return _bump(_elem_max1(skeleton_depth(x.bound), skeleton_depth(x.body)))
+    """Constructor-path length with every node counted; leaves at depth 1.
+
+    A bounded quantifier counts as two nodes, a binder over its (bound,
+    body) pair."""
     if isinstance(x, SymTermRef):
         return _offset(x.index, std(1))
     if isinstance(x, SymFormulaRef):
         if x.family == "delta":
             return _offset(x.index, std(2))
         return _offset(x.index, skeleton_depth(Not(Or(x.payload, Not(x.payload)))))
-    raise SyntaxError_(f"skeleton_depth: unknown node {x!r}")
+    kids = x.children
+    if not kids:
+        return std(1)
+    d = skeleton_depth(kids[0])
+    for k in kids[1:]:
+        e = skeleton_depth(k)
+        if _try_lt(d, e):
+            d = e
+    return _bump(_bump(d) if isinstance(x, (BEx, BAll)) else d)
 
 
 def size(x: Obj) -> int:
     """Node count of a concrete object; family references are not sized."""
     if isinstance(x, (SymTermRef, SymFormulaRef)):
         raise SyntaxError_("family references have nonstandard size")
-    if isinstance(x, (Zero, Const, Var)):
-        return 1
-    if isinstance(x, Succ):
-        return 1 + size(x.arg)
-    if isinstance(x, (Add, Mul, Eq, Lt, Or, And, Imp, Iff, Xor)):
-        return 1 + size(x.left) + size(x.right)
-    if isinstance(x, Not):
-        return 1 + size(x.body)
-    if isinstance(x, (Ex, All)):
-        return 1 + size(x.body)
-    if isinstance(x, (BEx, BAll)):
-        return 1 + size(x.bound) + size(x.body)
-    raise SyntaxError_(f"size: unknown node {x!r}")
+    return 1 + sum(map(size, x.children))
 
 
 # ---------------------------------------------------------------------------
@@ -691,40 +699,11 @@ def epsilon(a: Element | int, phi: Formula) -> Formula:
     return f
 
 
-def neg(f: Formula) -> Formula:
-    return Not(f)
-
-
 def subobjects(x: Obj) -> Iterator[Obj]:
-    """All subformulas and subterms of a concrete object, root included."""
-    yield x
-    if isinstance(x, (Zero, Const, Var, SymTermRef, SymFormulaRef)):
-        return
-    if isinstance(x, Succ):
-        yield from subobjects(x.arg)
-    elif isinstance(x, (Add, Mul, Eq, Lt, Or, And, Imp, Iff, Xor)):
-        yield from subobjects(x.left)
-        yield from subobjects(x.right)
-    elif isinstance(x, Not):
-        yield from subobjects(x.body)
-    elif isinstance(x, (Ex, All)):
-        yield from subobjects(x.body)
-    elif isinstance(x, (BEx, BAll)):
-        yield from subobjects(x.bound)
-        yield from subobjects(x.body)
-
-
-def children(x: Obj) -> tuple[Obj, ...]:
-    """Immediate structural children, unfolding family references one level."""
-    x = unfold_ref(x)
-    if isinstance(x, (Zero, Const, Var)):
-        return ()
-    if isinstance(x, Succ):
-        return (x.arg,)
-    if isinstance(x, (Add, Mul, Eq, Or)):
-        return (x.left, x.right)
-    if isinstance(x, Not):
-        return (x.body,)
-    if isinstance(x, Ex):
-        return (x.body,)
-    raise SyntaxError_(f"children: non-primitive node {x!r}")
+    """All subformulas and subterms of a concrete object, root included,
+    in pre-order; iterative, so any nesting depth is fine."""
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        yield y
+        stack.extend(reversed(y.children))

@@ -63,21 +63,14 @@ def has_templates(x: TObj) -> bool:
 
 
 def _has_templates(x: TObj) -> bool:
-    if isinstance(x, (TemplTerm, TemplForm)):
+    if isinstance(x, sx.Sealed):
         return True
-    if isinstance(x, (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)):
-        return False
-    if isinstance(x, sx.Succ):
-        return has_templates(x.arg)
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        # both sides, so that an abbreviation on the right always raises
-        left = has_templates(x.left)
-        return has_templates(x.right) or left
-    if isinstance(x, sx.Not):
-        return has_templates(x.body)
-    if isinstance(x, sx.Ex):
-        return has_templates(x.body)
-    raise TemplateError(f"non-primitive node {x!r}")
+    if x.extended:
+        raise TemplateError(f"non-primitive node {x!r}")
+    found = False
+    for k in x.children:  # every child, so that an abbreviation on the right always raises
+        found = has_templates(k) or found
+    return found
 
 
 def t_free_vars(x: TObj) -> frozenset[int]:
@@ -95,59 +88,23 @@ def t_is_closed(x: TObj) -> bool:
 def templ_substitute(x: TObj, e: Element, i: int) -> TObj:
     """Substitute the constant naming e for v_i, pushing inside templates.
 
-    A subtree in which v_i is not free is returned as it is."""
+    A subtree in which v_i is not free is returned as it is. Raises
+    TemplateError on an abbreviation outside a template symbol."""
     if i not in t_free_vars(x):
         return x
-    c = sx.const(e)
-    if isinstance(x, TemplTerm):
-        return TemplTerm(sx.substitute(x.obj, c, i))
-    if isinstance(x, TemplForm):
-        return TemplForm(sx.substitute(x.obj, c, i))
-    if isinstance(x, (sx.Zero, sx.Const, sx.SymTermRef, sx.SymFormulaRef)):
-        return x
-    if isinstance(x, sx.Var):
-        return c if x.index == i else x
-    if isinstance(x, sx.Succ):
-        return sx.Succ(templ_substitute(x.arg, e, i))
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return type(x)(templ_substitute(x.left, e, i), templ_substitute(x.right, e, i))
-    if isinstance(x, sx.Not):
-        return sx.Not(templ_substitute(x.body, e, i))
-    if isinstance(x, sx.Ex):
-        if x.index == i:
-            return x
-        return sx.Ex(x.index, templ_substitute(x.body, e, i))
-    raise TemplateError(f"non-primitive node {x!r}")
+    return sx.substitute(x, sx.const(e), i)
 
 
 # ---------------------------------------------------------------------------
 # one approximating step
 
 
-def _unfold_formula(obj: sx.Formula) -> sx.Formula:
+def _unfold(obj: sx.Obj) -> TObj:
+    """One level of obj's structure over sealed parts; a leaf stays as it is."""
     obj = sx.unfold_ref(obj)
-    if isinstance(obj, sx.Eq):
-        return sx.Eq(TemplTerm(obj.left), TemplTerm(obj.right))
-    if isinstance(obj, sx.Not):
-        return sx.Not(TemplForm(obj.body))
-    if isinstance(obj, sx.Or):
-        return sx.Or(TemplForm(obj.left), TemplForm(obj.right))
-    if isinstance(obj, sx.Ex):
-        return sx.Ex(obj.index, TemplForm(obj.body))
-    raise TemplateError(f"cannot unfold {obj!r}")
-
-
-def _unfold_term(obj: sx.Term) -> sx.Term:
-    obj = sx.unfold_ref(obj)
-    if isinstance(obj, (sx.Zero, sx.Const, sx.Var)):
-        return obj
-    if isinstance(obj, sx.Succ):
-        return sx.Succ(TemplTerm(obj.arg))
-    if isinstance(obj, sx.Add):
-        return sx.Add(TemplTerm(obj.left), TemplTerm(obj.right))
-    if isinstance(obj, sx.Mul):
-        return sx.Mul(TemplTerm(obj.left), TemplTerm(obj.right))
-    raise TemplateError(f"cannot unfold {obj!r}")
+    if obj.extended:
+        raise TemplateError(f"cannot unfold {obj!r}")
+    return obj.rebuild(*map(templ, obj.children))
 
 
 def f_step(tau: sx.Obj, x: TObj) -> TObj:
@@ -157,26 +114,16 @@ def f_step(tau: sx.Obj, x: TObj) -> TObj:
     is; a node is rebuilt only when one of its children changed."""
     if not has_templates(x):  # raises on an abbreviation
         return x
-    if isinstance(x, TemplForm):
-        if isinstance(tau, sx.Formula) and skeleton_congruent(x.obj, tau):
-            return _unfold_formula(x.obj)
-        return x
-    if isinstance(x, TemplTerm):
-        if isinstance(tau, sx.Term) and skeleton_congruent(x.obj, tau):
-            return _unfold_term(x.obj)
-        return x
-    if isinstance(x, sx.Succ):
-        arg = f_step(tau, x.arg)
-        return x if arg is x.arg else sx.Succ(arg)
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        left, right = f_step(tau, x.left), f_step(tau, x.right)
-        if left is x.left and right is x.right:
-            return x
-        return type(x)(left, right)
-    body = f_step(tau, x.body)  # Not or Ex: has_templates admits no other node
-    if body is x.body:
-        return x
-    return sx.Not(body) if isinstance(x, sx.Not) else sx.Ex(x.index, body)
+    if isinstance(x, sx.Sealed):
+        # skeleton_congruent relates no term to a formula
+        return _unfold(x.obj) if skeleton_congruent(x.obj, tau) else x
+    changed = False
+    new = []
+    for k in x.children:
+        y = f_step(tau, k)
+        changed = changed or y is not k
+        new.append(y)
+    return x.rebuild(*new) if changed else x
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +272,14 @@ def full_depth_approx(gamma: Sequence[sx.Formula | sx.Term], k: int) -> ApproxCh
         if d > k:
             return
         acc.append(obj)
-        for child in _safe_children(obj):
+        if obj.extended:
+            raise sx.SyntaxError_(f"children: non-primitive node {obj!r}")
+        for child in sx.unfold_ref(obj).children:
             collect(child, d + 1)
 
     for g in gamma:
         collect(g, 1)
     return normalize(ApproxChain(tuple(acc)))
-
-
-def _safe_children(obj: sx.Obj) -> tuple[sx.Obj, ...]:
-    if isinstance(obj, (sx.Zero, sx.Const, sx.Var)):
-        return ()
-    return sx.children(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +325,11 @@ def structural_commute_check(f: ApproxChain, psi: sx.Formula) -> CommuteReport:
 
 def refold(x: TObj) -> sx.Obj:
     """Collapse template symbols back to their objects, folding towers."""
-    if isinstance(x, (TemplTerm, TemplForm)):
+    if isinstance(x, sx.Sealed):
         return x.obj
-    if isinstance(x, (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)):
-        return x
-    if isinstance(x, sx.Succ):
-        return _fold(sx.Succ(refold(x.arg)))
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return _fold(type(x)(refold(x.left), refold(x.right)))
-    if isinstance(x, sx.Not):
-        return sx.Not(refold(x.body))
-    if isinstance(x, sx.Ex):
-        return sx.Ex(x.index, refold(x.body))
-    raise TemplateError(f"non-primitive node {x!r}")
+    if x.extended:
+        raise TemplateError(f"non-primitive node {x!r}")
+    return _fold(x.rebuild(*map(refold, x.children)))
 
 
 def _fold(x: sx.Obj) -> sx.Obj:
@@ -414,34 +349,26 @@ class _Mismatch(Exception):
 
 
 def _needed_classes(cur: TObj, goal: TObj, acc: list[sx.Obj]):
-    if isinstance(cur, (TemplTerm, TemplForm)):
+    if isinstance(cur, sx.Sealed):
         if cur == goal:
             return
-        if isinstance(goal, (TemplTerm, TemplForm)):
+        if isinstance(goal, sx.Sealed):
             raise _Mismatch
         acc.append(cur.obj)
         return
-    if isinstance(goal, (TemplTerm, TemplForm)):
+    if isinstance(goal, sx.Sealed) or type(cur) is not type(goal):
         raise _Mismatch
-    if type(cur) is not type(goal):
-        raise _Mismatch
-    if isinstance(cur, (sx.Zero, sx.Const, sx.Var, sx.SymTermRef, sx.SymFormulaRef)):
+    kids = cur.children
+    if not kids:
         if cur != goal:
             raise _Mismatch
         return
-    if isinstance(cur, sx.Succ):
-        _needed_classes(cur.arg, goal.arg, acc)
-    elif isinstance(cur, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        _needed_classes(cur.left, goal.left, acc)
-        _needed_classes(cur.right, goal.right, acc)
-    elif isinstance(cur, sx.Not):
-        _needed_classes(cur.body, goal.body, acc)
-    elif isinstance(cur, sx.Ex):
-        if cur.index != goal.index:
-            raise _Mismatch
-        _needed_classes(cur.body, goal.body, acc)
-    else:
+    if cur.extended:
         raise TemplateError(f"non-primitive node {cur!r}")
+    if cur.scope and cur.index != goal.index:
+        raise _Mismatch
+    for a, b in zip(kids, goal.children):
+        _needed_classes(a, b, acc)
 
 
 def is_approximation(x: TObj, target: sx.Obj) -> bool:
@@ -466,18 +393,9 @@ def is_approximation(x: TObj, target: sx.Obj) -> bool:
 
 
 def _tsize(x: TObj) -> int:
-    if isinstance(x, (TemplTerm, TemplForm, sx.Zero, sx.Const, sx.Var,
-                      sx.SymTermRef, sx.SymFormulaRef)):
-        return 1
-    if isinstance(x, sx.Succ):
-        return 1 + _tsize(x.arg)
-    if isinstance(x, (sx.Add, sx.Mul, sx.Eq, sx.Or)):
-        return 1 + _tsize(x.left) + _tsize(x.right)
-    if isinstance(x, sx.Not):
-        return 1 + _tsize(x.body)
-    if isinstance(x, sx.Ex):
-        return 1 + _tsize(x.body)
-    raise TemplateError(f"non-primitive node {x!r}")
+    if x.extended:
+        raise TemplateError(f"non-primitive node {x!r}")
+    return 1 + sum(map(_tsize, x.children))
 
 
 def apprx_member(x: TObj, member_oracle) -> bool:

@@ -33,6 +33,23 @@ class TestBasicCommands:
         code, out = run_cli(["decode", n], capsys)
         assert code == 0 and out.strip() == text
 
+    def test_encode_deep_not_nest(self, capsys):
+        from satkit.coding import SYM_EQ, SYM_NOT, SYM_ZERO
+        depth = 3000
+        code, out = run_cli(["encode", "(not " * depth + "(= 0 0)" + ")" * depth], capsys)
+        assert code == 0
+        # base-16 digits, the first symbol least significant
+        symbols = [SYM_NOT] * depth + [SYM_EQ, SYM_ZERO, SYM_ZERO]
+        assert out.strip() == str(sum(s << (4 * k) for k, s in enumerate(symbols)))
+
+    def test_too_deep_input_exits_2(self, capsys):
+        # eval-tr still expands abbreviations recursively
+        depth = 3000
+        code = main(["eval-tr", "--formula", "(not " * depth + "(= 0 0)" + ")" * depth])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: input nested too deeply") and err.count("\n") == 1
+
     def test_eval_tr(self, capsys):
         code, out = run_cli(
             ["eval-tr", "--class", "d0",

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satkit.sexpr as sexpr
 import satkit.syntax as sx
 import satkit.template as tp
 from satkit.coding import godel_decode, godel_encode
+from satkit.congruence import skeleton_congruent
 from satkit.elements import Std, Sym, std, sym
 from satkit.kernel import bases_of
 from generators import random_bounded_sentence, random_formula, random_templated, random_term
@@ -216,6 +218,60 @@ def _ref_is_primitive(x) -> bool:
     return False  # an abbreviation or a template formula
 
 
+_BINDERS = (sx.Ex, sx.All, sx.BEx, sx.BAll)
+_ATOMS = (sx.Zero, sx.Const, sx.Var)
+_OPAQUE = (sx.SymTermRef, sx.SymFormulaRef, tp.TemplTerm, tp.TemplForm)
+
+
+def _fields(x):
+    return [getattr(x, f.name) for f in dataclasses.fields(x)]
+
+
+def _ref_multi_substitute(x, values: dict, shadow=frozenset()):
+    """Substitution by fields: a binder shadows its index in its body
+    only; template symbols are read through, family references closed."""
+    if isinstance(x, sx.Var):
+        e = values.get(x.index) if x.index not in shadow else None
+        return x if e is None else sx.const(e)
+    if isinstance(x, (sx.SymTermRef, sx.SymFormulaRef)):
+        return x
+    out = []
+    for f in dataclasses.fields(x):
+        w = getattr(x, f.name)
+        if isinstance(w, (sx.Term, sx.Formula)):
+            inner = shadow | {x.index} if isinstance(x, _BINDERS) and f.name == "body" else shadow
+            w = _ref_multi_substitute(w, values, inner)
+        out.append(w)
+    return type(x)(*out)
+
+
+def _ref_congruent(a, b) -> bool:
+    """Constructor skeletons and binder indices agree; constants and
+    variables all relate; family references and boxes only to equals."""
+    if isinstance(a, _ATOMS) and isinstance(b, _ATOMS):
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, _OPAQUE):
+        return a == b
+    return all(_ref_congruent(u, w) if isinstance(u, (sx.Term, sx.Formula)) else u == w
+               for u, w in zip(_fields(a), _fields(b)))
+
+
+def _reatom(x, rng):
+    """x with every constant and variable replaced by a random one."""
+    if isinstance(x, _ATOMS):
+        return random_term(rng, 0)
+    if isinstance(x, _OPAQUE):
+        return x
+    return type(x)(*(_reatom(w, rng) if isinstance(w, (sx.Term, sx.Formula)) else w
+                     for w in _fields(x)))
+
+
+def _reparse(x):
+    return sexpr.parse_obj(sexpr.read_one(sexpr.print_obj(x)))
+
+
 class TestCachedFacts:
     @staticmethod
     def _agree(y):
@@ -251,6 +307,38 @@ class TestCachedFacts:
             assert sx.is_primitive(y) == _ref_is_primitive(y)
         assert sx.is_primitive(_rebuild(g)) == _ref_is_primitive(g)
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_rebuilding_walks_match_field_walks(self, seed):
+        # substitution, congruence and the text round trip against walks
+        # over the dataclass fields; their outputs' facts against fresh walks
+        rng = random.Random(seed)
+        templated = seed % 2 == 1
+        x = random_templated(rng, 4) if templated else random_bounded_sentence(rng, 3)
+        e = std(rng.randrange(5))
+        values = {i: std(rng.randrange(5)) for i in range(4) if rng.random() < 0.5}
+        made = []
+        for y in _nodes(x):
+            for i in range(4):
+                got = sx.substitute(y, sx.const(e), i)
+                assert got == _ref_multi_substitute(y, {i: e})
+                if i not in sx.free_vars(y):
+                    assert got is y
+                made.append(got)
+            got = sx.multi_substitute(y, sx.VarAssignment.of(values))
+            assert got == _ref_multi_substitute(y, values)
+            back = _reparse(y)
+            assert back == y
+            made += [got, back]
+        if not templated:  # abbreviations: no template facts, no congruence
+            return
+        for y in made:
+            self._agree(y)
+        others = list(_nodes(_reatom(x, rng))) + list(_nodes(random_templated(rng, 3)))
+        for y in _nodes(x):
+            for z in others:
+                assert skeleton_congruent(y, z) == _ref_congruent(y, z)
+
     def test_equal_nodes_built_apart(self):
         a = sx.Ex(0, sx.Or(sx.Eq(v(0), sx.const(sym("p"))), tp.TemplForm(sx.FALSUM)))
         b = sx.Ex(0, sx.Or(sx.Eq(v(0), sx.const(sym("p"))), tp.TemplForm(sx.FALSUM)))
@@ -270,3 +358,57 @@ class TestCachedFacts:
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.left = v(2)
         assert not hasattr(f, "__dict__")
+
+
+def _node_classes():
+    return {c for m in (sx, tp) for c in vars(m).values()
+            if isinstance(c, type) and dataclasses.is_dataclass(c)
+            and issubclass(c, (sx.Term, sx.Formula))}
+
+
+class TestProtocol:
+    a = sym("a")
+    EXAMPLES = [
+        sx.ZERO, sx.const(std(3)), v(2), sx.Succ(v(0)), sx.Add(v(0), sx.ZERO),
+        sx.Mul(sx.const(a), v(1)), sx.SymTermRef("num", a),
+        sx.Eq(v(0), v(1)), sx.Not(sx.FALSUM), sx.Or(sx.FALSUM, sx.Eq(v(1), v(1))),
+        sx.Ex(1, sx.Eq(v(1), v(0))), sx.delta(a), sx.epsilon(a, sx.Eq(v(0), v(0))),
+        sx.And(sx.FALSUM, sx.FALSUM), sx.Imp(sx.FALSUM, sx.Eq(v(0), v(0))),
+        sx.Iff(sx.FALSUM, sx.FALSUM), sx.Xor(sx.FALSUM, sx.FALSUM),
+        sx.All(0, sx.Eq(v(0), v(1))), sx.Lt(v(0), sx.const(std(2))),
+        sx.BEx(0, v(1), sx.Eq(v(0), v(1))), sx.BAll(2, sx.const(std(4)), sx.Eq(v(2), v(2))),
+        tp.TemplTerm(sx.Succ(v(0))), tp.TemplForm(sx.Eq(v(0), v(1))),
+    ]
+
+    def test_every_node_class_has_an_example(self):
+        # a new node class must be added here, and so to the checks below
+        assert {type(x) for x in self.EXAMPLES} == _node_classes()
+
+    @pytest.mark.parametrize("x", EXAMPLES, ids=lambda x: type(x).__name__)
+    def test_children_are_the_term_and_formula_fields(self, x):
+        # boxes are sealed leaves; an eps payload is data, not a child
+        want = () if isinstance(x, sx.Sealed) else tuple(
+            getattr(x, f.name) for f in dataclasses.fields(x) if f.type in ("Term", "Formula"))
+        assert x.children == want
+        assert all(a is b for a, b in zip(x.children, want))
+
+    @pytest.mark.parametrize("x", EXAMPLES, ids=lambda x: type(x).__name__)
+    def test_rebuild_inverts_children(self, x):
+        y = x.rebuild(*x.children)
+        assert y == x and type(y) is type(x)
+        if not x.children:
+            assert y is x
+        else:
+            new = tuple(sx.Not(k) if isinstance(k, sx.Formula) else sx.Succ(k)
+                        for k in x.children)
+            z = x.rebuild(*new)
+            assert type(z) is type(x) and z.children == new
+            assert [w for w in _fields(z) if not isinstance(w, (sx.Term, sx.Formula))] == \
+                [w for w in _fields(x) if not isinstance(w, (sx.Term, sx.Formula))]
+
+    def test_binders_and_abbreviations(self):
+        classes = _node_classes()
+        assert {c: c.scope for c in classes if c.scope} == {
+            sx.Ex: (0,), sx.All: (0,), sx.BEx: (1,), sx.BAll: (1,)}
+        assert {c for c in classes if c.extended} == {
+            sx.And, sx.Imp, sx.Iff, sx.Xor, sx.All, sx.Lt, sx.BEx, sx.BAll}

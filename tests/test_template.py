@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satkit.sexpr as sexpr
 import satkit.syntax as sx
 import satkit.template as tp
 from satkit.congruence import skeleton_congruent
@@ -70,10 +71,8 @@ def _opens(tau, x) -> bool:
 
 def _ref_f_step(tau, x):
     """One approximating step that rebuilds every node it passes."""
-    if isinstance(x, tp.TemplForm):
-        return tp._unfold_formula(x.obj) if _opens(tau, x) else x
-    if isinstance(x, tp.TemplTerm):
-        return tp._unfold_term(x.obj) if _opens(tau, x) else x
+    if isinstance(x, (tp.TemplTerm, tp.TemplForm)):
+        return tp._unfold(x.obj) if _opens(tau, x) else x
     if not _parts(x):
         return x
     return type(x)(*(_ref_f_step(tau, v) if isinstance(v, (sx.Term, sx.Formula)) else v
@@ -95,6 +94,24 @@ class TestFStep:
                 assert got == _ref_f_step(tau, y)
                 if not any(_opens(tau, z) for z in _nodes(y)):
                     assert got is y
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_on_substituted_and_reparsed_copies(self, seed):
+        # nodes made by substitute, multi_substitute and the parser
+        rng = random.Random(seed)
+        x = random_templated(rng, 4)
+        values = sx.VarAssignment.of({i: std(rng.randrange(5)) for i in range(3)})
+        copies = [sx.substitute(x, c(rng.randrange(5)), rng.randrange(3)),
+                  sx.multi_substitute(x, values),
+                  sexpr.parse_obj(sexpr.read_one(sexpr.print_obj(x)))]
+        pool = list(sx.subobjects(random_formula(rng, 2)))
+        for y in copies:
+            pool += [z.obj for z in _nodes(y) if isinstance(z, (tp.TemplTerm, tp.TemplForm))]
+        for tau in rng.sample(pool, min(len(pool), 6)):
+            for y in copies:
+                for z in _nodes(y):
+                    assert tp.f_step(tau, z) == _ref_f_step(tau, z)
 
     def test_delta_unfolds_one_level(self):
         d2, d1 = sx.delta(2), sx.delta(1)
