@@ -216,8 +216,12 @@ BUILDERS.update({"num": (sx.numeral, 1, parse_elem_node),
                  "eps": (sx.epsilon, 2, parse_elem_node)})
 
 
+def _arity_error(head: str) -> ParseError:
+    return ParseError(f"({head} ...) takes {BUILDERS[head][1]} arguments")
+
+
 def _open(node: list):
-    """A frame for a compound expression: its constructor, the leading
+    """A frame for a compound expression: its head, constructor, leading
     argument, the objects built so far and the part expressions left."""
     if not node or not isinstance(node[0], str):
         raise ParseError(f"bad expression {node!r}")
@@ -225,21 +229,22 @@ def _open(node: list):
     if head not in BUILDERS:
         raise ParseError(f"unknown head {head!r}")
     make, need, read_lead = BUILDERS[head]
-    if len(node) <= need:
-        raise ParseError(f"({head} ...) takes {need} arguments")
     if read_lead is None:
-        return make, None, [], iter(node[1:need + 1])
-    return make, read_lead(node[1]), [], iter(node[2:need + 1])
+        return head, make, None, [], iter(node[1:need + 1])
+    if len(node) < 2:
+        raise _arity_error(head)
+    return head, make, read_lead(node[1]), [], iter(node[2:need + 1])
 
 
 def parse_obj(node: Node):
     """The term or formula an expression denotes; iterative, so any
-    nesting depth parses."""
+    nesting depth parses. Parts are read left to right, so the first
+    fault in that order is the one reported."""
     if isinstance(node, str):
         return _parse_atom(node)
     stack = [_open(node)]
     while True:
-        make, lead, built, parts = stack[-1]
+        head, make, lead, built, parts = stack[-1]
         for part in parts:
             if isinstance(part, str):
                 built.append(_parse_atom(part))
@@ -247,11 +252,14 @@ def parse_obj(node: Node):
                 stack.append(_open(part))
                 break
         else:  # every part built
-            obj = make(*built) if lead is None else make(lead, *built)
+            args = built if lead is None else [lead, *built]
+            if len(args) < BUILDERS[head][1]:
+                raise _arity_error(head)
+            obj = make(*args)
             stack.pop()
             if not stack:
                 return obj
-            stack[-1][2].append(obj)
+            stack[-1][3].append(obj)
 
 
 def parse_formula(text: str) -> sx.Formula:
