@@ -10,6 +10,13 @@ can be stored as finite truncations for demonstration, but never check.
 Rule tags: axiom1..axiom12, axiomL, weak, or-i1, or-i2, or-i3, neg-i,
 cut, ex-i, m-rule, and the extensions prop, i-ex-inf, m-inf, skolem, pred.
 
+This module alone decides a rule's principal formula: ``match_axiom``
+gives an axiom's parts and ``match_rule`` an inference's principal
+formula and its parts. The checker, the translation into template logic,
+the certified conversion and the provability predicates read the
+decomposition from these and never re-derive it. m-rule is the one-block
+case of m-inf, and ex-i with a witness the one-block case of i-ex-inf.
+
 Invariants the checker relies on: syntax nodes are immutable and carry
 cached facts (hash, free variables, primitivity, template flag, parameter
 bases), so reading a fact never re-walks a subtree. Instantiating a
@@ -484,7 +491,12 @@ def match_axiom(tag: str, s: frozenset, policy: RulePolicy, params: frozenset):
 
 
 # ---------------------------------------------------------------------------
-# instance matching for the quantifier rules
+# rule matchers: the principal formula of an inference and its parts
+#
+# One pure step per inference tag reads a node of the shape its rule asks
+# for (the checker tests the shape first) and returns its decomposition, or
+# None when no conclusion sentence fits. A step neither recurses nor records
+# an error.
 
 
 def match_instance(f, i: int, psi) -> Optional[list[Element]]:
@@ -537,8 +549,161 @@ def match_instance(f, i: int, psi) -> Optional[list[Element]]:
     return [first]
 
 
+def block_instance(f, block, values):
+    """The matrix of f under its leading existential block, with the
+    constant naming values[k] for v_block[k]; None when the block is empty
+    or f does not open with it. The constants are closed, so substituting
+    them one index at a time equals substituting them together, and every
+    subtree without the block's variables is f's own."""
+    if not block:
+        return None
+    for i in block:
+        if not (isinstance(f, sx.Ex) and f.index == i):
+            return None
+        f = f.body
+    for i, e in zip(block, values):
+        f = tp.templ_substitute(f, e, i)
+    return f
+
+
+def _block_of(p: Proof, f) -> tuple:
+    """The indices a rule instantiates at f: i-ex-inf and m-inf name
+    them, ex-i and m-rule take f's own quantifier (none when f is not an
+    existential)."""
+    if p.rule in ("i-ex-inf", "m-inf"):
+        return p.info["block"]
+    return (f.index,) if isinstance(f, sx.Ex) else ()
+
+
+def _adds(c: frozenset, d, pc: frozenset, psi) -> bool:
+    """The premise is d's context, c without d or c itself, plus psi."""
+    return pc == (c - {d}) | {psi} or pc == c | {psi}
+
+
+def _match_or_intro(p):
+    c, pc = p.conclusion.sentences, p.premises[0].conclusion.sentences
+    for d in c:
+        if isinstance(d, sx.Or) and _adds(c, d, pc, d.left if p.rule == "or-i1" else d.right):
+            return d
+    return None
+
+
+def _match_or_i3(p):
+    c = p.conclusion.sentences
+    p0, p1 = (q.conclusion.sentences for q in p.premises)
+    for d in c:
+        if isinstance(d, sx.Not) and isinstance(d.body, sx.Or):
+            nf, ng = sx.Not(d.body.left), sx.Not(d.body.right)
+            for gamma in (c - {d}, c):
+                if p0 == gamma | {nf} and p1 == gamma | {ng}:
+                    return d
+    return None
+
+
+def _match_neg_i(p):
+    c, pc = p.conclusion.sentences, p.premises[0].conclusion.sentences
+    for d in c:
+        if isinstance(d, sx.Not) and isinstance(d.body, sx.Not) and _adds(c, d, pc, d.body.body):
+            return d
+    return None
+
+
+def _match_cut(p):
+    c = p.conclusion.sentences
+    p0, p1 = (q.conclusion.sentences for q in p.premises)
+    for f in p0 - c or p0:
+        if p0 == c | {f} and p1 == c | {sx.Not(f)}:
+            return f
+    return None
+
+
+def _match_block_instance(p):
+    """i-ex-inf, and ex-i with a witness as its one-block case: (d,
+    instance) for the d whose instance is the premise's one sentence
+    beyond d's context."""
+    c, pc = p.conclusion.sentences, p.premises[0].conclusion.sentences
+    values = p.info["tuple"] if p.rule == "i-ex-inf" else (p.info["witness"],)
+    for d in c:
+        inst = block_instance(d, _block_of(p, d), values)
+        if inst is not None and _adds(c, d, pc, inst):
+            return d, inst
+    return None
+
+
+def _match_ex_i(p):
+    """(d, witness), the witness None when any element serves."""
+    hint = p.info.get("witness")
+    if hint is not None:
+        m = _match_block_instance(p)
+        return None if m is None else (m[0], hint)
+    c, pc = p.conclusion.sentences, p.premises[0].conclusion.sentences
+    for d in c:
+        if not isinstance(d, sx.Ex):
+            continue
+        for gamma in (c - {d}, c):
+            for psi in pc - gamma or pc:
+                if pc == gamma | {psi}:
+                    ws = match_instance(d.body, d.index, psi)
+                    if ws is not None:
+                        return d, (ws[0] if ws else None)
+    return None
+
+
+def _match_schema(p):
+    """m-inf, and m-rule as its one-block case: (d, instance) for the
+    negated existential d whose block, instantiated at the schema's
+    parameters, the schema concludes over d's context."""
+    c, u = p.conclusion.sentences, p.uniform
+    pc, pivots = u.schema.conclusion.sentences, tuple(map(Sym, u.params))
+    for d in c:
+        if isinstance(d, sx.Not):
+            body = block_instance(d.body, _block_of(p, d.body), pivots)
+            if body is not None and _adds(c, d, pc, sx.Not(body)):
+                return d, sx.Not(body)
+    return None
+
+
+_MATCHERS = {
+    "or-i1": _match_or_intro, "or-i2": _match_or_intro, "or-i3": _match_or_i3,
+    "neg-i": _match_neg_i, "cut": _match_cut, "ex-i": _match_ex_i,
+    "i-ex-inf": _match_block_instance, "m-rule": _match_schema, "m-inf": _match_schema,
+}
+
+
+def match_rule(p: Proof):
+    """The principal formula of an inference and its parts, or None.
+
+    or-i1, or-i2, or-i3 and neg-i give the introduced sentence d; cut
+    gives its pivot; ex-i gives (d, witness); i-ex-inf, m-rule and m-inf
+    give (d, instance). The node must have its rule's premise shape and
+    side data."""
+    return _MATCHERS[p.rule](p)
+
+
 # ---------------------------------------------------------------------------
 # the checker
+
+# the rules with finitely many premises: the premise count, and the message
+# when no conclusion sentence matches
+_FINITE_RULES = {
+    "or-i1": (1, "no disjunction in the conclusion matches the premise"),
+    "or-i2": (1, "no disjunction in the conclusion matches the premise"),
+    "neg-i": (1, "no double negation matches the premise"),
+    "ex-i": (1, "premise is not an instance of an existential in the conclusion"),
+    "i-ex-inf": (1, "premise is not a block instance of the conclusion"),
+    "or-i3": (2, "premises do not split a negated disjunction"),
+    "cut": (2, "premises are not a cut pair over the conclusion"),
+}
+
+# the uniform rules' messages: no schema, parameter arity, sample arity,
+# and no conclusion sentence matching the schema
+_SCHEMA_MESSAGES = {
+    "m-rule": ("m-rule needs a uniform premise schema", "m-rule binds exactly one parameter",
+               "m-rule samples are single elements",
+               "schema conclusion does not instantiate a negated existential"),
+    "m-inf": ("m-inf needs a uniform schema and block indices", "block arity mismatch",
+              "block arity mismatch", "schema conclusion is not a block instance"),
+}
 
 
 class _Checker:
@@ -615,24 +780,13 @@ class _Checker:
             return None
         return 0
 
-    # -- structural rules
-
-    def _one_premise(self, p: Proof, path) -> Optional[Proof]:
-        if len(p.premises) != 1 or p.uniform is not None:
-            self.fail(path, f"{p.rule} takes exactly one premise")
-            return None
-        return p.premises[0]
-
-    def _two_premises(self, p: Proof, path):
-        if len(p.premises) != 2 or p.uniform is not None:
-            self.fail(path, f"{p.rule} takes exactly two premises")
-            return None
-        return p.premises
+    # -- rules with a principal formula
 
     def _rule_weak(self, p, path, params):
-        q = self._one_premise(p, path)
-        if q is None:
+        if len(p.premises) != 1 or p.uniform is not None:
+            self.fail(path, "weak takes exactly one premise")
             return None
+        q = p.premises[0]
         c, pc = p.conclusion.sentences, q.conclusion.sentences
         if not pc <= c or len(c - pc) > 1:
             self.fail(path, "weakening adds exactly one sentence")
@@ -640,142 +794,86 @@ class _Checker:
         h = self.check(q, path + (0,), params)
         return None if h is None else h + 1
 
-    def _or_intro(self, p, path, params, pick):
-        q = self._one_premise(p, path)
-        if q is None:
+    def _matched(self, p, path, params):
+        """A rule with finitely many premises: its premise count, its
+        match, then every premise, each checked even when one before it
+        fails, so a report lists the errors of both."""
+        count, mismatch = _FINITE_RULES[p.rule]
+        if len(p.premises) != count or p.uniform is not None:
+            words = "one premise" if count == 1 else "two premises"
+            self.fail(path, f"{p.rule} takes exactly {words}")
             return None
-        c, pc = p.conclusion.sentences, q.conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Or):
-                part = pick(d)
-                if pc in ((c - {d}) | {part}, c | {part}):
-                    h = self.check(q, path + (0,), params)
-                    return None if h is None else h + 1
-        self.fail(path, "no disjunction in the conclusion matches the premise")
-        return None
-
-    def _rule_or_i1(self, p, path, params):
-        return self._or_intro(p, path, params, lambda d: d.left)
-
-    def _rule_or_i2(self, p, path, params):
-        return self._or_intro(p, path, params, lambda d: d.right)
-
-    def _rule_or_i3(self, p, path, params):
-        prems = self._two_premises(p, path)
-        if prems is None:
+        if p.rule == "i-ex-inf" and not self._block_info(p, path):
             return None
-        c = p.conclusion.sentences
-        p0, p1 = prems[0].conclusion.sentences, prems[1].conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Not) and isinstance(d.body, sx.Or):
-                nf, ng = sx.Not(d.body.left), sx.Not(d.body.right)
-                for gamma in (c - {d}, c):
-                    if p0 == gamma | {nf} and p1 == gamma | {ng}:
-                        h0 = self.check(prems[0], path + (0,), params)
-                        h1 = self.check(prems[1], path + (1,), params)
-                        if h0 is None or h1 is None:
-                            return None
-                        return max(h0, h1) + 1
-        self.fail(path, "premises do not split a negated disjunction")
-        return None
-
-    def _rule_neg_i(self, p, path, params):
-        q = self._one_premise(p, path)
-        if q is None:
+        if match_rule(p) is None:
+            self.fail(path, mismatch)
             return None
-        c, pc = p.conclusion.sentences, q.conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Not) and isinstance(d.body, sx.Not):
-                if pc in ((c - {d}) | {d.body.body}, c | {d.body.body}):
-                    h = self.check(q, path + (0,), params)
-                    return None if h is None else h + 1
-        self.fail(path, "no double negation matches the premise")
-        return None
+        heights = [self.check(q, path + (i,), params) for i, q in enumerate(p.premises)]
+        return None if None in heights else max(heights) + 1
 
-    def _rule_cut(self, p, path, params):
-        prems = self._two_premises(p, path)
-        if prems is None:
+    _rule_or_i1 = _rule_or_i2 = _rule_or_i3 = _rule_neg_i = _rule_cut = _rule_ex_i = _matched
+
+    def _inf_allowed(self, path) -> bool:
+        if not self.policy.allow_inf:
+            self.fail(path, "infinite instantiation rules disabled by policy")
+        return self.policy.allow_inf
+
+    def _block_info(self, p, path) -> bool:
+        block, values = p.info.get("block"), p.info.get("tuple")
+        if not block or values is None:
+            self.fail(path, "block rule needs block indices and a value tuple")
+            return False
+        if len(set(block)) != len(block) or len(values) != len(block):
+            self.fail(path, "block arity mismatch")
+            return False
+        return True
+
+    def _rule_i_ex_inf(self, p, path, params):
+        return self._matched(p, path, params) if self._inf_allowed(path) else None
+
+    def _rule_m_inf(self, p, path, params):
+        """m-inf, and m-rule as its one-block case: one uniform schema over
+        fresh parameters, checked once and then at every sample."""
+        if p.rule == "m-inf" and not self._inf_allowed(path):
             return None
-        c = p.conclusion.sentences
-        p0, p1 = prems[0].conclusion.sentences, prems[1].conclusion.sentences
-        extra = p0 - c
-        candidates = list(extra) if extra else list(p0)
-        for f in candidates:
-            if p0 == c | {f} and p1 == c | {sx.Not(f)}:
-                h0 = self.check(prems[0], path + (0,), params)
-                h1 = self.check(prems[1], path + (1,), params)
-                if h0 is None or h1 is None:
-                    return None
-                return max(h0, h1) + 1
-        self.fail(path, "premises are not a cut pair over the conclusion")
-        return None
-
-    def _rule_ex_i(self, p, path, params):
-        q = self._one_premise(p, path)
-        if q is None:
-            return None
-        c, pc = p.conclusion.sentences, q.conclusion.sentences
-        hint = p.info.get("witness")
-        for d in c:
-            if not isinstance(d, sx.Ex):
-                continue
-            for gamma in (c - {d}, c):
-                extras = pc - gamma
-                candidates = list(extras) if extras else list(pc)
-                for psi in candidates:
-                    if pc != gamma | {psi}:
-                        continue
-                    if hint is not None:
-                        if tp.templ_substitute(d.body, hint, d.index) != psi:
-                            continue
-                    elif match_instance(d.body, d.index, psi) is None:
-                        continue
-                    h = self.check(q, path + (0,), params)
-                    return None if h is None else h + 1
-        self.fail(path, "premise is not an instance of an existential in the conclusion")
-        return None
-
-    def _rule_m_rule(self, p, path, params):
         if p.premises:
             self.fail(path, "non-uniform premise family never checks as complete")
             return None
+        no_schema, bad_params, bad_sample, mismatch = _SCHEMA_MESSAGES[p.rule]
         u = p.uniform
-        if u is None:
-            self.fail(path, "m-rule needs a uniform premise schema")
+        block = p.info.get("block") if p.rule == "m-inf" else ()
+        if u is None or (p.rule == "m-inf" and not block):
+            self.fail(path, no_schema)
             return None
-        if len(u.params) != 1:
-            self.fail(path, "m-rule binds exactly one parameter")
+        arity = len(block) or 1  # m-rule's one block is its existential's index
+        if len(u.params) != arity or len(set(block)) != len(block):
+            self.fail(path, bad_params)
             return None
         if not u.sampled:
             self.fail(path, "unsampled uniform schema")
             return None
-        if any(len(t) != 1 for t in u.sampled):
-            self.fail(path, "m-rule samples are single elements")
+        if any(len(t) != arity for t in u.sampled):
+            self.fail(path, bad_sample)
             return None
-        base = u.params[0]
         c = p.conclusion.sentences
         used = frozenset().union(*(bases_of(f) for f in c)) if c else frozenset()
-        if base in used or base in params:
-            self.fail(path, f"parameter {base} is not fresh")
+        for b in u.params:
+            if b in used or b in params:
+                self.fail(path, f"parameter {b} is not fresh")
+                return None
+        if match_rule(p) is None:
+            self.fail(path, mismatch)
             return None
-        pc = u.schema.conclusion.sentences
-        pivot = Sym(base)
-        for d in c:
-            if not (isinstance(d, sx.Not) and isinstance(d.body, sx.Ex)):
-                continue
-            inst = sx.Not(tp.templ_substitute(d.body.body, pivot, d.body.index))
-            for gamma in (c - {d}, c):
-                if pc == gamma | {inst}:
-                    h = self.check(u.schema, path + ("u",), params | {base})
-                    if h is None:
-                        return None
-                    for k, (e,) in enumerate(u.sampled):
-                        instp = self._instantiate(u.schema, ((base, e),), path + ("s", k))
-                        if instp is None or self.check(instp, path + ("s", k), params) is None:
-                            return None
-                    return h + 1
-        self.fail(path, "schema conclusion does not instantiate a negated existential")
-        return None
+        h = self.check(u.schema, path + ("u",), params | set(u.params))
+        if h is None:
+            return None
+        for k, values in enumerate(u.sampled):
+            instp = self._instantiate(u.schema, zip(u.params, values), path + ("s", k))
+            if instp is None or self.check(instp, path + ("s", k), params) is None:
+                return None
+        return h + 1
+
+    _rule_m_rule = _rule_m_inf
 
     def _instantiate(self, schema: Proof, assignment, path) -> Optional[Proof]:
         """The schema at one sample; None, with a located error, when a
@@ -821,92 +919,6 @@ class _Checker:
             self.fail(path, "prop rule disabled by policy")
             return None
         return self._certified_rule(p, path, params, first_order=False)
-
-    def _block_exists(self, d, block):
-        body = d
-        for i in block:
-            if not (isinstance(body, sx.Ex) and body.index == i):
-                return None
-            body = body.body
-        return body
-
-    def _rule_i_ex_inf(self, p, path, params):
-        if not self.policy.allow_inf:
-            self.fail(path, "infinite instantiation rules disabled by policy")
-            return None
-        q = self._one_premise(p, path)
-        if q is None:
-            return None
-        block = p.info.get("block")
-        values = p.info.get("tuple")
-        if not block or values is None:
-            self.fail(path, "block rule needs block indices and a value tuple")
-            return None
-        if len(set(block)) != len(block) or len(values) != len(block):
-            self.fail(path, "block arity mismatch")
-            return None
-        c, pc = p.conclusion.sentences, q.conclusion.sentences
-        assign = sx.VarAssignment.of(dict(zip(block, values)))
-        for d in c:
-            body = self._block_exists(d, block)
-            if body is None:
-                continue
-            inst = sx.multi_substitute(body, assign)
-            for gamma in (c - {d}, c):
-                if pc == gamma | {inst}:
-                    h = self.check(q, path + (0,), params)
-                    return None if h is None else h + 1
-        self.fail(path, "premise is not a block instance of the conclusion")
-        return None
-
-    def _rule_m_inf(self, p, path, params):
-        if not self.policy.allow_inf:
-            self.fail(path, "infinite instantiation rules disabled by policy")
-            return None
-        if p.premises:
-            self.fail(path, "non-uniform premise family never checks as complete")
-            return None
-        u = p.uniform
-        block = p.info.get("block")
-        if u is None or not block:
-            self.fail(path, "m-inf needs a uniform schema and block indices")
-            return None
-        if len(u.params) != len(block) or len(set(block)) != len(block):
-            self.fail(path, "block arity mismatch")
-            return None
-        if not u.sampled:
-            self.fail(path, "unsampled uniform schema")
-            return None
-        if any(len(t) != len(block) for t in u.sampled):
-            self.fail(path, "block arity mismatch")
-            return None
-        c = p.conclusion.sentences
-        used = frozenset().union(*(bases_of(f) for f in c)) if c else frozenset()
-        for b in u.params:
-            if b in used or b in params:
-                self.fail(path, f"parameter {b} is not fresh")
-                return None
-        assign = sx.VarAssignment.of({i: Sym(b) for i, b in zip(block, u.params)})
-        pc = u.schema.conclusion.sentences
-        for d in c:
-            if not (isinstance(d, sx.Not)):
-                continue
-            body = self._block_exists(d.body, block)
-            if body is None:
-                continue
-            inst = sx.Not(sx.multi_substitute(body, assign))
-            for gamma in (c - {d}, c):
-                if pc == gamma | {inst}:
-                    h = self.check(u.schema, path + ("u",), params | set(u.params))
-                    if h is None:
-                        return None
-                    for k, values in enumerate(u.sampled):
-                        instp = self._instantiate(u.schema, zip(u.params, values), path + ("s", k))
-                        if instp is None or self.check(instp, path + ("s", k), params) is None:
-                            return None
-                    return h + 1
-        self.fail(path, "schema conclusion is not a block instance")
-        return None
 
     def _rule_skolem(self, p, path, params):
         from .skolem import apply_skolem, build_prefixed, is_skolem_operator

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional
 
 from . import syntax as sx
-from .kernel import Proof, Sequent, match_axiom, match_instance, vee
+from .kernel import AXIOM_TAGS, Proof, Sequent, match_axiom, match_instance, match_rule, vee
 from .elements import Std, Sym
 
 
@@ -628,7 +628,7 @@ def _axiom_disjunction(phi: sx.Formula) -> Optional[frozenset]:
     from .kernel import RulePolicy
     pol = RulePolicy()
     for cand in _spine_splits(phi):
-        for tag in (f"axiom{i}" for i in range(1, 13)):
+        for tag in AXIOM_TAGS:
             if match_axiom(tag, cand, pol, frozenset()) is not None:
                 return cand
     return None
@@ -726,9 +726,6 @@ def _pf_witnesses(body: sx.Formula, bound: int):
             yield e
 
 
-_AXIOM_RULES = tuple(f"axiom{i}" for i in range(1, 13))
-
-
 def _pf_from_proof(phi: sx.Formula, k: int, p: Proof) -> Optional[PfEvidence]:
     """Witness the provability predicate along an existing proof tree."""
     if vee(p.conclusion.sentences) != phi:
@@ -747,56 +744,38 @@ def _pf_from_proof(phi: sx.Formula, k: int, p: Proof) -> Optional[PfEvidence]:
             hyps.append(h)
         return PfEvidence("prop", phi, k, tuple(subs),
                           {"cert": p.info["prop"]["cert"], "hyps": tuple(hyps)})
-    if p.rule in _AXIOM_RULES:
+    if p.rule in AXIOM_TAGS and p.rule != "axiomL":
         low = pf_height_check(phi, 1)
         if low is None:
             return None
         return PfEvidence("prop", phi, k, (low,),
                           {"cert": one_line(phi), "hyps": (phi,)})
-    if p.rule == "ex-i":
-        c = p.conclusion.sentences
-        pc = p.premises[0].conclusion.sentences
-        for d in c:
-            if not isinstance(d, sx.Ex):
-                continue
-            for gamma in (c - {d}, c):
-                extras = pc - gamma
-                for psi in (list(extras) if extras else list(pc)):
-                    if pc != gamma | {psi}:
-                        continue
-                    ws = match_instance(d.body, d.index, psi)
-                    if p.info.get("witness") is not None:
-                        w = p.info["witness"]
-                    elif ws is None:
-                        continue
-                    else:
-                        w = ws[0] if ws else Std(0)
-                    sub = _pf_from_proof(vee(pc), k - 1, p.premises[0])
-                    if sub is None:
-                        return None
-                    return PfEvidence("ex", phi, k, (sub,),
-                                      {"d": d, "w": w, "rest": frozenset(c - {d}),
-                                       "premise_set": pc})
-    if p.rule == "m-rule" and p.uniform is not None:
-        from .kernel import subst_param_proof
-        c = p.conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Not) and isinstance(d.body, sx.Ex):
-                rest = frozenset(c - {d})
-                subs = []
-                base = p.uniform.params[0]
-                for (e,) in p.uniform.sampled:
-                    inst = sx.Not(sx.substitute(d.body.body, sx.const(e), d.body.index))
-                    target = vee(rest | {inst})
-                    sub = _pf_from_proof(target, k - 1,
-                                         subst_param_proof(p.uniform.schema, base, e))
-                    if sub is None:
-                        subs = None
-                        break
-                    subs.append(sub)
-                if subs is not None:
-                    return PfEvidence("all", phi, k, tuple(subs),
-                                      {"d": d, "rest": rest, "uniform": p.uniform})
+    # the kernel's decomposition; the premise's context, c without d or c
+    # itself when the premise keeps d, is c & pc
+    c = p.conclusion.sentences
+    found = match_rule(p) if p.rule == "ex-i" and len(p.premises) == 1 else None
+    if found is not None:
+        (d, w), q = found, p.premises[0]
+        sub = _pf_from_proof(vee(q.conclusion.sentences), k - 1, q)
+        if sub is None:
+            return None
+        return PfEvidence("ex", phi, k, (sub,),
+                          {"d": d, "w": Std(0) if w is None else w,
+                           "rest": c & q.conclusion.sentences})
+    found = match_rule(p) if p.rule == "m-rule" and p.uniform is not None else None
+    if found is not None:
+        from .kernel import block_instance, subst_param_proof
+        d, u = found[0], p.uniform
+        rest = c & u.schema.conclusion.sentences
+        subs = []
+        for (e,) in u.sampled:
+            inst = sx.Not(block_instance(d.body, (d.body.index,), (e,)))
+            sub = _pf_from_proof(vee(rest | {inst}), k - 1,
+                                 subst_param_proof(u.schema, u.params[0], e))
+            if sub is None:
+                return None
+            subs.append(sub)
+        return PfEvidence("all", phi, k, tuple(subs), {"d": d, "rest": rest, "uniform": u})
     return None
 
 
@@ -817,7 +796,7 @@ def expand_pf(ev: PfEvidence) -> Proof:
     if ev.kind == "axiom":
         cand = ev.data["set"]
         from .kernel import RulePolicy
-        tag = next(t for t in _AXIOM_RULES
+        tag = next(t for t in AXIOM_TAGS
                    if match_axiom(t, cand, RulePolicy(), frozenset()) is not None)
         return _prop_join(Proof(Sequent(cand), tag), ev.phi)
     if ev.kind == "prop":

@@ -229,11 +229,13 @@ def _open(node: list):
     if head not in BUILDERS:
         raise ParseError(f"unknown head {head!r}")
     make, need, read_lead = BUILDERS[head]
+    if len(node) > need + 1:
+        raise _arity_error(head)
     if read_lead is None:
-        return head, make, None, [], iter(node[1:need + 1])
+        return head, make, None, [], iter(node[1:])
     if len(node) < 2:
         raise _arity_error(head)
-    return head, make, read_lead(node[1]), [], iter(node[2:need + 1])
+    return head, make, read_lead(node[1]), [], iter(node[2:])
 
 
 def parse_obj(node: Node):
@@ -281,17 +283,19 @@ def parse_certificate(node: Node) -> PropCertificate:
         raise ParseError("expected (cert ...)")
     lines = []
     for ln in node[1:]:
-        if not (isinstance(ln, list) and ln[0] == "line"):
-            raise ParseError("certificate entries are (line ...)")
+        if not (isinstance(ln, list) and len(ln) == 3 and ln[0] == "line"):
+            raise ParseError(f"certificate entries are (line <formula> <justification>), "
+                             f"found {ln!r}")
         formula = parse_obj(ln[1])
         j = ln[2]
+        head = j[0] if isinstance(j, list) and j else None
         if j == "hyp":
             just = ("hyp",)
-        elif isinstance(j, list) and j[0] == "ax":
+        elif head == "ax" and len(j) >= 3 and all(isinstance(x, str) for x in j[1:3]):
             scheme, form = j[1], ("" if j[2] == "_" else j[2])
             args = tuple(parse_obj(a) for a in j[3:])
             just = ("ax", scheme, form, args)
-        elif isinstance(j, list) and j[0] == "mp":
+        elif head == "mp" and len(j) == 3 and all(isinstance(x, str) for x in j[1:]):
             just = ("mp", int(j[1]), int(j[2]))
         else:
             raise ParseError(f"unknown justification {j!r}")

@@ -8,7 +8,7 @@ a disjunction splits into its parts, and double negations round-trip.
 from __future__ import annotations
 
 from . import syntax as sx
-from .kernel import Proof, Sequent, Uniform
+from .kernel import Proof, Sequent, Uniform, match_rule
 
 
 class NotApplicable(Exception):
@@ -137,38 +137,16 @@ def to_certified_calculus(p: Proof) -> Proof:
     hyps = [vee(q.conclusion.sentences) for q in p.premises]
     if p.rule in ("weak", "or-i1", "or-i2", "neg-i"):
         cert = weakening_cert(hyps[0], goal)
-    elif p.rule == "cut":
-        pivot = _cut_pivot(p)
-        cert = cut_cert(hyps[0], hyps[1], pivot, goal)
-    else:  # or-i3
-        d = _or3_pivot(p)
-        cert = split_negation_cert(hyps[0], hyps[1],
-                                   d.body.left, d.body.right, goal)
+    else:  # cut or or-i3: the kernel's pivot or negated disjunction
+        found = match_rule(p)
+        if found is None:
+            raise NotApplicable(f"the {p.rule} premises do not match its conclusion")
+        if p.rule == "cut":
+            cert = cut_cert(hyps[0], hyps[1], found, goal)
+        else:
+            cert = split_negation_cert(hyps[0], hyps[1],
+                                       found.body.left, found.body.right, goal)
     return Proof(p.conclusion, "prop", prems, None, {"prop": {"cert": cert}})
-
-
-def _cut_pivot(p: Proof) -> sx.Formula:
-    c = p.conclusion.sentences
-    p0 = p.premises[0].conclusion.sentences
-    p1 = p.premises[1].conclusion.sentences
-    extra = p0 - c
-    for f in (list(extra) if extra else list(p0)):
-        if p0 == c | {f} and p1 == c | {sx.Not(f)}:
-            return f
-    raise NotApplicable("premises are not a cut pair")
-
-
-def _or3_pivot(p: Proof) -> sx.Not:
-    c = p.conclusion.sentences
-    p0 = p.premises[0].conclusion.sentences
-    p1 = p.premises[1].conclusion.sentences
-    for d in c:
-        if isinstance(d, sx.Not) and isinstance(d.body, sx.Or):
-            for gamma in (c - {d}, c):
-                if p0 == gamma | {sx.Not(d.body.left)} and \
-                        p1 == gamma | {sx.Not(d.body.right)}:
-                    return d
-    raise NotApplicable("premises do not split a negated disjunction")
 
 
 def transform(kind: str, p: Proof, **args) -> Proof:

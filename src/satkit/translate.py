@@ -19,9 +19,8 @@ from . import syntax as sx
 from . import template as tp
 from .kernel import (
     AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, Uniform,
-    check, match_axiom,
+    check, match_axiom, match_rule,
 )
-from .elements import Sym
 
 
 class TranslateError(Exception):
@@ -143,77 +142,6 @@ class TranslationResult:
         return self.height + 1
 
 
-def _decomposition(p: Proof, policy: RulePolicy, params: frozenset):
-    """Re-run the rule match to recover the active formula decomposition."""
-    c = p.conclusion.sentences
-    tag = p.rule
-    if tag in AXIOM_TAGS:
-        if tag == "axiomL":
-            return {}
-        parts = match_axiom(tag, c, policy, params)
-        if parts is None:
-            raise UncheckedInput(f"{tag} no longer matches its conclusion")
-        return parts
-    if tag in ("or-i1", "or-i2"):
-        pc = p.premises[0].conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Or):
-                part = d.left if tag == "or-i1" else d.right
-                if pc in ((c - {d}) | {part}, c | {part}):
-                    return {"d": d}
-    if tag == "or-i3":
-        p0 = p.premises[0].conclusion.sentences
-        p1 = p.premises[1].conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Not) and isinstance(d.body, sx.Or):
-                for gamma in (c - {d}, c):
-                    if p0 == gamma | {sx.Not(d.body.left)} and \
-                            p1 == gamma | {sx.Not(d.body.right)}:
-                        return {"d": d}
-    if tag == "neg-i":
-        pc = p.premises[0].conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Not) and isinstance(d.body, sx.Not):
-                if pc in ((c - {d}) | {d.body.body}, c | {d.body.body}):
-                    return {"d": d}
-    if tag == "cut":
-        p0 = p.premises[0].conclusion.sentences
-        p1 = p.premises[1].conclusion.sentences
-        extra = p0 - c
-        for f in (list(extra) if extra else list(p0)):
-            if p0 == c | {f} and p1 == c | {sx.Not(f)}:
-                return {"f": f}
-    if tag == "ex-i":
-        pc = p.premises[0].conclusion.sentences
-        from .kernel import match_instance
-        hint = p.info.get("witness")
-        for d in c:
-            if not isinstance(d, sx.Ex):
-                continue
-            for gamma in (c - {d}, c):
-                extras = pc - gamma
-                for psi in (list(extras) if extras else list(pc)):
-                    if pc != gamma | {psi}:
-                        continue
-                    if hint is not None:
-                        if tp.templ_substitute(d.body, hint, d.index) == psi:
-                            return {"d": d, "witness": hint}
-                    else:
-                        ws = match_instance(d.body, d.index, psi)
-                        if ws is not None:
-                            return {"d": d, "witness": ws[0] if ws else None}
-    if tag == "m-rule":
-        base = p.uniform.params[0]
-        pc = p.uniform.schema.conclusion.sentences
-        for d in c:
-            if isinstance(d, sx.Not) and isinstance(d.body, sx.Ex):
-                inst = sx.Not(tp.templ_substitute(d.body.body, Sym(base), d.body.index))
-                for gamma in (c - {d}, c):
-                    if pc == gamma | {inst}:
-                        return {"d": d, "inst": inst}
-    raise UncheckedInput(f"cannot recover the {tag} decomposition")
-
-
 class _Translator:
     def __init__(self, policy: RulePolicy):
         self.policy = policy
@@ -250,6 +178,17 @@ class _Translator:
         """The approximations of plain sentences under a chain."""
         return frozenset(self.image(f, tp.templ(g)) for g in sentences)
 
+    def decomposition(self, p: Proof, params: frozenset):
+        """The kernel's decomposition of a checked node: an axiom's parts,
+        or a rule's principal formula and its parts."""
+        if p.rule in AXIOM_TAGS:
+            found = match_axiom(p.rule, p.conclusion.sentences, self.policy, params)
+        else:
+            found = match_rule(p)
+        if found is None:
+            raise UncheckedInput(f"cannot recover the {p.rule} decomposition")
+        return found
+
     def run(self, p: Proof, params: frozenset = frozenset()):
         tag = p.rule
         c = p.conclusion.sentences
@@ -263,7 +202,7 @@ class _Translator:
                 q = Proof(Sequent(frozenset((tp.templ(phi),))), "axiomL")
                 self.traces.append(NodeTrace(tag, 0, ()))
                 return f, q
-            parts = _decomposition(p, self.policy, params)
+            parts = self.decomposition(p, params)
             f = tp.normalize(tp.chain(*_axiom_steps(tag, parts, c)))
             q = Proof(Sequent(self.chain_image(f, c)), tag)
             self.traces.append(NodeTrace(tag, len(f), ()))
@@ -276,7 +215,7 @@ class _Translator:
             return f0, q
 
         if tag in ("or-i1", "or-i2"):
-            d = _decomposition(p, self.policy, params)["d"]
+            d = self.decomposition(p, params)
             f0, q0 = self.run(p.premises[0], params)
             f = tp.uniform_union([f0, tp.chain(d)])
             q0 = self.lift(q0, f)
@@ -286,7 +225,7 @@ class _Translator:
             return f, q
 
         if tag == "or-i3":
-            d = _decomposition(p, self.policy, params)["d"]
+            d = self.decomposition(p, params)
             f0, q0 = self.run(p.premises[0], params)
             f1, q1 = self.run(p.premises[1], params)
             disj = d.body
@@ -302,7 +241,7 @@ class _Translator:
             return f, q
 
         if tag == "neg-i":
-            d = _decomposition(p, self.policy, params)["d"]
+            d = self.decomposition(p, params)
             f0, q0 = self.run(p.premises[0], params)
             f = tp.uniform_union([f0, tp.chain(d.body, d)])
             q0 = self.lift(q0, f)
@@ -312,7 +251,7 @@ class _Translator:
             return f, q
 
         if tag == "cut":
-            cf = _decomposition(p, self.policy, params)["f"]
+            cf = self.decomposition(p, params)
             f0, q0 = self.run(p.premises[0], params)
             f1, q1 = self.run(p.premises[1], params)
             f = tp.uniform_union([f0, f1, tp.chain(sx.Not(cf))])
@@ -324,14 +263,12 @@ class _Translator:
             return f, q
 
         if tag == "ex-i":
-            dec = _decomposition(p, self.policy, params)
-            d = dec["d"]
+            d, w = self.decomposition(p, params)
             f0, q0 = self.run(p.premises[0], params)
             f = tp.uniform_union([f0, tp.chain(d)])
             q0 = self.lift(q0, f)
             self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
             # the substitution-commutation identity used by the rule image
-            w = dec.get("witness")
             if w is not None:
                 lhs = self.image(f, tp.templ(tp.templ_substitute(d.body, w, d.index)))
                 rhs_base = self.image(f, tp.templ(d.body))
@@ -343,8 +280,7 @@ class _Translator:
             return f, q
 
         if tag == "m-rule":
-            dec = _decomposition(p, self.policy, params)
-            d = dec["d"]
+            d, _ = self.decomposition(p, params)
             base = p.uniform.params[0]
             schema = p.uniform.schema
             f0, q0 = self.run(schema, params | {base})

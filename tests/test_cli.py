@@ -142,6 +142,23 @@ class TestProofCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_extra_argument_exits_2(self, capsys):
+        # (not ...) takes one argument; a second one is bad input
+        code = main(["encode", "(not (= 0 0) junk)"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["(cert (line))", "(cert (line (= 0 0) (ax)))",
+                                      "(cert (line (= 0 0) (mp 0)))", "(cert ())"])
+    def test_malformed_certificate_exits_2(self, tmp_path, capsys, text):
+        f = tmp_path / "cert.sexp"
+        f.write_text(text)
+        code = main(["prop-check", "--cert", str(f)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestWitnessCommands:
     def test_delta(self, capsys):
         code, out = run_cli(

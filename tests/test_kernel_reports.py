@@ -16,10 +16,11 @@ from satkit.kernel import RULE_TAGS, Proof, RulePolicy, Sequent, Uniform, check,
 from satkit.transform import to_certified_calculus
 
 # the entries whose mutants are recorded: a propositional one, a
-# structural one, and diagram proofs with one and with nested schemas
+# structural one, diagram proofs with one and with nested schemas, and
+# the two block rules
 MUTATED = ("prop-height-2", "or-commutes", "neq-from-hypotheses",
            "diagram-5", "uniform-refutation-0", "uniform-refutation-2",
-           "oracle-schema")
+           "oracle-schema", "block-instance", "block-schema")
 
 
 def _paths(p, path=()):
@@ -89,9 +90,88 @@ def oracle_schema(samples):
                  Uniform(("p",), schema, tuple((std(k),) for k in samples)))
 
 
+# the block-rule examples of the extended-rule tests: exists v0 v1 v2
+# (v0 + v1 = v2) by the triple (2, 3, 5), and not exists v0 v1
+# (Sc(v0 + v1) = 0) by a two-parameter schema
+_TRIPLE = sx.Ex(0, sx.Ex(1, sx.Ex(2, sx.Eq(sx.Add(sx.Var(0), sx.Var(1)), sx.Var(2)))))
+_TRIPLE_INST = sx.Eq(sx.Add(sx.const(std(2)), sx.const(std(3))), sx.const(std(5)))
+_PAIR = sx.Not(sx.Ex(0, sx.Ex(1, sx.Eq(sx.Succ(sx.Add(sx.Var(0), sx.Var(1))), sx.ZERO))))
+_PA, _PB = sx.const(Sym("pa")), sx.const(Sym("pb"))
+_PAIR_INST = sx.Not(sx.Eq(sx.Succ(sx.Add(_PA, _PB)), sx.ZERO))
+_PAIR_REFUSED = sx.Not(sx.Eq(sx.Succ(sx.Add(sx.const(std(1)), sx.ZERO)), sx.ZERO))
+BLOCK_POLICY = RulePolicy(allow_inf=True, extra_axioms=lambda f: f != _PAIR_REFUSED)
+
+
+def block_instance(block=(0, 1, 2), values=(std(2), std(3), std(5)), rule="i-ex-inf"):
+    return Proof(seq(_TRIPLE), rule, (Proof(seq(_TRIPLE_INST), "axiomL"),),
+                 info={"block": block, "tuple": values})
+
+
+def block_schema(block=(0, 1), params=("pa", "pb"),
+                 sampled=((std(0), std(0)), (std(2), std(5))), rule="m-inf",
+                 concl=(_PAIR,)):
+    return Proof(seq(*concl), rule, (),
+                 Uniform(params, Proof(seq(_PAIR_INST), "axiomL"), sampled),
+                 info={"block": block})
+
+
 def entries():
     return list(base_corpus()) + list(mprop_entries()) + [
-        CorpusEntry("oracle-schema", oracle_schema((0, 2, 17)), ORACLE_POLICY)]
+        CorpusEntry("oracle-schema", oracle_schema((0, 2, 17)), ORACLE_POLICY),
+        CorpusEntry("block-instance", block_instance(), BLOCK_POLICY),
+        CorpusEntry("block-schema", block_schema(), BLOCK_POLICY)]
+
+
+def shape_cases():
+    """(name, proof, policy): malformed uses of the uniform and block
+    rules, one per message the kernel gives them, and an m-rule schema
+    read as a one-block m-inf."""
+    schema = oracle_schema((0, 2, 17))
+    u = schema.uniform
+    m_rule = [
+        ("premises", Proof(schema.conclusion, "m-rule", (u.schema,))),
+        ("no-schema", Proof(schema.conclusion, "m-rule")),
+        ("two-params", dataclasses.replace(
+            schema, uniform=Uniform(("p", "q"), u.schema, ((std(0), std(0)),)))),
+        ("unsampled", dataclasses.replace(schema, uniform=Uniform(("p",), u.schema, ()))),
+        ("pair-sample", dataclasses.replace(
+            schema, uniform=Uniform(("p",), u.schema, ((std(0), std(1)),)))),
+        ("not-fresh", dataclasses.replace(
+            schema, conclusion=seq(_NO_SC_ZERO, sx.Eq(_P, _P)))),
+        ("foreign-schema", dataclasses.replace(
+            schema, uniform=Uniform(("p",), Proof(seq(sx.Eq(_P, _P)), "axiom3"),
+                                    u.sampled))),
+        ("block-ignored", dataclasses.replace(schema, info={"block": (5, 6)})),
+    ]
+    for name, p in m_rule:
+        yield "m-rule/" + name, p, ORACLE_POLICY
+    yield "m-rule/as-m-inf", dataclasses.replace(
+        schema, rule="m-inf", info={"block": (0,)}), BLOCK_POLICY
+    yield "m-rule/two-block", block_schema(rule="m-rule"), BLOCK_POLICY
+    yield "m-inf/disabled", block_schema(), ORACLE_POLICY
+    yield "m-inf/premises", dataclasses.replace(
+        block_schema(), premises=(Proof(seq(_PAIR_INST), "axiomL"),)), BLOCK_POLICY
+    yield "m-inf/no-block", block_schema(block=()), BLOCK_POLICY
+    yield "m-inf/repeated-block", block_schema(block=(0, 0)), BLOCK_POLICY
+    yield "m-inf/one-param", block_schema(params=("pa",)), BLOCK_POLICY
+    yield "m-inf/unsampled", block_schema(sampled=()), BLOCK_POLICY
+    yield "m-inf/short-sample", block_schema(sampled=((std(0),),)), BLOCK_POLICY
+    yield "m-inf/not-fresh", block_schema(
+        concl=(_PAIR, sx.Eq(_PB, _PB))), BLOCK_POLICY
+    yield "m-inf/swapped-block", block_schema(block=(1, 0)), BLOCK_POLICY
+    yield "m-inf/short-block", block_schema(block=(0,), params=("pa",),
+                                            sampled=((std(0),),)), BLOCK_POLICY
+    yield "m-inf/refused-sample", block_schema(
+        sampled=((std(0), std(0)), (std(1), std(0)))), BLOCK_POLICY
+    yield "i-ex-inf/disabled", block_instance(), ORACLE_POLICY
+    yield "i-ex-inf/no-tuple", block_instance(values=None), BLOCK_POLICY
+    yield "i-ex-inf/repeated-block", block_instance(block=(0, 0, 2)), BLOCK_POLICY
+    yield "i-ex-inf/short-tuple", block_instance(values=(std(2), std(3))), BLOCK_POLICY
+    yield "i-ex-inf/wrong-tuple", block_instance(
+        values=(std(3), std(2), std(5))), BLOCK_POLICY
+    yield "i-ex-inf/short-block", block_instance(
+        block=(0, 1), values=(std(2), std(3))), BLOCK_POLICY
+    yield "i-ex-inf/as-ex-i", block_instance(rule="ex-i"), BLOCK_POLICY
 
 
 def report_cases():
@@ -111,6 +191,7 @@ def report_cases():
         if e.name in MUTATED:
             for kind, q in mutants(e.proof):
                 yield f"{e.name}/{kind}", q, e.policy
+    yield from shape_cases()
 
 
 def summary(rep):
@@ -297,4 +378,54 @@ GOLDEN = {
     'oracle-schema/tag': (False, None, 'root: prop rule disabled by policy'),
     'oracle-schema/leaf-tag': (False, None, 'u: weak takes exactly one premise'),
     'oracle-schema/sample': (False, None, 's/0: sentence is not an accepted extra axiom'),
+    # the block rules and the shape cases, recorded before m-rule became
+    # the one-block case of m-inf; identical under string-hash seeds 0, 1, 2
+    'block-instance': (True, 1, None),
+    'block-schema': (True, 1, None),
+    'block-instance/certified':
+        (False, None, 'root: infinite instantiation rules disabled by policy'),
+    'block-schema/certified':
+        (False, None, 'root: infinite instantiation rules disabled by policy'),
+    'block-instance/negated':
+        (False, None, 'root: premise is not a block instance of the conclusion'),
+    'block-schema/negated': (False, None, 'root: schema conclusion is not a block instance'),
+    'block-instance/tag':
+        (False, None, 'root: non-uniform premise family never checks as complete'),
+    'block-instance/leaf-tag': (False, None, '0: weak takes exactly one premise'),
+    'block-instance/drop': (False, None, 'root: i-ex-inf takes exactly one premise'),
+    'block-schema/tag': (False, None, 'root: skolem rule disabled by policy'),
+    'block-schema/leaf-tag': (False, None, 'u: weak takes exactly one premise'),
+    'block-schema/sample': (True, 1, None),
+    'm-rule/premises': (False, None, 'root: non-uniform premise family never checks as complete'),
+    'm-rule/no-schema': (False, None, 'root: m-rule needs a uniform premise schema'),
+    'm-rule/two-params': (False, None, 'root: m-rule binds exactly one parameter'),
+    'm-rule/unsampled': (False, None, 'root: unsampled uniform schema'),
+    'm-rule/pair-sample': (False, None, 'root: m-rule samples are single elements'),
+    'm-rule/not-fresh': (False, None, 'root: parameter p is not fresh'),
+    'm-rule/foreign-schema':
+        (False, None, 'root: schema conclusion does not instantiate a negated existential'),
+    'm-rule/block-ignored': (True, 1, None),
+    'm-rule/as-m-inf': (True, 1, None),
+    'm-rule/two-block': (False, None, 'root: m-rule binds exactly one parameter'),
+    'm-inf/disabled': (False, None, 'root: infinite instantiation rules disabled by policy'),
+    'm-inf/premises': (False, None, 'root: non-uniform premise family never checks as complete'),
+    'm-inf/no-block': (False, None, 'root: m-inf needs a uniform schema and block indices'),
+    'm-inf/repeated-block': (False, None, 'root: block arity mismatch'),
+    'm-inf/one-param': (False, None, 'root: block arity mismatch'),
+    'm-inf/unsampled': (False, None, 'root: unsampled uniform schema'),
+    'm-inf/short-sample': (False, None, 'root: block arity mismatch'),
+    'm-inf/not-fresh': (False, None, 'root: parameter pb is not fresh'),
+    'm-inf/swapped-block': (False, None, 'root: schema conclusion is not a block instance'),
+    'm-inf/short-block': (False, None, 'root: schema conclusion is not a block instance'),
+    'm-inf/refused-sample': (False, None, 's/1: sentence is not an accepted extra axiom'),
+    'i-ex-inf/disabled': (False, None, 'root: infinite instantiation rules disabled by policy'),
+    'i-ex-inf/no-tuple': (False, None, 'root: block rule needs block indices and a value tuple'),
+    'i-ex-inf/repeated-block': (False, None, 'root: block arity mismatch'),
+    'i-ex-inf/short-tuple': (False, None, 'root: block arity mismatch'),
+    'i-ex-inf/wrong-tuple':
+        (False, None, 'root: premise is not a block instance of the conclusion'),
+    'i-ex-inf/short-block':
+        (False, None, 'root: premise is not a block instance of the conclusion'),
+    'i-ex-inf/as-ex-i':
+        (False, None, 'root: premise is not an instance of an existential in the conclusion'),
 }

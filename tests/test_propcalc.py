@@ -185,3 +185,22 @@ class TestPfPredicates:
         back = expand_pf(ev)
         rep = check(back, RulePolicy(allow_prop=True))
         assert rep.ok and rep.height <= 3 * 3 - 2
+
+    def test_hint_names_the_existential_its_witness_instantiates(self):
+        # two existentials, the premise keeps both and adds 3 = 3: the
+        # witness 3 instantiates only exists v0 (v0 = 3)
+        from satkit.kernel import Proof, seq
+        from satkit.transform import to_certified_calculus, weak_to
+        three, four = sx.const(std(3)), sx.const(std(4))
+        ex3 = sx.Ex(0, e(sx.Var(0), three))
+        ex4 = sx.Ex(0, e(sx.Var(0), four))
+        inst = e(three, three)
+        prem = to_certified_calculus(
+            weak_to(Proof(seq(inst), "axiom3"), frozenset((inst, ex3, ex4))))
+        p = Proof(seq(ex3, ex4), "ex-i", (prem,), info={"witness": std(3)})
+        pol = RulePolicy(allow_prop=True)
+        assert check(p, pol).ok
+        ev = pf_height_check(vee(p.conclusion.sentences), 4, hint=p)
+        assert ev.kind == "ex" and ev.data["d"] == ex3 and ev.data["w"] == std(3)
+        rep = check(expand_pf(ev), pol)
+        assert rep.ok, rep.first_error()

@@ -1,5 +1,6 @@
 import pytest
 
+import satkit.sexpr as sexpr
 import satkit.syntax as sx
 import satkit.translate as tr
 import satkit.template as tp
@@ -18,6 +19,16 @@ e, n = sx.Eq, sx.Not
 
 def c(k):
     return sx.const(std(k))
+
+
+def _trace_text(t):
+    """rule:chain_len, then <child lengths and #premise size when present."""
+    s = f"{t.rule}:{t.chain_len}"
+    if t.child_lens:
+        s += "<" + ",".join(map(str, t.child_lens))
+    if t.premise_size:
+        s += f"#{t.premise_size}"
+    return s
 
 
 class TestGBound:
@@ -143,6 +154,16 @@ class TestProofTranslation:
             assert len(made) == len(set(made)), entry.name
         assert translated == len(base_corpus())
 
+    def test_translations_match_the_recorded_ones(self):
+        # chain length, the per-node traces and the printed chain of every
+        # corpus entry, so each node keeps the decomposition it had
+        got = {}
+        for entry in base_corpus():
+            res = translate_proof(entry.proof, entry.policy)
+            traces = " ".join(map(_trace_text, res.traces))
+            got[entry.name] = (len(res.chain), traces, sexpr.print_chain(res.chain))
+        assert got == GOLDEN_TRANSLATIONS
+
     def test_unchecked_input_rejected(self):
         bad = Proof(seq(e(c(1), c(2))), "axiom3")
         with pytest.raises(UncheckedInput):
@@ -168,3 +189,248 @@ class TestProofTranslation:
         want = {n(e(t, r)), n(h1), n(h2)}
         got = {tp.refold(f) for f in res.proof.conclusion.sentences}
         assert got == want
+
+
+# recorded before the kernel's rule matcher replaced translation's own;
+# identical under string-hash seeds 0, 1 and 2
+GOLDEN_TRANSLATIONS = {
+    'or-commutes': (
+        6,
+        'axiom1:1 weak:1<1 axiom1:1 weak:1<1 or-i3:4<1,1 or-i1:5<4 or-i2:5<5 or-i1:6<5'
+        ' or-i2:6<6',
+        '(chain (or (not (or (= 0 0) (= (sc 0) (sc 0)))) (or (= (sc 0) (sc 0)) (= 0 0)))'
+        ' (not (or (= 0 0) (= (sc 0) (sc 0)))) (not (= (sc 0) (sc 0))) (or (= (sc 0) (sc'
+        ' 0)) (= 0 0)) (or (= 0 0) (= (sc 0) (sc 0))) (not (= 0 0)))',
+    ),
+    'or-commutes-2': (
+        6,
+        'axiom1:1 weak:1<1 axiom1:1 weak:1<1 or-i3:4<1,1 or-i1:5<4 or-i2:5<5 or-i1:6<5'
+        ' or-i2:6<6',
+        '(chain (or (not (or (= (sc 0) (sc 0)) (= c2 c2))) (or (= c2 c2) (= (sc 0) (sc'
+        ' 0)))) (not (or (= (sc 0) (sc 0)) (= c2 c2))) (not (= (sc 0) (sc 0))) (or (= c2'
+        ' c2) (= (sc 0) (sc 0))) (or (= (sc 0) (sc 0)) (= c2 c2)) (not (= c2 c2)))',
+    ),
+    'or-commutes-3': (
+        6,
+        'axiom1:1 weak:1<1 axiom1:1 weak:1<1 or-i3:4<1,1 or-i1:5<4 or-i2:5<5 or-i1:6<5'
+        ' or-i2:6<6',
+        '(chain (or (not (or (= 0 0) (not (= c2 c2)))) (or (not (= c2 c2)) (= 0 0))) (not'
+        ' (or (= 0 0) (not (= c2 c2)))) (not (not (= c2 c2))) (or (not (= c2 c2)) (= 0'
+        ' 0)) (or (= 0 0) (not (= c2 c2))) (not (= 0 0)))',
+    ),
+    'neq-from-hypotheses': (
+        13,
+        'axiomL:0 weak:0<0 weak:0<0 axiomL:0 weak:0<0 axiom4:3 cut:3<0,3 weak:3<3'
+        ' weak:3<3 axiom5:5 cut:7<3,5 weak:7<7 weak:7<7 axiom5:5 weak:5<5 cut:11<7,5'
+        ' cut:11<0,11 axiom2:3 weak:3<3 cut:13<11,3',
+        '(chain (not (= c2 (* (sc (sc 0)) (sc (sc 0))))) (not (= (* (sc (sc 0)) (sc (sc'
+        ' 0))) c4)) (not (= (+ (sc 0) (sc 0)) (* (sc (sc 0)) (sc (sc 0))))) (not (= c2 (+'
+        ' (sc 0) (sc 0)))) (not (= (+ (sc 0) (sc 0)) c2)) (= c2 (* (sc (sc 0)) (sc (sc'
+        ' 0)))) (= (* (sc (sc 0)) (sc (sc 0))) c4) (= (+ (sc 0) (sc 0)) (* (sc (sc 0))'
+        ' (sc (sc 0)))) (= c2 (+ (sc 0) (sc 0))) (= (+ (sc 0) (sc 0)) c2) (not (= c2 c4))'
+        ' (= c2 c4) c2)',
+    ),
+    'axiom1': (
+        1,
+        'axiom1:1',
+        '(chain (not (= (sc 0) (sc 0))))',
+    ),
+    'axiom2': (
+        3,
+        'axiom2:3',
+        '(chain (not (= c3 c4)) (= c3 c4) c3)',
+    ),
+    'axiom3': (
+        1,
+        'axiom3:1',
+        '(chain (= (sc 0) (sc 0)))',
+    ),
+    'axiom4': (
+        3,
+        'axiom4:3',
+        '(chain (not (= (sc 0) (+ 0 (sc 0)))) (= (+ 0 (sc 0)) (sc 0)) (= (sc 0) (+ 0 (sc'
+        ' 0))))',
+    ),
+    'axiom5': (
+        5,
+        'axiom5:5',
+        '(chain (not (= (sc 0) (+ 0 (sc 0)))) (not (= (+ 0 (sc 0)) (* (sc 0) (sc 0)))) (='
+        ' (sc 0) (+ 0 (sc 0))) (= (sc 0) (* (sc 0) (sc 0))) (= (+ 0 (sc 0)) (* (sc 0) (sc'
+        ' 0))))',
+    ),
+    'axiom6': (
+        5,
+        'axiom6:5',
+        '(chain (not (= (sc 0) (+ 0 (sc 0)))) (= (sc (sc 0)) (sc (+ 0 (sc 0)))) (sc (+ 0'
+        ' (sc 0))) (= (sc 0) (+ 0 (sc 0))) (sc (sc 0)))',
+    ),
+    'axiom7': (
+        6,
+        'axiom7:6',
+        '(chain (not (= (+ 0 (sc 0)) (+ 0 (sc 0)))) (= (+ (sc 0) (+ 0 (sc 0))) (+ (sc 0)'
+        ' (+ 0 (sc 0)))) (not (= (sc 0) (sc 0))) (+ (sc 0) (+ 0 (sc 0))) (= (+ 0 (sc 0))'
+        ' (+ 0 (sc 0))) (= (sc 0) (sc 0)))',
+    ),
+    'axiom8': (
+        6,
+        'axiom8:6',
+        '(chain (not (= (+ 0 (sc 0)) (+ 0 (sc 0)))) (= (* (sc 0) (+ 0 (sc 0))) (* (sc 0)'
+        ' (+ 0 (sc 0)))) (not (= (sc 0) (sc 0))) (* (sc 0) (+ 0 (sc 0))) (= (+ 0 (sc 0))'
+        ' (+ 0 (sc 0))) (= (sc 0) (sc 0)))',
+    ),
+    'axiom9': (
+        3,
+        'axiom9:3',
+        '(chain (= (sc c4) c5) (sc c4) c4)',
+    ),
+    'axiom10': (
+        3,
+        'axiom10:3',
+        '(chain (= (+ c2 c3) c5) (+ c2 c3) c2)',
+    ),
+    'axiom11': (
+        3,
+        'axiom11:3',
+        '(chain (= (* c2 c3) c6) (* c2 c3) c2)',
+    ),
+    'axiom12': (
+        3,
+        'axiom12:3',
+        '(chain (ex 0 (= (sc 0) v0)) (= (sc 0) v0) v0)',
+    ),
+    'weak-over-axiom': (
+        1,
+        'axiom3:1 weak:1<1',
+        '(chain (= 0 0))',
+    ),
+    'excluded-middle': (
+        2,
+        'axiom1:1 or-i1:2<1 or-i2:2<2',
+        '(chain (or (= 0 0) (not (= 0 0))) (not (= 0 0)))',
+    ),
+    'excluded-middle-delta2': (
+        2,
+        'axiom1:1 or-i1:2<1 or-i2:2<2',
+        '(chain (or (or (or (not (= 0 0)) (not (= 0 0))) (or (not (= 0 0)) (not (= 0'
+        ' 0)))) (not (or (or (not (= 0 0)) (not (= 0 0))) (or (not (= 0 0)) (not (= 0'
+        ' 0)))))) (not (or (or (not (= 0 0)) (not (= 0 0))) (or (not (= 0 0)) (not (= 0'
+        ' 0))))))',
+    ),
+    'exists-intro': (
+        2,
+        'axiom3:1 ex-i:2<1',
+        '(chain (ex 0 (= v0 c3)) (= c3 c3))',
+    ),
+    'conjunction-of-truths': (
+        8,
+        'axiom3:1 neg-i:3<1 axiom3:1 neg-i:3<1 or-i3:8<3,3',
+        '(chain (not (or (not (= 0 0)) (not (= (sc 0) (sc 0))))) (not (not (= (sc 0) (sc'
+        ' 0)))) (or (not (= 0 0)) (not (= (sc 0) (sc 0)))) (not (not (= 0 0))) (not (='
+        ' (sc 0) (sc 0))) (not (= 0 0)) (= (sc 0) (sc 0)) (= 0 0))',
+    ),
+    'cut-over-weakenings': (
+        2,
+        'axiom3:1 weak:1<1 axiom3:1 weak:1<1 cut:2<1,1',
+        '(chain (not (= 0 0)) (= (sc 0) (sc 0)))',
+    ),
+    'diagram-0': (
+        16,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4'
+        ' axiom9:3 weak:3<3 axiom5:4 cut:6<3,4 cut:8<4,6 weak:8<8 weak:8<8 axiom7:5'
+        ' cut:11<8,5 cut:11<8,11 weak:11<11 axiom10:3 weak:3<3 weak:3<3 axiom5:5'
+        ' cut:7<3,5 cut:15<11,7 axiom3:1 axiom4:2 cut:2<1,2 weak:2<2 weak:2<2 axiom5:4'
+        ' cut:4<2,4 cut:16<15,4',
+        '(chain (not (= (+ (sc 0) (sc 0)) c2)) (not (= (+ (sc 0) (sc 0)) (+ c1 c1))) (not'
+        ' (= (sc 0) (sc 0))) (not (= (sc 0) c1)) (= (+ (sc 0) (sc 0)) c2) (not (= (+ c1'
+        ' c1) c2)) (= (+ (sc 0) (sc 0)) (+ c1 c1)) (not (= 0 0)) (+ (sc 0) (sc 0)) (= (sc'
+        ' 0) (sc 0)) (= (sc 0) c1) (= (+ c1 c1) c2) (sc 0) (= 0 0) (+ c1 c1) 0)',
+    ),
+    'diagram-1': (
+        3,
+        'axiom3:1 axiom4:2 cut:2<1,2 weak:2<2 weak:2<2 axiom5:2 cut:2<2,2 axiom3:1'
+        ' weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 cut:2<2,2 axiom2:3 cut:3<2,3',
+        '(chain (not (= c3 c3)) (= c3 c3) c3)',
+    ),
+    'diagram-2': (
+        8,
+        'axiom3:1 weak:1<1 axiom3:1 weak:1<1 weak:1<1 axiom8:4 cut:4<1,4 cut:4<1,4'
+        ' weak:4<4 axiom11:3 weak:3<3 axiom5:4 cut:6<3,4 cut:8<4,6 axiom3:1 axiom4:2'
+        ' cut:2<1,2 weak:2<2 weak:2<2 axiom5:4 cut:4<2,4 cut:8<8,4',
+        '(chain (not (= (* c2 c3) c6)) (not (= (* c2 c3) (* c2 c3))) (not (= c2 c2)) (='
+        ' (* c2 c3) c6) (= (* c2 c3) (* c2 c3)) (* c2 c3) (= c3 c3) c2)',
+    ),
+    'diagram-3': (
+        3,
+        'axiom3:1 axiom3:1 axiom4:2 cut:2<1,2 weak:2<2 axiom5:2 cut:2<2,2 cut:2<1,2'
+        ' or-i1:3<2',
+        '(chain (or (= 0 0) (= 0 (sc 0))) (not (= 0 0)) (= 0 0))',
+    ),
+    'diagram-4': (
+        3,
+        'axiom3:1 axiom3:1 axiom4:2 cut:2<1,2 weak:2<2 axiom5:2 cut:2<2,2 cut:2<1,2'
+        ' ex-i:3<2',
+        '(chain (ex 0 (= v0 c7)) (not (= c7 c7)) (= c7 c7))',
+    ),
+    'diagram-5': (
+        6,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
+        ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
+        ' axiom2:3 weak:3<3 cut:10<10,3 m-rule:6<10#1',
+        '(chain (not (ex 0 (= (sc v0) 0))) (ex 0 (= (sc v0) 0)) (not (= (sc cω[q1]) 0))'
+        ' (= (sc cω[q1]) 0) (sc cω[q1]) cω[q1])',
+    ),
+    'diagram-6': (
+        9,
+        'axiom3:1 weak:1<1 axiom3:1 weak:1<1 weak:1<1 axiom7:4 cut:4<1,4 cut:4<1,4'
+        ' weak:4<4 axiom10:3 weak:3<3 axiom5:4 cut:6<3,4 cut:8<4,6 axiom3:1 axiom4:2'
+        ' cut:2<1,2 weak:2<2 weak:2<2 axiom5:4 cut:4<2,4 cut:8<8,4 ex-i:9<8',
+        '(chain (ex 0 (= (+ v0 c2) c5)) (not (= (+ c3 c2) c5)) (not (= (+ c3 c2) (+ c3'
+        ' c2))) (not (= c3 c3)) (= (+ c3 c2) c5) (= (+ c3 c2) (+ c3 c2)) (= c2 c2) (+ c3'
+        ' c2) c3)',
+    ),
+    'diagram-7': (
+        10,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
+        ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
+        ' axiom2:3 weak:3<3 cut:10<10,3',
+        '(chain (not (= (sc 0) (sc 0))) (not (= c1 (sc 0))) (not (= (sc 0) c1)) (not (= 0'
+        ' 0)) (= (sc 0) (sc 0)) (= c1 (sc 0)) (= (sc 0) c1) (sc 0) (= 0 0) 0)',
+    ),
+    'uniform-refutation-0': (
+        6,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
+        ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
+        ' axiom2:3 weak:3<3 cut:10<10,3 m-rule:6<10#1',
+        '(chain (not (ex 0 (= (sc v0) 0))) (ex 0 (= (sc v0) 0)) (not (= (sc cω[q1]) 0))'
+        ' (= (sc cω[q1]) 0) (sc cω[q1]) cω[q1])',
+    ),
+    'uniform-refutation-1': (
+        6,
+        'axiom3:1 weak:1<1 axiom3:1 weak:1<1 weak:1<1 axiom7:4 cut:4<1,4 cut:4<1,4'
+        ' weak:4<4 axiom10:3 weak:3<3 axiom5:4 cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3'
+        ' cut:9<8,3 weak:9<9 weak:9<9 axiom5:5 cut:10<9,5 axiom3:1 weak:1<1 weak:1<1'
+        ' axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2 axiom2:3 weak:3<3 cut:10<10,3'
+        ' m-rule:6<10#1',
+        '(chain (not (ex 0 (= (+ v0 c5) c2))) (ex 0 (= (+ v0 c5) c2)) (not (= (+ cω[q1]'
+        ' c5) c2)) (= (+ cω[q1] c5) c2) (+ cω[q1] c5) cω[q1])',
+    ),
+    'uniform-refutation-2': (
+        8,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
+        ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
+        ' axiom2:3 weak:3<3 cut:10<10,3 axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4'
+        ' axiom9:3 weak:3<3 axiom5:4 cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3'
+        ' weak:9<9 weak:9<9 axiom5:5 cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2'
+        ' cut:2<1,2 weak:2<2 cut:10<10,2 axiom2:3 weak:3<3 cut:10<10,3 m-rule:6<10#1'
+        ' or-i3:14<10,6 m-rule:8<14#1',
+        '(chain (not (ex 0 (or (= (sc v0) 0) (ex 1 (= (sc v1) 0))))) (ex 0 (or (= (sc v0)'
+        ' 0) (ex 1 (= (sc v1) 0)))) (not (or (= (sc cω[q3]) 0) (ex 1 (= (sc v1) 0)))) (or'
+        ' (= (sc cω[q3]) 0) (ex 1 (= (sc v1) 0))) (ex 1 (= (sc v1) 0)) (= (sc cω[q3]) 0)'
+        ' (sc cω[q3]) cω[q3])',
+    ),
+}
