@@ -4,7 +4,10 @@ Each case is checked and its ``(ok, height, first_error())`` compared with
 a literal recorded before the kernel memoized schema instantiation, so
 the memo is held to the verdicts, heights and located errors of the
 unmemoized kernel: the corpus, its certified conversions, the proofs with
-a negated root, and a fixed handful of mutants.
+a negated root, and a fixed handful of mutants. The block-rule examples
+and the malformed uses of the uniform and block rules were recorded before
+m-rule became the one-block case of m-inf, so the shared rule matcher is
+held to each rule's own messages.
 """
 
 import dataclasses
