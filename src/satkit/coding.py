@@ -295,34 +295,47 @@ class _Reader:
             raise NotWellFormed("non-canonical index digits")
         return sum(d * 4 ** i for i, d in enumerate(digits))
 
-    def read_term(self) -> sx.Term:
-        s = self.take()
-        if s == SYM_ZERO:
-            return sx.ZERO
-        if s == SYM_CONST:
-            return sx.const(Std(self.read_index()))
-        if s == SYM_VAR:
-            return sx.Var(self.read_index())
-        if s == SYM_SC:
-            return sx.Succ(self.read_term())
-        if s == SYM_ADD:
-            return sx.Add(self.read_term(), self.read_term())
-        if s == SYM_MUL:
-            return sx.Mul(self.read_term(), self.read_term())
-        raise NotWellFormed(f"symbol {s} cannot start a term")
+    def read(self, kind: str) -> sx.Obj:
+        """The term or formula (by kind) whose symbols start here; iterative,
+        so any nesting depth reads."""
+        stack = []  # open nodes: constructor, arguments so far, parts left
+        while True:
+            s = self.take()
+            shape = _SHAPES[kind].get(s)
+            if shape is None:
+                raise NotWellFormed(f"symbol {s} cannot start a {kind}")
+            make, indexed, parts = shape
+            stack.append((make, [self.read_index()] if indexed else [], iter(parts)))
+            while True:
+                make, args, parts = stack[-1]
+                kind = next(parts, None)  # of the next part to read
+                if kind is not None:
+                    break
+                stack.pop()
+                obj = make(*args)
+                if not stack:
+                    return obj
+                stack[-1][1].append(obj)
 
-    def read_formula(self) -> sx.Formula:
-        s = self.take()
-        if s == SYM_EQ:
-            return sx.Eq(self.read_term(), self.read_term())
-        if s == SYM_NOT:
-            return sx.Not(self.read_formula())
-        if s == SYM_OR:
-            return sx.Or(self.read_formula(), self.read_formula())
-        if s == SYM_EXISTS:
-            i = self.read_index()
-            return sx.Ex(i, self.read_formula())
-        raise NotWellFormed(f"symbol {s} cannot start a formula")
+
+# what each symbol starts, by kind: its node's constructor, whether an
+# index run follows the symbol, and the kinds of the parts after that
+_SHAPES = {
+    "term": {
+        SYM_ZERO: (lambda: sx.ZERO, False, ()),
+        SYM_CONST: (lambda n: sx.const(Std(n)), True, ()),
+        SYM_VAR: (sx.Var, True, ()),
+        SYM_SC: (sx.Succ, False, ("term",)),
+        SYM_ADD: (sx.Add, False, ("term", "term")),
+        SYM_MUL: (sx.Mul, False, ("term", "term")),
+    },
+    "formula": {
+        SYM_EQ: (sx.Eq, False, ("term", "term")),
+        SYM_NOT: (sx.Not, False, ("formula",)),
+        SYM_OR: (sx.Or, False, ("formula", "formula")),
+        SYM_EXISTS: (sx.Ex, True, ("formula",)),
+    },
+}
 
 
 def _symbols_of(code: int) -> list[int]:
@@ -343,10 +356,7 @@ def godel_decode(g: GodelCode) -> sx.Obj:
     if not syms:
         raise NotWellFormed("the empty code names nothing")
     reader = _Reader(syms)
-    if syms[0] in (SYM_EQ, SYM_NOT, SYM_OR, SYM_EXISTS):
-        out: sx.Obj = reader.read_formula()
-    else:
-        out = reader.read_term()
+    out = reader.read("formula" if syms[0] in _SHAPES["formula"] else "term")
     if reader.pos != len(syms):
         raise NotWellFormed("trailing symbols after a complete object")
     return out

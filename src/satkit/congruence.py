@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as sx
-from .elements import Element, Std
+from .elements import Element
 
 
 class CongruenceError(Exception):
@@ -38,14 +38,6 @@ class Generalization:
 
 # the leaves that substitution relates: a variable and the constants
 _ATOMS = (sx.Zero, sx.Const, sx.Var)
-
-
-def _as_const(x: sx.Obj) -> Optional[Element]:
-    if isinstance(x, sx.Zero):
-        return Std(0)
-    if isinstance(x, sx.Const):
-        return x.elem
-    return None
 
 
 class _NotCongruent(Exception):
@@ -98,7 +90,7 @@ def _max_index(x: sx.Obj) -> int:
 def _zip(x: sx.Obj, y: sx.Obj, b: _Builder, shadow: frozenset[int]) -> sx.Obj:
     kx, ky = x.children, y.children
     if not kx or not ky:
-        xv, yv = _as_const(x), _as_const(y)
+        xv, yv = sx.const_elem(x), sx.const_elem(y)
         if isinstance(x, sx.Var) and isinstance(y, sx.Var):
             if x.index != y.index:
                 raise _NotCongruent
@@ -198,6 +190,8 @@ class QuotientStructure:
     op_tables: dict[str, dict[tuple, sx.Term]]
     injective_on_constants: bool
     surjective_on_universe: bool
+    # each class root to the element its first constant in universe order names
+    const_of: dict[sx.Term, Element]
 
     def find(self, t: sx.Term) -> sx.Term:
         root = t
@@ -289,20 +283,18 @@ def build_quotient(
                 changed = True
 
     injective = True
-    const_classes: dict[sx.Term, Element] = {}
+    const_of: dict[sx.Term, Element] = {}
     for t in uni:
-        e = _as_const(t)
+        e = sx.const_elem(t)
         if e is None:
             continue
-        root = find(t)
-        seen = const_classes.get(root)
-        if seen is not None and seen != e:
+        seen = const_of.setdefault(find(t), e)
+        if seen != e:
             injective = False
             if require_injective:
                 raise IllDefined(f"closure identifies the constants {seen} and {e}")
-        const_classes[root] = e
 
-    surjective = all(find(t) in const_classes for t in uni)
+    surjective = all(find(t) in const_of for t in uni)
 
     tables: dict[str, dict[tuple, sx.Term]] = {"sc": {}, "+": {}, "*": {}}
     for t in uni:
@@ -318,6 +310,7 @@ def build_quotient(
         op_tables=tables,
         injective_on_constants=injective,
         surjective_on_universe=surjective,
+        const_of=const_of,
     )
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import count
 
 from . import syntax as sx
-from .elements import Element, ElementError, Std, Sym, add, mul, never_equal_under, succ
+from .elements import Element, ElementError, Sym, add, mul, never_equal_under, succ
+from .ground_model import FALSE, TRUE, UNKNOWN, TruthValue, tv_not, tv_or, val, witness_candidates
 from .kernel import DEFAULT_SAMPLES, Proof, Sequent, Uniform
 from .transform import weak_to
 
@@ -32,6 +33,10 @@ class FuelExhausted(EldiagError):
 class NotUniform(FuelExhausted):
     """The sentence is undecided: either the witness search ran out of
     fuel or its truth is not uniform in an active parameter."""
+
+
+def _no_value(t: sx.Term):
+    raise EldiagError(f"no ground value for {t!r}")
 
 
 def _single(phi: sx.Formula) -> Sequent:
@@ -53,25 +58,11 @@ class _Prover:
     def __post_init__(self):
         self._decided: dict = {}
 
-    # -- term evaluation (parameters ride through as affine elements)
-
-    def val(self, t: sx.Term) -> Element:
-        if isinstance(t, sx.Zero):
-            return Std(0)
-        if isinstance(t, sx.Const):
-            return t.elem
-        if isinstance(t, sx.Succ):
-            return succ(self.val(t.arg))
-        if isinstance(t, sx.Add):
-            return add(self.val(t.left), self.val(t.right))
-        if isinstance(t, sx.Mul):
-            return mul(self.val(t.left), self.val(t.right))
-        raise EldiagError(f"no ground value for {t!r}")
-
     # -- uniform three-valued decision under the active parameters
 
-    def decide(self, phi: sx.Formula, params: frozenset) -> str:
-        """"T"/"F" when uniform over all parameter instantiations, else "U"."""
+    def decide(self, phi: sx.Formula, params: frozenset) -> TruthValue:
+        """TRUE/FALSE when uniform over all parameter instantiations, else
+        UNKNOWN."""
         key = (phi, params)
         hit = self._decided.get(key)
         if hit is None:
@@ -79,54 +70,33 @@ class _Prover:
             self._decided[key] = hit
         return hit
 
-    def _decide(self, phi: sx.Formula, params: frozenset) -> str:
+    def _decide(self, phi: sx.Formula, params: frozenset) -> TruthValue:
         if isinstance(phi, sx.Eq):
+            # parameters ride through as affine elements
             try:
-                a, b = self.val(phi.left), self.val(phi.right)
+                a, b = val(phi.left, _no_value), val(phi.right, _no_value)
             except ElementError:
-                return "U"
+                return UNKNOWN
             if a == b:
-                return "T"
+                return TRUE
             if all(never_equal_under(base, a, b) for base in list(params) + [None]):
-                return "F"
-            return "U"
+                return FALSE
+            return UNKNOWN
         if isinstance(phi, sx.Not):
-            inner = self.decide(phi.body, params)
-            return {"T": "F", "F": "T", "U": "U"}[inner]
+            return tv_not(self.decide(phi.body, params))
         if isinstance(phi, sx.Or):
-            l, r = self.decide(phi.left, params), self.decide(phi.right, params)
-            if "T" in (l, r):
-                return "T"
-            if l == r == "F":
-                return "F"
-            return "U"
+            return tv_or(self.decide(phi.left, params), self.decide(phi.right, params))
         if isinstance(phi, sx.Ex):
-            for e in self._witness_candidates(phi.body):
+            for e in witness_candidates(phi.body, self.fuel):
                 inst = sx.substitute(phi.body, sx.const(e), phi.index)
-                if self.decide(inst, params) == "T":
-                    return "T"
+                if self.decide(inst, params) is TRUE:
+                    return TRUE
             base = self._fresh_base()
             generic = sx.substitute(phi.body, sx.const(Sym(base)), phi.index)
-            if self.decide(generic, params | {base}) == "F":
-                return "F"
-            return "U"
+            if self.decide(generic, params | {base}) is FALSE:
+                return FALSE
+            return UNKNOWN
         raise EldiagError(f"decide: non-primitive sentence {phi!r}")
-
-    def _witness_candidates(self, body: sx.Formula):
-        seen = set()
-        for o in sx.subobjects(body):
-            e = None
-            if isinstance(o, sx.Zero):
-                e = Std(0)
-            elif isinstance(o, sx.Const):
-                e = o.elem
-            if e is not None and e not in seen:
-                seen.add(e)
-                yield e
-        for n in range(self.fuel + 1):
-            e = Std(n)
-            if e not in seen:
-                yield e
 
     def _fresh_base(self) -> str:
         return f"q{next(self.names)}"
@@ -149,10 +119,9 @@ class _Prover:
 
     def prove_named(self, t: sx.Term) -> tuple[Element, Proof]:
         """The value a of t together with a proof of {t = c_a}."""
-        if isinstance(t, sx.Zero):
-            return Std(0), Proof(_single(sx.Eq(sx.ZERO, sx.ZERO)), "axiom3")
-        if isinstance(t, sx.Const):
-            return t.elem, Proof(_single(sx.Eq(t, t)), "axiom3")
+        e = sx.const_elem(t)
+        if e is not None:
+            return e, Proof(_single(sx.Eq(t, t)), "axiom3")
         if isinstance(t, sx.Succ):
             b, pb = self.prove_named(t.arg)
             a = succ(b)
@@ -208,9 +177,9 @@ class _Prover:
 
     def prove(self, phi: sx.Formula, params: frozenset) -> Proof:
         verdict = self.decide(phi, params)
-        if verdict == "U":
+        if verdict is UNKNOWN:
             raise NotUniform(f"cannot decide {phi!r} uniformly within fuel")
-        if verdict == "T":
+        if verdict is TRUE:
             return self._prove_true(phi, params)
         return self._prove_false(phi, params)
 
@@ -220,15 +189,15 @@ class _Prover:
         if isinstance(phi, sx.Not):
             return self._prove_false(phi.body, params)
         if isinstance(phi, sx.Or):
-            if self.decide(phi.left, params) == "T":
+            if self.decide(phi.left, params) is TRUE:
                 sub = self._prove_true(phi.left, params)
                 return Proof(_single(phi), "or-i1", (sub,))
             sub = self._prove_true(phi.right, params)
             return Proof(_single(phi), "or-i2", (sub,))
         if isinstance(phi, sx.Ex):
-            for e in self._witness_candidates(phi.body):
+            for e in witness_candidates(phi.body, self.fuel):
                 inst = sx.substitute(phi.body, sx.const(e), phi.index)
-                if self.decide(inst, params) == "T":
+                if self.decide(inst, params) is TRUE:
                     sub = self._prove_true(inst, params)
                     return Proof(_single(phi), "ex-i", (sub,), info={"witness": e})
             raise FuelExhausted(f"no witness for {phi!r} within fuel")

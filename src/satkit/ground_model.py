@@ -25,7 +25,9 @@ class WrongClass(EvalError):
 
 
 class TruthValue:
-    """Three-valued outcome; Unknown marks fuel exhaustion only."""
+    """Three-valued outcome. Unknown is never a guess: it marks a search
+    that ran out of fuel, or (in eldiag and on generic elements) a truth
+    that is not uniform in a parameter."""
 
     __slots__ = ("tag",)
 
@@ -80,8 +82,12 @@ def of_bool(b: bool) -> TruthValue:
 # term valuation
 
 
-def val(t: sx.Term) -> Element:
-    """Value of a closed term; a homomorphism on Sc, + and *."""
+def val(t: sx.Term, leaf=None) -> Element:
+    """Value of a closed term; a homomorphism on Sc, + and *.
+
+    ``leaf`` values every leaf that is not a constant (a structure's boxes
+    and family references). Without it a variable raises OpenTerm and any
+    other leaf EvalError."""
     # successor towers can be deep; peel them iteratively
     succs = 0
     while isinstance(t, sx.Succ):
@@ -91,17 +97,34 @@ def val(t: sx.Term) -> Element:
         base: Element = Std(0)
     elif isinstance(t, sx.Const):
         base = t.elem
+    elif isinstance(t, sx.Add):
+        base = add(val(t.left, leaf), val(t.right, leaf))
+    elif isinstance(t, sx.Mul):
+        base = mul(val(t.left, leaf), val(t.right, leaf))
+    elif leaf is not None:
+        base = leaf(t)
     elif isinstance(t, sx.Var):
         raise OpenTerm(f"v{t.index} is free")
-    elif isinstance(t, sx.Add):
-        base = add(val(t.left), val(t.right))
-    elif isinstance(t, sx.Mul):
-        base = mul(val(t.left), val(t.right))
     else:
         raise EvalError(f"val: no standard value for {t!r}")
     for _ in range(succs):
         base = succ(base)
     return base
+
+
+def witness_candidates(body: sx.Formula, bound: int):
+    """The witnesses an existential over body is tried at: the elements
+    its constants name, in pre-order, then 0..bound, each once."""
+    seen = set()
+    for o in sx.subobjects(body):
+        e = sx.const_elem(o)
+        if e is not None and e not in seen:
+            seen.add(e)
+            yield e
+    for n in range(bound + 1):
+        e = Std(n)
+        if e not in seen:
+            yield e
 
 
 # ---------------------------------------------------------------------------

@@ -177,14 +177,6 @@ def vee(sentences) -> sx.Formula:
 # element plumbing for schemas
 
 
-def _const_elem(t) -> Optional[Element]:
-    if isinstance(t, sx.Zero):
-        return Std(0)
-    if isinstance(t, sx.Const):
-        return t.elem
-    return None
-
-
 def bases_of(x) -> frozenset[str]:
     """The parameter bases in an object's element slots, cached per node."""
     bs = getattr(x, "_bs", None)
@@ -355,7 +347,7 @@ def match_axiom2(s: frozenset, params: frozenset):
     (f,) = s
     if not (isinstance(f, sx.Not) and isinstance(f.body, sx.Eq)):
         return None
-    a, b = _const_elem(f.body.left), _const_elem(f.body.right)
+    a, b = sx.const_elem(f.body.left), sx.const_elem(f.body.right)
     if a is None or b is None:
         return None
     # the disequality must survive every instantiation of an active parameter
@@ -425,21 +417,21 @@ def _match_ground_op(s: frozenset, op: str):
     (f,) = s
     if not isinstance(f, sx.Eq):
         return None
-    w = _const_elem(f.right)
+    w = sx.const_elem(f.right)
     if w is None:
         return None
     try:
         if op == "sc":
             if not isinstance(f.left, sx.Succ):
                 return None
-            u = _const_elem(f.left.arg)
+            u = sx.const_elem(f.left.arg)
             if u is None or succ(u) != w:
                 return None
             return {"a": u, "b": w}
         head = sx.Add if op == "+" else sx.Mul
         if not isinstance(f.left, head):
             return None
-        u, v = _const_elem(f.left.left), _const_elem(f.left.right)
+        u, v = sx.const_elem(f.left.left), sx.const_elem(f.left.right)
         if u is None or v is None:
             return None
         got = add(u, v) if op == "+" else mul(u, v)
@@ -517,7 +509,7 @@ def match_instance(f, i: int, psi) -> Optional[list[Element]]:
                 raise No
             return
         if type(a) is sx.Var and a.index == i:
-            e = _const_elem(b)
+            e = sx.const_elem(b)
             if e is None:
                 raise No
             found.append(e)

@@ -24,6 +24,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional
 
 from . import syntax as sx
+from .ground_model import witness_candidates
 from .kernel import AXIOM_TAGS, Proof, Sequent, match_axiom, match_instance, match_rule, vee
 from .elements import Std, Sym
 
@@ -51,6 +52,9 @@ SCHEME_FORMS = {
 
 
 def axiom_instance(scheme: str, form: str, args: tuple) -> sx.Formula:
+    need = 1 if (scheme, form) == ("cut", "contract") else 2 if scheme == "add" else 3
+    if scheme in SCHEME_FORMS and len(args) != need:
+        raise PropError(f"{scheme}/{form} takes {need} formulas, found {len(args)}")
     if scheme == "cut":
         if form == "contract":
             (phi,) = args
@@ -279,16 +283,6 @@ def _eval_prop(f: sx.Formula, env: dict) -> bool:
     return env[f]
 
 
-def is_tautology(f: sx.Formula, atom_cap: int = 16) -> bool:
-    atoms = prop_atoms(f)
-    if len(atoms) > atom_cap:
-        raise PropError("too many atoms for a truth table")
-    for bits in product((False, True), repeat=len(atoms)):
-        if not _eval_prop(f, dict(zip(atoms, bits))):
-            return False
-    return True
-
-
 def entails(hyps: Iterable[sx.Formula], goal: sx.Formula) -> bool:
     hyps = list(hyps)
     atoms: list[sx.Formula] = []
@@ -303,6 +297,10 @@ def entails(hyps: Iterable[sx.Formula], goal: sx.Formula) -> bool:
         if all(_eval_prop(h, env) for h in hyps) and not _eval_prop(goal, env):
             return False
     return True
+
+
+def is_tautology(f: sx.Formula) -> bool:
+    return entails((), f)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +660,7 @@ def pf_height_check(phi: sx.Formula, k: int, hint: Optional[Proof] = None,
         for d in cand:
             if isinstance(d, sx.Ex):
                 rest = cand - {d}
-                for w in _pf_witnesses(d.body, witness_bound):
+                for w in witness_candidates(d.body, witness_bound):
                     inst = sx.substitute(d.body, sx.const(w), d.index)
                     sub = pf_height_check(vee(rest | {inst}), k - 1,
                                           samples=samples, witness_bound=witness_bound)
@@ -707,23 +705,6 @@ def pf_height_check(phi: sx.Formula, k: int, hint: Optional[Proof] = None,
         return None
     return PfEvidence("prop", phi, k, parts,
                       {"cert": cert, "hyps": tuple(h for h, _ in passing if h in used)})
-
-
-def _pf_witnesses(body: sx.Formula, bound: int):
-    seen = []
-    for o in sx.subobjects(body):
-        e = None
-        if isinstance(o, sx.Zero):
-            e = Std(0)
-        elif isinstance(o, sx.Const):
-            e = o.elem
-        if e is not None and e not in seen:
-            seen.append(e)
-            yield e
-    for n in range(bound + 1):
-        e = Std(n)
-        if e not in seen:
-            yield e
 
 
 def _pf_from_proof(phi: sx.Formula, k: int, p: Proof) -> Optional[PfEvidence]:

@@ -17,11 +17,11 @@ from typing import Callable, Iterable, Optional
 from . import syntax as sx
 from . import template as tp
 from .congruence import QuotientStructure, build_quotient, subterm_closure
-from .elements import Element, ElementError, Std, Sym, half, succ
+from .elements import Element, ElementError, Std, Sym, affine_hits, half
 from .ground_model import (
     FALSE, TRUE, UNKNOWN, TruthValue, eval_tr, of_bool, tv_not, tv_or, val,
 )
-from .kernel import Proof
+from .kernel import Proof, match_instance
 
 _GENERIC = "generic"
 
@@ -61,23 +61,15 @@ class TStructure:
 
 def val_t(t_struct: TStructure, t: sx.Term) -> Element:
     """Valuation of a closed template term; a homomorphism outside boxes."""
-    if isinstance(t, tp.TemplTerm):
-        return t_struct.t_val(t.obj)
-    if isinstance(t, sx.SymTermRef):
-        return t_struct.t_val(t)
-    if isinstance(t, sx.Zero):
-        return Std(0)
-    if isinstance(t, sx.Const):
-        return t.elem
-    if isinstance(t, sx.Succ):
-        return succ(val_t(t_struct, t.arg))
-    if isinstance(t, sx.Add):
-        from .elements import add
-        return add(val_t(t_struct, t.left), val_t(t_struct, t.right))
-    if isinstance(t, sx.Mul):
-        from .elements import mul
-        return mul(val_t(t_struct, t.left), val_t(t_struct, t.right))
-    raise SemanticsError(f"no valuation for {t!r}")
+
+    def leaf(x: sx.Term) -> Element:
+        if isinstance(x, tp.TemplTerm):
+            return t_struct.t_val(x.obj)
+        if isinstance(x, sx.SymTermRef):
+            return t_struct.t_val(x)
+        raise SemanticsError(f"no valuation for {x!r}")
+
+    return val(t, leaf)
 
 
 def _eq_truth(t_struct: TStructure, u: Element, w: Element,
@@ -98,7 +90,6 @@ def _eq_truth(t_struct: TStructure, u: Element, w: Element,
 
 def _hits_in_model(t_struct: TStructure, a: Sym, g: str, target: Element,
                    generics: frozenset[str]) -> bool:
-    from .elements import affine_hits
     if isinstance(target, Sym) and target.base in t_struct.outside_bases:
         return False  # the target lives outside the model
     if isinstance(target, Sym) and target.base in generics and target.base != g:
@@ -270,11 +261,8 @@ def _tower_value(root_index: Sym, family: str, a: Sym, t: sx.Term) -> Element:
             for _ in range(k):
                 v = half(v)
             return v
-    if isinstance(t, sx.Const):
-        return t.elem
-    if isinstance(t, sx.Zero):
-        return Std(0)
-    return Std(0)
+    e = sx.const_elem(t)
+    return Std(0) if e is None else e
 
 
 def sc_tower(family: str, height: Element, a: Element) -> TStructure:
@@ -300,49 +288,42 @@ def sc_tower(family: str, height: Element, a: Element) -> TStructure:
     )
 
 
-def tr_sigma(k: int, fuel: int = 32) -> TStructure:
-    """Truth for the bounded/existential classes as the template oracle."""
+def _ground_value(t: sx.Term) -> Element:
+    try:
+        return val(t)
+    except Exception:
+        return Std(0)
+
+
+def _truth_structure(name: str, classes: tuple[str, ...], fuel: int) -> TStructure:
+    """Ground truth as the template oracle: a sentence is true when it is
+    true in the first of the classes that admits it. A term takes its
+    ground value, 0 when it has none."""
 
     def t_set(phi: sx.Formula) -> bool:
-        for cls in ("d0", f"s{k}") if k else ("d0",):
+        for cls in classes:
             try:
                 return eval_tr(phi, cls, fuel) is TRUE
             except Exception:
                 continue
         return False
 
-    def t_val(t: sx.Term) -> Element:
-        try:
-            return val(t)
-        except Exception:
-            return Std(0)
+    return TStructure(name, t_set, _ground_value)
 
-    return TStructure(f"tr_sigma({k})", t_set, t_val)
+
+def tr_sigma(k: int, fuel: int = 32) -> TStructure:
+    """Truth for the bounded/existential classes as the template oracle."""
+    return _truth_structure(f"tr_sigma({k})", ("d0", f"s{k}") if k else ("d0",), fuel)
 
 
 def quotient_witness(q: QuotientStructure) -> TStructure:
     """Terms valued through the canonical map of a well-defined quotient."""
     if not (q.injective_on_constants and q.surjective_on_universe):
         raise BadWitnessParams("the canonical map must be a bijection here")
-    const_of: dict[sx.Term, Element] = {}
-    for t in q.universe:
-        root = q.find(t)
-        if root not in const_of:
-            for member in q.universe:
-                if q.find(member) == root:
-                    if isinstance(member, sx.Zero):
-                        const_of[root] = Std(0)
-                        break
-                    if isinstance(member, sx.Const):
-                        const_of[root] = member.elem
-                        break
 
     def t_val(t: sx.Term) -> Element:
-        if t in q.parent:
-            e = const_of.get(q.find(t))
-            if e is not None:
-                return e
-        return Std(0)
+        e = q.const_of.get(q.find(t)) if t in q.parent else None
+        return Std(0) if e is None else e
 
     def t_set(phi: sx.Formula) -> bool:
         return (isinstance(phi, sx.Eq) and phi.left in q.parent
@@ -358,21 +339,10 @@ def free_tower(a: Element, b: Element) -> TStructure:
     if a.base == b.base:
         raise BadWitnessParams("the outside value needs its own base")
 
-    def t_val(t: sx.Term) -> Element:
-        if isinstance(t, sx.SymTermRef) and t.family == "num":
-            idx = t.index
-            if (isinstance(idx, Sym) and idx.base == a.base
-                    and idx.coeff == a.coeff and idx.offset <= a.offset):
-                k = a.offset - idx.offset
-                return Sym(b.base, b.coeff, b.offset - k)
-        if isinstance(t, sx.Const):
-            return t.elem
-        return Std(0)
-
     return TStructure(
         f"free_tower({a},{b})",
         lambda phi: False,
-        t_val,
+        lambda t: _tower_value(a, "num", b, t),
         kind="free",
         outside_bases=frozenset((b.base,)),
     )
@@ -448,21 +418,7 @@ def _boxed(phi: sx.Formula):
 
 
 def ground_truth_structure(fuel: int = 64) -> TStructure:
-    def t_set(phi: sx.Formula) -> bool:
-        for cls in ("d0", "s1", "s2"):
-            try:
-                return eval_tr(phi, cls, fuel) is TRUE
-            except Exception:
-                continue
-        return False
-
-    def t_val(t: sx.Term) -> Element:
-        try:
-            return val(t)
-        except Exception:
-            return Std(0)
-
-    return TStructure("ground-truth", t_set, t_val)
+    return _truth_structure("ground-truth", ("d0", "s1", "s2"), fuel)
 
 
 def henkin_extend(lam: list[sx.Formula], enumeration: list[sx.Formula],
@@ -540,7 +496,6 @@ def check_fragment(frag: SatFragment) -> ComplianceReport:
                 failures.append(f"disjunction clause fails at {f!r}")
 
     # existentials: accepted iff some accepted instance
-    from .kernel import match_instance
     for f, v in frag.decided.items():
         if not isinstance(f, sx.Ex):
             continue
@@ -573,25 +528,13 @@ def check_fragment(frag: SatFragment) -> ComplianceReport:
         terms.extend((atom.left, atom.right))
     quotient = None
     if terms:
-        universe = subterm_closure(terms)
-        for e in {elem for t in universe for elem in _consts_of(t)}:
-            universe.append(sx.const(e))
-        universe = list(dict.fromkeys(universe))
-        quotient = build_quotient(eqs, universe)
+        quotient = build_quotient(eqs, subterm_closure(terms))
         if not quotient.injective_on_constants:
             failures.append("distinct constants identified by accepted equations")
         for t, r in denied:
             if quotient.same_class(t, r):
                 failures.append(f"equation both accepted and denied: {t!r} = {r!r}")
     return ComplianceReport(passed=not failures, failures=failures, quotient=quotient)
-
-
-def _consts_of(t: sx.Term):
-    for o in sx.subobjects(t):
-        if isinstance(o, sx.Const):
-            yield o.elem
-        elif isinstance(o, sx.Zero):
-            yield Std(0)
 
 
 def _reject_nonstandard(f) -> None:
@@ -616,16 +559,9 @@ def fragment_structure(frag: SatFragment) -> TStructure:
 
     def t_val(t: sx.Term) -> Element:
         if q is not None and t in q.parent:
-            root = q.find(t)
-            for member in q.universe:
-                if q.find(member) == root:
-                    if isinstance(member, sx.Zero):
-                        return Std(0)
-                    if isinstance(member, sx.Const):
-                        return member.elem
-        try:
-            return val(t)
-        except Exception:
-            return Std(0)
+            e = q.const_of.get(q.find(t))
+            if e is not None:
+                return e
+        return _ground_value(t)
 
     return TStructure("fragment", t_set, t_val)

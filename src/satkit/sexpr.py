@@ -13,7 +13,7 @@ from typing import Union
 
 from . import syntax as sx
 from . import template as tp
-from .elements import Element, Std, parse_element
+from .elements import Element, ElementError, Std, parse_element
 from .kernel import Proof, Sequent, Uniform
 from .propcalc import CertLine, PropCertificate
 from .skolem import QuantSeq
@@ -93,12 +93,32 @@ def print_elem(e: Element) -> str:
 
 
 def print_obj(x) -> str:
-    head = HEAD_OF.get(type(x))
-    if head is not None:
-        if x.scope:
-            return f"({head} {x.index} {' '.join(map(print_obj, x.children))})"
-        parts = (x.obj,) if isinstance(x, sx.Sealed) else x.children
-        return f"({head} {' '.join(map(print_obj, parts))})"
+    """The expression of a term or formula; iterative, so any nesting
+    depth prints."""
+    out: list[str] = []  # the pieces between spaces
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if type(y) is str:  # a closing parenthesis
+            out[-1] += y
+            continue
+        head = HEAD_OF.get(type(y))
+        if head is not None:
+            if y.scope:
+                head = f"{head} {y.index}"
+            parts = (y.obj,) if isinstance(y, sx.Sealed) else y.children
+        elif isinstance(y, sx.SymFormulaRef) and y.family == "eps":
+            head, parts = f"eps {print_elem(y.index)}", (y.payload,)
+        else:
+            out.append(_print_leaf(y))
+            continue
+        out.append(f"({head}")
+        stack.append(")")
+        stack.extend(reversed(parts))
+    return " ".join(out)
+
+
+def _print_leaf(x) -> str:
     if isinstance(x, sx.Zero):
         return "0"
     if isinstance(x, sx.Var):
@@ -110,9 +130,7 @@ def print_obj(x) -> str:
     if isinstance(x, sx.SymTermRef):
         return f"({x.family} {print_elem(x.index)})"
     if isinstance(x, sx.SymFormulaRef):
-        if x.family == "delta":
-            return f"(delta {print_elem(x.index)})"
-        return f"(eps {print_elem(x.index)} {print_obj(x.payload)})"
+        return f"(delta {print_elem(x.index)})"
     raise ParseError(f"cannot print {x!r}")
 
 
@@ -191,7 +209,10 @@ def print_proof(p: Proof, indent: int = 0) -> str:
 def parse_elem_node(node: Node) -> Element:
     if not isinstance(node, str):
         raise ParseError(f"expected an element, found {node!r}")
-    return parse_element(node)
+    try:
+        return parse_element(node)
+    except ElementError as e:
+        raise ParseError(str(e)) from None
 
 
 def _parse_atom(node: str):
@@ -200,7 +221,7 @@ def _parse_atom(node: str):
     if node.startswith("v") and node[1:].isdigit():
         return sx.Var(int(node[1:]))
     if node.startswith("c") and len(node) > 1:
-        return sx.const(parse_element(node[1:]))
+        return sx.const(parse_elem_node(node[1:]))
     raise ParseError(f"unknown atom {node!r}")
 
 
@@ -322,8 +343,9 @@ def _parse_skolem(node: Node) -> dict:
 
 
 def parse_proof_node(node: Node) -> Proof:
-    if not (isinstance(node, list) and node and node[0] == "rule"):
-        raise ParseError("proof nodes start with (rule ...)")
+    if not (isinstance(node, list) and node[:1] == ["rule"] and len(node) > 1
+            and isinstance(node[1], str)):
+        raise ParseError("proof nodes start with (rule <tag> ...)")
     tag = node[1]
     concl = None
     premises: list[Proof] = []
@@ -333,30 +355,34 @@ def parse_proof_node(node: Node) -> Proof:
         if not isinstance(item, list) or not item:
             raise ParseError(f"bad proof item {item!r}")
         head = item[0]
-        if head == "concl":
-            concl = Sequent.of(*(parse_obj(n) for n in item[1:]))
-        elif head == "prem":
-            premises = [parse_proof_node(n) for n in item[1:]]
-        elif head == "witness":
-            info["witness"] = parse_elem_node(item[1])
-        elif head == "block":
-            info["block"] = tuple(int(v) for v in item[1:])
-        elif head == "tuple":
-            info["tuple"] = tuple(parse_elem_node(v) for v in item[1:])
-        elif head == "cert":
-            info["prop"] = {"cert": parse_certificate(item)}
-        elif head == "skolem":
-            info["skolem"] = _parse_skolem(item)
-        elif head == "uniform":
-            fields = {x[0]: x for x in item[1:] if isinstance(x, list)}
-            params = tuple(fields["params"][1:])
-            schema = parse_proof_node(fields["schema"][1])
-            sampled = tuple(
-                tuple(parse_elem_node(e) for e in s[1:])
-                for s in fields["sample"][1:])
-            uniform = Uniform(params, schema, sampled)
-        else:
-            raise ParseError(f"unknown proof item {head!r}")
+        try:
+            if head == "concl":
+                concl = Sequent.of(*(parse_obj(n) for n in item[1:]))
+            elif head == "prem":
+                premises = [parse_proof_node(n) for n in item[1:]]
+            elif head == "witness":
+                info["witness"] = parse_elem_node(item[1])
+            elif head == "block":
+                info["block"] = tuple(int(v) for v in item[1:])
+            elif head == "tuple":
+                info["tuple"] = tuple(parse_elem_node(v) for v in item[1:])
+            elif head == "cert":
+                info["prop"] = {"cert": parse_certificate(item)}
+            elif head == "skolem":
+                info["skolem"] = _parse_skolem(item)
+            elif head == "uniform":
+                fields = {x[0]: x for x in item[1:] if isinstance(x, list)}
+                params = tuple(fields["params"][1:])
+                schema = parse_proof_node(fields["schema"][1])
+                sampled = tuple(
+                    tuple(parse_elem_node(e) for e in s[1:])
+                    for s in fields["sample"][1:])
+                uniform = Uniform(params, schema, sampled)
+            else:
+                raise ParseError(f"unknown proof item {head!r}")
+        except (IndexError, KeyError, TypeError) as e:
+            # a part of the item is missing or has the wrong shape
+            raise ParseError(f"malformed proof item ({head} ...)") from e
     if concl is None:
         raise ParseError("proof node without a conclusion")
     return Proof(concl, tag, tuple(premises), uniform, info)

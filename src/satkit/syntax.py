@@ -208,6 +208,15 @@ def const(e: Element) -> Term:
     return Const(e)
 
 
+def const_elem(x) -> Optional[Element]:
+    """The element a constant names (the inverse of const), else None."""
+    if isinstance(x, Zero):
+        return Std(0)
+    if isinstance(x, Const):
+        return x.elem
+    return None
+
+
 def var(i: int) -> Var:
     if i < 0:
         raise SyntaxError_("variable indices are naturals")

@@ -36,11 +36,15 @@ class TestBasicCommands:
     def test_encode_deep_not_nest(self, capsys):
         from satkit.coding import SYM_EQ, SYM_NOT, SYM_ZERO
         depth = 3000
-        code, out = run_cli(["encode", "(not " * depth + "(= 0 0)" + ")" * depth], capsys)
+        text = "(not " * depth + "(= 0 0)" + ")" * depth
+        code, out = run_cli(["encode", text], capsys)
         assert code == 0
         # base-16 digits, the first symbol least significant
         symbols = [SYM_NOT] * depth + [SYM_EQ, SYM_ZERO, SYM_ZERO]
         assert out.strip() == str(sum(s << (4 * k) for k, s in enumerate(symbols)))
+        # and the code decodes back to the same nest
+        code, out = run_cli(["decode", out.strip()], capsys)
+        assert code == 0 and out.strip() == text
 
     def test_too_deep_input_exits_2(self, capsys):
         # eval-tr still expands abbreviations recursively
@@ -123,15 +127,26 @@ class TestProofCommands:
         code, out = run_cli(["check", "--in", str(f)], capsys)
         assert code == 1 and "ok: False" in out
 
-    @pytest.mark.parametrize("damage", ["truncated", "unknown-head"])
+    @pytest.mark.parametrize("damage", [
+        "truncated", "unknown-head",
+        # whole files whose proof items lack a part
+        pytest.param("(rule)", id="no-tag"),
+        pytest.param("(rule axiom3 (concl (= 0 0)) (witness))", id="empty-witness"),
+        pytest.param("(rule axiom3 (concl (= 0 0)) (prem (rule)))", id="premise-no-tag"),
+        pytest.param("(rule m-rule (concl (= 0 0)) (uniform (params q) (sample (tuple 0))))",
+                     id="uniform-no-schema"),
+        pytest.param("(rule axiom3 (concl (= 0 0)) (witness w[))", id="bad-element"),
+    ])
     @pytest.mark.parametrize("command", ["check", "translate"])
     def test_malformed_file_exits_2(self, proof_file, tmp_path, capsys, damage, command):
         # exit 1 means a failed check; a file that does not parse is bad input
         text = proof_file.read_text()
         if damage == "truncated":
             text = text[: len(text) // 2]
-        else:
+        elif damage == "unknown-head":
             text = text.replace("(= ", "(equals ", 1)
+        else:
+            text = damage
         proof_file.write_text(text)
         args = [command, "--in", str(proof_file)]
         if command == "translate":
@@ -140,7 +155,16 @@ class TestProofCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        # a message, not just the name of a missing part
+        assert len(err.split()) > 2
 
+
+    def test_wrong_scheme_arity_is_a_located_rejection(self, tmp_path, capsys):
+        f = tmp_path / "prop.sexp"
+        f.write_text("(rule prop (concl (= 0 0)) (cert (line (= 0 0) (ax add l (= 0 0)))))")
+        code, out = run_cli(["check", "--allow-prop", "--in", str(f)], capsys)
+        assert code == 1
+        assert out.splitlines() == ["ok: False", "error: root: certificate rejected"]
 
     def test_extra_argument_exits_2(self, capsys):
         # (not ...) takes one argument; a second one is bad input

@@ -129,6 +129,30 @@ class TestGodelCodec:
                 continue
             assert godel_encode(obj).code == n
 
+    @pytest.mark.parametrize("symbols, message", [
+        ([6], "truncated code"),
+        ([6, 1], "symbol 1 cannot start a formula"),
+        ([5, 6], "symbol 6 cannot start a term"),
+        ([1, 1], "trailing symbols after a complete object"),
+        ([10, 1], "symbol 1 inside an index run"),
+        ([10, 12, 11], "non-canonical index digits"),
+        ([8, 13, 11, 5, 1], "truncated code"),
+    ])
+    def test_rejection_messages(self, symbols, message):
+        code = sum(s << (4 * k) for k, s in enumerate(symbols))
+        with pytest.raises(NotWellFormed, match=f"^{message}$"):
+            godel_decode(GodelCode(code))
+
+    def test_deep_nest_decodes(self):
+        f = sx.Eq(sx.Succ(sx.ZERO), sx.Var(3))
+        for k in range(5000):
+            f = sx.Ex(k % 4, f) if k % 3 else sx.Not(f)
+        g = godel_decode(godel_encode(f))
+        for _ in range(5000):
+            assert type(g) is type(f) and getattr(g, "index", None) == getattr(f, "index", None)
+            f, g = f.children[-1], g.children[-1]
+        assert g == f
+
     def test_manifest_is_stable(self):
         m = encoding_manifest()
         assert m["base"] == 16

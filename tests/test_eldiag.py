@@ -4,7 +4,7 @@ import pytest
 
 import satkit.syntax as sx
 from satkit.eldiag import EldiagError, FuelExhausted, prove_eldiag
-from satkit.elements import std
+from satkit.elements import std, sym
 from satkit.kernel import M_POLICY, check
 from generators import random_decidable_sentence
 
@@ -55,6 +55,11 @@ class TestNamedExamples:
     def test_open_formula_rejected(self):
         with pytest.raises(EldiagError):
             prove_eldiag(e(sx.Var(0), sx.ZERO))
+
+    def test_family_reference_has_no_ground_value(self):
+        phi = e(sx.numeral(sym("a")), sx.ZERO)
+        with pytest.raises(EldiagError, match="no ground value"):
+            prove_eldiag(phi)
 
     def test_constants_in_the_body_guide_the_witness_search(self):
         phi = sx.Ex(0, e(sx.Var(0), c(150)))

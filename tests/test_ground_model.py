@@ -6,7 +6,7 @@ import satkit.syntax as sx
 from satkit.elements import std
 from satkit.ground_model import (
     FALSE, TRUE, UNKNOWN, OpenTerm, WrongClass, check_class, decide_delta0,
-    eval_tr, is_delta0, is_sigma, match_bounded_exists, val,
+    eval_tr, is_delta0, is_sigma, match_bounded_exists, val, witness_candidates,
 )
 from generators import direct_eval, random_bounded_sentence, random_term
 
@@ -40,6 +40,31 @@ class TestVal:
             assert val(sx.Succ(t)) == std(val(t).n + 1)
             assert val(sx.Add(t, r)) == std(val(t).n + val(r).n)
             assert val(sx.Mul(t, r)) == std(val(t).n * val(r).n)
+
+
+    def test_leaf_values_the_other_leaves(self):
+        seen = []
+
+        def leaf(t):
+            seen.append(t)
+            return std(4)
+
+        t = sx.Succ(sx.Add(sx.Var(3), sx.Mul(c(2), sx.Var(5))))
+        assert val(t, leaf) == std(4 + 2 * 4 + 1)
+        assert seen == [sx.Var(3), sx.Var(5)]
+
+
+class TestWitnessCandidates:
+    def test_body_constants_in_pre_order_then_the_bound(self):
+        body = sx.Or(sx.Eq(sx.Add(sx.Var(0), c(5)), c(3)),
+                     sx.Eq(sx.Succ(c(5)), sx.Mul(sx.ZERO, c(2))))
+        got = list(witness_candidates(body, 4))
+        assert got == [std(5), std(3), std(0), std(2), std(1), std(4)]
+
+    def test_each_candidate_once(self):
+        body = sx.Eq(sx.Add(c(1), c(1)), sx.Var(0))
+        assert list(witness_candidates(body, 2)) == [std(1), std(0), std(2)]
+        assert list(witness_candidates(sx.Eq(sx.Var(0), sx.Var(0)), 0)) == [std(0)]
 
 
 class TestClassChecker:

@@ -362,6 +362,14 @@ class TestExtendedRules:
         assert not check(node2, RulePolicy(allow_prop=True)).ok
 
 
+    def test_wrong_scheme_arity_is_a_located_rejection(self):
+        from satkit.propcalc import CertLine, PropCertificate
+        cert = PropCertificate((CertLine(ZERO_EQ, ("ax", "add", "l", (ZERO_EQ,))),))
+        node = Proof(seq(ZERO_EQ), "prop", (), info={"prop": {"cert": cert}})
+        rep = check(node, RulePolicy(allow_prop=True))
+        assert not rep.ok and rep.first_error() == "root: certificate rejected"
+
+
 class TestDerivedCalculus:
     def test_structural_rules_map_to_certified_steps(self):
         from satkit.transform import to_certified_calculus

@@ -7,7 +7,7 @@ from satkit.corpus import mprop_entries
 from satkit.elements import std
 from satkit.kernel import RulePolicy, check, vee
 from satkit.propcalc import (
-    CertLine, Exhausted, PropCertificate, axiom_instance, check_certificate,
+    CertLine, Exhausted, PropCertificate, PropError, axiom_instance, check_certificate,
     derive_or_search, expand_pf, extract_hypotheses, imp,
     is_tautology, match_prop_axiom, one_line, pf_height_check,
     recheck_unlabelled, scheme_manifest,
@@ -41,6 +41,13 @@ class TestSchemes:
                                        ("sum", "rc", 3), ("sum", "lc", 3)):
                 inst = axiom_instance(scheme, form, args[:need])
                 assert match_prop_axiom(inst) is not None
+
+    def test_wrong_arity_raises_prop_error(self):
+        for scheme, form, need in (("cut", "contract", 1), ("cut", "full", 3),
+                                   ("add", "l", 2), ("sum", "rr", 3)):
+            for k in (need - 1, need + 1):
+                with pytest.raises(PropError, match=f"takes {need} formulas"):
+                    axiom_instance(scheme, form, (ZERO_EQ,) * k)
 
     def test_manifest_lists_all_schemes(self):
         m = scheme_manifest()

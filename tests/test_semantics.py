@@ -15,7 +15,7 @@ from satkit.kernel import (
     M_POLICY, Proof, Sequent, TEMPLATE_POLICY, check, seq,
 )
 from satkit.semantics import (
-    BadWitnessParams, OracleUndecided, SoundnessViolation,
+    BadWitnessParams, OracleUndecided, SatFragment, SemanticsError, SoundnessViolation,
     TStructure, audit_soundness, check_fragment, delta_structure,
     fragment_structure, free_tower, gallery, ground_truth_structure,
     henkin_extend, models, quotient_witness, sc_tower, structure_oracle,
@@ -51,6 +51,11 @@ class TestValuation:
         s = dict_structure(set(), {t: std(9)})
         assert val_t(s, sx.Succ(tp.TemplTerm(t))) == std(10)
         assert val_t(s, sx.Add(tp.TemplTerm(t), c(4))) == std(13)
+
+    def test_free_variable_has_no_valuation(self):
+        s = dict_structure(set())
+        with pytest.raises(SemanticsError, match="no valuation"):
+            val_t(s, sx.Succ(sx.Var(0)))
 
 
 class TestModels:
@@ -224,6 +229,16 @@ class TestCompletenessSmoke:
 
 
 class TestHenkin:
+    def test_fragment_values_a_class_at_its_first_constant(self):
+        # 1 = 2 identifies two constants; the class is valued at the one
+        # that comes first in the quotient's universe
+        frag = SatFragment(decided={e(c(1), c(2)): True, e(sx.Succ(c(1)), c(7)): True})
+        q = check_fragment(frag).quotient
+        assert not q.injective_on_constants
+        s = fragment_structure(frag)
+        got = [s.t_val(t) for t in (c(1), c(2), sx.Succ(c(1)), c(7), sx.Succ(c(2)), c(9))]
+        assert got == [std(1), std(1), std(7), std(7), std(3), std(9)]
+
     def test_ground_truth_fragment(self):
         enum = []
         for k in range(12):

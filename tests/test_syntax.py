@@ -151,6 +151,15 @@ class TestBuilders:
         n = sx.numeral(a)
         assert isinstance(sx.unfold_ref(n), sx.Succ)
 
+    def test_const_elem_inverts_const(self):
+        for e in (std(0), std(7), sym("a"), Sym("b", 2, -3)):
+            assert sx.const_elem(sx.const(e)) == e
+
+    def test_const_elem_is_none_on_non_constants(self):
+        for x in (sx.Var(0), sx.Succ(sx.ZERO), sx.Add(sx.ZERO, sx.ZERO),
+                  sx.numeral(sym("a")), sx.Eq(sx.ZERO, sx.ZERO), tp.TemplTerm(sx.ZERO)):
+            assert sx.const_elem(x) is None
+
     def test_constant_zero_identified(self):
         assert sx.const(std(0)) is sx.ZERO
         with pytest.raises(sx.SyntaxError_):
