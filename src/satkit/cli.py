@@ -17,7 +17,7 @@ from . import coding, sexpr
 from . import syntax as sx
 from . import template as tp
 from .elements import parse_element, Sym
-from .ground_model import eval_tr
+from .ground_model import OpenTerm, WrongClass, eval_tr
 from .kernel import RulePolicy, check
 from .propcalc import check_certificate, scheme_manifest
 from .semantics import (
@@ -380,7 +380,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, ParseError) as e:
+    except (OSError, ValueError, KeyError, ParseError, coding.CodingError, OpenTerm,
+            WrongClass) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError as e:

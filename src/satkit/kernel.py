@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import syntax as sx
 from . import template as tp
@@ -111,6 +111,31 @@ class Proof:
     premises: tuple["Proof", ...] = ()
     uniform: Optional[Uniform] = None
     info: dict = field(default_factory=dict)
+
+    @property
+    def subproofs(self) -> tuple["Proof", ...]:
+        """The premises, then the uniform schema when there is one."""
+        if self.uniform is None:
+            return self.premises
+        return self.premises + (self.uniform.schema,)
+
+    def rebuild(self, conclusion: Sequent, subproofs, info: Optional[dict] = None) -> "Proof":
+        """The same rule over new children, given in ``subproofs`` order;
+        the side data is copied unless ``info`` is given."""
+        prems, uni = tuple(subproofs), self.uniform
+        if uni is not None:
+            prems, uni = prems[:-1], Uniform(uni.params, prems[-1], uni.sampled)
+        return Proof(conclusion, self.rule, prems, uni, dict(self.info) if info is None else info)
+
+
+def proof_nodes(p: Proof) -> Iterator[Proof]:
+    """Every node of a proof, root included, in pre-order; iterative, so
+    any height is fine."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        yield q
+        stack.extend(reversed(q.subproofs))
 
 
 @dataclass(frozen=True)
@@ -257,13 +282,8 @@ def subst_param_proof(p: Proof, base: str, value: Element,
         new = [inst(f) for f in old]
         same = all(g is f for f, g in zip(old, new))
         concl = p.conclusion if same else Sequent(frozenset(new))
-        prems = tuple(go(q) for q in p.premises)
-        same = same and all(q2 is q for q2, q in zip(prems, p.premises))
-        uni = p.uniform
-        if uni is not None:
-            schema = go(uni.schema)
-            if schema is not uni.schema:
-                uni, same = Uniform(uni.params, schema, uni.sampled), False
+        subs = tuple(map(go, p.subproofs))
+        same = same and all(q2 is q for q2, q in zip(subs, p.subproofs))
         info = dict(p.info)
         if "witness" in info:
             info["witness"] = subst_base(info["witness"], base, value)
@@ -274,14 +294,15 @@ def subst_param_proof(p: Proof, base: str, value: Element,
             same = same and sk["phi"] is info["skolem"]["phi"]
             info["skolem"] = sk
         if "prop" in info:
+            # a certified node has premises only, so subs are its premises
             pre_hyps = [vee(q.conclusion.sentences) for q in p.premises]
-            post_hyps = [vee(q.conclusion.sentences) for q in prems]
+            post_hyps = [vee(q.conclusion.sentences) for q in subs]
             info["prop"] = {"cert": _subst_certificate(
                 info["prop"]["cert"], inst,
                 dict(zip(pre_hyps, post_hyps)),
                 vee(concl.sentences))}
             same = False
-        return p if same else Proof(concl, p.rule, prems, uni, info)
+        return p if same else p.rebuild(concl, subs, info)
 
     return go(p)
 
@@ -452,34 +473,28 @@ def match_axiom12(s: frozenset):
     return None
 
 
+# the axioms whose match reads the sequent alone; axiom2 also reads the
+# active parameters
+_AXIOM_MATCHERS = {
+    "axiom1": match_axiom1, "axiom3": match_axiom3, "axiom4": match_axiom4,
+    "axiom5": match_axiom5,
+    "axiom6": lambda s: _match_compat(s, sx.Succ),
+    "axiom7": lambda s: _match_compat(s, sx.Add),
+    "axiom8": lambda s: _match_compat(s, sx.Mul),
+    "axiom9": lambda s: _match_ground_op(s, "sc"),
+    "axiom10": lambda s: _match_ground_op(s, "+"),
+    "axiom11": lambda s: _match_ground_op(s, "*"),
+    "axiom12": match_axiom12,
+}
+
+
 def match_axiom(tag: str, s: frozenset, policy: RulePolicy, params: frozenset):
-    if tag == "axiom1":
-        return match_axiom1(s)
     if tag == "axiom2":
         return match_axiom2(s, params)
-    if tag == "axiom3":
-        return match_axiom3(s)
-    if tag == "axiom4":
-        return match_axiom4(s)
-    if tag == "axiom5":
-        return match_axiom5(s)
-    if tag == "axiom6":
-        return _match_compat(s, sx.Succ)
-    if tag == "axiom7":
-        return _match_compat(s, sx.Add)
-    if tag == "axiom8":
-        return _match_compat(s, sx.Mul)
-    if tag == "axiom9":
-        return _match_ground_op(s, "sc")
-    if tag == "axiom10":
-        return _match_ground_op(s, "+")
-    if tag == "axiom11":
-        return _match_ground_op(s, "*")
-    if tag == "axiom12":
-        if not policy.axiom12_allowed:
-            return None
-        return match_axiom12(s)
-    return None
+    if tag == "axiom12" and not policy.axiom12_allowed:
+        return None
+    matcher = _AXIOM_MATCHERS.get(tag)
+    return None if matcher is None else matcher(s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .elements import Element, ElementError, Std, Sym, affine_hits, half
 from .ground_model import (
     FALSE, TRUE, UNKNOWN, TruthValue, eval_tr, of_bool, tv_not, tv_or, val,
 )
-from .kernel import Proof, match_instance
+from .kernel import Proof, match_instance, proof_nodes
 
 _GENERIC = "generic"
 
@@ -179,23 +179,8 @@ class AuditReport:
     note: str = ""
 
 
-def _collect_extra_axioms(q: Proof) -> list:
-    out = []
-    if q.rule == "axiomL":
-        out.extend(q.conclusion.sentences)
-    for p in q.premises:
-        out.extend(_collect_extra_axioms(p))
-    if q.uniform is not None:
-        out.extend(_collect_extra_axioms(q.uniform.schema))
-    return out
-
-
 def uses_axiom12(q: Proof) -> bool:
-    if q.rule == "axiom12":
-        return True
-    if any(uses_axiom12(p) for p in q.premises):
-        return True
-    return q.uniform is not None and uses_axiom12(q.uniform.schema)
+    return any(p.rule == "axiom12" for p in proof_nodes(q))
 
 
 def audit_soundness(q: Proof, t_struct: TStructure, fuel: int = 32) -> AuditReport:
@@ -206,9 +191,9 @@ def audit_soundness(q: Proof, t_struct: TStructure, fuel: int = 32) -> AuditRepo
     """
     if uses_axiom12(q) and not t_struct.supports_axiom12:
         return AuditReport(UNKNOWN, applicable=False, note="existence axiom unsupported")
-    for lam in _collect_extra_axioms(q):
-        if models(t_struct, lam, fuel) is not TRUE:
-            return AuditReport(UNKNOWN, applicable=False, note="hypothesis not true here")
+    leaves = (lam for p in proof_nodes(q) if p.rule == "axiomL" for lam in p.conclusion.sentences)
+    if any(models(t_struct, lam, fuel) is not TRUE for lam in leaves):
+        return AuditReport(UNKNOWN, applicable=False, note="hypothesis not true here")
     disj: Optional[sx.Formula] = None
     for f in sorted(q.conclusion.sentences, key=repr):
         disj = f if disj is None else sx.Or(disj, f)

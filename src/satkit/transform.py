@@ -8,7 +8,7 @@ a disjunction splits into its parts, and double negations round-trip.
 from __future__ import annotations
 
 from . import syntax as sx
-from .kernel import Proof, Sequent, Uniform, match_rule
+from .kernel import Proof, Sequent, match_rule, vee
 
 
 class NotApplicable(Exception):
@@ -41,17 +41,11 @@ def _map_add_negation(p: Proof, phi: sx.Formula) -> Proof:
     new_concl = Sequent(p.conclusion.sentences | {nphi})
     if p.rule == "axiomL" and p.conclusion.sentences == frozenset((phi,)):
         return Proof(Sequent(frozenset((phi, nphi))), "axiom1")
-    if not p.premises and p.uniform is None:
+    if not p.subproofs:
         if nphi in p.conclusion.sentences:
             return p
         return Proof(new_concl, "weak", (p,))
-    prems = tuple(_map_add_negation(q, phi) for q in p.premises)
-    uni = None
-    if p.uniform is not None:
-        uni = Uniform(p.uniform.params,
-                      _map_add_negation(p.uniform.schema, phi),
-                      p.uniform.sampled)
-    return Proof(new_concl, p.rule, prems, uni, dict(p.info))
+    return p.rebuild(new_concl, [_map_add_negation(q, phi) for q in p.subproofs])
 
 
 def move_hypotheses(p: Proof, hyps: list[sx.Formula]) -> Proof:
@@ -122,17 +116,11 @@ def to_certified_calculus(p: Proof) -> Proof:
     derivable from the single certificate rule; the compilation is
     deterministic, no proof search is involved. Quantifier rules persist.
     """
-    from .kernel import vee
     from .propcalc import cut_cert, split_negation_cert, weakening_cert
     structural = {"weak", "or-i1", "or-i2", "or-i3", "neg-i", "cut"}
-    prems = tuple(to_certified_calculus(q) for q in p.premises)
-    uni = None
-    if p.uniform is not None:
-        uni = Uniform(p.uniform.params,
-                      to_certified_calculus(p.uniform.schema),
-                      p.uniform.sampled)
+    subs = [to_certified_calculus(q) for q in p.subproofs]
     if p.rule not in structural:
-        return Proof(p.conclusion, p.rule, prems, uni, dict(p.info))
+        return p.rebuild(p.conclusion, subs)
     goal = vee(p.conclusion.sentences)
     hyps = [vee(q.conclusion.sentences) for q in p.premises]
     if p.rule in ("weak", "or-i1", "or-i2", "neg-i"):
@@ -146,7 +134,8 @@ def to_certified_calculus(p: Proof) -> Proof:
         else:
             cert = split_negation_cert(hyps[0], hyps[1],
                                        found.body.left, found.body.right, goal)
-    return Proof(p.conclusion, "prop", prems, None, {"prop": {"cert": cert}})
+    # a structural rule has premises only, so subs are its premises
+    return Proof(p.conclusion, "prop", tuple(subs), None, {"prop": {"cert": cert}})
 
 
 def transform(kind: str, p: Proof, **args) -> Proof:

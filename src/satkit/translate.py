@@ -3,7 +3,9 @@
 Every finite-height proof in the ground calculus maps to a template-logic
 proof of an approximation of its conclusion. The chain produced at each
 node is the uniform union of the children's chains with the node's own
-unfolding targets; the recursive bound
+unfolding targets, and every child's translation is lifted through it.
+Each rule contributes only its own targets (``_axiom_steps``,
+``_OWN_STEPS``); one step does the rest. The recursive bound
 
     G(1) = 9,   G(n+1) = (n+2) * (2**G(n) - 1) + 2
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 from . import syntax as sx
 from . import template as tp
 from .kernel import (
-    AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, Uniform,
-    check, match_axiom, match_rule,
+    AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, check, match_axiom,
+    match_rule,
 )
 
 
@@ -28,10 +30,6 @@ class TranslateError(Exception):
 
 
 class UncheckedInput(TranslateError):
-    pass
-
-
-class NonFiniteHeight(TranslateError):
     pass
 
 
@@ -79,7 +77,7 @@ def g_bound_at_least(n: int, m: int) -> bool:
 # per-axiom unfolding targets
 
 
-def _axiom_steps(tag: str, parts: dict, sentences: frozenset) -> list[sx.Obj]:
+def _axiom_steps(tag: str, parts: dict) -> list[sx.Obj]:
     n = sx.Not
     e = sx.Eq
     if tag == "axiom1":
@@ -120,6 +118,18 @@ def _axiom_steps(tag: str, parts: dict, sentences: frozenset) -> list[sx.Obj]:
 
 # ---------------------------------------------------------------------------
 # translation
+
+# the unfolding targets an inference adds to its premises' chains, from
+# the kernel's decomposition of the node: the introduced sentence d, the
+# cut's pivot, or ex-i's (d, witness)
+_OWN_STEPS = {
+    "or-i1": lambda d: (d,),
+    "or-i2": lambda d: (d,),
+    "or-i3": lambda d: (d.body, d, sx.Not(d.body.left), sx.Not(d.body.right)),
+    "neg-i": lambda d: (d.body, d),
+    "cut": lambda pivot: (sx.Not(pivot),),
+    "ex-i": lambda found: (found[0],),
+}
 
 
 @dataclass
@@ -168,11 +178,7 @@ class _Translator:
         checked proof checks.
         """
         concl = Sequent(frozenset(self.image(f, g) for g in q.conclusion))
-        prems = tuple(self.lift(p, f) for p in q.premises)
-        uni = None
-        if q.uniform is not None:
-            uni = Uniform(q.uniform.params, self.lift(q.uniform.schema, f), q.uniform.sampled)
-        return Proof(concl, q.rule, prems, uni, dict(q.info))
+        return q.rebuild(concl, [self.lift(s, f) for s in q.subproofs])
 
     def chain_image(self, f: tp.ApproxChain, sentences) -> frozenset:
         """The approximations of plain sentences under a chain."""
@@ -195,109 +201,58 @@ class _Translator:
         if tag in ("prop", "i-ex-inf", "m-inf", "skolem", "pred"):
             raise UnsupportedRule(f"{tag} proofs have no template translation here")
 
+        if tag == "axiomL":
+            return self._conclude(p, tp.ApproxChain(()), ())
         if tag in AXIOM_TAGS:
-            if tag == "axiomL":
-                f = tp.ApproxChain(())
-                (phi,) = c
-                q = Proof(Sequent(frozenset((tp.templ(phi),))), "axiomL")
-                self.traces.append(NodeTrace(tag, 0, ()))
-                return f, q
             parts = self.decomposition(p, params)
-            f = tp.normalize(tp.chain(*_axiom_steps(tag, parts, c)))
-            q = Proof(Sequent(self.chain_image(f, c)), tag)
-            self.traces.append(NodeTrace(tag, len(f), ()))
-            return f, q
+            return self._conclude(p, tp.normalize(tp.chain(*_axiom_steps(tag, parts))), ())
 
         if tag == "weak":
             f0, q0 = self.run(p.premises[0], params)
-            q = Proof(Sequent(self.chain_image(f0, c)), "weak", (q0,))
             self.traces.append(NodeTrace(tag, len(f0), (len(f0),)))
-            return f0, q
-
-        if tag in ("or-i1", "or-i2"):
-            d = self.decomposition(p, params)
-            f0, q0 = self.run(p.premises[0], params)
-            f = tp.uniform_union([f0, tp.chain(d)])
-            q0 = self.lift(q0, f)
-            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
-            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0,))
-            self.traces.append(NodeTrace(tag, len(f), (len(f0),)))
-            return f, q
-
-        if tag == "or-i3":
-            d = self.decomposition(p, params)
-            f0, q0 = self.run(p.premises[0], params)
-            f1, q1 = self.run(p.premises[1], params)
-            disj = d.body
-            f = tp.uniform_union([
-                f0, f1,
-                tp.chain(disj, d, sx.Not(disj.left), sx.Not(disj.right)),
-            ])
-            q0, q1 = self.lift(q0, f), self.lift(q1, f)
-            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
-            self._expect(q1, self.chain_image(f, p.premises[1].conclusion.sentences))
-            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0, q1))
-            self.traces.append(NodeTrace(tag, len(f), (len(f0), len(f1))))
-            return f, q
-
-        if tag == "neg-i":
-            d = self.decomposition(p, params)
-            f0, q0 = self.run(p.premises[0], params)
-            f = tp.uniform_union([f0, tp.chain(d.body, d)])
-            q0 = self.lift(q0, f)
-            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
-            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0,))
-            self.traces.append(NodeTrace(tag, len(f), (len(f0),)))
-            return f, q
-
-        if tag == "cut":
-            cf = self.decomposition(p, params)
-            f0, q0 = self.run(p.premises[0], params)
-            f1, q1 = self.run(p.premises[1], params)
-            f = tp.uniform_union([f0, f1, tp.chain(sx.Not(cf))])
-            q0, q1 = self.lift(q0, f), self.lift(q1, f)
-            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
-            self._expect(q1, self.chain_image(f, p.premises[1].conclusion.sentences))
-            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0, q1))
-            self.traces.append(NodeTrace(tag, len(f), (len(f0), len(f1))))
-            return f, q
-
-        if tag == "ex-i":
-            d, w = self.decomposition(p, params)
-            f0, q0 = self.run(p.premises[0], params)
-            f = tp.uniform_union([f0, tp.chain(d)])
-            q0 = self.lift(q0, f)
-            self._expect(q0, self.chain_image(f, p.premises[0].conclusion.sentences))
-            # the substitution-commutation identity used by the rule image
-            if w is not None:
-                lhs = self.image(f, tp.templ(tp.templ_substitute(d.body, w, d.index)))
-                rhs_base = self.image(f, tp.templ(d.body))
-                if lhs != tp.templ_substitute(rhs_base, w, d.index):
-                    raise TranslateError("substitution does not commute with the chain")
-            info = {} if w is None else {"witness": w}
-            q = Proof(Sequent(self.chain_image(f, c)), tag, (q0,), info=info)
-            self.traces.append(NodeTrace(tag, len(f), (len(f0),)))
-            return f, q
+            return f0, p.rebuild(Sequent(self.chain_image(f0, c)), (q0,), {})
 
         if tag == "m-rule":
             d, _ = self.decomposition(p, params)
-            base = p.uniform.params[0]
             schema = p.uniform.schema
-            f0, q0 = self.run(schema, params | {base})
+            f0, q0 = self.run(schema, params | set(p.uniform.params))
             prem_sentences = list(schema.conclusion.sentences)
             f_uniform = tp.full_depth_approx(prem_sentences, max(len(f0), 1))
-            f = tp.uniform_union([
-                f_uniform, tp.chain(d.body, d),
-            ])
-            q0 = self.lift(q0, f)
-            self._expect(q0, self.chain_image(f, schema.conclusion.sentences))
-            uni = Uniform((base,), q0, p.uniform.sampled)
-            q = Proof(Sequent(self.chain_image(f, c)), tag, (), uni)
-            self.traces.append(NodeTrace(
-                tag, len(f), (len(f0),), premise_size=len(prem_sentences)))
-            return f, q
+            f = tp.uniform_union([f_uniform, tp.chain(d.body, d)])
+            return self._conclude(p, f, [(f0, q0)], premise_size=len(prem_sentences))
 
-        raise UnsupportedRule(f"unknown rule {tag}")
+        own_steps = _OWN_STEPS.get(tag)
+        if own_steps is None:
+            raise UnsupportedRule(f"unknown rule {tag}")
+        found = self.decomposition(p, params)
+        runs = [self.run(q, params) for q in p.premises]
+        f = tp.uniform_union([f0 for f0, _ in runs] + [tp.chain(*own_steps(found))])
+        info = {}
+        if tag == "ex-i" and found[1] is not None:
+            d, w = found
+            # the substitution-commutation identity used by the rule image
+            lhs = self.image(f, tp.templ(tp.templ_substitute(d.body, w, d.index)))
+            rhs_base = self.image(f, tp.templ(d.body))
+            if lhs != tp.templ_substitute(rhs_base, w, d.index):
+                raise TranslateError("substitution does not commute with the chain")
+            info = {"witness": w}
+        return self._conclude(p, f, runs, info)
+
+    def _conclude(self, p: Proof, f: tp.ApproxChain, runs, info=None, premise_size: int = 0):
+        """The node's translation under its chain f: each child's
+        translation (from ``runs``, in ``subproofs`` order) lifted through
+        f and checked to conclude the image of the child's sequent, then
+        the node rebuilt over them, with no side data but ``info``, and
+        traced."""
+        lifted = []
+        for child, (_, q) in zip(p.subproofs, runs):
+            q = self.lift(q, f)
+            self._expect(q, self.chain_image(f, child.conclusion.sentences))
+            lifted.append(q)
+        self.traces.append(NodeTrace(
+            p.rule, len(f), tuple(len(f0) for f0, _ in runs), premise_size))
+        return f, p.rebuild(Sequent(self.chain_image(f, p.conclusion.sentences)),
+                            lifted, info or {})
 
     @staticmethod
     def _expect(q: Proof, want: frozenset):

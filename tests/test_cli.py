@@ -172,6 +172,22 @@ class TestProofCommands:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        # numbers outside the codec's image
+        pytest.param(["decode", "--", "0"], id="decode-zero"),
+        pytest.param(["decode", "--", "-1"], id="decode-negative"),
+        # sentences outside the ground model, or outside any class
+        pytest.param(["eval-tr", "--formula", "(= (num w[a]) 0)"], id="eval-tr-family"),
+        pytest.param(["eval-tr", "--formula", "(= v0 0)"], id="eval-tr-open"),
+        pytest.param(["eval-tr", "--class", "q1", "--formula", "(= 0 0)"],
+                     id="eval-tr-unknown-class"),
+    ])
+    def test_bad_input_exits_2(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["(cert (line))", "(cert (line (= 0 0) (ax)))",
                                       "(cert (line (= 0 0) (mp 0)))", "(cert ())"])
     def test_malformed_certificate_exits_2(self, tmp_path, capsys, text):

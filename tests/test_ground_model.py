@@ -3,7 +3,7 @@ import random
 import pytest
 
 import satkit.syntax as sx
-from satkit.elements import std
+from satkit.elements import std, sym
 from satkit.ground_model import (
     FALSE, TRUE, UNKNOWN, OpenTerm, WrongClass, check_class, decide_delta0,
     eval_tr, is_delta0, is_sigma, match_bounded_exists, val, witness_candidates,
@@ -85,9 +85,13 @@ class TestClassChecker:
         assert is_sigma(f, 1)
 
     def test_wrong_class_raises(self):
-        f = sx.Ex(0, sx.Eq(sx.Var(0), c(3)))
-        with pytest.raises(WrongClass):
-            eval_tr(f, "d0")
+        # an unbounded search, and family references: no sentence of the
+        # ground model is in any class
+        for f in (sx.Ex(0, sx.Eq(sx.Var(0), c(3))),
+                  sx.Eq(sx.SymTermRef("num", sym("a")), sx.ZERO),
+                  sx.Not(sx.SymFormulaRef("delta", sym("a")))):
+            with pytest.raises(WrongClass):
+                eval_tr(f, "d0")
 
 
 class TestEvalTr:

@@ -12,7 +12,7 @@ from satkit.corpus import (
 from satkit.elements import Std, Sym, std, subst_base, sym
 from satkit.kernel import (
     DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, Proof, RulePolicy, Sequent,
-    Uniform, bases_of, check, match_instance, seq, subst_param_proof, vee,
+    Uniform, bases_of, check, match_instance, proof_nodes, seq, subst_param_proof, vee,
 )
 from satkit.skolem import quantseq, table_of
 
@@ -283,6 +283,40 @@ class TestInstantiationMemo:
                                    "p", std(4), memo)
         (a,) = first.conclusion.sentences
         assert a == e(c(4), c(4)) and any(f is a for f in second.conclusion)
+
+
+class TestProofProtocol:
+    def test_rebuild_over_own_subproofs_is_the_node(self):
+        uniform = 0
+        for entry in base_corpus() + mprop_entries():
+            for q in proof_nodes(entry.proof):
+                same = q.rebuild(q.conclusion, q.subproofs)
+                assert same == q, entry.name
+                assert same.info is not q.info
+                uniform += q.uniform is not None
+        assert uniform > 0
+
+    def test_subproofs_are_premises_then_schema(self):
+        node = next(q for entry in base_corpus() for q in proof_nodes(entry.proof)
+                    if q.uniform is not None)
+        assert node.subproofs == node.premises + (node.uniform.schema,)
+        leaf = Proof(seq(ZERO_EQ), "axiom3")
+        swapped = node.rebuild(node.conclusion, [leaf], info={"k": 1})
+        assert swapped.uniform.schema is leaf and swapped.premises == ()
+        assert swapped.uniform.params == node.uniform.params
+        assert swapped.uniform.sampled == node.uniform.sampled
+        assert swapped.info == {"k": 1} and swapped.rule == node.rule
+
+    def test_proof_nodes_is_the_recursive_pre_order(self):
+        for entry in base_corpus() + mprop_entries():
+            got, want = list(proof_nodes(entry.proof)), list(_proof_nodes(entry.proof))
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+    def test_proof_nodes_on_a_deep_chain(self):
+        p = Proof(seq(ZERO_EQ), "axiom3")
+        for _ in range(3000):
+            p = Proof(p.conclusion, "weak", (p,))
+        assert sum(1 for _ in proof_nodes(p)) == 3001
 
 
 class TestExtendedRules:

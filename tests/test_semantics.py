@@ -19,7 +19,7 @@ from satkit.semantics import (
     TStructure, audit_soundness, check_fragment, delta_structure,
     fragment_structure, free_tower, gallery, ground_truth_structure,
     henkin_extend, models, quotient_witness, sc_tower, structure_oracle,
-    tr_sigma, val_t,
+    tr_sigma, uses_axiom12, val_t,
 )
 from satkit.translate import translate_proof
 
@@ -205,6 +205,20 @@ class TestAudit:
         bad = Proof(Sequent(frozenset((tp.TemplForm(e(c(1), c(2))),))),
                     res.proof.rule, res.proof.premises, res.proof.uniform)
         assert not check(bad, TEMPLATE_POLICY).ok
+
+    def test_deep_weakening_chain(self):
+        # 3000 weakenings over one leaf: deeper than the recursion limit
+        def chain(leaf):
+            for _ in range(3000):
+                leaf = Proof(leaf.conclusion, "weak", (leaf,))
+            return leaf
+
+        exists = sx.Ex(0, e(sx.ZERO, sx.Var(0)))
+        assert uses_axiom12(chain(Proof(seq(exists), "axiom12")))
+        hyp = chain(Proof(seq(e(c(2), c(2))), "axiomL"))
+        assert not uses_axiom12(hyp)
+        report = audit_soundness(hyp, ground_truth_structure(), fuel=4)
+        assert report.applicable and report.verdict is TRUE
 
     def test_soundness_violation_raises(self):
         # a deliberately wrong conclusion evaluated directly
