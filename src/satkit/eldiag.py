@@ -8,6 +8,13 @@ A false existential becomes a uniform schema over a fresh parameter, so
 its refutation must be structurally uniform in the witness; sentences
 whose refutation would need case analysis on the parameter are rejected
 rather than approximated.
+
+The decision procedure settles an existential by its generic instance
+first: a body false at a fresh parameter under every instantiation has
+no true instance, so the witness candidates are searched only when that
+test fails. Its fresh parameters are named d0, d1, ... and proof
+parameters q0, q1, ... from a counter that only proof building advances,
+so the names in a proof never depend on how the search went.
 """
 
 from __future__ import annotations
@@ -53,16 +60,24 @@ def _cut(gamma: frozenset, f: sx.Formula, p_with: Proof, p_without: Proof) -> Pr
 class _Prover:
     fuel: int
     samples: tuple[Element, ...]
-    names: "count"
 
     def __post_init__(self):
         self._decided: dict = {}
+        # (Ex sentence, params) -> (first true witness, its instance)
+        self._witnesses: dict = {}
+        self._proof_names = count()
+        self._search_names = count()
 
     # -- uniform three-valued decision under the active parameters
 
     def decide(self, phi: sx.Formula, params: frozenset) -> TruthValue:
         """TRUE/FALSE when uniform over all parameter instantiations, else
-        UNKNOWN."""
+        UNKNOWN.
+
+        An existential is FALSE when its generic instance, the body at a
+        fresh d<n> parameter, is; otherwise it is TRUE at the first
+        witness candidate whose instance is TRUE, which is recorded for
+        proof building, and UNKNOWN when there is none."""
         key = (phi, params)
         hit = self._decided.get(key)
         if hit is None:
@@ -87,19 +102,17 @@ class _Prover:
         if isinstance(phi, sx.Or):
             return tv_or(self.decide(phi.left, params), self.decide(phi.right, params))
         if isinstance(phi, sx.Ex):
-            for e in witness_candidates(phi.body, self.fuel):
-                inst = sx.substitute(phi.body, sx.const(e), phi.index)
-                if self.decide(inst, params) is TRUE:
-                    return TRUE
-            base = self._fresh_base()
+            base = f"d{next(self._search_names)}"
             generic = sx.substitute(phi.body, sx.const(Sym(base)), phi.index)
             if self.decide(generic, params | {base}) is FALSE:
                 return FALSE
+            for e in witness_candidates(phi.body, self.fuel):
+                inst = sx.substitute(phi.body, sx.const(e), phi.index)
+                if self.decide(inst, params) is TRUE:
+                    self._witnesses[(phi, params)] = (e, inst)
+                    return TRUE
             return UNKNOWN
         raise EldiagError(f"decide: non-primitive sentence {phi!r}")
-
-    def _fresh_base(self) -> str:
-        return f"q{next(self.names)}"
 
     # -- equality toolkit
 
@@ -195,12 +208,11 @@ class _Prover:
             sub = self._prove_true(phi.right, params)
             return Proof(_single(phi), "or-i2", (sub,))
         if isinstance(phi, sx.Ex):
-            for e in witness_candidates(phi.body, self.fuel):
-                inst = sx.substitute(phi.body, sx.const(e), phi.index)
-                if self.decide(inst, params) is TRUE:
-                    sub = self._prove_true(inst, params)
-                    return Proof(_single(phi), "ex-i", (sub,), info={"witness": e})
-            raise FuelExhausted(f"no witness for {phi!r} within fuel")
+            if self.decide(phi, params) is not TRUE:
+                raise FuelExhausted(f"no witness for {phi!r} within fuel")
+            e, inst = self._witnesses[(phi, params)]
+            sub = self._prove_true(inst, params)
+            return Proof(_single(phi), "ex-i", (sub,), info={"witness": e})
         raise EldiagError(f"prove: non-primitive sentence {phi!r}")
 
     def _prove_false(self, phi: sx.Formula, params: frozenset) -> Proof:
@@ -215,7 +227,7 @@ class _Prover:
             r = self._prove_false(phi.right, params)
             return Proof(_single(sx.Not(phi)), "or-i3", (l, r))
         if isinstance(phi, sx.Ex):
-            base = self._fresh_base()
+            base = f"q{next(self._proof_names)}"
             generic = sx.substitute(phi.body, sx.const(Sym(base)), phi.index)
             schema = self._prove_false(generic, params | {base})
             uni = Uniform((base,), schema, tuple((e,) for e in self.samples))
@@ -239,5 +251,5 @@ def prove_eldiag(phi: sx.Formula, fuel: int = 200,
         raise EldiagError("only sentences have diagram proofs")
     if not sx.is_primitive(phi):
         raise EldiagError("expand abbreviations before proving")
-    prover = _Prover(fuel=fuel, samples=samples, names=count())
+    prover = _Prover(fuel=fuel, samples=samples)
     return prover.prove(phi, frozenset())

@@ -1,11 +1,15 @@
 import random
+import re
 
 import pytest
 
+import satkit.eldiag as eldiag
+import satkit.sexpr as sexpr
 import satkit.syntax as sx
-from satkit.eldiag import EldiagError, FuelExhausted, prove_eldiag
-from satkit.elements import std, sym
-from satkit.kernel import M_POLICY, check
+from satkit.eldiag import EldiagError, FuelExhausted, NotUniform, _Prover, prove_eldiag
+from satkit.elements import Sym, std, sym
+from satkit.ground_model import FALSE, TRUE, UNKNOWN, witness_candidates
+from satkit.kernel import DEFAULT_SAMPLES, M_POLICY, Proof, check, proof_nodes, seq
 from generators import random_decidable_sentence
 
 e, n = sx.Eq, sx.Not
@@ -89,3 +93,163 @@ class TestRandomisedDiagram:
             p = prove_eldiag(phi)
             assert p.conclusion.sentences == {sx.Not(phi)}
             assert check(p, M_POLICY).ok
+
+
+class _SearchAgain(_Prover):
+    """Proof building that searches a true existential's witness again
+    instead of reading the one its decision found."""
+
+    def _prove_true(self, phi, params):
+        if not isinstance(phi, sx.Ex):
+            return super()._prove_true(phi, params)
+        for w in witness_candidates(phi.body, self.fuel):
+            inst = sx.substitute(phi.body, sx.const(w), phi.index)
+            if self.decide(inst, params) is TRUE:
+                sub = self._prove_true(inst, params)
+                return Proof(seq(phi), "ex-i", (sub,), info={"witness": w})
+        raise FuelExhausted(f"no witness for {phi!r} within fuel")
+
+
+class _CandidatesFirst(_SearchAgain):
+    """The reference order: every witness candidate, then the generic
+    instance, whose parameter is drawn from the proof counter as when
+    the search and the proofs shared one."""
+
+    def _decide(self, phi, params):
+        if not isinstance(phi, sx.Ex):
+            return super()._decide(phi, params)
+        for w in witness_candidates(phi.body, self.fuel):
+            if self.decide(sx.substitute(phi.body, sx.const(w), phi.index), params) is TRUE:
+                return TRUE
+        base = f"q{next(self._proof_names)}"
+        generic = sx.substitute(phi.body, sx.const(Sym(base)), phi.index)
+        return FALSE if self.decide(generic, params | {base}) is FALSE else UNKNOWN
+
+
+_PARAM = re.compile(r"(?<![A-Za-z0-9_])[qd]\d+(?![A-Za-z0-9_])")
+
+
+def _up_to_renaming(p):
+    """p printed with its parameters renamed in order of appearance; each
+    conclusion's sentences are re-sorted, since printing sorts them by
+    their text."""
+    names = {}
+    text = _PARAM.sub(lambda m: names.setdefault(m.group(), f"p{len(names)}"),
+                      sexpr.print_proof(p))
+
+    def canon(node):
+        if not isinstance(node, list):
+            return node
+        kids = [canon(k) for k in node]
+        if kids[0] == "concl":
+            kids[1:] = sorted(kids[1:], key=repr)
+        return kids
+    return canon(sexpr.read_one(text))
+
+
+def _proved(prover_class, phi, fuel=200):
+    prover = prover_class(fuel=fuel, samples=DEFAULT_SAMPLES)
+    try:
+        return prover.prove(phi, frozenset())
+    except NotUniform:
+        return None
+
+
+def _not_uniform_sentences():
+    """Sentences decide leaves UNKNOWN, each with its fuel."""
+    v, w = sx.Var(0), sx.Var(1)
+    return [
+        # true, but its one witness lies beyond the fuel
+        (sx.Ex(0, e(sx.Mul(v, v), c(144))), 5),
+        # false at every witness, yet its atoms are not uniform in the parameter
+        (sx.Ex(0, n(sx.Or(n(e(v, c(3))), e(v, c(3))))), 200),
+        (sx.Ex(0, sx.Ex(1, n(sx.Or(n(e(w, v)), e(w, v))))), 200),
+    ]
+
+
+class TestGenericInstanceFirst:
+    def _sentences(self):
+        rng = random.Random(1111)  # criterion 11's draws
+        out = [random_decidable_sentence(rng, want_true=i < 200) for i in range(300)]
+        rng = random.Random(808)
+        out += [random_decidable_sentence(rng, want_true=rng.random() < 0.5, qdepth=3)
+                for _ in range(100)]
+        return out
+
+    def test_verdicts_match_the_candidates_first_order(self):
+        cases = [(phi, fuel) for phi in self._sentences() for fuel in (200, 2)]
+        cases += _not_uniform_sentences()
+        verdicts = set()
+        for phi, fuel in cases:
+            want = _CandidatesFirst(fuel=fuel, samples=DEFAULT_SAMPLES).decide(phi, frozenset())
+            got = _Prover(fuel=fuel, samples=DEFAULT_SAMPLES).decide(phi, frozenset())
+            assert got is want, (phi, fuel)
+            verdicts.add(got)
+        assert verdicts == {TRUE, FALSE, UNKNOWN}
+        for phi, fuel in _not_uniform_sentences():
+            assert _Prover(fuel=fuel, samples=DEFAULT_SAMPLES).decide(phi, frozenset()) is UNKNOWN
+
+    def test_proofs_match_the_candidates_first_order_up_to_renaming(self):
+        cases = [(phi, 200) for phi in self._sentences()] + _not_uniform_sentences()
+        for phi, fuel in cases:
+            got = _proved(_Prover, phi, fuel)
+            want = _proved(_CandidatesFirst, phi, fuel)
+            assert (got is None) == (want is None), phi
+            if got is not None:
+                assert _up_to_renaming(got) == _up_to_renaming(want), phi
+
+    def test_reading_the_recorded_witness_changes_no_proof(self):
+        for phi in self._sentences():
+            got = sexpr.print_proof(_proved(_Prover, phi))
+            assert got == sexpr.print_proof(_proved(_SearchAgain, phi)), phi
+
+
+def _counting_candidates(monkeypatch):
+    tried = []
+
+    def counted(body, bound):
+        for w in witness_candidates(body, bound):
+            tried.append(w)
+            yield w
+    monkeypatch.setattr(eldiag, "witness_candidates", counted)
+    return tried
+
+
+def _nested_refutation():
+    # the corpus's uniform-refutation-2
+    return sx.Ex(0, sx.Or(e(sx.Succ(sx.Var(0)), sx.ZERO),
+                          sx.Ex(1, e(sx.Succ(sx.Var(1)), sx.ZERO))))
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("phi", [
+        sx.Ex(0, e(sx.Succ(sx.Var(0)), sx.ZERO)), _nested_refutation()])
+    def test_false_existentials_try_no_candidate(self, monkeypatch, phi):
+        tried = _counting_candidates(monkeypatch)
+        p = prove_eldiag(phi)
+        assert p.conclusion.sentences == {n(phi)}
+        assert check(p, M_POLICY).ok
+        assert tried == []
+
+    def test_a_true_existential_is_searched_once(self, monkeypatch):
+        tried = _counting_candidates(monkeypatch)
+        p = prove_eldiag(sx.Ex(0, e(sx.Add(sx.Var(0), c(2)), c(5))))
+        assert p.info["witness"] == std(3)
+        # the body's constants 2 and 5, then 0 to 3
+        assert tried == [std(2), std(5), std(0), std(1), std(3)]
+
+    def test_proofs_name_no_search_parameter(self):
+        rng = random.Random(1111)
+        sentences = [random_decidable_sentence(rng, want_true=i < 200) for i in range(300)]
+        for phi in sentences + [_nested_refutation()]:
+            p = prove_eldiag(phi)
+            params = [b for q in proof_nodes(p) if q.uniform is not None
+                      for b in q.uniform.params]
+            assert len(params) == len(set(params)), phi
+            assert all(re.fullmatch(r"q\d+", b) for b in params), phi
+            assert "ω[d" not in sexpr.print_proof(p), phi
+
+    def test_nested_schemas_take_consecutive_proof_names(self):
+        p = prove_eldiag(_nested_refutation())
+        params = [q.uniform.params for q in proof_nodes(p) if q.uniform is not None]
+        assert params == [("q0",), ("q1",)]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import satkit.sexpr as sexpr
@@ -29,6 +31,25 @@ def _trace_text(t):
     if t.premise_size:
         s += f"#{t.premise_size}"
     return s
+
+
+def _parameter_renaming(old, new):
+    """The map on omega-bracket q<n> names under which each field of old
+    reads as the same field of new, or None when no one map does."""
+    renaming = {}
+    for a, b in zip(old, new, strict=True):
+        pa, pb = _PARAM.split(str(a)), _PARAM.split(str(b))
+        if len(pa) != len(pb):
+            return None
+        for i, (x, y) in enumerate(zip(pa, pb)):
+            if i % 2 == 0 and x != y:
+                return None
+            if i % 2 == 1 and renaming.setdefault(x, y) != y:
+                return None
+    return renaming
+
+
+_PARAM = re.compile(r"(?<=ω\[)(q\d+)(?=\])")
 
 
 class TestGBound:
@@ -164,6 +185,16 @@ class TestProofTranslation:
             got[entry.name] = (len(res.chain), traces, sexpr.print_chain(res.chain))
         assert got == GOLDEN_TRANSLATIONS
 
+    def test_rerecorded_translations_only_rename_parameters(self):
+        # one bijection on q<n> names carries every field of an earlier
+        # literal onto the current one
+        for name, old in EARLIER_TRANSLATIONS.items():
+            new = GOLDEN_TRANSLATIONS[name]
+            assert old != new, name
+            renaming = _parameter_renaming(old, new)
+            assert renaming is not None, name
+            assert len(set(renaming.values())) == len(renaming), name
+
     def test_unchecked_input_rejected(self):
         bad = Proof(seq(e(c(1), c(2))), "axiom3")
         with pytest.raises(UncheckedInput):
@@ -192,7 +223,9 @@ class TestProofTranslation:
 
 
 # recorded before the kernel's rule matcher replaced translation's own;
-# identical under string-hash seeds 0, 1 and 2
+# identical under string-hash seeds 0, 1 and 2. The EARLIER_TRANSLATIONS
+# entries were re-recorded when eldiag numbered its proof parameters apart
+# from its witness search, and differ from the earlier ones by a renaming.
 GOLDEN_TRANSLATIONS = {
     'or-commutes': (
         6,
@@ -378,8 +411,8 @@ GOLDEN_TRANSLATIONS = {
         ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
         ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
         ' axiom2:3 weak:3<3 cut:10<10,3 m-rule:6<10#1',
-        '(chain (not (ex 0 (= (sc v0) 0))) (ex 0 (= (sc v0) 0)) (not (= (sc cω[q1]) 0))'
-        ' (= (sc cω[q1]) 0) (sc cω[q1]) cω[q1])',
+        '(chain (not (ex 0 (= (sc v0) 0))) (ex 0 (= (sc v0) 0)) (not (= (sc cω[q0]) 0))'
+        ' (= (sc cω[q0]) 0) (sc cω[q0]) cω[q0])',
     ),
     'diagram-6': (
         9,
@@ -398,6 +431,55 @@ GOLDEN_TRANSLATIONS = {
         ' axiom2:3 weak:3<3 cut:10<10,3',
         '(chain (not (= (sc 0) (sc 0))) (not (= c1 (sc 0))) (not (= (sc 0) c1)) (not (= 0'
         ' 0)) (= (sc 0) (sc 0)) (= c1 (sc 0)) (= (sc 0) c1) (sc 0) (= 0 0) 0)',
+    ),
+    'uniform-refutation-0': (
+        6,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
+        ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
+        ' axiom2:3 weak:3<3 cut:10<10,3 m-rule:6<10#1',
+        '(chain (not (ex 0 (= (sc v0) 0))) (ex 0 (= (sc v0) 0)) (not (= (sc cω[q0]) 0))'
+        ' (= (sc cω[q0]) 0) (sc cω[q0]) cω[q0])',
+    ),
+    'uniform-refutation-1': (
+        6,
+        'axiom3:1 weak:1<1 axiom3:1 weak:1<1 weak:1<1 axiom7:4 cut:4<1,4 cut:4<1,4'
+        ' weak:4<4 axiom10:3 weak:3<3 axiom5:4 cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3'
+        ' cut:9<8,3 weak:9<9 weak:9<9 axiom5:5 cut:10<9,5 axiom3:1 weak:1<1 weak:1<1'
+        ' axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2 axiom2:3 weak:3<3 cut:10<10,3'
+        ' m-rule:6<10#1',
+        '(chain (not (ex 0 (= (+ v0 c5) c2))) (ex 0 (= (+ v0 c5) c2)) (not (= (+ cω[q0]'
+        ' c5) c2)) (= (+ cω[q0] c5) c2) (+ cω[q0] c5) cω[q0])',
+    ),
+    'uniform-refutation-2': (
+        8,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
+        ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
+        ' axiom2:3 weak:3<3 cut:10<10,3 axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4'
+        ' axiom9:3 weak:3<3 axiom5:4 cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3'
+        ' weak:9<9 weak:9<9 axiom5:5 cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2'
+        ' cut:2<1,2 weak:2<2 cut:10<10,2 axiom2:3 weak:3<3 cut:10<10,3 m-rule:6<10#1'
+        ' or-i3:14<10,6 m-rule:8<14#1',
+        '(chain (not (ex 0 (or (= (sc v0) 0) (ex 1 (= (sc v1) 0))))) (ex 0 (or (= (sc v0)'
+        ' 0) (ex 1 (= (sc v1) 0)))) (not (or (= (sc cω[q0]) 0) (ex 1 (= (sc v1) 0)))) (or'
+        ' (= (sc cω[q0]) 0) (ex 1 (= (sc v1) 0))) (ex 1 (= (sc v1) 0)) (= (sc cω[q0]) 0)'
+        ' (sc cω[q0]) cω[q0])',
+    ),
+}
+
+
+# the m-rule entries of GOLDEN_TRANSLATIONS as recorded while eldiag's witness
+# search and its proofs drew parameter names from one counter
+EARLIER_TRANSLATIONS = {
+    'diagram-5': (
+        6,
+        'axiom3:1 weak:1<1 axiom6:4 cut:4<1,4 weak:4<4 axiom9:3 weak:3<3 axiom5:4'
+        ' cut:6<3,4 cut:8<4,6 weak:8<8 axiom4:3 cut:9<8,3 weak:9<9 weak:9<9 axiom5:5'
+        ' cut:10<9,5 axiom3:1 weak:1<1 weak:1<1 axiom5:2 cut:2<1,2 weak:2<2 cut:10<10,2'
+        ' axiom2:3 weak:3<3 cut:10<10,3 m-rule:6<10#1',
+        '(chain (not (ex 0 (= (sc v0) 0))) (ex 0 (= (sc v0) 0)) (not (= (sc cω[q1]) 0))'
+        ' (= (sc cω[q1]) 0) (sc cω[q1]) cω[q1])',
     ),
     'uniform-refutation-0': (
         6,
