@@ -35,12 +35,6 @@ class PartialOrderError(ElementError):
 class Element:
     __slots__ = ()
 
-    def is_std(self) -> bool:
-        return isinstance(self, Std)
-
-    def is_sym(self) -> bool:
-        return isinstance(self, Sym)
-
 
 @dataclass(frozen=True)
 class Std(Element):

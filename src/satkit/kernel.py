@@ -17,6 +17,13 @@ the certified conversion and the provability predicates read the
 decomposition from these and never re-derive it. m-rule is the one-block
 case of m-inf, and ex-i with a witness the one-block case of i-ex-inf.
 
+Each inference tag has one row in ``_RULES``: the checker's handler for
+its nodes, its ``match_rule`` step, its premise count, its messages and
+the ``RulePolicy`` flag that enables it. The checker looks the row up
+once per node and tests the flag before the handler. Axioms are matched
+by ``match_axiom`` alone; whether the policy allows one is the checker's
+test.
+
 Invariants the checker relies on: syntax nodes are immutable and carry
 cached facts (hash, free variables, primitivity, template flag, parameter
 bases), so reading a fact never re-walks a subtree. Instantiating a
@@ -46,10 +53,6 @@ from .coding import NotEncodable, godel_encode
 from .elements import Element, ElementError, Std, Sym, add, mul, never_equal_under, subst_base, succ
 
 AXIOM_TAGS = tuple(f"axiom{i}" for i in range(1, 13)) + ("axiomL",)
-RULE_TAGS = AXIOM_TAGS + (
-    "weak", "or-i1", "or-i2", "or-i3", "neg-i", "cut", "ex-i", "m-rule",
-    "prop", "i-ex-inf", "m-inf", "skolem", "pred",
-)
 
 DEFAULT_SAMPLES: tuple[Element, ...] = (
     Std(0), Std(1), Std(2), Std(17), Sym("sample"),
@@ -76,12 +79,6 @@ class Sequent:
             if not tp.t_is_closed(f):
                 raise KernelError(f"open sentence in a sequent: {f!r}")
         return Sequent(frozenset(formulas))
-
-    def union(self, *formulas: sx.Formula) -> "Sequent":
-        return Sequent(self.sentences | frozenset(formulas))
-
-    def without(self, f: sx.Formula) -> "Sequent":
-        return Sequent(self.sentences - {f})
 
     def __contains__(self, f) -> bool:
         return f in self.sentences
@@ -355,7 +352,7 @@ def _closed_term(t) -> bool:
     return isinstance(t, sx.Term) and tp.t_is_closed(t)
 
 
-def match_axiom1(s: frozenset):
+def match_axiom1(s: frozenset, params: frozenset):
     for f in s:
         if isinstance(f, sx.Not) and f.body in s and s == {f.body, f}:
             return {"phi": f.body}
@@ -378,7 +375,7 @@ def match_axiom2(s: frozenset, params: frozenset):
     return {"a": a, "b": b}
 
 
-def match_axiom3(s: frozenset):
+def match_axiom3(s: frozenset, params: frozenset):
     if len(s) != 1:
         return None
     (f,) = s
@@ -387,7 +384,7 @@ def match_axiom3(s: frozenset):
     return None
 
 
-def match_axiom4(s: frozenset):
+def match_axiom4(s: frozenset, params: frozenset):
     for f in s:
         if isinstance(f, sx.Not) and isinstance(f.body, sx.Eq):
             t, r = f.body.left, f.body.right
@@ -398,7 +395,7 @@ def match_axiom4(s: frozenset):
     return None
 
 
-def match_axiom5(s: frozenset):
+def match_axiom5(s: frozenset, params: frozenset):
     negs = [f for f in s if isinstance(f, sx.Not) and isinstance(f.body, sx.Eq)]
     for f1 in negs:
         for f2 in negs:
@@ -463,7 +460,7 @@ def _match_ground_op(s: frozenset, op: str):
         return None
 
 
-def match_axiom12(s: frozenset):
+def match_axiom12(s: frozenset, params: frozenset):
     if len(s) != 1:
         return None
     (f,) = s
@@ -473,28 +470,25 @@ def match_axiom12(s: frozenset):
     return None
 
 
-# the axioms whose match reads the sequent alone; axiom2 also reads the
-# active parameters
+# every axiom's matcher reads the sequent and the active parameters
 _AXIOM_MATCHERS = {
-    "axiom1": match_axiom1, "axiom3": match_axiom3, "axiom4": match_axiom4,
-    "axiom5": match_axiom5,
-    "axiom6": lambda s: _match_compat(s, sx.Succ),
-    "axiom7": lambda s: _match_compat(s, sx.Add),
-    "axiom8": lambda s: _match_compat(s, sx.Mul),
-    "axiom9": lambda s: _match_ground_op(s, "sc"),
-    "axiom10": lambda s: _match_ground_op(s, "+"),
-    "axiom11": lambda s: _match_ground_op(s, "*"),
+    "axiom1": match_axiom1, "axiom2": match_axiom2, "axiom3": match_axiom3,
+    "axiom4": match_axiom4, "axiom5": match_axiom5,
+    "axiom6": lambda s, params: _match_compat(s, sx.Succ),
+    "axiom7": lambda s, params: _match_compat(s, sx.Add),
+    "axiom8": lambda s, params: _match_compat(s, sx.Mul),
+    "axiom9": lambda s, params: _match_ground_op(s, "sc"),
+    "axiom10": lambda s, params: _match_ground_op(s, "+"),
+    "axiom11": lambda s, params: _match_ground_op(s, "*"),
     "axiom12": match_axiom12,
 }
 
 
-def match_axiom(tag: str, s: frozenset, policy: RulePolicy, params: frozenset):
-    if tag == "axiom2":
-        return match_axiom2(s, params)
-    if tag == "axiom12" and not policy.axiom12_allowed:
-        return None
+def match_axiom(tag: str, s: frozenset, params: frozenset):
+    """An axiom's parts, or None; axiomL has no parts and never matches.
+    Whether the policy allows the axiom is the checker's question."""
     matcher = _AXIOM_MATCHERS.get(tag)
-    return None if matcher is None else matcher(s)
+    return None if matcher is None else matcher(s, params)
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +664,6 @@ def _match_schema(p):
     return None
 
 
-_MATCHERS = {
-    "or-i1": _match_or_intro, "or-i2": _match_or_intro, "or-i3": _match_or_i3,
-    "neg-i": _match_neg_i, "cut": _match_cut, "ex-i": _match_ex_i,
-    "i-ex-inf": _match_block_instance, "m-rule": _match_schema, "m-inf": _match_schema,
-}
-
-
 def match_rule(p: Proof):
     """The principal formula of an inference and its parts, or None.
 
@@ -684,33 +671,11 @@ def match_rule(p: Proof):
     gives its pivot; ex-i gives (d, witness); i-ex-inf, m-rule and m-inf
     give (d, instance). The node must have its rule's premise shape and
     side data."""
-    return _MATCHERS[p.rule](p)
+    return _RULES[p.rule].match(p)
 
 
 # ---------------------------------------------------------------------------
 # the checker
-
-# the rules with finitely many premises: the premise count, and the message
-# when no conclusion sentence matches
-_FINITE_RULES = {
-    "or-i1": (1, "no disjunction in the conclusion matches the premise"),
-    "or-i2": (1, "no disjunction in the conclusion matches the premise"),
-    "neg-i": (1, "no double negation matches the premise"),
-    "ex-i": (1, "premise is not an instance of an existential in the conclusion"),
-    "i-ex-inf": (1, "premise is not a block instance of the conclusion"),
-    "or-i3": (2, "premises do not split a negated disjunction"),
-    "cut": (2, "premises are not a cut pair over the conclusion"),
-}
-
-# the uniform rules' messages: no schema, parameter arity, sample arity,
-# and no conclusion sentence matching the schema
-_SCHEMA_MESSAGES = {
-    "m-rule": ("m-rule needs a uniform premise schema", "m-rule binds exactly one parameter",
-               "m-rule samples are single elements",
-               "schema conclusion does not instantiate a negated existential"),
-    "m-inf": ("m-inf needs a uniform schema and block indices", "block arity mismatch",
-              "block arity mismatch", "schema conclusion is not a block instance"),
-}
 
 
 class _Checker:
@@ -726,43 +691,30 @@ class _Checker:
     def check(self, p: Proof, path=(), params: frozenset = frozenset()) -> Optional[int]:
         """Returns the height when the subtree checks, else None."""
         pol = self.policy
-        c = p.conclusion.sentences
-        for f in c:
+        for f in p.conclusion.sentences:
+            try:
+                templated = tp.has_templates(f)
+            except tp.TemplateError:  # an abbreviation outside a template symbol
+                self.fail(path, f"ill-formed template sentence {f!r}" if pol.template
+                          else f"abbreviation {f!r} in a sequent")
+                return None
             if not tp.t_is_closed(f):
                 self.fail(path, f"open sentence {f!r}")
                 return None
-            if pol.template:
-                if not sx.is_primitive(f) and not self._template_ok(f):
-                    self.fail(path, f"ill-formed template sentence {f!r}")
-                    return None
-            else:
-                if tp.has_templates(f):
-                    self.fail(path, "template symbol in a ground-logic proof")
-                    return None
-                if not sx.is_primitive(f):
-                    self.fail(path, f"abbreviation {f!r} in a sequent")
-                    return None
+            if templated and not pol.template:
+                self.fail(path, "template symbol in a ground-logic proof")
+                return None
 
-        if p.rule not in RULE_TAGS:
+        rule = _RULES.get(p.rule)
+        if rule is None:
+            if p.rule in AXIOM_TAGS:
+                return self._check_axiom(p, path, params)
             self.fail(path, f"unknown rule tag {p.rule!r}")
             return None
-
-        if p.rule in AXIOM_TAGS:
-            return self._check_axiom(p, path, params)
-
-        handler = getattr(self, "_rule_" + p.rule.replace("-", "_"), None)
-        if handler is None:
-            self.fail(path, f"no handler for {p.rule}")
+        if rule.gate is not None and not getattr(pol, rule.gate):
+            self.fail(path, rule.disabled)
             return None
-        return handler(p, path, params)
-
-    @staticmethod
-    def _template_ok(f) -> bool:
-        try:
-            tp.has_templates(f)
-            return True
-        except tp.TemplateError:
-            return False
+        return rule.handler(self, p, rule, path, params)
 
     # -- axioms
 
@@ -782,14 +734,14 @@ class _Checker:
         if p.rule == "axiom12" and not self.policy.axiom12_allowed:
             self.fail(path, "axiom12 is not available in the free calculus")
             return None
-        if match_axiom(p.rule, c, self.policy, params) is None:
+        if match_axiom(p.rule, c, params) is None:
             self.fail(path, f"conclusion does not instantiate {p.rule}")
             return None
         return 0
 
-    # -- rules with a principal formula
+    # -- inferences; each handler is called with its table row
 
-    def _rule_weak(self, p, path, params):
+    def _weak(self, p, rule, path, params):
         if len(p.premises) != 1 or p.uniform is not None:
             self.fail(path, "weak takes exactly one premise")
             return None
@@ -801,29 +753,21 @@ class _Checker:
         h = self.check(q, path + (0,), params)
         return None if h is None else h + 1
 
-    def _matched(self, p, path, params):
+    def _finite(self, p, rule, path, params):
         """A rule with finitely many premises: its premise count, its
         match, then every premise, each checked even when one before it
         fails, so a report lists the errors of both."""
-        count, mismatch = _FINITE_RULES[p.rule]
-        if len(p.premises) != count or p.uniform is not None:
-            words = "one premise" if count == 1 else "two premises"
+        if len(p.premises) != rule.premises or p.uniform is not None:
+            words = "one premise" if rule.premises == 1 else "two premises"
             self.fail(path, f"{p.rule} takes exactly {words}")
             return None
         if p.rule == "i-ex-inf" and not self._block_info(p, path):
             return None
-        if match_rule(p) is None:
-            self.fail(path, mismatch)
+        if rule.match(p) is None:
+            self.fail(path, rule.mismatch)
             return None
         heights = [self.check(q, path + (i,), params) for i, q in enumerate(p.premises)]
         return None if None in heights else max(heights) + 1
-
-    _rule_or_i1 = _rule_or_i2 = _rule_or_i3 = _rule_neg_i = _rule_cut = _rule_ex_i = _matched
-
-    def _inf_allowed(self, path) -> bool:
-        if not self.policy.allow_inf:
-            self.fail(path, "infinite instantiation rules disabled by policy")
-        return self.policy.allow_inf
 
     def _block_info(self, p, path) -> bool:
         block, values = p.info.get("block"), p.info.get("tuple")
@@ -835,18 +779,13 @@ class _Checker:
             return False
         return True
 
-    def _rule_i_ex_inf(self, p, path, params):
-        return self._matched(p, path, params) if self._inf_allowed(path) else None
-
-    def _rule_m_inf(self, p, path, params):
+    def _schema(self, p, rule, path, params):
         """m-inf, and m-rule as its one-block case: one uniform schema over
         fresh parameters, checked once and then at every sample."""
-        if p.rule == "m-inf" and not self._inf_allowed(path):
-            return None
         if p.premises:
             self.fail(path, "non-uniform premise family never checks as complete")
             return None
-        no_schema, bad_params, bad_sample, mismatch = _SCHEMA_MESSAGES[p.rule]
+        no_schema, bad_params, bad_sample = rule.schema_messages
         u = p.uniform
         block = p.info.get("block") if p.rule == "m-inf" else ()
         if u is None or (p.rule == "m-inf" and not block):
@@ -868,8 +807,8 @@ class _Checker:
             if b in used or b in params:
                 self.fail(path, f"parameter {b} is not fresh")
                 return None
-        if match_rule(p) is None:
-            self.fail(path, mismatch)
+        if rule.match(p) is None:
+            self.fail(path, rule.mismatch)
             return None
         h = self.check(u.schema, path + ("u",), params | set(u.params))
         if h is None:
@@ -879,8 +818,6 @@ class _Checker:
             if instp is None or self.check(instp, path + ("s", k), params) is None:
                 return None
         return h + 1
-
-    _rule_m_rule = _rule_m_inf
 
     def _instantiate(self, schema: Proof, assignment, path) -> Optional[Proof]:
         """The schema at one sample; None, with a located error, when a
@@ -894,11 +831,9 @@ class _Checker:
             return None
         return schema
 
-    # -- extensions
-
-    def _certified_rule(self, p, path, params, first_order: bool):
-        # prop/pred share the shape: the conclusion's canonical disjunction
-        # must be certified from the premises' canonical disjunctions
+    def _certified(self, p, rule, path, params):
+        """prop, and pred with first-order certificates: the conclusion's
+        canonical disjunction must be certified from the premises'."""
         from .propcalc import check_certificate
         side = p.info.get("prop")
         if side is None:
@@ -910,7 +845,7 @@ class _Checker:
         if not cert.lines or cert.lines[-1].formula != goal:
             self.fail(path, "certificate does not end with the conclusion disjunction")
             return None
-        if not check_certificate(cert, hyps.__contains__, first_order=first_order):
+        if not check_certificate(cert, hyps.__contains__, first_order=p.rule == "pred"):
             self.fail(path, "certificate rejected")
             return None
         heights = []
@@ -921,17 +856,8 @@ class _Checker:
             heights.append(h)
         return (max(heights) if heights else 0) + 1
 
-    def _rule_prop(self, p, path, params):
-        if not self.policy.allow_prop:
-            self.fail(path, "prop rule disabled by policy")
-            return None
-        return self._certified_rule(p, path, params, first_order=False)
-
-    def _rule_skolem(self, p, path, params):
+    def _skolem(self, p, rule, path, params):
         from .skolem import apply_skolem, build_prefixed, is_skolem_operator
-        if not self.policy.allow_skolem:
-            self.fail(path, "skolem rule disabled by policy")
-            return None
         info = p.info.get("skolem")
         if info is None:
             self.fail(path, "skolem node carries no operator data")
@@ -963,11 +889,63 @@ class _Checker:
             heights.append(h)
         return (max(heights) if heights else 0) + 1
 
-    def _rule_pred(self, p, path, params):
-        if not self.policy.allow_pred:
-            self.fail(path, "pred rule disabled by policy")
-            return None
-        return self._certified_rule(p, path, params, first_order=True)
+
+# ---------------------------------------------------------------------------
+# the inference table: one row per tag
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """An inference tag's facts. ``handler`` checks its nodes and is passed
+    the row; ``match`` is its ``match_rule`` step; a finite rule has its
+    premise count; ``mismatch`` is the message when no conclusion sentence
+    matches; a uniform rule's ``schema_messages`` are those for no schema,
+    parameter arity and sample arity; ``gate`` names the ``RulePolicy``
+    flag that enables the rule, and ``disabled`` is the message when it is
+    off. The checker tests the gate before the handler."""
+    handler: Callable
+    match: Optional[Callable] = None
+    premises: int = 0
+    mismatch: str = ""
+    schema_messages: tuple[str, str, str] = ("", "", "")
+    gate: Optional[str] = None
+    disabled: str = ""
+
+
+_INF_OFF = "infinite instantiation rules disabled by policy"
+_OR_MISMATCH = "no disjunction in the conclusion matches the premise"
+
+_RULES = {
+    "weak": _Rule(_Checker._weak),
+    "or-i1": _Rule(_Checker._finite, _match_or_intro, 1, _OR_MISMATCH),
+    "or-i2": _Rule(_Checker._finite, _match_or_intro, 1, _OR_MISMATCH),
+    "or-i3": _Rule(_Checker._finite, _match_or_i3, 2,
+                   "premises do not split a negated disjunction"),
+    "neg-i": _Rule(_Checker._finite, _match_neg_i, 1, "no double negation matches the premise"),
+    "cut": _Rule(_Checker._finite, _match_cut, 2,
+                 "premises are not a cut pair over the conclusion"),
+    "ex-i": _Rule(_Checker._finite, _match_ex_i, 1,
+                  "premise is not an instance of an existential in the conclusion"),
+    "m-rule": _Rule(_Checker._schema, _match_schema,
+                    mismatch="schema conclusion does not instantiate a negated existential",
+                    schema_messages=("m-rule needs a uniform premise schema",
+                                     "m-rule binds exactly one parameter",
+                                     "m-rule samples are single elements")),
+    "prop": _Rule(_Checker._certified, gate="allow_prop", disabled="prop rule disabled by policy"),
+    "i-ex-inf": _Rule(_Checker._finite, _match_block_instance, 1,
+                      "premise is not a block instance of the conclusion",
+                      gate="allow_inf", disabled=_INF_OFF),
+    "m-inf": _Rule(_Checker._schema, _match_schema,
+                   mismatch="schema conclusion is not a block instance",
+                   schema_messages=("m-inf needs a uniform schema and block indices",
+                                    "block arity mismatch", "block arity mismatch"),
+                   gate="allow_inf", disabled=_INF_OFF),
+    "skolem": _Rule(_Checker._skolem, gate="allow_skolem",
+                    disabled="skolem rule disabled by policy"),
+    "pred": _Rule(_Checker._certified, gate="allow_pred", disabled="pred rule disabled by policy"),
+}
+
+RULE_TAGS = AXIOM_TAGS + tuple(_RULES)
 
 
 def check(p: Proof, policy: RulePolicy = RulePolicy()) -> CheckReport:

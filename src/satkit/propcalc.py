@@ -598,6 +598,7 @@ def split_negation_cert(pos_f: sx.Formula, pos_g: sx.Formula,
 
 
 PF_SAMPLES = (Std(0), Std(1), Std(2), Std(17), Sym("pf"))
+PF_WITNESS_BOUND = 24  # the witness search bound at an existential disjunct
 
 
 @dataclass
@@ -623,18 +624,15 @@ def _spine_splits(phi: sx.Formula):
 
 
 def _axiom_disjunction(phi: sx.Formula) -> Optional[frozenset]:
-    from .kernel import RulePolicy
-    pol = RulePolicy()
     for cand in _spine_splits(phi):
         for tag in AXIOM_TAGS:
-            if match_axiom(tag, cand, pol, frozenset()) is not None:
+            if match_axiom(tag, cand, frozenset()) is not None:
                 return cand
     return None
 
 
-def pf_height_check(phi: sx.Formula, k: int, hint: Optional[Proof] = None,
-                    samples: tuple = PF_SAMPLES,
-                    witness_bound: int = 24) -> Optional[PfEvidence]:
+def pf_height_check(phi: sx.Formula, k: int,
+                    hint: Optional[Proof] = None) -> Optional[PfEvidence]:
     """Arithmetized finite-height provability, mirrored recursively.
 
     Level 1 accepts exactly the axiom disjunctions. Level k+1 accepts
@@ -660,20 +658,18 @@ def pf_height_check(phi: sx.Formula, k: int, hint: Optional[Proof] = None,
         for d in cand:
             if isinstance(d, sx.Ex):
                 rest = cand - {d}
-                for w in witness_candidates(d.body, witness_bound):
+                for w in witness_candidates(d.body, PF_WITNESS_BOUND):
                     inst = sx.substitute(d.body, sx.const(w), d.index)
-                    sub = pf_height_check(vee(rest | {inst}), k - 1,
-                                          samples=samples, witness_bound=witness_bound)
+                    sub = pf_height_check(vee(rest | {inst}), k - 1)
                     if sub is not None:
                         return PfEvidence("ex", phi, k, (sub,),
                                           {"d": d, "w": w, "rest": rest})
             if isinstance(d, sx.Not) and isinstance(d.body, sx.Ex):
                 rest = cand - {d}
                 subs = []
-                for e in samples:
+                for e in PF_SAMPLES:
                     inst = sx.Not(sx.substitute(d.body.body, sx.const(e), d.body.index))
-                    sub = pf_height_check(vee(rest | {inst}), k - 1,
-                                          samples=samples, witness_bound=witness_bound)
+                    sub = pf_height_check(vee(rest | {inst}), k - 1)
                     if sub is None:
                         subs = None
                         break
@@ -689,10 +685,10 @@ def pf_height_check(phi: sx.Formula, k: int, hint: Optional[Proof] = None,
                 hyp_pool.append(d)
     passing = []
     for h in hyp_pool:
-        sub = pf_height_check(h, k - 1, samples=samples, witness_bound=witness_bound)
+        sub = pf_height_check(h, k - 1)
         if sub is not None:
             passing.append((h, sub))
-    lower = pf_height_check(phi, k - 1, samples=samples, witness_bound=witness_bound)
+    lower = pf_height_check(phi, k - 1)
     if lower is not None:
         passing.append((phi, lower))
     try:
@@ -776,9 +772,7 @@ def expand_pf(ev: PfEvidence) -> Proof:
     """
     if ev.kind == "axiom":
         cand = ev.data["set"]
-        from .kernel import RulePolicy
-        tag = next(t for t in AXIOM_TAGS
-                   if match_axiom(t, cand, RulePolicy(), frozenset()) is not None)
+        tag = next(t for t in AXIOM_TAGS if match_axiom(t, cand, frozenset()) is not None)
         return _prop_join(Proof(Sequent(cand), tag), ev.phi)
     if ev.kind == "prop":
         prems = tuple(expand_pf(sub) for sub in ev.parts)

@@ -50,13 +50,13 @@ class TStructure:
     name: str
     t_set: Callable[[sx.Formula], bool]
     t_val: Callable[[sx.Term], Element]
-    kind: str = "standard"
     domain_syms: tuple[Element, ...] = ()
     outside_bases: frozenset[str] = frozenset()
 
     @property
     def supports_axiom12(self) -> bool:
-        return self.kind != "free"
+        # a term valued outside the model has no value for axiom12's witness
+        return not self.outside_bases
 
 
 def val_t(t_struct: TStructure, t: sx.Term) -> Element:
@@ -328,7 +328,6 @@ def free_tower(a: Element, b: Element) -> TStructure:
         f"free_tower({a},{b})",
         lambda phi: False,
         lambda t: _tower_value(a, "num", b, t),
-        kind="free",
         outside_bases=frozenset((b.base,)),
     )
 
@@ -371,7 +370,11 @@ class SatFragment:
         return True
 
 
-def structure_oracle(t_struct: TStructure, fuel: int = 32, depth: int = 2):
+ORACLE_FUEL = 32  # the quantifier fuel of each evaluation
+ORACLE_DEPTH = 2  # the approximation depth probed
+
+
+def structure_oracle(t_struct: TStructure):
     """Certify a finite set by making every member true in the structure.
 
     Truth of the boxed sentence alone is not enough: the branch is only
@@ -381,12 +384,12 @@ def structure_oracle(t_struct: TStructure, fuel: int = 32, depth: int = 2):
 
     def oracle(sentences: Iterable[sx.Formula]) -> bool:
         for f in sentences:
-            if models(t_struct, _boxed(f), fuel) is not TRUE:
+            if models(t_struct, _boxed(f), ORACLE_FUEL) is not TRUE:
                 return False
-            for k in range(1, depth + 1):
+            for k in range(1, ORACLE_DEPTH + 1):
                 chain = tp.full_depth_approx([f], k)
                 image = tp.apply_to_object(chain, f)
-                if models(t_struct, image, fuel) is FALSE:
+                if models(t_struct, image, ORACLE_FUEL) is FALSE:
                     return False
         return True
 

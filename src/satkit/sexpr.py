@@ -14,7 +14,7 @@ from typing import Union
 from . import syntax as sx
 from . import template as tp
 from .elements import Element, ElementError, Std, parse_element
-from .kernel import Proof, Sequent, Uniform
+from .kernel import KernelError, Proof, Sequent, Uniform
 from .propcalc import CertLine, PropCertificate
 from .skolem import QuantSeq
 
@@ -357,7 +357,10 @@ def parse_proof_node(node: Node) -> Proof:
         head = item[0]
         try:
             if head == "concl":
-                concl = Sequent.of(*(parse_obj(n) for n in item[1:]))
+                try:
+                    concl = Sequent.of(*(parse_obj(n) for n in item[1:]))
+                except KernelError as e:  # not a sentence: a term, open or an abbreviation
+                    raise ParseError(str(e)) from None
             elif head == "prem":
                 premises = [parse_proof_node(n) for n in item[1:]]
             elif head == "witness":

@@ -217,12 +217,6 @@ def const_elem(x) -> Optional[Element]:
     return None
 
 
-def var(i: int) -> Var:
-    if i < 0:
-        raise SyntaxError_("variable indices are naturals")
-    return Var(i)
-
-
 # ---------------------------------------------------------------------------
 # formulas
 

@@ -153,8 +153,7 @@ class TranslationResult:
 
 
 class _Translator:
-    def __init__(self, policy: RulePolicy):
-        self.policy = policy
+    def __init__(self):
         self.traces: list[NodeTrace] = []
         # one memo per chain, from a template sentence to its image under
         # the chain; it lives as long as this translation
@@ -188,7 +187,7 @@ class _Translator:
         """The kernel's decomposition of a checked node: an axiom's parts,
         or a rule's principal formula and its parts."""
         if p.rule in AXIOM_TAGS:
-            found = match_axiom(p.rule, p.conclusion.sentences, self.policy, params)
+            found = match_axiom(p.rule, p.conclusion.sentences, params)
         else:
             found = match_rule(p)
         if found is None:
@@ -271,6 +270,6 @@ def translate_proof(p: Proof, policy: RulePolicy = RulePolicy()) -> TranslationR
     report: CheckReport = check(p, policy)
     if not report.ok:
         raise UncheckedInput(report.first_error() or "input proof does not check")
-    tr = _Translator(policy)
+    tr = _Translator()
     f, q = tr.run(p)
     return TranslationResult(chain=f, proof=q, height=report.height, traces=tr.traces)

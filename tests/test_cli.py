@@ -136,6 +136,10 @@ class TestProofCommands:
         pytest.param("(rule m-rule (concl (= 0 0)) (uniform (params q) (sample (tuple 0))))",
                      id="uniform-no-schema"),
         pytest.param("(rule axiom3 (concl (= 0 0)) (witness w[))", id="bad-element"),
+        # conclusions that are not sentences
+        pytest.param("(rule axiom3 (concl (sc 0)))", id="term-conclusion"),
+        pytest.param("(rule axiom3 (concl (= v0 v0)))", id="open-conclusion"),
+        pytest.param("(rule axiom3 (concl (and (= 0 0) (= 0 0))))", id="abbreviation-conclusion"),
     ])
     @pytest.mark.parametrize("command", ["check", "translate"])
     def test_malformed_file_exits_2(self, proof_file, tmp_path, capsys, damage, command):

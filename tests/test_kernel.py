@@ -11,8 +11,9 @@ from satkit.corpus import (
 )
 from satkit.elements import Std, Sym, std, subst_base, sym
 from satkit.kernel import (
-    DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, Proof, RulePolicy, Sequent,
-    Uniform, bases_of, check, match_instance, proof_nodes, seq, subst_param_proof, vee,
+    DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, TEMPLATE_POLICY, Proof,
+    RulePolicy, Sequent, Uniform, bases_of, check, match_instance, proof_nodes, seq,
+    subst_param_proof, vee,
 )
 from satkit.skolem import quantseq, table_of
 
@@ -441,6 +442,20 @@ class TestTemplateLogic:
         a12 = Proof(Sequent(frozenset((sx.Ex(0, e(t, v(0))),))), "axiom12")
         assert check(a12, RulePolicy(logic="template")).ok
         assert not check(a12, RulePolicy(logic="template-free")).ok
+
+    @pytest.mark.parametrize("policy, reason", [
+        (M_POLICY, "abbreviation {!r} in a sequent"),
+        (TEMPLATE_POLICY, "ill-formed template sentence {!r}"),
+    ], ids=["ground", "template"])
+    def test_abbreviation_is_a_located_error(self, policy, reason):
+        # sequents built directly, past Sequent.of's own test; the
+        # abbreviation sits in the first premise of a cut
+        bad = sx.And(ZERO_EQ, ZERO_EQ)
+        ax = Proof(seq(ZERO_EQ), "axiom3")
+        prems = tuple(Proof(Sequent(frozenset((ZERO_EQ, f))), "weak", (ax,))
+                      for f in (bad, n(bad)))
+        rep = check(Proof(seq(ZERO_EQ), "cut", prems), policy)
+        assert not rep.ok and rep.first_error() == "0: " + reason.format(bad)
 
     def test_ground_logic_rejects_templates(self):
         boxed = tp.TemplForm(ZERO_EQ)

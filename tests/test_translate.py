@@ -165,7 +165,7 @@ class TestProofTranslation:
             except (UnsupportedRule, UncheckedInput):
                 continue
             translated += 1
-            ref = PerOccurrence(entry.policy)
+            ref = PerOccurrence()
             f, q = ref.run(entry.proof)
             assert (res.chain, res.proof, res.traces) == (f, q, ref.traces), entry.name
             made.clear()
