@@ -32,12 +32,26 @@ is. Each ``check`` call keeps one instantiation memo per (parameter,
 value), read and filled at every node level by every schema, sample and
 certificate line of that call, so each distinct subtree is instantiated
 once per value and equal sentences of the instances are one object,
-whose set comparisons succeed on identity. The memo ends with its call
-and is never kept across calls. Sharing changes no check: every sample
-is re-checked node by node. A sample that takes an element out of the
-naturals is a located error at that sample. The caches belong to this
-process and are never serialised (string hashes are randomised per
-process).
+whose set comparisons succeed on identity. The instantiation memo ends
+with its call and is never kept across calls. A sample that takes an
+element out of the naturals is a located error at that sample.
+
+The checker also keeps a check-result memo. It records successes only,
+and only inside a schema: each subproof that passes there, keyed on its
+identity, with its height and the active parameters it passed under. A
+later check of the same object under a subset of those parameters
+returns the height without re-checking. That is sound because reading
+fewer parameters never fails a check: axiom2's disequality test, the
+freshness test of m-rule and m-inf, and the parameters handed down to a
+schema all weaken as the set shrinks. So a sample re-checks only the
+subproofs that instantiation rebuilt, those that mention its parameter or
+carry a certificate; every other subproof is the schema's own object,
+already checked under more parameters. The entries made while checking a
+sample end with that sample, those of a schema when it returns, and none
+is kept across ``check`` calls. Failures are never recorded, so a
+rejection is located and worded as without the memo. The caches belong
+to this process and are never serialised (string hashes are randomised
+per process).
 """
 
 from __future__ import annotations
@@ -684,12 +698,22 @@ class _Checker:
         self.errors: list[CheckError] = []
         # one instantiation memo per (parameter, value), for this check only
         self.instances: dict[tuple[str, Element], dict] = {}
+        # id(subproof) -> (subproof, height, params) for each subproof that
+        # passed inside the schemas being checked; the entry holds the
+        # subproof, so its id is not reused while the entry lives
+        self.passed: dict[int, tuple[Proof, int, frozenset]] = {}
 
     def fail(self, path, reason: str):
         self.errors.append(CheckError(tuple(path), reason))
 
     def check(self, p: Proof, path=(), params: frozenset = frozenset()) -> Optional[int]:
-        """Returns the height when the subtree checks, else None."""
+        """Returns the height when the subtree checks, else None.
+
+        A subproof that passed under a superset of ``params`` passes again
+        with its height, since fewer active parameters never fail a check."""
+        entry = self.passed.get(id(p))
+        if entry is not None and params <= entry[2]:
+            return entry[1]
         pol = self.policy
         for f in p.conclusion.sentences:
             try:
@@ -707,14 +731,20 @@ class _Checker:
 
         rule = _RULES.get(p.rule)
         if rule is None:
-            if p.rule in AXIOM_TAGS:
-                return self._check_axiom(p, path, params)
-            self.fail(path, f"unknown rule tag {p.rule!r}")
-            return None
-        if rule.gate is not None and not getattr(pol, rule.gate):
+            if p.rule not in AXIOM_TAGS:
+                self.fail(path, f"unknown rule tag {p.rule!r}")
+                return None
+            h = self._check_axiom(p, path, params)
+        elif rule.gate is not None and not getattr(pol, rule.gate):
             self.fail(path, rule.disabled)
             return None
-        return rule.handler(self, p, rule, path, params)
+        else:
+            h = rule.handler(self, p, rule, path, params)
+        if h is not None and params and entry is None:
+            # only new keys are added, so popping back to an earlier length
+            # drops exactly the entries added since
+            self.passed[id(p)] = (p, h, params)
+        return h
 
     # -- axioms
 
@@ -810,14 +840,26 @@ class _Checker:
         if rule.match(p) is None:
             self.fail(path, rule.mismatch)
             return None
+        mark = len(self.passed)
         h = self.check(u.schema, path + ("u",), params | set(u.params))
-        if h is None:
-            return None
-        for k, values in enumerate(u.sampled):
-            instp = self._instantiate(u.schema, zip(u.params, values), path + ("s", k))
-            if instp is None or self.check(instp, path + ("s", k), params) is None:
-                return None
-        return h + 1
+        if h is not None:
+            kept = len(self.passed)
+            for k, values in enumerate(u.sampled):
+                instp = self._instantiate(u.schema, zip(u.params, values), path + ("s", k))
+                ok = instp is not None and self.check(instp, path + ("s", k), params) is not None
+                # a sample's entries are the nodes its instantiation rebuilt,
+                # which no other sample shares
+                self._forget(kept)
+                if not ok:
+                    h = None
+                    break
+        self._forget(mark)  # the entries of this schema end with it
+        return None if h is None else h + 1
+
+    def _forget(self, mark: int):
+        """Drop the memo entries added since it held ``mark`` of them."""
+        while len(self.passed) > mark:
+            self.passed.popitem()
 
     def _instantiate(self, schema: Proof, assignment, path) -> Optional[Proof]:
         """The schema at one sample; None, with a located error, when a

@@ -236,6 +236,17 @@ class TestDataCommands:
         code, out = run_cli(["henkin", "--enumeration", str(f)], capsys)
         assert code == 0 and "clauses-pass: True" in out
 
+    def test_henkin_with_a_delta_witness(self, tmp_path, capsys):
+        # the delta structure's oracle decides delta at w[a]-1 and w[a]-2,
+        # which have no ground value
+        lam, enum = tmp_path / "lam.txt", tmp_path / "enum.txt"
+        lam.write_text("(delta w[a])\n")
+        enum.write_text("(delta w[a]-1)\n(delta w[a]-2)\n")
+        code, out = run_cli(["henkin", "--enumeration", str(enum), "--lam", str(lam),
+                             "--delta-witness", "w[a]"], capsys)
+        assert code == 0 and "clauses-pass: True" in out
+        assert "+ (delta ω[a]-2)" in out
+
     def test_skolem_find_and_check(self, tmp_path, capsys):
         code, out = run_cli(
             ["skolem", "--q", "[A0,E1]", "--formula", "(= (+ v0 c2) v1)",
