@@ -16,12 +16,12 @@ from pathlib import Path
 from . import coding, sexpr
 from . import syntax as sx
 from . import template as tp
-from .elements import parse_element, Sym
-from .ground_model import OpenTerm, WrongClass, eval_tr
+from .elements import ElementError, parse_element, Sym
+from .ground_model import EvalError, eval_tr
 from .kernel import RulePolicy, check
 from .propcalc import check_certificate, scheme_manifest
 from .semantics import (
-    check_fragment, delta_structure, free_tower, gallery, henkin_extend,
+    check_fragment, delta_structure, free_tower, henkin_extend,
     models, sc_tower, structure_oracle, val_t,
 )
 from .sexpr import ParseError
@@ -121,25 +121,13 @@ def cmd_eval_tr(args) -> int:
     return 0
 
 
-def _witness_structure(args):
-    if args.name == "delta":
-        return delta_structure(parse_element(args.a))
-    if args.name == "sc-tower":
-        return sc_tower(args.family, parse_element(args.height), parse_element(args.a))
-    if args.name == "free-tower":
-        return free_tower(parse_element(args.a), parse_element(args.b))
-    if args.name == "tr-sigma":
-        return gallery("tr-sigma", k=args.k)
-    raise SystemExit(2)
-
-
 def cmd_witness(args) -> int:
-    t = _witness_structure(args)
     depth = args.depth
     results = []
     ok = True
+    a = parse_element(args.a)
     if args.name == "delta":
-        a = parse_element(args.a)
+        t = delta_structure(a)
         target = sx.delta(a)
         chain_steps = [sx.delta(Sym(a.base, a.coeff, a.offset - k)) for k in range(depth)]
         for k in range(depth + 1):
@@ -150,7 +138,7 @@ def cmd_witness(args) -> int:
             ok = ok and verdict.is_true()
     elif args.name == "sc-tower":
         h = parse_element(args.height)
-        a = parse_element(args.a)
+        t = sc_tower(args.family, h, a)
         root = sx.SymTermRef(args.family, h)
         steps = [sx.SymTermRef(args.family, Sym(h.base, h.coeff, h.offset - k))
                  for k in range(depth)]
@@ -159,8 +147,8 @@ def cmd_witness(args) -> int:
             value = val_t(t, tp.apply_to_object(f, root))
             results.append((f"chain-{k}", str(value)))
             ok = ok and value == a
-    elif args.name == "free-tower":
-        a = parse_element(args.a)
+    else:
+        t = free_tower(a, parse_element(args.b))
         target = sx.Not(sx.Ex(0, sx.Eq(sx.numeral(a), sx.Var(0))))
         base_chain = [target, target.body, sx.Eq(sx.numeral(a), sx.Var(0)), sx.Var(0)]
         tower_steps = [sx.numeral(Sym(a.base, a.coeff, a.offset - k)) for k in range(depth)]
@@ -170,8 +158,6 @@ def cmd_witness(args) -> int:
             verdict = models(t, approx, fuel=6)
             results.append((f"approximation-{k}", verdict.tag))
             ok = ok and verdict.is_true()
-    else:
-        raise SystemExit(2)
     lines = [f"{name}: {v}" for name, v in results]
     lines.append(f"ok: {ok}")
     _emit(args, {"ok": ok, "results": [list(r) for r in results]}, lines)
@@ -182,10 +168,10 @@ def cmd_quotient(args) -> int:
     from .congruence import build_quotient, subterm_closure
     nodes = sexpr.read_nodes(Path(args.equations).read_text())
     eqs = []
-    for node in nodes:
+    for k, node in enumerate(nodes, 1):
         f = sexpr.parse_obj(node)
         if not isinstance(f, sx.Eq):
-            raise SystemExit(2)
+            raise ParseError(f"expression {k} is not an equation: {sexpr.print_obj(f)}")
         eqs.append((f.left, f.right))
     universe = subterm_closure([t for pair in eqs for t in pair])
     q = build_quotient(eqs, universe)
@@ -332,13 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fuel", type=int, default=64)
 
     sp = add("witness", cmd_witness)
-    sp.add_argument("name", choices=["delta", "sc-tower", "free-tower", "tr-sigma"])
+    sp.add_argument("name", choices=["delta", "sc-tower", "free-tower"])
     sp.add_argument("--a")
     sp.add_argument("--b")
     sp.add_argument("--height")
     sp.add_argument("--family", default="num", choices=["num", "addtower"])
     sp.add_argument("--depth", type=int, default=8)
-    sp.add_argument("--k", type=int, default=1)
 
     sp = add("quotient", cmd_quotient)
     sp.add_argument("--equations", required=True)
@@ -380,8 +365,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, ParseError, coding.CodingError, OpenTerm,
-            WrongClass) as e:
+    except (OSError, ValueError, KeyError, ParseError, coding.CodingError, EvalError,
+            ElementError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError as e:

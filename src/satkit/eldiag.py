@@ -9,10 +9,11 @@ its refutation must be structurally uniform in the witness; sentences
 whose refutation would need case analysis on the parameter are rejected
 rather than approximated.
 
-The decision procedure settles an existential by its generic instance
-first: a body false at a fresh parameter under every instantiation has
-no true instance, so the witness candidates are searched only when that
-test fails. Its fresh parameters are named d0, d1, ... and proof
+The decision procedure is the ground model's Tarski evaluator over
+affine atoms. It settles an existential by its generic instance first:
+a body false at a fresh parameter under every instantiation has no true
+instance, so the witness candidates are searched only when that test
+fails. Its fresh parameters are named d0, d1, ... and proof
 parameters q0, q1, ... from a counter that only proof building advances,
 so the names in a proof never depend on how the search went.
 """
@@ -24,7 +25,7 @@ from itertools import count
 
 from . import syntax as sx
 from .elements import Element, ElementError, Sym, add, mul, never_equal_under, succ
-from .ground_model import FALSE, TRUE, UNKNOWN, TruthValue, tv_not, tv_or, val, witness_candidates
+from .ground_model import FALSE, TRUE, UNKNOWN, Tarski, TruthValue, val, witness_candidates
 from .kernel import DEFAULT_SAMPLES, Proof, Sequent, Uniform
 from .transform import weak_to
 
@@ -57,8 +58,7 @@ def _cut(gamma: frozenset, f: sx.Formula, p_with: Proof, p_without: Proof) -> Pr
 
 
 @dataclass
-class _Prover:
-    fuel: int
+class _Prover(Tarski):
     samples: tuple[Element, ...]
 
     def __post_init__(self):
@@ -72,47 +72,41 @@ class _Prover:
 
     def decide(self, phi: sx.Formula, params: frozenset) -> TruthValue:
         """TRUE/FALSE when uniform over all parameter instantiations, else
-        UNKNOWN.
-
-        An existential is FALSE when its generic instance, the body at a
-        fresh d<n> parameter, is; otherwise it is TRUE at the first
-        witness candidate whose instance is TRUE, which is recorded for
-        proof building, and UNKNOWN when there is none."""
+        UNKNOWN."""
         key = (phi, params)
         hit = self._decided.get(key)
         if hit is None:
-            hit = self._decide(phi, params)
+            hit = Tarski.decide(self, phi, params)
             self._decided[key] = hit
         return hit
 
-    def _decide(self, phi: sx.Formula, params: frozenset) -> TruthValue:
-        if isinstance(phi, sx.Eq):
-            # parameters ride through as affine elements
-            try:
-                a, b = val(phi.left, _no_value), val(phi.right, _no_value)
-            except ElementError:
-                return UNKNOWN
-            if a == b:
-                return TRUE
-            if all(never_equal_under(base, a, b) for base in list(params) + [None]):
-                return FALSE
+    def atom(self, phi: sx.Formula, params: frozenset) -> TruthValue:
+        if not isinstance(phi, sx.Eq):
+            raise EldiagError(f"decide: non-primitive sentence {phi!r}")
+        # parameters ride through as affine elements
+        try:
+            a, b = val(phi.left, _no_value), val(phi.right, _no_value)
+        except ElementError:
             return UNKNOWN
-        if isinstance(phi, sx.Not):
-            return tv_not(self.decide(phi.body, params))
-        if isinstance(phi, sx.Or):
-            return tv_or(self.decide(phi.left, params), self.decide(phi.right, params))
-        if isinstance(phi, sx.Ex):
-            base = f"d{next(self._search_names)}"
-            generic = sx.substitute(phi.body, sx.const(Sym(base)), phi.index)
-            if self.decide(generic, params | {base}) is FALSE:
-                return FALSE
-            for e in witness_candidates(phi.body, self.fuel):
-                inst = sx.substitute(phi.body, sx.const(e), phi.index)
-                if self.decide(inst, params) is TRUE:
-                    self._witnesses[(phi, params)] = (e, inst)
-                    return TRUE
+        if a == b:
+            return TRUE
+        if all(never_equal_under(base, a, b) for base in list(params) + [None]):
+            return FALSE
+        return UNKNOWN
+
+    def exists(self, phi: sx.Ex, params: frozenset) -> TruthValue:
+        """FALSE when the generic instance, the body at a fresh d<n>
+        parameter, is; otherwise TRUE at the first witness candidate whose
+        instance is TRUE, which is recorded for proof building, and
+        UNKNOWN when there is none."""
+        if self.at_generic(phi, f"d{next(self._search_names)}", params) is FALSE:
+            return FALSE
+        r, found = self.first_true(phi.body, phi.index,
+                                   witness_candidates(phi.body, self.fuel), params)
+        if r is not TRUE:
             return UNKNOWN
-        raise EldiagError(f"decide: non-primitive sentence {phi!r}")
+        self._witnesses[(phi, params)] = found
+        return TRUE
 
     # -- equality toolkit
 

@@ -147,31 +147,6 @@ def half_down(a: Element) -> Element:
     return Std((a.n - 1) // 2)
 
 
-def is_even(a: Element) -> bool:
-    # Symbolic bases are even by fiat, so parity is the offset's parity.
-    if isinstance(a, Std):
-        return a.n % 2 == 0
-    return a.offset % 2 == 0
-
-
-_OPS = {
-    "succ": succ,
-    "pred": pred,
-    "add": add,
-    "mul": mul,
-    "half": half,
-}
-
-
-def elem_arith(op: str, *args: Element) -> Element:
-    """Dispatch table over the element operations."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ElementError(f"unknown element operation {op!r}") from None
-    return fn(*args)
-
-
 def elem_lt(a: Element, b: Element) -> bool:
     """Strict order; raises PartialOrderError across distinct symbolic bases."""
     if isinstance(a, Std) and isinstance(b, Std):

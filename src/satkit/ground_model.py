@@ -4,12 +4,20 @@ Truth evaluation is stratified by formula class. Atomic and bounded
 (delta-0) sentences are decided outright; sentences with unbounded
 quantifiers are searched with explicit fuel and may come back Unknown.
 Unknown is a first-class outcome and is never coerced to a boolean.
+
+``Tarski`` holds the truth clauses for not, or and exists once, with
+one witness loop; ``eval_tr`` runs it with the standard model's atoms
+and searches, and eldiag's decision and template satisfaction
+(``semantics.models``) subclass it with their own atoms and their own
+search order for an existential.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import syntax as sx
-from .elements import Element, Std, add, mul, succ
+from .elements import Element, Std, Sym, add, mul, succ
 
 
 class EvalError(Exception):
@@ -233,34 +241,63 @@ def check_class(f: sx.Formula, cls: str) -> bool:
 # truth evaluation
 
 
-def _eval(f: sx.Formula, fuel: int) -> TruthValue:
-    if isinstance(f, sx.Eq):
-        return of_bool(val(f.left) == val(f.right))
-    if isinstance(f, sx.Not):
-        return tv_not(_eval(f.body, fuel))
-    if isinstance(f, sx.Or):
-        return tv_or(_eval(f.left, fuel), _eval(f.right, fuel))
-    if isinstance(f, sx.Ex):
+@dataclass
+class Tarski:
+    """Tarski's truth clauses. ``decide`` applies the not and or tables,
+    sends an existential to ``exists`` and any other node to ``atom``;
+    ``params`` names the generic elements in scope. The hooks here are
+    the standard model's: an equation compares the values of its sides, a
+    bounded existential searches below its bound, and an unbounded one
+    tries 0..fuel and is Unknown when no witness is true."""
+
+    fuel: int
+
+    def decide(self, f: sx.Formula, params: frozenset) -> TruthValue:
+        if isinstance(f, sx.Not):
+            return tv_not(self.decide(f.body, params))
+        if isinstance(f, sx.Or):
+            return tv_or(self.decide(f.left, params), self.decide(f.right, params))
+        if isinstance(f, sx.Ex):
+            return self.exists(f, params)
+        return self.atom(f, params)
+
+    def first_true(self, body: sx.Formula, i: int, witnesses,
+                   params: frozenset) -> tuple[TruthValue, tuple | None]:
+        """The body at each witness for v_i in turn: TRUE with
+        (witness, instance) at the first TRUE instance, else FALSE when
+        every instance is FALSE and UNKNOWN when one is UNKNOWN."""
+        out: TruthValue = FALSE
+        for e in witnesses:
+            inst = sx.substitute(body, sx.const(e), i)
+            r = self.decide(inst, params)
+            if r is TRUE:
+                return TRUE, (e, inst)
+            if r is UNKNOWN:
+                out = UNKNOWN
+        return out, None
+
+    def at_generic(self, f: sx.Ex, base: str, params: frozenset) -> TruthValue:
+        """The existential's body at a fresh generic element named base."""
+        return self.decide(sx.substitute(f.body, sx.const(Sym(base)), f.index), params | {base})
+
+    def atom(self, f: sx.Formula, params: frozenset) -> TruthValue:
+        if isinstance(f, sx.Eq):
+            return of_bool(val(f.left) == val(f.right))
+        raise EvalError(f"eval: non-primitive formula {f!r}")
+
+    def exists(self, f: sx.Ex, params: frozenset) -> TruthValue:
         m = match_bounded_exists(f)
         if m is not None:
+            # search the body inside the guard: the guard v_i < t is itself
+            # an unbounded existential, so f.body may be Unknown where the
+            # bounded sentence is not
             i, bound, body = m
             b = val(bound)
             if not isinstance(b, Std):
                 raise EvalError("symbolic bound in a bounded search")
-            out: TruthValue = FALSE
-            for z in range(b.n):
-                r = _eval(sx.substitute(body, sx.const(Std(z)), i), fuel)
-                if r is TRUE:
-                    return TRUE
-                out = tv_or(out, r)
-            return out
-        # unbounded search: witnesses in 0..fuel, Unknown on exhaustion
-        for a in range(fuel + 1):
-            r = _eval(sx.substitute(f.body, sx.const(Std(a)), f.index), fuel)
-            if r is TRUE:
-                return TRUE
-        return UNKNOWN
-    raise EvalError(f"eval: non-primitive formula {f!r}")
+            return self.first_true(body, i, map(Std, range(b.n)), params)[0]
+        r, _ = self.first_true(f.body, f.index, map(Std, range(self.fuel + 1)), params)
+        return TRUE if r is TRUE else UNKNOWN
 
 
 def eval_tr(f: sx.Formula, cls: str = "d0", fuel: int = 64) -> TruthValue:
@@ -277,10 +314,4 @@ def eval_tr(f: sx.Formula, cls: str = "d0", fuel: int = 64) -> TruthValue:
         raise WrongClass("a family reference is not a sentence of the ground model")
     if not check_class(f, cls):
         raise WrongClass(f"formula is not in class {cls}")
-    return _eval(f, fuel)
-
-
-def decide_delta0(f: sx.Formula) -> bool:
-    r = eval_tr(f, "d0", 0)
-    assert not r.is_unknown()
-    return r.is_true()
+    return Tarski(fuel).decide(f, frozenset())

@@ -24,7 +24,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional
 
 from . import syntax as sx
-from .ground_model import witness_candidates
+from .ground_model import TRUE, Tarski, TruthValue, of_bool, witness_candidates
 from .kernel import AXIOM_TAGS, Proof, Sequent, match_axiom, match_instance, match_rule, vee
 from .elements import Std, Sym
 
@@ -275,12 +275,20 @@ def prop_atoms(f: sx.Formula) -> list[sx.Formula]:
     return out
 
 
+@dataclass
+class _Row(Tarski):
+    """A truth-table row: every part that is not a not or an or is an atom."""
+
+    env: dict
+
+    def atom(self, f: sx.Formula, params: frozenset) -> TruthValue:
+        return of_bool(self.env[f])
+
+    exists = atom
+
+
 def _eval_prop(f: sx.Formula, env: dict) -> bool:
-    if isinstance(f, sx.Or):
-        return _eval_prop(f.left, env) or _eval_prop(f.right, env)
-    if isinstance(f, sx.Not):
-        return not _eval_prop(f.body, env)
-    return env[f]
+    return _Row(0, env).decide(f, frozenset()) is TRUE
 
 
 def entails(hyps: Iterable[sx.Formula], goal: sx.Formula) -> bool:

@@ -2,25 +2,26 @@
 the witness gallery, and finite-stage maximal-consistent fragments.
 
 A structure is a truth oracle for boxed formulas plus a valuation of boxed
-terms. Satisfaction of an existential searches the standard prefix up to
-the fuel plus the structure's declared symbolic elements; when that fails,
-a generic-element refutation may still decide the quantifier negatively,
-otherwise the result is Unknown. Free structures may value terms outside
-the ground model; their outside bases are excluded from quantifier range.
+terms. Satisfaction is the ground model's ``Tarski`` evaluator with the
+structure's atoms. An existential tries its candidates first: 0..fuel,
+the structure's declared symbolic elements, then the values of the boxed
+terms in its body. A true candidate decides it; it is false only when
+every candidate and the body at a generic element are false, and
+otherwise Unknown. Free structures may value terms outside the ground
+model; their outside bases are excluded from quantifier range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from . import syntax as sx
 from . import template as tp
 from .congruence import QuotientStructure, build_quotient, subterm_closure
 from .elements import Element, ElementError, Std, Sym, affine_hits, half
-from .ground_model import (
-    FALSE, TRUE, UNKNOWN, TruthValue, eval_tr, of_bool, tv_not, tv_or, val,
-)
+from .ground_model import FALSE, TRUE, UNKNOWN, Tarski, TruthValue, eval_tr, of_bool, val
 from .kernel import Proof, match_instance, proof_nodes
 
 _GENERIC = "generic"
@@ -97,48 +98,46 @@ def _hits_in_model(t_struct: TStructure, a: Sym, g: str, target: Element,
     return affine_hits(a, g, target)
 
 
+@dataclass
+class _Satisfaction(Tarski):
+    """Satisfaction in a structure: a boxed formula reads the oracle and
+    an equation compares val_t values."""
+
+    struct: TStructure
+
+    def atom(self, gamma, params: frozenset) -> TruthValue:
+        if isinstance(gamma, tp.TemplForm):
+            try:
+                return of_bool(bool(self.struct.t_set(gamma.obj)))
+            except Exception:
+                return UNKNOWN
+        if isinstance(gamma, sx.Eq):
+            try:
+                u = val_t(self.struct, gamma.left)
+                w = val_t(self.struct, gamma.right)
+            except ElementError:
+                return UNKNOWN
+            return _eq_truth(self.struct, u, w, params)
+        raise SemanticsError(f"cannot evaluate {gamma!r}")
+
+    def exists(self, gamma: sx.Ex, params: frozenset) -> TruthValue:
+        # FALSE needs every candidate FALSE and the generic instance too:
+        # the oracle may reject a generic box that a candidate satisfies
+        s = self.struct
+        candidates = dict.fromkeys(chain(
+            map(Std, range(self.fuel + 1)), s.domain_syms, _candidate_elems(s, gamma.body)))
+        tp.has_templates(gamma.body)  # an abbreviation outside a box raises
+        r, _ = self.first_true(gamma.body, gamma.index, candidates, params)
+        if r is TRUE:
+            return TRUE
+        generic = self.at_generic(gamma, f"{_GENERIC}{len(params)}", params)
+        return FALSE if r is FALSE and generic is FALSE else UNKNOWN
+
+
 def models(t_struct: TStructure, gamma, fuel: int = 32,
            _generics: frozenset[str] = frozenset()) -> TruthValue:
     """Three-valued satisfaction; Unknown only from quantifier exhaustion."""
-    if isinstance(gamma, tp.TemplForm):
-        try:
-            return of_bool(bool(t_struct.t_set(gamma.obj)))
-        except Exception:
-            return UNKNOWN
-    if isinstance(gamma, sx.Eq):
-        try:
-            u = val_t(t_struct, gamma.left)
-            w = val_t(t_struct, gamma.right)
-        except ElementError:
-            return UNKNOWN
-        return _eq_truth(t_struct, u, w, _generics)
-    if isinstance(gamma, sx.Not):
-        return tv_not(models(t_struct, gamma.body, fuel, _generics))
-    if isinstance(gamma, sx.Or):
-        return tv_or(models(t_struct, gamma.left, fuel, _generics),
-                     models(t_struct, gamma.right, fuel, _generics))
-    if isinstance(gamma, sx.Ex):
-        candidates: list[Element] = [Std(n) for n in range(fuel + 1)]
-        candidates.extend(t_struct.domain_syms)
-        candidates.extend(_candidate_elems(t_struct, gamma.body))
-        seen: set = set()
-        candidates = [e for e in candidates if not (e in seen or seen.add(e))]
-        unknown = False
-        for e in candidates:
-            r = models(t_struct, tp.templ_substitute(gamma.body, e, gamma.index),
-                       fuel, _generics)
-            if r is TRUE:
-                return TRUE
-            if r is UNKNOWN:
-                unknown = True
-        # generic refutation: a fresh model element falsifying the body
-        gbase = f"{_GENERIC}{len(_generics)}"
-        inst = tp.templ_substitute(gamma.body, Sym(gbase), gamma.index)
-        r = models(t_struct, inst, fuel, _generics | {gbase})
-        if r is FALSE and not unknown:
-            return FALSE
-        return UNKNOWN
-    raise SemanticsError(f"cannot evaluate {gamma!r}")
+    return _Satisfaction(fuel, t_struct).decide(gamma, _generics)
 
 
 def _candidate_elems(t_struct: TStructure, body) -> list[Element]:

@@ -185,9 +185,30 @@ class TestProofCommands:
         pytest.param(["eval-tr", "--formula", "(= v0 0)"], id="eval-tr-open"),
         pytest.param(["eval-tr", "--class", "q1", "--formula", "(= 0 0)"],
                      id="eval-tr-unknown-class"),
+        # values the ground model cannot compute
+        pytest.param(["eval-tr", "--class", "s1", "--formula", "(bex 0 csym:a (= v0 v0))"],
+                     id="eval-tr-symbolic-bound"),
+        pytest.param(["eval-tr", "--formula", "(= (* csym:a csym:b) 0)"],
+                     id="eval-tr-symbolic-product"),
+        # an element that does not parse
+        pytest.param(["witness", "delta", "--a", "foo bar"], id="witness-bad-element"),
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, text, flags", [
+        pytest.param("henkin", "(= 0 0)\n", ["--delta-witness", "foo bar"],
+                     id="henkin-bad-delta-witness"),
+        pytest.param("quotient", "(= 0 0)\n(not (= 0 0))\n", [], id="quotient-non-equation"),
+    ])
+    def test_bad_file_input_exits_2(self, tmp_path, capsys, command, text, flags):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        option = "--enumeration" if command == "henkin" else "--equations"
+        code = main([command, option, str(f)] + flags)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -349,3 +370,8 @@ class TestDeterminism:
         cmd = [sys.executable, "-m", "satkit", "no-such-command"]
         out = subprocess.run(cmd, capture_output=True)
         assert out.returncode == 2
+
+    def test_unknown_witness_structure_is_a_usage_error(self, capsys):
+        # the gallery's tr-sigma structure has no approximation check
+        assert main(["witness", "tr-sigma"]) == 2
+        assert capsys.readouterr().err.startswith("usage: ")

@@ -113,17 +113,25 @@ class _SearchAgain(_Prover):
 class _CandidatesFirst(_SearchAgain):
     """The reference order: every witness candidate, then the generic
     instance, whose parameter is drawn from the proof counter as when
-    the search and the proofs shared one."""
+    the search and the proofs shared one. Its loop is written out here,
+    apart from the prover's, and ``calls`` counts its runs."""
 
-    def _decide(self, phi, params):
-        if not isinstance(phi, sx.Ex):
-            return super()._decide(phi, params)
+    calls = 0
+
+    def exists(self, phi, params):
+        _CandidatesFirst.calls += 1
         for w in witness_candidates(phi.body, self.fuel):
             if self.decide(sx.substitute(phi.body, sx.const(w), phi.index), params) is TRUE:
                 return TRUE
         base = f"q{next(self._proof_names)}"
         generic = sx.substitute(phi.body, sx.const(Sym(base)), phi.index)
         return FALSE if self.decide(generic, params | {base}) is FALSE else UNKNOWN
+
+
+def _with_existentials(cases):
+    """The cases whose sentence holds an existential: the reference
+    decides each of these at least once."""
+    return sum(any(isinstance(o, sx.Ex) for o in sx.subobjects(phi)) for phi, _ in cases)
 
 
 _PARAM = re.compile(r"(?<![A-Za-z0-9_])[qd]\d+(?![A-Za-z0-9_])")
@@ -180,23 +188,27 @@ class TestGenericInstanceFirst:
         cases = [(phi, fuel) for phi in self._sentences() for fuel in (200, 2)]
         cases += _not_uniform_sentences()
         verdicts = set()
+        before = _CandidatesFirst.calls
         for phi, fuel in cases:
             want = _CandidatesFirst(fuel=fuel, samples=DEFAULT_SAMPLES).decide(phi, frozenset())
             got = _Prover(fuel=fuel, samples=DEFAULT_SAMPLES).decide(phi, frozenset())
             assert got is want, (phi, fuel)
             verdicts.add(got)
+        assert _CandidatesFirst.calls - before >= _with_existentials(cases) > 0
         assert verdicts == {TRUE, FALSE, UNKNOWN}
         for phi, fuel in _not_uniform_sentences():
             assert _Prover(fuel=fuel, samples=DEFAULT_SAMPLES).decide(phi, frozenset()) is UNKNOWN
 
     def test_proofs_match_the_candidates_first_order_up_to_renaming(self):
         cases = [(phi, 200) for phi in self._sentences()] + _not_uniform_sentences()
+        before = _CandidatesFirst.calls
         for phi, fuel in cases:
             got = _proved(_Prover, phi, fuel)
             want = _proved(_CandidatesFirst, phi, fuel)
             assert (got is None) == (want is None), phi
             if got is not None:
                 assert _up_to_renaming(got) == _up_to_renaming(want), phi
+        assert _CandidatesFirst.calls - before >= _with_existentials(cases) > 0
 
     def test_reading_the_recorded_witness_changes_no_proof(self):
         for phi in self._sentences():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from satkit.elements import (
     Indeterminate, PartialOrderError, Sym, Underflow, add, affine_hits,
-    elem_arith, elem_lt, half, half_down, half_up, is_even, mul,
+    elem_lt, half, half_down, half_up, mul,
     never_equal_under, parse_element, pred, std, subst_base, succ, sym,
 )
 
@@ -64,14 +64,6 @@ class TestArithmetic:
             x = half(x)
         with pytest.raises(Indeterminate):
             half(x)
-
-    def test_dispatch(self):
-        assert elem_arith("succ", std(1)) == std(2)
-        assert elem_arith("half", std(8)) == std(4)
-
-    def test_parity(self):
-        assert is_even(sym("a"))
-        assert not is_even(Sym("a", Fraction(1), 1))
 
 
 class TestOrder:

@@ -5,7 +5,7 @@ import pytest
 import satkit.syntax as sx
 from satkit.elements import std, sym
 from satkit.ground_model import (
-    FALSE, TRUE, UNKNOWN, OpenTerm, WrongClass, check_class, decide_delta0,
+    FALSE, TRUE, UNKNOWN, OpenTerm, WrongClass, check_class,
     eval_tr, is_delta0, is_sigma, match_bounded_exists, val, witness_candidates,
 )
 from generators import direct_eval, random_bounded_sentence, random_term
@@ -126,7 +126,3 @@ class TestEvalTr:
             got = eval_tr(prim, "d0", 0)
             want = direct_eval(ext, {})
             assert got is (TRUE if want else FALSE)
-
-    def test_decide_delta0(self):
-        assert decide_delta0(sx.Eq(sx.ZERO, sx.ZERO))
-        assert not decide_delta0(sx.Eq(sx.ZERO, sx.Succ(sx.ZERO)))

@@ -86,6 +86,14 @@ class TestModels:
         f = sx.Ex(0, e(sx.Mul(sx.Var(0), sx.Var(0)), c(49)))
         assert models(s, f, fuel=3) is UNKNOWN
 
+    def test_candidates_come_before_the_generic_refutation(self):
+        # the oracle rejects the generic box, yet the tower's target is a witness
+        h, a = sym("h"), sym("a")
+        s = sc_tower("num", h, a)
+        body = tp.TemplForm(e(sx.SymTermRef("num", h), sx.Var(0)))
+        assert models(s, tp.templ_substitute(body, Sym("generic0"), 0), 4) is FALSE
+        assert models(s, sx.Ex(0, body), 4) is TRUE
+
 
 class TestGallery:
     def test_delta_structure_depth_eight(self):
