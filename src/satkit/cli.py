@@ -21,7 +21,7 @@ from .ground_model import EvalError, eval_tr
 from .kernel import RulePolicy, check
 from .propcalc import check_certificate, scheme_manifest
 from .semantics import (
-    check_fragment, delta_structure, free_tower, henkin_extend,
+    BadWitnessParams, check_fragment, delta_structure, free_tower, henkin_extend,
     models, sc_tower, structure_oracle, val_t,
 )
 from .sexpr import ParseError
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError, ParseError, coding.CodingError, EvalError,
-            ElementError) as e:
+            ElementError, BadWitnessParams) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError as e:

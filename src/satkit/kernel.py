@@ -10,6 +10,10 @@ can be stored as finite truncations for demonstration, but never check.
 Rule tags: axiom1..axiom12, axiomL, weak, or-i1, or-i2, or-i3, neg-i,
 cut, ex-i, m-rule, and the extensions prop, i-ex-inf, m-inf, skolem, pred.
 
+Proof trees are walked through ``Proof.subproofs`` and ``Proof.rebuild``.
+``proof_nodes`` lists the nodes in pre-order, and every proof rewrite is
+a step of ``map_proof``, an iterative post-order fold.
+
 This module alone decides a rule's principal formula: ``match_axiom``
 gives an axiom's parts and ``match_rule`` an inference's principal
 formula and its parts. The checker, the translation into template logic,
@@ -44,14 +48,14 @@ returns the height without re-checking. That is sound because reading
 fewer parameters never fails a check: axiom2's disequality test, the
 freshness test of m-rule and m-inf, and the parameters handed down to a
 schema all weaken as the set shrinks. So a sample re-checks only the
-subproofs that instantiation rebuilt, those that mention its parameter or
-carry a certificate; every other subproof is the schema's own object,
-already checked under more parameters. The entries made while checking a
-sample end with that sample, those of a schema when it returns, and none
-is kept across ``check`` calls. Failures are never recorded, so a
-rejection is located and worded as without the memo. The caches belong
-to this process and are never serialised (string hashes are randomised
-per process).
+subproofs that instantiation rebuilt, those that mention its parameter in
+a sentence or in side data such as a certificate; every other subproof
+is the schema's own object, already checked under more parameters. The
+entries made while checking a sample end with that sample, those of a
+schema when it returns, and none is kept across ``check`` calls.
+Failures are never recorded, so a rejection is located and worded as
+without the memo. The caches belong to this process and are never
+serialised (string hashes are randomised per process).
 """
 
 from __future__ import annotations
@@ -147,6 +151,24 @@ def proof_nodes(p: Proof) -> Iterator[Proof]:
         q = stack.pop()
         yield q
         stack.extend(reversed(q.subproofs))
+
+
+def map_proof(p: Proof, step: Callable[[Proof, list], object]):
+    """Fold a proof in post-order, siblings left to right: ``step(node,
+    results)`` gets the subproofs' results in ``subproofs`` order and gives
+    the node's. Iterative, so any height is fine."""
+    stack: list = [p]
+    results: list = []
+    while stack:
+        q = stack.pop()
+        if type(q) is tuple:  # (node, n) once its n subproofs have results
+            cut = len(results) - q[1]
+            results[cut:] = [step(q[0], results[cut:])]
+        else:
+            subs = q.subproofs
+            stack.append((q, len(subs)))
+            stack.extend(reversed(subs))
+    return results[0]
 
 
 @dataclass(frozen=True)
@@ -279,8 +301,8 @@ def subst_param_proof(p: Proof, base: str, value: Element,
     ``subst_elem_in_obj``); a checker passes the one it keeps for the
     length of a check, and without one the call starts its own. Equal
     sentences of the copy are one object. A subproof that does not
-    mention the parameter, and carries no certificate, is returned as it
-    is.
+    mention the parameter, in its sentences or its side data, is returned
+    as it is.
     """
     if memo is None:
         memo = {}
@@ -288,12 +310,11 @@ def subst_param_proof(p: Proof, base: str, value: Element,
     def inst(f):
         return subst_elem_in_obj(f, base, value, memo)
 
-    def go(p: Proof) -> Proof:
+    def step(p: Proof, subs: list) -> Proof:
         old = p.conclusion.sentences
         new = [inst(f) for f in old]
         same = all(g is f for f, g in zip(old, new))
         concl = p.conclusion if same else Sequent(frozenset(new))
-        subs = tuple(map(go, p.subproofs))
         same = same and all(q2 is q for q2, q in zip(subs, p.subproofs))
         info = dict(p.info)
         if "witness" in info:
@@ -305,17 +326,19 @@ def subst_param_proof(p: Proof, base: str, value: Element,
             same = same and sk["phi"] is info["skolem"]["phi"]
             info["skolem"] = sk
         if "prop" in info:
-            # a certified node has premises only, so subs are its premises
-            pre_hyps = [vee(q.conclusion.sentences) for q in p.premises]
-            post_hyps = [vee(q.conclusion.sentences) for q in subs]
-            info["prop"] = {"cert": _subst_certificate(
-                info["prop"]["cert"], inst,
-                dict(zip(pre_hyps, post_hyps)),
-                vee(concl.sentences))}
-            same = False
+            cert = info["prop"]["cert"]
+            same = same and not any(
+                base in bases_of(line.formula)
+                or line.just[0] == "ax" and any(base in bases_of(a) for a in line.just[3])
+                for line in cert.lines)
+            if not same:
+                # a certified node has premises only, so subs are its premises
+                hyp_map = {vee(q.conclusion.sentences): vee(r.conclusion.sentences)
+                           for q, r in zip(p.premises, subs)}
+                info["prop"] = {"cert": _subst_certificate(cert, inst, hyp_map, vee(concl.sentences))}
         return p if same else p.rebuild(concl, subs, info)
 
-    return go(p)
+    return map_proof(p, step)
 
 
 def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):

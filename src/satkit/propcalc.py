@@ -78,42 +78,30 @@ def axiom_instance(scheme: str, form: str, args: tuple) -> sx.Formula:
     raise PropError(f"unknown scheme {scheme}/{form}")
 
 
+# each scheme's shape stated once, as axiom_instance over the placeholder
+# leaves v0, v1, v2, in the order match_prop_axiom tries them
+_PATTERNS = tuple(
+    (scheme, form, axiom_instance(scheme, form, tuple(map(sx.Var, range(arity)))))
+    for scheme, form, arity in (
+        ("cut", "contract", 1), ("add", "l", 2), ("add", "r", 2), ("cut", "full", 3),
+        ("sum", "rr", 3), ("sum", "ll", 3), ("sum", "rc", 3), ("sum", "lc", 3)))
+
+
+def _bind(pat, f, found: dict) -> bool:
+    """Whether f has the pattern's shape, with one formula for every
+    occurrence of a placeholder; ``found`` collects them by index."""
+    if type(pat) is sx.Var:
+        return found.setdefault(pat.index, f) == f
+    return type(f) is type(pat) and all(
+        _bind(x, y, found) for x, y in zip(pat.children, f.children))
+
+
 def match_prop_axiom(f: sx.Formula) -> Optional[tuple[str, str, tuple]]:
-    if not (isinstance(f, sx.Or) and isinstance(f.left, sx.Not)):
-        return None
-    a, b = f.left.body, f.right
-    # contraction: a = phi or phi, b = phi
-    if isinstance(a, sx.Or) and a.left == a.right == b:
-        return ("cut", "contract", (b,))
-    # add: a = phi, b = phi or psi / psi or phi
-    if isinstance(b, sx.Or):
-        if b.left == a:
-            return ("add", "l", (a, b.right))
-        if b.right == a:
-            return ("add", "r", (a, b.left))
-    # cut full: a = phi or psi, b = ((not phi) or chi) -> (psi or chi)
-    if (isinstance(a, sx.Or) and isinstance(b, sx.Or) and isinstance(b.left, sx.Not)
-            and isinstance(b.left.body, sx.Or) and isinstance(b.left.body.left, sx.Not)
-            and isinstance(b.right, sx.Or)):
-        phi, psi = a.left, a.right
-        if (b.left.body.left.body == phi and b.right.left == psi
-                and b.left.body.right == b.right.right):
-            return ("cut", "full", (phi, psi, b.right.right))
-    # sum: a = phi -> psi, b = (x or y) -> (c or d)
-    if (isinstance(a, sx.Or) and isinstance(a.left, sx.Not)
-            and isinstance(b, sx.Or) and isinstance(b.left, sx.Not)
-            and isinstance(b.left.body, sx.Or) and isinstance(b.right, sx.Or)):
-        phi, psi = a.left.body, a.right
-        x, y = b.left.body.left, b.left.body.right
-        cc, d = b.right.left, b.right.right
-        if y == phi and cc == x and d == psi:
-            return ("sum", "rr", (phi, psi, x))
-        if x == phi and cc == psi and d == y:
-            return ("sum", "ll", (phi, psi, y))
-        if y == phi and cc == psi and d == x:
-            return ("sum", "rc", (phi, psi, x))
-        if x == phi and cc == y and d == psi:
-            return ("sum", "lc", (phi, psi, y))
+    """(scheme, form, args) of the first scheme that f instantiates, or None."""
+    for scheme, form, pat in _PATTERNS:
+        found: dict = {}
+        if _bind(pat, f, found):
+            return scheme, form, tuple(found[i] for i in range(len(found)))
     return None
 
 

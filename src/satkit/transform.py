@@ -8,7 +8,7 @@ a disjunction splits into its parts, and double negations round-trip.
 from __future__ import annotations
 
 from . import syntax as sx
-from .kernel import Proof, Sequent, match_rule, vee
+from .kernel import Proof, Sequent, map_proof, match_rule, vee
 
 
 class NotApplicable(Exception):
@@ -34,25 +34,23 @@ def weak_to(p: Proof, target: frozenset) -> Proof:
     return p
 
 
-def _map_add_negation(p: Proof, phi: sx.Formula) -> Proof:
-    """Add not(phi) to every sequent; hypothesis leaves citing phi become
-    instances of the excluded-middle axiom, other leaves are re-weakened."""
-    nphi = sx.Not(phi)
-    new_concl = Sequent(p.conclusion.sentences | {nphi})
-    if p.rule == "axiomL" and p.conclusion.sentences == frozenset((phi,)):
-        return Proof(Sequent(frozenset((phi, nphi))), "axiom1")
-    if not p.subproofs:
-        if nphi in p.conclusion.sentences:
-            return p
-        return Proof(new_concl, "weak", (p,))
-    return p.rebuild(new_concl, [_map_add_negation(q, phi) for q in p.subproofs])
-
-
 def move_hypotheses(p: Proof, hyps: list[sx.Formula]) -> Proof:
-    """From a proof of Gamma using the hypotheses, a proof of
-    Gamma plus their negations that no longer cites them."""
+    """From a proof of Gamma using the hypotheses, a proof of Gamma plus
+    their negations that no longer cites them: not(phi) joins every
+    sequent, leaves citing phi become instances of the excluded-middle
+    axiom, other leaves are re-weakened."""
     for phi in hyps:
-        p = _map_add_negation(p, phi)
+        nphi = sx.Not(phi)
+
+        def add_negation(q: Proof, subs: list) -> Proof:
+            if q.rule == "axiomL" and q.conclusion.sentences == frozenset((phi,)):
+                return Proof(Sequent(frozenset((phi, nphi))), "axiom1")
+            if not subs and nphi in q.conclusion.sentences:
+                return q
+            new_concl = Sequent(q.conclusion.sentences | {nphi})
+            return q.rebuild(new_concl, subs) if subs else Proof(new_concl, "weak", (q,))
+
+        p = map_proof(p, add_negation)
     return p
 
 
@@ -118,24 +116,27 @@ def to_certified_calculus(p: Proof) -> Proof:
     """
     from .propcalc import cut_cert, split_negation_cert, weakening_cert
     structural = {"weak", "or-i1", "or-i2", "or-i3", "neg-i", "cut"}
-    subs = [to_certified_calculus(q) for q in p.subproofs]
-    if p.rule not in structural:
-        return p.rebuild(p.conclusion, subs)
-    goal = vee(p.conclusion.sentences)
-    hyps = [vee(q.conclusion.sentences) for q in p.premises]
-    if p.rule in ("weak", "or-i1", "or-i2", "neg-i"):
-        cert = weakening_cert(hyps[0], goal)
-    else:  # cut or or-i3: the kernel's pivot or negated disjunction
-        found = match_rule(p)
-        if found is None:
-            raise NotApplicable(f"the {p.rule} premises do not match its conclusion")
-        if p.rule == "cut":
-            cert = cut_cert(hyps[0], hyps[1], found, goal)
-        else:
-            cert = split_negation_cert(hyps[0], hyps[1],
-                                       found.body.left, found.body.right, goal)
-    # a structural rule has premises only, so subs are its premises
-    return Proof(p.conclusion, "prop", tuple(subs), None, {"prop": {"cert": cert}})
+
+    def step(p: Proof, subs: list) -> Proof:
+        if p.rule not in structural:
+            return p.rebuild(p.conclusion, subs)
+        goal = vee(p.conclusion.sentences)
+        hyps = [vee(q.conclusion.sentences) for q in p.premises]
+        if p.rule in ("weak", "or-i1", "or-i2", "neg-i"):
+            cert = weakening_cert(hyps[0], goal)
+        else:  # cut or or-i3: the kernel's pivot or negated disjunction
+            found = match_rule(p)
+            if found is None:
+                raise NotApplicable(f"the {p.rule} premises do not match its conclusion")
+            if p.rule == "cut":
+                cert = cut_cert(hyps[0], hyps[1], found, goal)
+            else:
+                cert = split_negation_cert(hyps[0], hyps[1],
+                                           found.body.left, found.body.right, goal)
+        # a structural rule has premises only, so subs are its premises
+        return Proof(p.conclusion, "prop", tuple(subs), None, {"prop": {"cert": cert}})
+
+    return map_proof(p, step)
 
 
 def transform(kind: str, p: Proof, **args) -> Proof:

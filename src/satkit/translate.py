@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from . import syntax as sx
 from . import template as tp
 from .kernel import (
-    AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, check, match_axiom,
-    match_rule,
+    AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, check, map_proof, match_axiom,
+    match_rule, proof_nodes,
 )
 
 
@@ -176,56 +176,59 @@ class _Translator:
         template axioms and commute with every rule, so the image of a
         checked proof checks.
         """
-        concl = Sequent(frozenset(self.image(f, g) for g in q.conclusion))
-        return q.rebuild(concl, [self.lift(s, f) for s in q.subproofs])
+        return map_proof(q, lambda n, subs: n.rebuild(
+            Sequent(frozenset(self.image(f, g) for g in n.conclusion)), subs))
 
     def chain_image(self, f: tp.ApproxChain, sentences) -> frozenset:
         """The approximations of plain sentences under a chain."""
         return frozenset(self.image(f, tp.templ(g)) for g in sentences)
 
-    def decomposition(self, p: Proof, params: frozenset):
+    def decomposition(self, p: Proof):
         """The kernel's decomposition of a checked node: an axiom's parts,
-        or a rule's principal formula and its parts."""
+        or a rule's principal formula and its parts. No parameters are
+        passed: they only filter axiom2, and fewer never fail a match."""
         if p.rule in AXIOM_TAGS:
-            found = match_axiom(p.rule, p.conclusion.sentences, params)
+            found = match_axiom(p.rule, p.conclusion.sentences, frozenset())
         else:
             found = match_rule(p)
         if found is None:
             raise UncheckedInput(f"cannot recover the {p.rule} decomposition")
         return found
 
-    def run(self, p: Proof, params: frozenset = frozenset()):
-        tag = p.rule
-        c = p.conclusion.sentences
-        if tag in ("prop", "i-ex-inf", "m-inf", "skolem", "pred"):
-            raise UnsupportedRule(f"{tag} proofs have no template translation here")
+    def run(self, p: Proof):
+        """A checked proof's chain and template proof, or the first
+        unsupported node in pre-order."""
+        for q in proof_nodes(p):
+            if q.rule in ("prop", "i-ex-inf", "m-inf", "skolem", "pred"):
+                raise UnsupportedRule(f"{q.rule} proofs have no template translation here")
+            if not (q.rule in AXIOM_TAGS or q.rule in _OWN_STEPS or q.rule in ("weak", "m-rule")):
+                raise UnsupportedRule(f"unknown rule {q.rule}")
+        return map_proof(p, self.step)
 
+    def step(self, p: Proof, runs: list):
+        """A node's chain and translation, from its subproofs' in ``runs``."""
+        tag = p.rule
         if tag == "axiomL":
             return self._conclude(p, tp.ApproxChain(()), ())
         if tag in AXIOM_TAGS:
-            parts = self.decomposition(p, params)
+            parts = self.decomposition(p)
             return self._conclude(p, tp.normalize(tp.chain(*_axiom_steps(tag, parts))), ())
 
         if tag == "weak":
-            f0, q0 = self.run(p.premises[0], params)
+            ((f0, q0),) = runs
             self.traces.append(NodeTrace(tag, len(f0), (len(f0),)))
-            return f0, p.rebuild(Sequent(self.chain_image(f0, c)), (q0,), {})
+            return f0, p.rebuild(Sequent(self.chain_image(f0, p.conclusion.sentences)), (q0,), {})
 
         if tag == "m-rule":
-            d, _ = self.decomposition(p, params)
-            schema = p.uniform.schema
-            f0, q0 = self.run(schema, params | set(p.uniform.params))
-            prem_sentences = list(schema.conclusion.sentences)
+            d, _ = self.decomposition(p)
+            ((f0, _),) = runs
+            prem_sentences = list(p.uniform.schema.conclusion.sentences)
             f_uniform = tp.full_depth_approx(prem_sentences, max(len(f0), 1))
             f = tp.uniform_union([f_uniform, tp.chain(d.body, d)])
-            return self._conclude(p, f, [(f0, q0)], premise_size=len(prem_sentences))
+            return self._conclude(p, f, runs, premise_size=len(prem_sentences))
 
-        own_steps = _OWN_STEPS.get(tag)
-        if own_steps is None:
-            raise UnsupportedRule(f"unknown rule {tag}")
-        found = self.decomposition(p, params)
-        runs = [self.run(q, params) for q in p.premises]
-        f = tp.uniform_union([f0 for f0, _ in runs] + [tp.chain(*own_steps(found))])
+        found = self.decomposition(p)
+        f = tp.uniform_union([f0 for f0, _ in runs] + [tp.chain(*_OWN_STEPS[tag](found))])
         info = {}
         if tag == "ex-i" and found[1] is not None:
             d, w = found
@@ -246,19 +249,14 @@ class _Translator:
         lifted = []
         for child, (_, q) in zip(p.subproofs, runs):
             q = self.lift(q, f)
-            self._expect(q, self.chain_image(f, child.conclusion.sentences))
+            if q.conclusion.sentences != self.chain_image(f, child.conclusion.sentences):
+                raise TranslateError("chain union failed to absorb a child chain; "
+                                     "the canonical normal order should prevent this")
             lifted.append(q)
         self.traces.append(NodeTrace(
             p.rule, len(f), tuple(len(f0) for f0, _ in runs), premise_size))
         return f, p.rebuild(Sequent(self.chain_image(f, p.conclusion.sentences)),
                             lifted, info or {})
-
-    @staticmethod
-    def _expect(q: Proof, want: frozenset):
-        if q.conclusion.sentences != want:
-            raise TranslateError(
-                "chain union failed to absorb a child chain; "
-                "the canonical normal order should prevent this")
 
 
 def translate_proof(p: Proof, policy: RulePolicy = RulePolicy()) -> TranslationResult:

@@ -192,6 +192,12 @@ class TestProofCommands:
                      id="eval-tr-symbolic-product"),
         # an element that does not parse
         pytest.param(["witness", "delta", "--a", "foo bar"], id="witness-bad-element"),
+        # witness parameters the structure cannot take
+        pytest.param(["witness", "delta", "--a", "3"], id="witness-delta-standard-index"),
+        pytest.param(["witness", "free-tower", "--a", "w[a]", "--b", "w[a]"],
+                     id="witness-free-tower-shared-base"),
+        pytest.param(["witness", "sc-tower", "--family", "num", "--height", "3",
+                      "--a", "w[a]"], id="witness-sc-tower-standard-height"),
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code = main(argv)

@@ -12,8 +12,8 @@ from satkit.corpus import (
 from satkit.elements import Std, Sym, std, subst_base, sym
 from satkit.kernel import (
     DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, TEMPLATE_POLICY, Proof,
-    RulePolicy, Sequent, Uniform, bases_of, check, match_instance, proof_nodes, seq,
-    subst_param_proof, vee,
+    RulePolicy, Sequent, Uniform, bases_of, check, map_proof, match_instance, proof_nodes,
+    seq, subst_param_proof, vee,
 )
 from satkit.skolem import quantseq, table_of
 
@@ -226,6 +226,12 @@ def _proof_nodes(p):
         yield from _proof_nodes(p.uniform.schema)
 
 
+def _post_order(p):
+    for q in p.subproofs:
+        yield from _post_order(q)
+    yield p
+
+
 def _ref_inst(x, base, value):
     """Instantiate ``base := value`` in every element slot, with no memo,
     rebuilding every node."""
@@ -250,7 +256,7 @@ class TestInstantiationMemo:
     def test_memoized_instantiation_matches_a_fresh_one(self):
         # one memo per (parameter, value) shared by every call, as within
         # one check, against a fresh memo per call and an unmemoized walk;
-        # instantiating a proof instantiates every prop and pred node in it
+        # every prop and pred node comes out with its certificate instantiated
         from satkit.transform import to_certified_calculus
         proofs = [e.proof for e in mprop_entries()] + \
             [to_certified_calculus(e.proof) for e in base_corpus()]
@@ -285,6 +291,20 @@ class TestInstantiationMemo:
         (a,) = first.conclusion.sentences
         assert a == e(c(4), c(4)) and any(f is a for f in second.conclusion)
 
+    def test_a_certified_subtree_without_the_parameter_is_kept(self):
+        from satkit.transform import to_certified_calculus
+        cp = sx.const(Sym("p"))
+        plain = to_certified_calculus(commute_or_proof(ZERO_EQ, ONE_EQ))
+        mentions = to_certified_calculus(commute_or_proof(e(cp, cp), ONE_EQ))
+        assert plain.rule == mentions.rule == "prop"
+        root = Proof(Sequent(plain.conclusion.sentences | mentions.conclusion.sentences),
+                     "weak", (plain,))
+        got = subst_param_proof(root, "p", std(4))
+        assert got is not root and got.premises[0] is plain
+        moved = subst_param_proof(mentions, "p", std(4))
+        assert moved is not mentions and moved.info["prop"] != mentions.info["prop"]
+        assert check(moved, RulePolicy(allow_prop=True)).ok
+
 
 class TestProofProtocol:
     def test_rebuild_over_own_subproofs_is_the_node(self):
@@ -313,11 +333,43 @@ class TestProofProtocol:
             got, want = list(proof_nodes(entry.proof)), list(_proof_nodes(entry.proof))
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
+    def test_map_proof_steps_in_the_recursive_post_order(self):
+        for entry in base_corpus() + mprop_entries():
+            stepped = []
+
+            def step(q, results):
+                assert [r[0] for r in results] == list(q.subproofs)
+                stepped.append(q)
+                return q, results
+
+            assert map_proof(entry.proof, step)[0] is entry.proof
+            want = list(_post_order(entry.proof))
+            assert len(stepped) == len(want) and all(a is b for a, b in zip(stepped, want))
+
     def test_proof_nodes_on_a_deep_chain(self):
-        p = Proof(seq(ZERO_EQ), "axiom3")
-        for _ in range(3000):
-            p = Proof(p.conclusion, "weak", (p,))
+        # proof_nodes and the rewrites on map_proof take any height; the
+        # checker recurses and is not called here
+        from satkit.transform import move_hypotheses, to_certified_calculus
+        from satkit.translate import _Translator
+
+        def chain(leaf):
+            for _ in range(3000):
+                leaf = Proof(leaf.conclusion, "weak", (leaf,))
+            return leaf
+
+        p = chain(Proof(seq(ZERO_EQ), "axiom3"))
         assert sum(1 for _ in proof_nodes(p)) == 3001
+        cp = sx.const(Sym("p"))
+        inst = subst_param_proof(chain(Proof(seq(e(cp, cp)), "axiom3")), "p", std(4))
+        assert all(q.conclusion == seq(e(c(4), c(4))) for q in proof_nodes(inst))
+        certified = to_certified_calculus(p)
+        assert [q.rule for q in proof_nodes(certified)] == ["prop"] * 3000 + ["axiom3"]
+        moved = move_hypotheses(chain(Proof(seq(ONE_EQ), "axiomL")), [ONE_EQ])
+        assert [q.rule for q in proof_nodes(moved)] == ["weak"] * 3000 + ["axiom1"]
+        assert moved.conclusion == seq(ONE_EQ, n(ONE_EQ))
+        tr = _Translator()
+        f, q = tr.run(p)
+        assert sum(1 for _ in proof_nodes(q)) == 3001 and len(tr.traces) == 3001
 
 
 class TestExtendedRules:

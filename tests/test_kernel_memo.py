@@ -4,13 +4,15 @@ Inside a uniform schema the checker records every subproof that passes,
 with its height and the active parameters it passed under; a later check
 of the same object under a subset of those parameters reuses the result.
 These tests hold the memo checker to a reference checker whose memo never
-stores, pin the handler calls it makes on criterion 11, show that a pass
-under fewer parameters is never reused under more, and show that no
-entry outlives its sample, its schema or the check.
+stores, pin the handler calls it makes on criterion 11 and the prop
+handler calls on the certified corpus, show that a pass under fewer
+parameters is never reused under more, and show that no entry outlives
+its sample, its schema or the check.
 """
 
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 
@@ -18,7 +20,9 @@ import satkit.kernel as kernel
 import satkit.syntax as sx
 from satkit.eldiag import prove_eldiag
 from satkit.elements import Sym, std
-from satkit.kernel import M_POLICY, Proof, Uniform, check, proof_nodes, seq
+from satkit.corpus import base_corpus
+from satkit.kernel import M_POLICY, Proof, RulePolicy, Uniform, check, proof_nodes, seq
+from satkit.transform import to_certified_calculus
 from generators import random_decidable_sentence
 from test_kernel_reports import report_cases
 
@@ -84,13 +88,7 @@ def test_handler_calls_on_criterion_11(monkeypatch, criterion_11_proofs):
     # each node check runs one rule handler or _check_axiom; without the
     # memo the 300 proofs took 110,188 of them, 6.58 per node
     calls = [0]
-
-    def counted(handler):
-        def run(*args):
-            calls[0] += 1
-            return handler(*args)
-        return run
-
+    counted = partial(_counted, calls)
     for tag, row in kernel._RULES.items():
         monkeypatch.setitem(kernel._RULES, tag,
                             dataclasses.replace(row, handler=counted(row.handler)))
@@ -101,6 +99,27 @@ def test_handler_calls_on_criterion_11(monkeypatch, criterion_11_proofs):
         nodes += sum(1 for _ in proof_nodes(p))
         assert check(p, M_POLICY).ok
     assert (calls[0], nodes) == (54788, 16743)
+
+
+def test_prop_handler_calls_on_the_certified_corpus(monkeypatch):
+    # a certified node whose sentences, premises and certificate lack a
+    # sample's parameter is the schema's own object at that sample, so the
+    # memo skips it; replaying every certificate at every sample took 1,241
+    calls = [0]
+    row = kernel._RULES["prop"]
+    monkeypatch.setitem(kernel._RULES, "prop",
+                        dataclasses.replace(row, handler=_counted(calls, row.handler)))
+    for entry in base_corpus():
+        pol = RulePolicy(allow_prop=True, extra_axioms=entry.policy.extra_axioms)
+        assert check(to_certified_calculus(entry.proof), pol).ok, entry.name
+    assert calls[0] == 701
+
+
+def _counted(calls, handler):
+    def run(*args):
+        calls[0] += 1
+        return handler(*args)
+    return run
 
 
 # two proofs in which one subproof object is checked first inside a schema

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 import satkit.syntax as sx
+from satkit import sexpr
 from satkit.corpus import mprop_entries
 from satkit.elements import std
 from satkit.kernel import RulePolicy, check, vee
@@ -10,13 +12,16 @@ from satkit.propcalc import (
     CertLine, Exhausted, PropCertificate, PropError, axiom_instance, check_certificate,
     derive_or_search, expand_pf, extract_hypotheses, imp,
     is_tautology, match_prop_axiom, one_line, pf_height_check,
-    recheck_unlabelled, scheme_manifest,
+    SCHEME_FORMS, recheck_unlabelled, scheme_manifest,
 )
 from generators import random_formula
 
 e, n, o = sx.Eq, sx.Not, sx.Or
 ZERO_EQ = e(sx.ZERO, sx.ZERO)
 PHI = e(sx.Succ(sx.ZERO), sx.Succ(sx.ZERO))
+# match_prop_axiom over the seeded draw of test_matcher_results_are_the_recorded_ones,
+# recorded from the earlier matcher, which tested each shape by hand
+MATCHES_SHA256 = "37e93d0040cf107069bd3763099e84d3e7e90a8307bed930c4a32ddc387cd480"
 
 
 class TestSchemes:
@@ -41,6 +46,47 @@ class TestSchemes:
                                        ("sum", "rc", 3), ("sum", "lc", 3)):
                 inst = axiom_instance(scheme, form, args[:need])
                 assert match_prop_axiom(inst) is not None
+
+    def test_matcher_results_are_the_recorded_ones(self):
+        # scheme instances over a three-atom pool, half of them with one
+        # subformula swapped for another, and Or/Not trees over the same
+        # atoms, so that schemes overlap and near misses are common
+        rng = random.Random(2024)
+        atoms = [ZERO_EQ, PHI, e(sx.const(std(1)), sx.const(std(2)))]
+        forms = [(s, f, 1 if f == "contract" else 2 if s == "add" else 3)
+                 for s in ("add", "sum", "cut") for f in SCHEME_FORMS[s]]
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(atoms)
+            if rng.random() < 0.4:
+                return n(tree(depth - 1))
+            return o(tree(depth - 1), tree(depth - 1))
+
+        def mutate(f):
+            if not isinstance(f, (sx.Not, sx.Or)) or rng.random() < 0.25:
+                return tree(1)
+            if isinstance(f, sx.Not):
+                return n(mutate(f.body))
+            if rng.random() < 0.5:
+                return o(mutate(f.left), f.right)
+            return o(f.left, mutate(f.right))
+
+        lines = []
+        for _ in range(20000):
+            if rng.random() < 0.5:
+                scheme, form, need = rng.choice(forms)
+                f = axiom_instance(scheme, form, tuple(tree(1) for _ in range(need)))
+                if rng.random() < 0.5:
+                    f = mutate(f)
+            else:
+                f = o(n(tree(3)), tree(4))
+            got = match_prop_axiom(f)
+            lines.append("-" if got is None else " ".join(
+                got[:2] + tuple(map(sexpr.print_obj, got[2]))))
+        assert 3000 < lines.count("-") < 17000
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == MATCHES_SHA256
 
     def test_wrong_arity_raises_prop_error(self):
         for scheme, form, need in (("cut", "contract", 1), ("cut", "full", 3),
