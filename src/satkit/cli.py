@@ -25,7 +25,7 @@ from .semantics import (
     models, sc_tower, structure_oracle, val_t,
 )
 from .sexpr import ParseError
-from .skolem import QuantSeq, find_skolem_table, is_skolem_operator, table_of
+from .skolem import QuantSeq, SkolemError, find_skolem_table, is_skolem_operator, table_of
 from .translate import g_bound, g_bound_at_least, translate_proof
 
 REPORT_SCHEMA = 1
@@ -38,6 +38,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _given(value, what: str):
+    """The value of an option the request needs; bad input when absent."""
+    if value is None:
+        raise ValueError(f"{what} is required")
+    return value
 
 
 def _policy(args) -> RulePolicy:
@@ -108,6 +115,8 @@ def cmd_translate(args) -> int:
 
 def cmd_gbound(args) -> int:
     n = int(args.n)
+    if n < 1:
+        raise ValueError(f"gbound: n must be at least 1, not {n}")
     value = g_bound(n, force=args.force)
     _emit(args, {"n": n, "value": str(value)}, [str(value)])
     return 0
@@ -125,7 +134,7 @@ def cmd_witness(args) -> int:
     depth = args.depth
     results = []
     ok = True
-    a = parse_element(args.a)
+    a = parse_element(_given(args.a, f"witness {args.name}: --a"))
     if args.name == "delta":
         t = delta_structure(a)
         target = sx.delta(a)
@@ -137,7 +146,7 @@ def cmd_witness(args) -> int:
             results.append((f"approximation-{k}", verdict.tag))
             ok = ok and verdict.is_true()
     elif args.name == "sc-tower":
-        h = parse_element(args.height)
+        h = parse_element(_given(args.height, "witness sc-tower: --height"))
         t = sc_tower(args.family, h, a)
         root = sx.SymTermRef(args.family, h)
         steps = [sx.SymTermRef(args.family, Sym(h.base, h.coeff, h.offset - k))
@@ -148,7 +157,7 @@ def cmd_witness(args) -> int:
             results.append((f"chain-{k}", str(value)))
             ok = ok and value == a
     else:
-        t = free_tower(a, parse_element(args.b))
+        t = free_tower(a, parse_element(_given(args.b, "witness free-tower: --b")))
         target = sx.Not(sx.Ex(0, sx.Eq(sx.numeral(a), sx.Var(0))))
         base_chain = [target, target.body, sx.Eq(sx.numeral(a), sx.Var(0)), sx.Var(0)]
         tower_steps = [sx.numeral(Sym(a.base, a.coeff, a.offset - k)) for k in range(depth)]
@@ -224,7 +233,10 @@ def _parse_quantseq(text: str) -> QuantSeq:
         if not part:
             continue
         items.append((part[0].upper(), int(part[1:])))
-    return QuantSeq(tuple(items))
+    try:
+        return QuantSeq(tuple(items))
+    except SkolemError as e:
+        raise ValueError(f"skolem: --q: {e}") from None
 
 
 def cmd_skolem(args) -> int:
@@ -236,7 +248,8 @@ def cmd_skolem(args) -> int:
         ok = is_skolem_operator(table, q)
         _emit(args, {"ok": ok}, [f"ok: {ok}"])
         return 0 if ok else 1
-    f = sx.expand_abbreviation(sexpr.parse_formula(args.formula))
+    text = _given(args.formula, "skolem: --table or --formula")
+    f = sx.expand_abbreviation(sexpr.parse_formula(text))
 
     def truth(sentence):
         return eval_tr(sentence, "d0", args.fuel).is_true()
@@ -284,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn.__name__)
         sp.add_argument("--json", action="store_true")
         return sp
 
@@ -357,14 +370,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one request. The parser is built by the first call and reused,
+    so repeated calls in one process pay only for their own work."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # by name at call time, so a handler rebound on this module is used
+        return globals()[args.fn](args)
     except (OSError, ValueError, KeyError, ParseError, coding.CodingError, EvalError,
             ElementError, BadWitnessParams) as e:
         print(f"error: {e}", file=sys.stderr)

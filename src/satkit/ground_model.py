@@ -277,8 +277,12 @@ class Tarski:
         return out, None
 
     def at_generic(self, f: sx.Ex, base: str, params: frozenset) -> TruthValue:
-        """The existential's body at a fresh generic element named base."""
-        return self.decide(sx.substitute(f.body, sx.const(Sym(base)), f.index), params | {base})
+        """The existential's body at a fresh generic element named base.
+        A body without v_i free is its own instance, and the base occurs
+        nowhere in it, so it is decided under params alone: a memo on
+        (formula, params) then sees it once, not once per nesting level."""
+        inst = sx.substitute(f.body, sx.const(Sym(base)), f.index)
+        return self.decide(inst, params if inst is f.body else params | {base})
 
     def atom(self, f: sx.Formula, params: frozenset) -> TruthValue:
         if isinstance(f, sx.Eq):

@@ -379,18 +379,33 @@ def structure_oracle(t_struct: TStructure):
     Truth of the boxed sentence alone is not enough: the branch is only
     certified when its approximations up to the probe depth hold as well,
     since a consistent set must keep every unfolding true.
+
+    A member's verdict reads only the member, the structure, ORACLE_FUEL
+    and ORACLE_DEPTH, so the oracle keeps one verdict per sentence and
+    tests members left to right up to the first that fails. The memo lives
+    as long as the returned oracle: one ``henkin_extend`` run (one
+    ``satkit henkin`` request), which asks about each stage's whole set.
     """
+    verdicts: dict[sx.Formula, bool] = {}
+
+    def certified(f: sx.Formula) -> bool:
+        if models(t_struct, _boxed(f), ORACLE_FUEL) is not TRUE:
+            return False
+        for k in range(1, ORACLE_DEPTH + 1):
+            chain = tp.full_depth_approx([f], k)
+            image = tp.apply_to_object(chain, f)
+            if models(t_struct, image, ORACLE_FUEL) is FALSE:
+                return False
+        return True
+
+    def verdict(f: sx.Formula) -> bool:
+        hit = verdicts.get(f)
+        if hit is None:
+            hit = verdicts[f] = certified(f)
+        return hit
 
     def oracle(sentences: Iterable[sx.Formula]) -> bool:
-        for f in sentences:
-            if models(t_struct, _boxed(f), ORACLE_FUEL) is not TRUE:
-                return False
-            for k in range(1, ORACLE_DEPTH + 1):
-                chain = tp.full_depth_approx([f], k)
-                image = tp.apply_to_object(chain, f)
-                if models(t_struct, image, ORACLE_FUEL) is FALSE:
-                    return False
-        return True
+        return all(map(verdict, sentences))
 
     return oracle
 

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+import satkit.cli as cli
 import satkit.sexpr as sexpr
-from satkit.cli import main
+from satkit.cli import build_parser, main
 from satkit.corpus import commute_or_proof
 import satkit.syntax as sx
 
@@ -176,34 +177,49 @@ class TestProofCommands:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv, option", [
         # numbers outside the codec's image
-        pytest.param(["decode", "--", "0"], id="decode-zero"),
-        pytest.param(["decode", "--", "-1"], id="decode-negative"),
+        pytest.param(["decode", "--", "0"], None, id="decode-zero"),
+        pytest.param(["decode", "--", "-1"], None, id="decode-negative"),
         # sentences outside the ground model, or outside any class
-        pytest.param(["eval-tr", "--formula", "(= (num w[a]) 0)"], id="eval-tr-family"),
-        pytest.param(["eval-tr", "--formula", "(= v0 0)"], id="eval-tr-open"),
-        pytest.param(["eval-tr", "--class", "q1", "--formula", "(= 0 0)"],
+        pytest.param(["eval-tr", "--formula", "(= (num w[a]) 0)"], None, id="eval-tr-family"),
+        pytest.param(["eval-tr", "--formula", "(= v0 0)"], None, id="eval-tr-open"),
+        pytest.param(["eval-tr", "--class", "q1", "--formula", "(= 0 0)"], None,
                      id="eval-tr-unknown-class"),
         # values the ground model cannot compute
         pytest.param(["eval-tr", "--class", "s1", "--formula", "(bex 0 csym:a (= v0 v0))"],
-                     id="eval-tr-symbolic-bound"),
-        pytest.param(["eval-tr", "--formula", "(= (* csym:a csym:b) 0)"],
+                     None, id="eval-tr-symbolic-bound"),
+        pytest.param(["eval-tr", "--formula", "(= (* csym:a csym:b) 0)"], None,
                      id="eval-tr-symbolic-product"),
         # an element that does not parse
-        pytest.param(["witness", "delta", "--a", "foo bar"], id="witness-bad-element"),
+        pytest.param(["witness", "delta", "--a", "foo bar"], None, id="witness-bad-element"),
         # witness parameters the structure cannot take
-        pytest.param(["witness", "delta", "--a", "3"], id="witness-delta-standard-index"),
-        pytest.param(["witness", "free-tower", "--a", "w[a]", "--b", "w[a]"],
+        pytest.param(["witness", "delta", "--a", "3"], None, id="witness-delta-standard-index"),
+        pytest.param(["witness", "free-tower", "--a", "w[a]", "--b", "w[a]"], None,
                      id="witness-free-tower-shared-base"),
         pytest.param(["witness", "sc-tower", "--family", "num", "--height", "3",
-                      "--a", "w[a]"], id="witness-sc-tower-standard-height"),
+                      "--a", "w[a]"], None, id="witness-sc-tower-standard-height"),
+        # options a request needs, each named in the message
+        pytest.param(["witness", "delta"], "--a", id="witness-delta-no-a"),
+        pytest.param(["witness", "sc-tower"], "--a", id="witness-sc-tower-no-a"),
+        pytest.param(["witness", "free-tower"], "--a", id="witness-free-tower-no-a"),
+        pytest.param(["witness", "sc-tower", "--a", "3"], "--height",
+                     id="witness-sc-tower-no-height"),
+        pytest.param(["witness", "free-tower", "--a", "w[a]"], "--b",
+                     id="witness-free-tower-no-b"),
+        pytest.param(["skolem", "--q", "[E0]"], "--formula", id="skolem-no-table-or-formula"),
+        pytest.param(["skolem", "--q", "[X0]", "--formula", "(= 0 0)"], "--q",
+                     id="skolem-bad-quantifier"),
+        # the bound starts at 1
+        pytest.param(["gbound", "0"], "gbound: n ", id="gbound-zero"),
+        pytest.param(["gbound", "--", "-1"], "gbound: n ", id="gbound-negative"),
     ])
-    def test_bad_input_exits_2(self, capsys, argv):
+    def test_bad_input_exits_2(self, capsys, argv, option):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert option is None or option in err
 
     @pytest.mark.parametrize("command, text, flags", [
         pytest.param("henkin", "(= 0 0)\n", ["--delta-witness", "foo bar"],
@@ -381,3 +397,73 @@ class TestDeterminism:
         # the gallery's tr-sigma structure has no approximation check
         assert main(["witness", "tr-sigma"]) == 2
         assert capsys.readouterr().err.startswith("usage: ")
+
+
+class TestRepeatedCalls:
+    """main can be called again and again in one process: the parser is
+    built once, and no call leaves state for the next."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """main with no parser built yet; yields the build_parser calls."""
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return built
+
+    @pytest.fixture
+    def requests(self, tmp_path):
+        proof = tmp_path / "proof.sexp"
+        proof.write_text(sexpr.print_proof(commute_or_proof(
+            sx.Eq(sx.ZERO, sx.ZERO), sx.Eq(sx.Succ(sx.ZERO), sx.Succ(sx.ZERO)))) + "\n")
+        enum = tmp_path / "enum.txt"
+        enum.write_text("(= (+ c2 c3) c5)\n(not (= c4 c6))\n(ex 0 (= (+ v0 c2) c7))\n")
+        return [
+            ["check", "--in", str(proof), "--json"],
+            ["check", "--in", str(proof), "--logic", "template"],
+            ["henkin", "--enumeration", str(enum), "--json"],
+            ["witness", "sc-tower", "--height", "w[h]", "--a", "w[a]", "--depth", "4"],
+            ["skolem", "--q", "[A0,E1]", "--formula", "(= (+ v0 c2) v1)", "--grid", "3",
+             "--search", "6", "--json"],
+            ["eval-tr", "--formula", "(= (+ c1 c1) c2)"],
+        ]
+
+    def test_the_parser_is_built_once(self, fresh, requests, capsys):
+        for argv in requests + [["no-such-command"], ["gbound", "--help"], ["gbound", "4"]]:
+            main(argv)
+        assert fresh == [1]
+
+    def test_identical_requests_give_identical_reports(self, fresh, requests, capsys):
+        between = [["no-such-command"], ["check", "--help"], ["gbound", "4"],
+                   ["witness", "delta"], ["eval-tr", "--formula", "(= v0 0)"]]
+        for argv in requests:
+            first = main(argv), capsys.readouterr().out
+            for other in between:
+                main(other)
+            capsys.readouterr()
+            assert (main(argv), capsys.readouterr().out) == first, argv
+        assert fresh == [1]
+
+    def test_a_name_rebound_after_the_first_call_is_used(self, monkeypatch, capsys):
+        assert main(["gbound", "2"]) == 0
+        seen = []
+        g_bound = cli.g_bound
+        monkeypatch.setattr(cli, "g_bound", lambda n, force: seen.append(n) or g_bound(n, force))
+        assert main(["gbound", "2"]) == 0 and seen == [2]
+        monkeypatch.setattr(cli, "cmd_gbound", lambda args: 1)
+        assert main(["gbound", "2"]) == 1 and seen == [2]
+
+    def test_no_parser_default_is_mutable(self):
+        parsers, defaults = [build_parser()], []
+        while parsers:
+            p = parsers.pop()
+            defaults += [a.default for a in p._actions] + list(p._defaults.values())
+            parsers += [sp for a in p._actions if a.choices and isinstance(a.choices, dict)
+                        for sp in a.choices.values()]
+        assert len(defaults) > 50
+        assert all(d is None or type(d) in (bool, int, str) for d in defaults)

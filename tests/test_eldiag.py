@@ -265,3 +265,18 @@ class TestSearchWork:
         p = prove_eldiag(_nested_refutation())
         params = [q.uniform.params for q in proof_nodes(p) if q.uniform is not None]
         assert params == [("q0",), ("q1",)]
+
+    def test_vacuous_nested_existentials_take_one_decision_per_level(self):
+        # Ex0 Ex0 ... (v0 = v0): each body is its own generic instance, so
+        # the generic decision and the first candidate share a memo entry
+        sizes = {}
+        for depth in (101, 201):
+            phi = e(sx.Var(0), sx.Var(0))
+            for _ in range(depth):
+                phi = sx.Ex(0, phi)
+            prover = _Prover(fuel=200, samples=DEFAULT_SAMPLES)
+            p = prover.prove(phi, frozenset())
+            assert p.conclusion.sentences == {phi}
+            assert check(p, M_POLICY).ok
+            sizes[depth] = len(prover._decided)
+        assert sizes[201] - sizes[101] == 100

@@ -1,7 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 
+import satkit.semantics as semantics
+import satkit.sexpr as sexpr
 import satkit.syntax as sx
 import satkit.template as tp
 from satkit.congruence import build_quotient, subterm_closure
@@ -327,3 +330,94 @@ class TestHenkin:
             if value:
                 full = tp.full_depth_approx([f], 2)
                 assert models(s, tp.apply_to_object(full, f), fuel=8) is not FALSE
+
+
+def _reference_oracle(t_struct):
+    """structure_oracle without its verdict memo: every member of every
+    set is evaluated again."""
+
+    def oracle(sentences):
+        for f in sentences:
+            if models(t_struct, semantics._boxed(f), semantics.ORACLE_FUEL) is not TRUE:
+                return False
+            for k in range(1, semantics.ORACLE_DEPTH + 1):
+                image = tp.apply_to_object(tp.full_depth_approx([f], k), f)
+                if models(t_struct, image, semantics.ORACLE_FUEL) is FALSE:
+                    return False
+        return True
+
+    return oracle
+
+
+def _cli_session_enumeration(rng):
+    """The shape of a cli-session henkin request: two sums, a
+    disequation, a disjunction and two existentials, seeded constants."""
+    a, b, c_, d = (rng.randrange(1, 10) for _ in range(4))
+    texts = [f"(= (+ c{a} c{b}) c{a + b})", f"(= (+ c{a} c{b}) c{a + b + c_})",
+             f"(not (= c{c_} c{c_ + d}))", f"(or (= c{a} c{a + d}) (= c{b} c{b}))",
+             f"(ex 0 (= (+ v0 c{a}) c{a + c_}))", f"(ex 0 (= (+ v0 c{a + c_}) c{a}))"]
+    return [sexpr.parse_formula(t) for t in dict.fromkeys(texts)]
+
+
+def _henkin_cases():
+    """(lam, enumeration, structure or None for ground truth, budget):
+    the inputs of TestHenkin and of cli-session's henkin requests, with
+    and without a delta witness."""
+    a = sym("a")
+    family = [sx.delta(Sym("a", a.coeff, -k)) for k in range(1, 7)]
+    cases = [
+        ([], [e(sx.numeral(std(k % 4)), sx.numeral(std(k % 3))) for k in range(12)]
+         + [sx.Ex(0, e(sx.Var(0), c(3))), n(e(sx.ZERO, sx.Succ(sx.ZERO)))], None, 16),
+        ([], [sx.Ex(0, e(sx.Var(0), c(3)))], None, 8),
+        ([sx.delta(a)], family, delta_structure(a), 32),
+        ([sx.delta(a)], family + [e(sx.ZERO, sx.ZERO), e(c(1), c(2))],
+         delta_structure(a, with_ground_truth=True), 32),
+        ([], [e(sx.numeral(std(k)), sx.numeral(std(k))) for k in range(4)]
+         + [e(sx.Add(c(1), c(1)), c(2)), n(e(c(1), c(2)))], None, 8),
+    ]
+    rng = random.Random(1313)
+    for _ in range(6):
+        enum = _cli_session_enumeration(rng)
+        cases.append(([], enum, None, 32))
+        cases.append(([], enum, delta_structure(sym("a"), with_ground_truth=True), 32))
+    return cases
+
+
+def _henkin_outcome(lam, enum, oracle, budget):
+    frag = henkin_extend(lam, enum, oracle=oracle, budget=budget)
+    return list(frag.decided.items()), frag.witnesses, frag.stage_log
+
+
+class TestOracleMemo:
+    def test_models_runs_once_per_sentence_and_depth(self, monkeypatch):
+        calls = []
+
+        def counted(t_struct, gamma, *args, **kwargs):
+            calls.append(gamma)
+            return models(t_struct, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(semantics, "models", counted)
+        true = [e(c(k), c(k)) for k in range(3)]
+        false, after = e(c(1), c(2)), e(c(5), c(5))
+        oracle = structure_oracle(ground_truth_structure())
+        for k in range(1, 4):
+            assert oracle(true[:k])
+            assert oracle(true[:k] + true[:k])
+        assert len(calls) == 3 * (1 + semantics.ORACLE_DEPTH)
+        # left to right, stopping at the first failing member: the boxed
+        # test refutes it, and the member after it is never evaluated
+        assert not oracle(true + [false, after])
+        assert not oracle([false, after])
+        assert len(calls) == 3 * (1 + semantics.ORACLE_DEPTH) + 1
+        assert after not in {g.obj for g in calls if isinstance(g, tp.TemplForm)}
+        # the memo lives as long as its oracle
+        assert structure_oracle(ground_truth_structure())(true[:1])
+        assert len(calls) == 4 * (1 + semantics.ORACLE_DEPTH) + 1
+
+    def test_henkin_matches_an_oracle_without_the_memo(self):
+        for lam, enum, t_struct, budget in _henkin_cases():
+            # None runs henkin_extend's own default oracle
+            memo = None if t_struct is None else structure_oracle(t_struct)
+            reference = _reference_oracle(t_struct or ground_truth_structure())
+            got = _henkin_outcome(lam, enum, memo, budget)
+            assert got == _henkin_outcome(lam, enum, reference, budget), enum
