@@ -132,6 +132,8 @@ def cmd_eval_tr(args) -> int:
 
 def cmd_witness(args) -> int:
     depth = args.depth
+    if depth < 0:
+        raise ValueError(f"witness: --depth must be at least 0, not {depth}")
     results = []
     ok = True
     a = parse_element(_given(args.a, f"witness {args.name}: --a"))
@@ -249,6 +251,8 @@ def cmd_skolem(args) -> int:
         _emit(args, {"ok": ok}, [f"ok: {ok}"])
         return 0 if ok else 1
     text = _given(args.formula, "skolem: --table or --formula")
+    if args.grid < 1:
+        raise ValueError(f"skolem: --grid must be at least 1, not {args.grid}")
     f = sx.expand_abbreviation(sexpr.parse_formula(text))
 
     def truth(sentence):

@@ -10,9 +10,9 @@ can be stored as finite truncations for demonstration, but never check.
 Rule tags: axiom1..axiom12, axiomL, weak, or-i1, or-i2, or-i3, neg-i,
 cut, ex-i, m-rule, and the extensions prop, i-ex-inf, m-inf, skolem, pred.
 
-Proof trees are walked through ``Proof.subproofs`` and ``Proof.rebuild``.
-``proof_nodes`` lists the nodes in pre-order, and every proof rewrite is
-a step of ``map_proof``, an iterative post-order fold.
+Proof trees follow the syntax nodes' protocol, ``Proof.children`` (the
+premises, then the uniform schema) and ``Proof.rebuild``; they are walked
+by ``syntax.subobjects``, and every proof rewrite is a ``syntax.fold`` step.
 
 This module alone decides a rule's principal formula: ``match_axiom``
 gives an axiom's parts and ``match_rule`` an inference's principal
@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import syntax as sx
 from . import template as tp
@@ -128,47 +128,19 @@ class Proof:
     info: dict = field(default_factory=dict)
 
     @property
-    def subproofs(self) -> tuple["Proof", ...]:
+    def children(self) -> tuple["Proof", ...]:
         """The premises, then the uniform schema when there is one."""
         if self.uniform is None:
             return self.premises
         return self.premises + (self.uniform.schema,)
 
-    def rebuild(self, conclusion: Sequent, subproofs, info: Optional[dict] = None) -> "Proof":
-        """The same rule over new children, given in ``subproofs`` order;
+    def rebuild(self, conclusion: Sequent, children, info: Optional[dict] = None) -> "Proof":
+        """The same rule over new children, given in ``children`` order;
         the side data is copied unless ``info`` is given."""
-        prems, uni = tuple(subproofs), self.uniform
+        prems, uni = tuple(children), self.uniform
         if uni is not None:
             prems, uni = prems[:-1], Uniform(uni.params, prems[-1], uni.sampled)
         return Proof(conclusion, self.rule, prems, uni, dict(self.info) if info is None else info)
-
-
-def proof_nodes(p: Proof) -> Iterator[Proof]:
-    """Every node of a proof, root included, in pre-order; iterative, so
-    any height is fine."""
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        yield q
-        stack.extend(reversed(q.subproofs))
-
-
-def map_proof(p: Proof, step: Callable[[Proof, list], object]):
-    """Fold a proof in post-order, siblings left to right: ``step(node,
-    results)`` gets the subproofs' results in ``subproofs`` order and gives
-    the node's. Iterative, so any height is fine."""
-    stack: list = [p]
-    results: list = []
-    while stack:
-        q = stack.pop()
-        if type(q) is tuple:  # (node, n) once its n subproofs have results
-            cut = len(results) - q[1]
-            results[cut:] = [step(q[0], results[cut:])]
-        else:
-            subs = q.subproofs
-            stack.append((q, len(subs)))
-            stack.extend(reversed(subs))
-    return results[0]
 
 
 @dataclass(frozen=True)
@@ -315,7 +287,7 @@ def subst_param_proof(p: Proof, base: str, value: Element,
         new = [inst(f) for f in old]
         same = all(g is f for f, g in zip(old, new))
         concl = p.conclusion if same else Sequent(frozenset(new))
-        same = same and all(q2 is q for q2, q in zip(subs, p.subproofs))
+        same = same and all(q2 is q for q2, q in zip(subs, p.children))
         info = dict(p.info)
         if "witness" in info:
             info["witness"] = subst_base(info["witness"], base, value)
@@ -338,7 +310,7 @@ def subst_param_proof(p: Proof, base: str, value: Element,
                 info["prop"] = {"cert": _subst_certificate(cert, inst, hyp_map, vee(concl.sentences))}
         return p if same else p.rebuild(concl, subs, info)
 
-    return map_proof(p, step)
+    return sx.fold(p, step)
 
 
 def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):

@@ -22,7 +22,7 @@ from . import template as tp
 from .congruence import QuotientStructure, build_quotient, subterm_closure
 from .elements import Element, ElementError, Std, Sym, affine_hits, half
 from .ground_model import FALSE, TRUE, UNKNOWN, Tarski, TruthValue, eval_tr, of_bool, val
-from .kernel import Proof, match_instance, proof_nodes
+from .kernel import Proof, match_instance
 
 _GENERIC = "generic"
 
@@ -179,7 +179,7 @@ class AuditReport:
 
 
 def uses_axiom12(q: Proof) -> bool:
-    return any(p.rule == "axiom12" for p in proof_nodes(q))
+    return any(p.rule == "axiom12" for p in sx.subobjects(q))
 
 
 def audit_soundness(q: Proof, t_struct: TStructure, fuel: int = 32) -> AuditReport:
@@ -190,7 +190,7 @@ def audit_soundness(q: Proof, t_struct: TStructure, fuel: int = 32) -> AuditRepo
     """
     if uses_axiom12(q) and not t_struct.supports_axiom12:
         return AuditReport(UNKNOWN, applicable=False, note="existence axiom unsupported")
-    leaves = (lam for p in proof_nodes(q) if p.rule == "axiomL" for lam in p.conclusion.sentences)
+    leaves = (lam for p in sx.subobjects(q) if p.rule == "axiomL" for lam in p.conclusion.sentences)
     if any(models(t_struct, lam, fuel) is not TRUE for lam in leaves):
         return AuditReport(UNKNOWN, applicable=False, note="hypothesis not true here")
     disj: Optional[sx.Formula] = None

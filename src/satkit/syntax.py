@@ -24,7 +24,11 @@ protocol, and the walks over syntax are written against it:
 - ``extended`` is true on the abbreviation classes.
 
 All four are read from the node's class, so a walk dispatches without
-naming node classes or looking fields up by name.
+naming node classes or looking fields up by name. Proof trees
+(``kernel.Proof``) have ``children`` too. ``subobjects`` (pre-order) and
+``fold(x, step)`` (post-order) walk both kinds of tree at any depth. The
+cached facts, ``substitute`` and ``skeleton_depth`` stay recursive: on the
+kernel's hot paths an explicit stack costs up to twice as much per node.
 
 Nodes are immutable. Each carries slots for facts computed once, on first
 use, from its children: its hash, free variables and primitivity here,
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import reduce
 from operator import attrgetter, or_
-from typing import Iterator, Mapping, Optional, Union, get_type_hints
+from typing import Callable, Iterator, Mapping, Optional, Union, get_type_hints
 
 from .elements import Element, Std, Sym, elem_lt, pred, std
 
@@ -492,22 +496,12 @@ class VarAssignment:
 
 def multi_substitute(x: Obj, a: VarAssignment) -> Obj:
     """Simultaneous substitution of constants for all assigned variables,
-    inside template symbols too."""
-
-    def go(y: Obj, shadow: frozenset[int]):
-        if type(y) is Var:
-            if y.index not in shadow:
-                e = a.lookup(y.index)
-                if e is not None:
-                    return const(e)
-            return y
-        if isinstance(y, Sealed):
-            return type(y)(go(y.obj, shadow))
-        inner = shadow | {y.index} if y.scope else shadow
-        return y.rebuild(*(go(k, inner if pos in y.scope else shadow)
-                           for pos, k in enumerate(y.children)))
-
-    return go(x, frozenset())
+    inside template symbols too. Constants are closed, so substituting
+    one entry at a time is the same; subtrees without an assigned free
+    variable are returned as they are."""
+    for i, e in a.entries:
+        x = substitute(x, const(e), i)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -531,34 +525,45 @@ def _lt_expansion(x: Term, y: Term, j: int) -> Formula:
     return Ex(j, Not(Or(Eq(Var(j), ZERO), Not(Eq(Add(x, Var(j)), y)))))
 
 
+def _and(a: Formula, b: Formula) -> Formula:
+    return Not(Or(Not(a), Not(b)))
+
+
+def _bex(f: Formula, body: Formula) -> Formula:
+    """f's bounded existential over an expanded body."""
+    j = _fresh_above(f.bound, f.body, Var(f.index))
+    return Ex(f.index, _and(_lt_expansion(Var(f.index), f.bound, j), body))
+
+
 def expand_abbreviation(f: Formula) -> Formula:
     """Rewrite to the primitive connectives; idempotent on its image."""
-    if isinstance(f, Eq) or isinstance(f, SymFormulaRef):
+    if isinstance(f, Term):
+        raise SyntaxError_(f"expand_abbreviation: unknown node {f!r}")
+    return fold(f, _expand_step)
+
+
+def _expand_step(f: Obj, kids: list) -> Obj:
+    """A node's expansion over its children's; terms and atoms stay."""
+    if isinstance(f, (Term, Eq, SymFormulaRef)):
         return f
-    if isinstance(f, Not):
-        return Not(expand_abbreviation(f.body))
-    if isinstance(f, Or):
-        return Or(expand_abbreviation(f.left), expand_abbreviation(f.right))
-    if isinstance(f, Ex):
-        return Ex(f.index, expand_abbreviation(f.body))
+    if isinstance(f, (Not, Or, Ex)):
+        return f.rebuild(*kids)
     if isinstance(f, And):
-        return Not(Or(Not(expand_abbreviation(f.left)), Not(expand_abbreviation(f.right))))
+        return _and(*kids)
     if isinstance(f, Imp):
-        return Or(Not(expand_abbreviation(f.left)), expand_abbreviation(f.right))
+        return Or(Not(kids[0]), kids[1])
     if isinstance(f, Iff):
-        return expand_abbreviation(And(Imp(f.left, f.right), Imp(f.right, f.left)))
+        return _and(Or(Not(kids[0]), kids[1]), Or(Not(kids[1]), kids[0]))
     if isinstance(f, Xor):
-        return expand_abbreviation(And(Or(f.left, f.right), Not(And(f.left, f.right))))
+        return _and(Or(*kids), Not(_and(*kids)))
     if isinstance(f, All):
-        return Not(Ex(f.index, Not(expand_abbreviation(f.body))))
+        return Not(Ex(f.index, Not(kids[0])))
     if isinstance(f, Lt):
         return _lt_expansion(f.left, f.right, _fresh_above(f.left, f.right))
     if isinstance(f, BEx):
-        j = _fresh_above(f.bound, f.body, Var(f.index))
-        guard = _lt_expansion(Var(f.index), f.bound, j)
-        return Ex(f.index, Not(Or(Not(guard), Not(expand_abbreviation(f.body)))))
+        return _bex(f, kids[1])
     if isinstance(f, BAll):
-        return Not(expand_abbreviation(BEx(f.index, f.bound, Not(f.body))))
+        return Not(_bex(f, Not(kids[1])))
     raise SyntaxError_(f"expand_abbreviation: unknown node {f!r}")
 
 
@@ -574,25 +579,26 @@ def expand_abbreviation(f: Formula) -> Formula:
 def depth(x: Obj) -> Element:
     if isinstance(x, Term):
         raise SyntaxError_("depth is a formula metric")
+    return fold(x, _depth_step)
+
+
+def _depth_step(x: Obj, kids: list) -> Optional[Element]:
+    """A node's depth from its children's; a term has none."""
+    if isinstance(x, Term):
+        return None
     if isinstance(x, (Eq, Lt)):
         return std(1)
     if isinstance(x, Not):
-        if isinstance(x.body, (Eq, Lt)):
-            return std(1)
-        d = depth(x.body)
-        return Std(d.n + 1) if isinstance(d, Std) else Sym(d.base, d.coeff, d.offset + 1)
+        return std(1) if isinstance(x.body, (Eq, Lt)) else _bump(kids[0])
     if isinstance(x, (Or, And, Imp, Iff, Xor)):
-        dl, dr = depth(x.left), depth(x.right)
-        return _elem_max1(dl, dr)
+        return _elem_max1(*kids)
     if isinstance(x, (Ex, All)):
-        d = depth(x.body)
-        return _bump(d)
+        return _bump(kids[0])
     if isinstance(x, (BEx, BAll)):
-        d = _elem_max1(depth(x.body), std(1))
-        return d
+        return _elem_max1(kids[1], std(1))
     if isinstance(x, SymFormulaRef):
-        base = std(1) if x.family == "delta" else depth(Not(Or(x.payload, Not(x.payload))))
-        return _offset(x.index, base)
+        p = x.payload
+        return _offset(x.index, std(1) if p is None else fold(Not(Or(p, Not(p))), _depth_step))
     raise SyntaxError_(f"depth: unknown node {x!r}")
 
 
@@ -639,13 +645,6 @@ def skeleton_depth(x: Obj) -> Element:
         if _try_lt(d, e):
             d = e
     return _bump(_bump(d) if isinstance(x, (BEx, BAll)) else d)
-
-
-def size(x: Obj) -> int:
-    """Node count of a concrete object; family references are not sized."""
-    if isinstance(x, (SymTermRef, SymFormulaRef)):
-        raise SyntaxError_("family references have nonstandard size")
-    return 1 + sum(map(size, x.children))
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +701,29 @@ def epsilon(a: Element | int, phi: Formula) -> Formula:
     return f
 
 
-def subobjects(x: Obj) -> Iterator[Obj]:
-    """All subformulas and subterms of a concrete object, root included,
-    in pre-order; iterative, so any nesting depth is fine."""
+def subobjects(x) -> Iterator:
+    """Every node of a syntax or proof tree, root included, in pre-order;
+    iterative, so any depth is fine."""
     stack = [x]
     while stack:
         y = stack.pop()
         yield y
         stack.extend(reversed(y.children))
+
+
+def fold(x, step: Callable[[object, list], object]):
+    """Fold a syntax or proof tree in post-order, siblings left to right:
+    ``step(node, results)`` gets the children's results in ``children``
+    order and gives the node's. Iterative, so any depth is fine."""
+    stack: list = [x]
+    results: list = []
+    while stack:
+        q = stack.pop()
+        if type(q) is tuple:  # (node, n) once its n children have results
+            cut = len(results) - q[1]
+            results[cut:] = [step(q[0], results[cut:])]
+        else:
+            kids = q.children
+            stack.append((q, len(kids)))
+            stack.extend(reversed(kids))
+    return results[0]

@@ -205,36 +205,25 @@ def is_subobject(small: sx.Obj, big: sx.Obj) -> bool:
 def _in_family_closure(small: sx.Obj, big) -> bool:
     if isinstance(big, sx.SymFormulaRef):
         if big.family == "delta":
-            return _is_delta_prefix(small)
+            return _is_tower(small, sx.Or, (sx.FALSUM, sx.Eq(sx.ZERO, sx.ZERO), sx.ZERO))
         base = sx.Not(sx.Or(big.payload, sx.Not(big.payload)))
-        return _is_tower_prefix(small, base) or any(small == o for o in sx.subobjects(base))
+        return _is_tower(small, sx.Or, (base,)) or any(small == o for o in sx.subobjects(base))
     if big.family == "num":
         return _is_succ_tower(small)
-    return _is_add_tower(small)
+    return _is_tower(small, sx.Add, (sx.ZERO,))
 
 
-def _is_delta_prefix(f: sx.Obj) -> bool:
-    if f in (sx.FALSUM, sx.Eq(sx.ZERO, sx.ZERO), sx.ZERO):
-        return True
-    return isinstance(f, sx.Or) and f.left == f.right and _is_delta_prefix(f.left)
-
-
-def _is_tower_prefix(f: sx.Obj, base: sx.Formula) -> bool:
-    if f == base:
-        return True
-    return isinstance(f, sx.Or) and f.left == f.right and _is_tower_prefix(f.left, base)
+def _is_tower(x: sx.Obj, cls: type, bases: tuple) -> bool:
+    """Is x a stack of ``cls`` nodes, each over two equal halves, on a base?"""
+    while isinstance(x, cls) and x.left == x.right:
+        x = x.left
+    return x in bases
 
 
 def _is_succ_tower(t: sx.Obj) -> bool:
     while isinstance(t, sx.Succ):
         t = t.arg
     return isinstance(t, sx.Zero)
-
-
-def _is_add_tower(t: sx.Obj) -> bool:
-    if isinstance(t, sx.Zero):
-        return True
-    return isinstance(t, sx.Add) and t.left == t.right and _is_add_tower(t.left)
 
 
 def is_normal(f: ApproxChain) -> bool:
@@ -325,21 +314,26 @@ def structural_commute_check(f: ApproxChain, psi: sx.Formula) -> CommuteReport:
 
 def refold(x: TObj) -> sx.Obj:
     """Collapse template symbols back to their objects, folding towers."""
+    return sx.fold(x, _refold_step)
+
+
+def _refold_step(x: TObj, kids: list) -> sx.Obj:
     if isinstance(x, sx.Sealed):
         return x.obj
     if x.extended:
         raise TemplateError(f"non-primitive node {x!r}")
-    return _fold(x.rebuild(*map(refold, x.children)))
+    return _fold_tower(x.rebuild(*kids))
 
 
-def _fold(x: sx.Obj) -> sx.Obj:
+def _fold_tower(x: sx.Obj) -> sx.Obj:
     from .elements import succ as esucc
-    if isinstance(x, sx.Or) and x.left == x.right and isinstance(x.left, sx.SymFormulaRef):
+    # the reference test comes first: == recurses through deep equal halves
+    if isinstance(x, sx.Or) and isinstance(x.left, sx.SymFormulaRef) and x.left == x.right:
         return sx.SymFormulaRef(x.left.family, esucc(x.left.index), x.left.payload)
     if isinstance(x, sx.Succ) and isinstance(x.arg, sx.SymTermRef) and x.arg.family == "num":
         return sx.SymTermRef("num", esucc(x.arg.index))
-    if isinstance(x, sx.Add) and x.left == x.right and isinstance(x.left, sx.SymTermRef) \
-            and x.left.family == "addtower":
+    if isinstance(x, sx.Add) and isinstance(x.left, sx.SymTermRef) \
+            and x.left.family == "addtower" and x.left == x.right:
         return sx.SymTermRef("addtower", esucc(x.left.index))
     return x
 
@@ -393,9 +387,13 @@ def is_approximation(x: TObj, target: sx.Obj) -> bool:
 
 
 def _tsize(x: TObj) -> int:
+    return sx.fold(x, _tsize_step)
+
+
+def _tsize_step(x: TObj, kids: list) -> int:
     if x.extended:
         raise TemplateError(f"non-primitive node {x!r}")
-    return 1 + sum(map(_tsize, x.children))
+    return 1 + sum(kids)
 
 
 def apprx_member(x: TObj, member_oracle) -> bool:

@@ -8,7 +8,7 @@ a disjunction splits into its parts, and double negations round-trip.
 from __future__ import annotations
 
 from . import syntax as sx
-from .kernel import Proof, Sequent, map_proof, match_rule, vee
+from .kernel import Proof, Sequent, match_rule, vee
 
 
 class NotApplicable(Exception):
@@ -50,7 +50,7 @@ def move_hypotheses(p: Proof, hyps: list[sx.Formula]) -> Proof:
             new_concl = Sequent(q.conclusion.sentences | {nphi})
             return q.rebuild(new_concl, subs) if subs else Proof(new_concl, "weak", (q,))
 
-        p = map_proof(p, add_negation)
+        p = sx.fold(p, add_negation)
     return p
 
 
@@ -136,7 +136,7 @@ def to_certified_calculus(p: Proof) -> Proof:
         # a structural rule has premises only, so subs are its premises
         return Proof(p.conclusion, "prop", tuple(subs), None, {"prop": {"cert": cert}})
 
-    return map_proof(p, step)
+    return sx.fold(p, step)
 
 
 def transform(kind: str, p: Proof, **args) -> Proof:

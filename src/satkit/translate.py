@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from . import syntax as sx
 from . import template as tp
 from .kernel import (
-    AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, check, map_proof, match_axiom,
-    match_rule, proof_nodes,
+    AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, check, match_axiom, match_rule,
 )
 
 
@@ -176,7 +175,7 @@ class _Translator:
         template axioms and commute with every rule, so the image of a
         checked proof checks.
         """
-        return map_proof(q, lambda n, subs: n.rebuild(
+        return sx.fold(q, lambda n, subs: n.rebuild(
             Sequent(frozenset(self.image(f, g) for g in n.conclusion)), subs))
 
     def chain_image(self, f: tp.ApproxChain, sentences) -> frozenset:
@@ -198,15 +197,15 @@ class _Translator:
     def run(self, p: Proof):
         """A checked proof's chain and template proof, or the first
         unsupported node in pre-order."""
-        for q in proof_nodes(p):
+        for q in sx.subobjects(p):
             if q.rule in ("prop", "i-ex-inf", "m-inf", "skolem", "pred"):
                 raise UnsupportedRule(f"{q.rule} proofs have no template translation here")
             if not (q.rule in AXIOM_TAGS or q.rule in _OWN_STEPS or q.rule in ("weak", "m-rule")):
                 raise UnsupportedRule(f"unknown rule {q.rule}")
-        return map_proof(p, self.step)
+        return sx.fold(p, self.step)
 
     def step(self, p: Proof, runs: list):
-        """A node's chain and translation, from its subproofs' in ``runs``."""
+        """A node's chain and translation, from its children's in ``runs``."""
         tag = p.rule
         if tag == "axiomL":
             return self._conclude(p, tp.ApproxChain(()), ())
@@ -242,12 +241,12 @@ class _Translator:
 
     def _conclude(self, p: Proof, f: tp.ApproxChain, runs, info=None, premise_size: int = 0):
         """The node's translation under its chain f: each child's
-        translation (from ``runs``, in ``subproofs`` order) lifted through
+        translation (from ``runs``, in ``children`` order) lifted through
         f and checked to conclude the image of the child's sequent, then
         the node rebuilt over them, with no side data but ``info``, and
         traced."""
         lifted = []
-        for child, (_, q) in zip(p.subproofs, runs):
+        for child, (_, q) in zip(p.children, runs):
             q = self.lift(q, f)
             if q.conclusion.sentences != self.chain_image(f, child.conclusion.sentences):
                 raise TranslateError("chain union failed to absorb a child chain; "

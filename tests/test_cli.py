@@ -48,7 +48,7 @@ class TestBasicCommands:
         assert code == 0 and out.strip() == text
 
     def test_too_deep_input_exits_2(self, capsys):
-        # eval-tr still expands abbreviations recursively
+        # eval-tr still evaluates recursively
         depth = 3000
         code = main(["eval-tr", "--formula", "(not " * depth + "(= 0 0)" + ")" * depth])
         err = capsys.readouterr().err
@@ -210,6 +210,11 @@ class TestProofCommands:
         pytest.param(["skolem", "--q", "[E0]"], "--formula", id="skolem-no-table-or-formula"),
         pytest.param(["skolem", "--q", "[X0]", "--formula", "(= 0 0)"], "--q",
                      id="skolem-bad-quantifier"),
+        # a negative depth checked nothing and a grid below 1 found an empty table
+        pytest.param(["witness", "delta", "--a", "w[a]", "--depth", "-1", "--json"], "--depth",
+                     id="witness-negative-depth"),
+        pytest.param(["skolem", "--q", "[A0,E1]", "--formula", "(= v0 (sc v1))", "--grid", "0"],
+                     "--grid", id="skolem-grid-zero"),
         # the bound starts at 1
         pytest.param(["gbound", "0"], "gbound: n ", id="gbound-zero"),
         pytest.param(["gbound", "--", "-1"], "gbound: n ", id="gbound-negative"),

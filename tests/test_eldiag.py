@@ -9,7 +9,7 @@ import satkit.syntax as sx
 from satkit.eldiag import EldiagError, FuelExhausted, NotUniform, _Prover, prove_eldiag
 from satkit.elements import Sym, std, sym
 from satkit.ground_model import FALSE, TRUE, UNKNOWN, witness_candidates
-from satkit.kernel import DEFAULT_SAMPLES, M_POLICY, Proof, check, proof_nodes, seq
+from satkit.kernel import DEFAULT_SAMPLES, M_POLICY, Proof, check, seq
 from generators import random_decidable_sentence
 
 e, n = sx.Eq, sx.Not
@@ -255,7 +255,7 @@ class TestSearchWork:
         sentences = [random_decidable_sentence(rng, want_true=i < 200) for i in range(300)]
         for phi in sentences + [_nested_refutation()]:
             p = prove_eldiag(phi)
-            params = [b for q in proof_nodes(p) if q.uniform is not None
+            params = [b for q in sx.subobjects(p) if q.uniform is not None
                       for b in q.uniform.params]
             assert len(params) == len(set(params)), phi
             assert all(re.fullmatch(r"q\d+", b) for b in params), phi
@@ -263,7 +263,7 @@ class TestSearchWork:
 
     def test_nested_schemas_take_consecutive_proof_names(self):
         p = prove_eldiag(_nested_refutation())
-        params = [q.uniform.params for q in proof_nodes(p) if q.uniform is not None]
+        params = [q.uniform.params for q in sx.subobjects(p) if q.uniform is not None]
         assert params == [("q0",), ("q1",)]
 
     def test_vacuous_nested_existentials_take_one_decision_per_level(self):

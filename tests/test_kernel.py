@@ -12,9 +12,9 @@ from satkit.corpus import (
 from satkit.elements import Std, Sym, std, subst_base, sym
 from satkit.kernel import (
     DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, TEMPLATE_POLICY, Proof,
-    RulePolicy, Sequent, Uniform, bases_of, check, map_proof, match_instance, proof_nodes,
-    seq, subst_param_proof, vee,
+    RulePolicy, Sequent, Uniform, bases_of, check, match_instance, seq, subst_param_proof, vee,
 )
+from satkit.syntax import fold, subobjects
 from satkit.skolem import quantseq, table_of
 
 
@@ -227,7 +227,7 @@ def _proof_nodes(p):
 
 
 def _post_order(p):
-    for q in p.subproofs:
+    for q in p.children:
         yield from _post_order(q)
     yield p
 
@@ -310,17 +310,17 @@ class TestProofProtocol:
     def test_rebuild_over_own_subproofs_is_the_node(self):
         uniform = 0
         for entry in base_corpus() + mprop_entries():
-            for q in proof_nodes(entry.proof):
-                same = q.rebuild(q.conclusion, q.subproofs)
+            for q in subobjects(entry.proof):
+                same = q.rebuild(q.conclusion, q.children)
                 assert same == q, entry.name
                 assert same.info is not q.info
                 uniform += q.uniform is not None
         assert uniform > 0
 
-    def test_subproofs_are_premises_then_schema(self):
-        node = next(q for entry in base_corpus() for q in proof_nodes(entry.proof)
+    def test_children_are_premises_then_schema(self):
+        node = next(q for entry in base_corpus() for q in subobjects(entry.proof)
                     if q.uniform is not None)
-        assert node.subproofs == node.premises + (node.uniform.schema,)
+        assert node.children == node.premises + (node.uniform.schema,)
         leaf = Proof(seq(ZERO_EQ), "axiom3")
         swapped = node.rebuild(node.conclusion, [leaf], info={"k": 1})
         assert swapped.uniform.schema is leaf and swapped.premises == ()
@@ -328,26 +328,26 @@ class TestProofProtocol:
         assert swapped.uniform.sampled == node.uniform.sampled
         assert swapped.info == {"k": 1} and swapped.rule == node.rule
 
-    def test_proof_nodes_is_the_recursive_pre_order(self):
+    def test_subobjects_is_the_recursive_pre_order(self):
         for entry in base_corpus() + mprop_entries():
-            got, want = list(proof_nodes(entry.proof)), list(_proof_nodes(entry.proof))
+            got, want = list(subobjects(entry.proof)), list(_proof_nodes(entry.proof))
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
-    def test_map_proof_steps_in_the_recursive_post_order(self):
+    def test_fold_steps_in_the_recursive_post_order(self):
         for entry in base_corpus() + mprop_entries():
             stepped = []
 
             def step(q, results):
-                assert [r[0] for r in results] == list(q.subproofs)
+                assert [r[0] for r in results] == list(q.children)
                 stepped.append(q)
                 return q, results
 
-            assert map_proof(entry.proof, step)[0] is entry.proof
+            assert fold(entry.proof, step)[0] is entry.proof
             want = list(_post_order(entry.proof))
             assert len(stepped) == len(want) and all(a is b for a, b in zip(stepped, want))
 
     def test_proof_nodes_on_a_deep_chain(self):
-        # proof_nodes and the rewrites on map_proof take any height; the
+        # subobjects and the rewrites on fold take any height; the
         # checker recurses and is not called here
         from satkit.transform import move_hypotheses, to_certified_calculus
         from satkit.translate import _Translator
@@ -358,18 +358,18 @@ class TestProofProtocol:
             return leaf
 
         p = chain(Proof(seq(ZERO_EQ), "axiom3"))
-        assert sum(1 for _ in proof_nodes(p)) == 3001
+        assert sum(1 for _ in subobjects(p)) == 3001
         cp = sx.const(Sym("p"))
         inst = subst_param_proof(chain(Proof(seq(e(cp, cp)), "axiom3")), "p", std(4))
-        assert all(q.conclusion == seq(e(c(4), c(4))) for q in proof_nodes(inst))
+        assert all(q.conclusion == seq(e(c(4), c(4))) for q in subobjects(inst))
         certified = to_certified_calculus(p)
-        assert [q.rule for q in proof_nodes(certified)] == ["prop"] * 3000 + ["axiom3"]
+        assert [q.rule for q in subobjects(certified)] == ["prop"] * 3000 + ["axiom3"]
         moved = move_hypotheses(chain(Proof(seq(ONE_EQ), "axiomL")), [ONE_EQ])
-        assert [q.rule for q in proof_nodes(moved)] == ["weak"] * 3000 + ["axiom1"]
+        assert [q.rule for q in subobjects(moved)] == ["weak"] * 3000 + ["axiom1"]
         assert moved.conclusion == seq(ONE_EQ, n(ONE_EQ))
         tr = _Translator()
         f, q = tr.run(p)
-        assert sum(1 for _ in proof_nodes(q)) == 3001 and len(tr.traces) == 3001
+        assert sum(1 for _ in subobjects(q)) == 3001 and len(tr.traces) == 3001
 
 
 class TestExtendedRules:

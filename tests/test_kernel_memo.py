@@ -21,7 +21,7 @@ import satkit.syntax as sx
 from satkit.eldiag import prove_eldiag
 from satkit.elements import Sym, std
 from satkit.corpus import base_corpus
-from satkit.kernel import M_POLICY, Proof, RulePolicy, Uniform, check, proof_nodes, seq
+from satkit.kernel import M_POLICY, Proof, RulePolicy, Uniform, check, seq
 from satkit.transform import to_certified_calculus
 from generators import random_decidable_sentence
 from test_kernel_reports import report_cases
@@ -96,7 +96,7 @@ def test_handler_calls_on_criterion_11(monkeypatch, criterion_11_proofs):
                         counted(kernel._Checker._check_axiom))
     nodes = 0
     for p in criterion_11_proofs:
-        nodes += sum(1 for _ in proof_nodes(p))
+        nodes += sum(1 for _ in sx.subobjects(p))
         assert check(p, M_POLICY).ok
     assert (calls[0], nodes) == (54788, 16743)
 

@@ -421,3 +421,179 @@ class TestProtocol:
             sx.Ex: (0,), sx.All: (0,), sx.BEx: (1,), sx.BAll: (1,)}
         assert {c for c in classes if c.extended} == {
             sx.And, sx.Imp, sx.Iff, sx.Xor, sx.All, sx.Lt, sx.BEx, sx.BAll}
+
+
+# the recursive walks that ``fold`` steps replaced, kept as references
+
+
+def _ref_expand(f):
+    if isinstance(f, sx.Eq) or isinstance(f, sx.SymFormulaRef):
+        return f
+    if isinstance(f, sx.Not):
+        return sx.Not(_ref_expand(f.body))
+    if isinstance(f, sx.Or):
+        return sx.Or(_ref_expand(f.left), _ref_expand(f.right))
+    if isinstance(f, sx.Ex):
+        return sx.Ex(f.index, _ref_expand(f.body))
+    if isinstance(f, sx.And):
+        return sx.Not(sx.Or(sx.Not(_ref_expand(f.left)), sx.Not(_ref_expand(f.right))))
+    if isinstance(f, sx.Imp):
+        return sx.Or(sx.Not(_ref_expand(f.left)), _ref_expand(f.right))
+    if isinstance(f, sx.Iff):
+        return _ref_expand(sx.And(sx.Imp(f.left, f.right), sx.Imp(f.right, f.left)))
+    if isinstance(f, sx.Xor):
+        return _ref_expand(sx.And(sx.Or(f.left, f.right), sx.Not(sx.And(f.left, f.right))))
+    if isinstance(f, sx.All):
+        return sx.Not(sx.Ex(f.index, sx.Not(_ref_expand(f.body))))
+    if isinstance(f, sx.Lt):
+        return sx._lt_expansion(f.left, f.right, sx._fresh_above(f.left, f.right))
+    if isinstance(f, sx.BEx):
+        j = sx._fresh_above(f.bound, f.body, sx.Var(f.index))
+        guard = sx._lt_expansion(sx.Var(f.index), f.bound, j)
+        return sx.Ex(f.index, sx.Not(sx.Or(sx.Not(guard), sx.Not(_ref_expand(f.body)))))
+    if isinstance(f, sx.BAll):
+        return sx.Not(_ref_expand(sx.BEx(f.index, f.bound, sx.Not(f.body))))
+    raise sx.SyntaxError_(f"expand_abbreviation: unknown node {f!r}")
+
+
+def _ref_depth(x):
+    if isinstance(x, sx.Term):
+        raise sx.SyntaxError_("depth is a formula metric")
+    if isinstance(x, (sx.Eq, sx.Lt)):
+        return std(1)
+    if isinstance(x, sx.Not):
+        if isinstance(x.body, (sx.Eq, sx.Lt)):
+            return std(1)
+        d = _ref_depth(x.body)
+        return Std(d.n + 1) if isinstance(d, Std) else Sym(d.base, d.coeff, d.offset + 1)
+    if isinstance(x, (sx.Or, sx.And, sx.Imp, sx.Iff, sx.Xor)):
+        return sx._elem_max1(_ref_depth(x.left), _ref_depth(x.right))
+    if isinstance(x, (sx.Ex, sx.All)):
+        return sx._bump(_ref_depth(x.body))
+    if isinstance(x, (sx.BEx, sx.BAll)):
+        return sx._elem_max1(_ref_depth(x.body), std(1))
+    if isinstance(x, sx.SymFormulaRef):
+        base = std(1) if x.family == "delta" else \
+            _ref_depth(sx.Not(sx.Or(x.payload, sx.Not(x.payload))))
+        return sx._offset(x.index, base)
+    raise sx.SyntaxError_(f"depth: unknown node {x!r}")
+
+
+def _ref_refold(x):
+    if isinstance(x, sx.Sealed):
+        return x.obj
+    if x.extended:
+        raise tp.TemplateError(f"non-primitive node {x!r}")
+    return tp._fold_tower(x.rebuild(*map(_ref_refold, x.children)))
+
+
+def _ref_tsize(x):
+    if x.extended:
+        raise tp.TemplateError(f"non-primitive node {x!r}")
+    return 1 + sum(map(_ref_tsize, x.children))
+
+
+_CONNECTIVES = ("not", "or", "ex", "and", "imp", "iff", "xor", "all", "bex", "ball")
+
+
+def _random_extended(rng, depth, abbreviations=True, boxes=True):
+    """A formula over every connective, abbreviations included when asked,
+    with family references and (when asked) parts sealed in template
+    boxes; a box may hold abbreviations."""
+    def term():
+        t = random_term(rng, 1) if rng.random() < 0.85 else sx.numeral(sym("c"))
+        return tp.TemplTerm(t) if boxes and rng.random() < 0.1 else t
+
+    if boxes and rng.random() < 0.1:
+        return tp.TemplForm(_random_extended(rng, depth - 1, True, False))
+    if depth <= 0 or rng.random() < 0.2:
+        roll = rng.random()
+        if roll < 0.1:
+            return sx.delta(sym("a", 1, rng.randrange(3)))
+        if roll < 0.2:
+            return sx.epsilon(sym("b"), _random_extended(rng, 1, abbreviations, False))
+        if abbreviations and roll < 0.4:
+            return sx.Lt(term(), term())
+        return sx.Eq(term(), term())
+    kind = rng.choice(_CONNECTIVES if abbreviations else _CONNECTIVES[:3])
+    i = rng.randrange(3)
+    if kind == "not":
+        return sx.Not(_random_extended(rng, depth - 1, abbreviations, boxes))
+    if kind in ("ex", "all"):
+        body = _random_extended(rng, depth - 1, abbreviations, boxes)
+        return sx.Ex(i, body) if kind == "ex" else sx.All(i, body)
+    if kind in ("bex", "ball"):
+        body = _random_extended(rng, depth - 1, abbreviations, boxes)
+        return (sx.BEx if kind == "bex" else sx.BAll)(i, term(), body)
+    cls = {"or": sx.Or, "and": sx.And, "imp": sx.Imp, "iff": sx.Iff, "xor": sx.Xor}[kind]
+    return cls(_random_extended(rng, depth - 1, abbreviations, boxes),
+               _random_extended(rng, depth - 1, abbreviations, boxes))
+
+
+def _outcome(fn, x, message=True):
+    """fn's result and its repr, or the error it raised (with its message
+    when asked)."""
+    try:
+        y = fn(x)
+    except (sx.SyntaxError_, tp.TemplateError) as err:
+        return type(err), str(err) if message else None
+    return y, repr(y)
+
+
+class TestFoldedWalks:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_fold_steps_match_the_recursive_walks(self, seed):
+        rng = random.Random(seed)
+        x = _random_extended(rng, 4, abbreviations=seed % 3 != 0, boxes=seed % 2 == 0)
+        values = {i: std(rng.randrange(5)) for i in range(3) if rng.random() < 0.6}
+        for y in _nodes(x):
+            assert _outcome(sx.depth, y) == _outcome(_ref_depth, y)
+            assert _outcome(sx.expand_abbreviation, y) == _outcome(_ref_expand, y)
+            # refold and _tsize raise on the first abbreviation outside a box
+            # in post-order, the recursive walks on the first in pre-order
+            assert _outcome(tp.refold, y, False) == _outcome(_ref_refold, y, False)
+            assert _outcome(tp._tsize, y, False) == _outcome(_ref_tsize, y, False)
+            got = sx.multi_substitute(y, sx.VarAssignment.of(values))
+            want = _ref_multi_substitute(y, values)
+            assert got == want and repr(got) == repr(want)
+
+    def test_the_inputs_reach_every_class_and_outcome(self):
+        seen, ok = set(), {"depth": 0, "expand": 0, "refold": 0, "tsize": 0}
+        for seed in range(150):
+            rng = random.Random(seed)
+            x = _random_extended(rng, 4, abbreviations=seed % 3 != 0, boxes=seed % 2 == 0)
+            seen |= {type(y) for y in _nodes(x)}
+            ok["depth"] += not isinstance(_outcome(sx.depth, x)[0], type)
+            ok["expand"] += not isinstance(_outcome(sx.expand_abbreviation, x)[0], type)
+            ok["refold"] += not isinstance(_outcome(tp.refold, x)[0], type)
+            ok["tsize"] += not isinstance(_outcome(tp._tsize, x)[0], type)
+        assert seen == _node_classes()
+        assert all(n >= 20 for n in ok.values()), ok
+
+    def test_deep_nests(self):
+        # deeper than the recursion limit: a not nest and an or/ex
+        # alternation; == on such trees recurses, so they compare as text
+        nest = alternation = sx.Eq(sx.ZERO, sx.ZERO)
+        for k in range(3000):
+            nest = sx.Not(nest)
+            alternation = sx.Or(alternation, sx.FALSUM) if k % 2 else sx.Ex(0, alternation)
+        assert sx.depth(nest) == std(1 + 2999)
+        assert sx.depth(alternation) == std(1 + 3000)
+        for f in (nest, alternation):
+            text = sexpr.print_obj(f)
+            assert sexpr.print_obj(sx.expand_abbreviation(f)) == text
+            assert sexpr.print_obj(tp.refold(f)) == text
+            assert tp._tsize(f) == sum(1 for _ in sx.subobjects(f))
+        # refold rebuilds each half apart, so the halves are equal, not identical
+        twins = sx.Or(nest, nest)
+        assert sexpr.print_obj(tp.refold(twins)) == sexpr.print_obj(twins)
+        inner = sx.Imp(sx.FALSUM, nest)
+        assert sexpr.print_obj(sx.expand_abbreviation(sx.All(0, inner))) == \
+            sexpr.print_obj(sx.Not(sx.Ex(0, sx.Not(sx.Or(sx.Not(sx.FALSUM), nest)))))
+        boxed = sx.Not(tp.TemplForm(inner))
+        for _ in range(3000):
+            boxed = sx.Or(sx.FALSUM, sx.Ex(1, boxed))
+        assert tp._tsize(boxed) == 6 * 3000 + 2  # or, falsum (4), ex; then not and the box
+        refolded = tp.refold(boxed)
+        assert sum(1 for y in sx.subobjects(refolded) if type(y) is sx.Imp) == 1

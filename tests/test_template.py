@@ -211,6 +211,22 @@ class TestNormalize:
             assert lhs == rhs
 
 
+    def test_concrete_towers_inside_their_families(self):
+        # the concrete levels of a family sit inside its symbolic reference,
+        # at any height; mismatched halves, bases and families do not
+        a, phi = sym("a"), sx.Eq(sx.ZERO, sx.ZERO)
+        for k in (0, 3, 3000):
+            assert tp.is_subobject(sx.delta(k), sx.delta(a))
+            assert tp.is_subobject(sx.epsilon(k, phi), sx.epsilon(a, phi))
+            assert tp.is_subobject(sx.addtower(std(k)), sx.addtower(a))
+            assert tp.is_subobject(sx.numeral(std(k)), sx.numeral(a))
+            assert not tp.is_subobject(sx.epsilon(k, phi), sx.delta(a))
+            assert not tp.is_subobject(sx.addtower(std(k + 1)), sx.numeral(a))
+        assert tp.is_subobject(phi, sx.epsilon(a, phi))
+        assert not tp.is_subobject(sx.Or(sx.delta(2), sx.delta(1)), sx.delta(a))
+        assert not tp.is_subobject(sx.Add(sx.addtower(std(1)), sx.ZERO), sx.addtower(a))
+
+
 class TestUniformUnion:
     def test_single_chain(self):
         d2, d1 = sx.delta(2), sx.delta(1)
