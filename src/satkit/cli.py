@@ -70,13 +70,13 @@ def _policy(args) -> RulePolicy:
 
 def cmd_encode(args) -> int:
     obj = sexpr.parse_obj(sexpr.read_one(args.input))
-    code = coding.godel_encode(obj)
-    _emit(args, {"code": str(code.code)}, [str(code.code)])
+    text = coding.to_decimal(coding.godel_encode(obj).code)
+    _emit(args, {"code": text}, [text])
     return 0
 
 
 def cmd_decode(args) -> int:
-    obj = coding.godel_decode(coding.GodelCode(int(args.code)))
+    obj = coding.godel_decode(coding.GodelCode(coding.from_decimal(args.code)))
     text = sexpr.print_obj(obj)
     _emit(args, {"object": text}, [text])
     return 0

@@ -15,6 +15,8 @@ runs closed by a terminator symbol.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import syntax as sx
@@ -268,6 +270,49 @@ def godel_encode(x: sx.Obj) -> GodelCode:
     out: list[int] = []
     _emit(x, out)
     return GodelCode(_digits_to_int(out, 4))
+
+
+def code_key(x: sx.Obj) -> tuple:
+    """x's key in the code order: (0, its code), or (1, its repr) when it
+    has no code, so uncodable objects sort after codable ones. Cached per
+    node."""
+    k = getattr(x, "_ck", None)
+    if k is None:
+        try:
+            k = (0, godel_encode(x).code)
+        except NotEncodable:
+            k = (1, repr(x))
+        sx.cache_fact(x, "_ck", k)
+    return k
+
+
+@contextmanager
+def _any_length():
+    # the interpreter refuses decimal conversions of more than 4300
+    # digits by default; lift that for one conversion and put it back
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # an interpreter without the limit
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def to_decimal(n: int) -> str:
+    """A code's decimal text, however many digits it has."""
+    with _any_length():
+        return str(n)
+
+
+def from_decimal(text: str) -> int:
+    """The integer a decimal text names (as int() reads it), however many
+    digits it has."""
+    with _any_length():
+        return int(text)
 
 
 class _Reader:

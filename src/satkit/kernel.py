@@ -67,7 +67,7 @@ from typing import Callable, Optional
 
 from . import syntax as sx
 from . import template as tp
-from .coding import NotEncodable, godel_encode
+from .coding import code_key
 from .elements import Element, ElementError, Std, Sym, add, mul, never_equal_under, subst_base, succ
 
 AXIOM_TAGS = tuple(f"axiom{i}" for i in range(1, 13)) + ("axiomL",)
@@ -185,16 +185,9 @@ class CheckReport:
 # canonical disjunctions
 
 
-def _vee_key(f: sx.Formula):
-    try:
-        return (0, godel_encode(f).code)
-    except NotEncodable:
-        return (1, repr(f))
-
-
 def vee(sentences) -> sx.Formula:
     """Canonical disjunction of a finite set, ordered by code; empty is 0 != 0."""
-    items = sorted(set(sentences), key=_vee_key)
+    items = sorted(set(sentences), key=code_key)
     if not items:
         return sx.FALSUM
     out = items[-1]

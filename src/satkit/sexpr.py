@@ -27,23 +27,9 @@ Node = Union[str, list]
 
 
 def tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    tok = []
-    for ch in text:
-        if ch in "()":
-            if tok:
-                out.append("".join(tok))
-                tok = []
-            out.append(ch)
-        elif ch.isspace():
-            if tok:
-                out.append("".join(tok))
-                tok = []
-        else:
-            tok.append(ch)
-    if tok:
-        out.append("".join(tok))
-    return out
+    """Parentheses, and the runs between them and whitespace (str.split()
+    splits on exactly the characters str.isspace() accepts)."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def read_nodes(text: str) -> list[Node]:

@@ -31,11 +31,14 @@ cached facts, ``substitute`` and ``skeleton_depth`` stay recursive: on the
 kernel's hot paths an explicit stack costs up to twice as much per node.
 
 Nodes are immutable. Each carries slots for facts computed once, on first
-use, from its children: its hash, free variables and primitivity here,
-its template flag in ``template`` and its parameter bases in ``kernel``.
-Cached sets are shared through ``canonical``. The caches live only in
-this process (string hashes differ between processes) and are never
-serialised.
+use: its hash, free variables and primitivity here, its template flag in
+``template`` and its parameter bases in ``kernel``, each from its
+children; and the keys of the canonical orders, its code key in
+``coding`` (the disjunction order) and its step key in ``template`` (the
+chain order), each from the node as a whole and filled only on the nodes
+that get sorted. Cached sets are shared through ``canonical``. The caches
+live only in this process (string hashes differ between processes) and
+are never serialised.
 """
 
 from __future__ import annotations
@@ -60,9 +63,10 @@ class CaptureRisk(SyntaxError_):
 # immutable nodes with cached facts
 
 # the slots every node carries: its hash, free variables (read through
-# template symbols), primitivity, template flag and parameter bases; unset
-# until first asked for, so read them with getattr(x, slot, None)
-FACT_SLOTS = ("_h", "_fv", "_pr", "_tm", "_bs")
+# template symbols), primitivity, template flag, parameter bases, code key
+# and chain-step key; unset until first asked for, so read them with
+# getattr(x, slot, None)
+FACT_SLOTS = ("_h", "_fv", "_pr", "_tm", "_bs", "_ck", "_sk")
 
 EMPTY: frozenset = frozenset()
 _CANONICAL: dict[frozenset, frozenset] = {EMPTY: EMPTY}

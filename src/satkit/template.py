@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 from . import syntax as sx
 from .congruence import skeleton_congruent
 from .elements import Element, Sym
-from .coding import NotEncodable, godel_encode
+from .coding import code_key
 
 
 class TemplateError(Exception):
@@ -161,14 +161,16 @@ def length(f: ApproxChain) -> int:
 
 
 def _sort_key(target: sx.Obj):
-    d = sx.skeleton_depth(target)
-    if isinstance(d, Sym):
-        return (0, d.base, -d.coeff, -d.offset, repr(target))
-    try:
-        code = (0, godel_encode(target).code)
-    except NotEncodable:
-        code = (1, repr(target))
-    return (1, -d.n, code)
+    """A step's key in the normal order; cached per node."""
+    k = getattr(target, "_sk", None)
+    if k is None:
+        d = sx.skeleton_depth(target)
+        if isinstance(d, Sym):
+            k = (0, d.base, -d.coeff, -d.offset, repr(target))
+        else:
+            k = (1, -d.n, code_key(target))
+        sx.cache_fact(target, "_sk", k)
+    return k
 
 
 def _dedup_congruent(steps: Iterable[sx.Obj]) -> list[sx.Obj]:

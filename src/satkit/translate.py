@@ -158,17 +158,22 @@ class _Translator:
         # the chain; it lives as long as this translation
         self.images: dict[tp.ApproxChain, dict] = {}
 
-    def image(self, f: tp.ApproxChain, x: tp.TObj) -> tp.TObj:
-        """The image of a template sentence under a chain, computed once
-        per translation."""
+    def under(self, f: tp.ApproxChain):
+        """The map from a template sentence to its image under a chain,
+        computed once per translation. Look it up once per use: a chain's
+        hash runs over all its steps."""
         memo = self.images.setdefault(f, {})
-        y = memo.get(x)
-        if y is None:
-            y = memo[x] = tp.apply_chain(f, x)
-        return y
 
-    def lift(self, q: Proof, f: tp.ApproxChain) -> Proof:
-        """Apply a chain to every sequent of a template proof.
+        def image(x: tp.TObj) -> tp.TObj:
+            y = memo.get(x)
+            if y is None:
+                y = memo[x] = tp.apply_chain(f, x)
+            return y
+        return image
+
+    @staticmethod
+    def lift(q: Proof, image) -> Proof:
+        """Apply a chain's ``image`` map to every sequent of a template proof.
 
         One translation computes one image per chain and sentence, however
         many sequents hold the sentence. Approximating functions preserve
@@ -176,11 +181,13 @@ class _Translator:
         checked proof checks.
         """
         return sx.fold(q, lambda n, subs: n.rebuild(
-            Sequent(frozenset(self.image(f, g) for g in n.conclusion)), subs))
+            Sequent(frozenset(map(image, n.conclusion))), subs))
 
-    def chain_image(self, f: tp.ApproxChain, sentences) -> frozenset:
-        """The approximations of plain sentences under a chain."""
-        return frozenset(self.image(f, tp.templ(g)) for g in sentences)
+    @staticmethod
+    def chain_image(image, sentences) -> frozenset:
+        """The approximations of plain sentences under a chain's ``image``
+        map."""
+        return frozenset(image(tp.templ(g)) for g in sentences)
 
     def decomposition(self, p: Proof):
         """The kernel's decomposition of a checked node: an axiom's parts,
@@ -216,7 +223,8 @@ class _Translator:
         if tag == "weak":
             ((f0, q0),) = runs
             self.traces.append(NodeTrace(tag, len(f0), (len(f0),)))
-            return f0, p.rebuild(Sequent(self.chain_image(f0, p.conclusion.sentences)), (q0,), {})
+            return f0, p.rebuild(
+                Sequent(self.chain_image(self.under(f0), p.conclusion.sentences)), (q0,), {})
 
         if tag == "m-rule":
             d, _ = self.decomposition(p)
@@ -232,8 +240,9 @@ class _Translator:
         if tag == "ex-i" and found[1] is not None:
             d, w = found
             # the substitution-commutation identity used by the rule image
-            lhs = self.image(f, tp.templ(tp.templ_substitute(d.body, w, d.index)))
-            rhs_base = self.image(f, tp.templ(d.body))
+            image = self.under(f)
+            lhs = image(tp.templ(tp.templ_substitute(d.body, w, d.index)))
+            rhs_base = image(tp.templ(d.body))
             if lhs != tp.templ_substitute(rhs_base, w, d.index):
                 raise TranslateError("substitution does not commute with the chain")
             info = {"witness": w}
@@ -245,16 +254,17 @@ class _Translator:
         f and checked to conclude the image of the child's sequent, then
         the node rebuilt over them, with no side data but ``info``, and
         traced."""
+        image = self.under(f)
         lifted = []
         for child, (_, q) in zip(p.children, runs):
-            q = self.lift(q, f)
-            if q.conclusion.sentences != self.chain_image(f, child.conclusion.sentences):
+            q = self.lift(q, image)
+            if q.conclusion.sentences != self.chain_image(image, child.conclusion.sentences):
                 raise TranslateError("chain union failed to absorb a child chain; "
                                      "the canonical normal order should prevent this")
             lifted.append(q)
         self.traces.append(NodeTrace(
             p.rule, len(f), tuple(len(f0) for f0, _ in runs), premise_size))
-        return f, p.rebuild(Sequent(self.chain_image(f, p.conclusion.sentences)),
+        return f, p.rebuild(Sequent(self.chain_image(image, p.conclusion.sentences)),
                             lifted, info or {})
 
 

@@ -47,6 +47,20 @@ class TestBasicCommands:
         code, out = run_cli(["decode", out.strip()], capsys)
         assert code == 0 and out.strip() == text
 
+    def test_encode_decode_past_the_decimal_digit_limit(self, capsys):
+        # the code of a 3,700-deep nest has 4,458 decimal digits, past the
+        # interpreter's default limit of 4,300 for int/str conversion
+        limit = sys.get_int_max_str_digits()
+        depth = 3700
+        text = "(not " * depth + "(= 0 0)" + ")" * depth
+        code, out = run_cli(["encode", text], capsys)
+        assert code == 0 and len(out.strip()) == 4458
+        code, back = run_cli(["decode", out.strip()], capsys)
+        assert code == 0 and back.strip() == text
+        code, out = run_cli(["encode", "--json", text], capsys)
+        assert code == 0 and len(json.loads(out)["code"]) == 4458
+        assert sys.get_int_max_str_digits() == limit
+
     def test_too_deep_input_exits_2(self, capsys):
         # eval-tr still evaluates recursively
         depth = 3000

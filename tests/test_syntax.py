@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import satkit.sexpr as sexpr
 import satkit.syntax as sx
 import satkit.template as tp
-from satkit.coding import godel_decode, godel_encode
+from satkit.coding import code_key, godel_decode, godel_encode
 from satkit.congruence import skeleton_congruent
 from satkit.elements import Std, Sym, std, sym
 from satkit.kernel import bases_of
@@ -281,6 +281,41 @@ def _reparse(x):
     return sexpr.parse_obj(sexpr.read_one(sexpr.print_obj(x)))
 
 
+def _ref_tokenize(text: str) -> list[str]:
+    # the character loop sexpr.tokenize replaced
+    out: list[str] = []
+    tok = []
+    for ch in text:
+        if ch in "()":
+            if tok:
+                out.append("".join(tok))
+                tok = []
+            out.append(ch)
+        elif ch.isspace():
+            if tok:
+                out.append("".join(tok))
+                tok = []
+        else:
+            tok.append(ch)
+    if tok:
+        out.append("".join(tok))
+    return out
+
+
+def test_tokenize_matches_the_character_loop():
+    # every whitespace character, including the separators \x1c-\x1f,
+    # \x85 and \u3000, next to parentheses, words and each other
+    spaces = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+    assert {"\x1c", "\x85", "\u3000"} <= set(spaces)
+    alphabet = spaces + list("(()))(ab0v1-+*=\x00\u00a0\u200b")
+    rng = random.Random(1)
+    texts = ["", " ", "()", ")(", "(((", "a(b)c", "\x1c(\x85)\u3000"]
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(40)))
+              for _ in range(3000)]
+    for text in texts:
+        assert sexpr.tokenize(text) == _ref_tokenize(text), repr(text)
+
+
 class TestCachedFacts:
     @staticmethod
     def _agree(y):
@@ -358,7 +393,8 @@ class TestCachedFacts:
     def test_pickling_carries_no_cached_fact(self):
         # string hashes differ between processes, so caches must not travel
         f = sx.Eq(sx.const(sym("p")), sx.Succ(v(0)))
-        hash(f), tp.t_free_vars(f), bases_of(f)
+        hash(f), sx.is_primitive(f), tp.t_free_vars(f), bases_of(f), code_key(f), tp._sort_key(f)
+        assert all(getattr(f, slot, None) is not None for slot in sx.FACT_SLOTS)
         g = pickle.loads(pickle.dumps(f))
         assert g == f and all(getattr(g, slot, None) is None for slot in sx.FACT_SLOTS)
 

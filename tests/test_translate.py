@@ -148,8 +148,8 @@ class TestProofTranslation:
 
     def test_memoized_images_match_an_image_per_occurrence(self, monkeypatch):
         class PerOccurrence(tr._Translator):
-            def image(self, f, x):
-                return tp.apply_chain(f, x)
+            def under(self, f):
+                return lambda x: tp.apply_chain(f, x)
 
         made = []
         apply_chain = tp.apply_chain
