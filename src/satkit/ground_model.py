@@ -54,12 +54,6 @@ class TruthValue:
     def is_true(self) -> bool:
         return self.tag == "True"
 
-    def is_false(self) -> bool:
-        return self.tag == "False"
-
-    def is_unknown(self) -> bool:
-        return self.tag == "Unknown"
-
 
 TRUE = TruthValue("True")
 FALSE = TruthValue("False")

@@ -52,30 +52,25 @@ SCHEME_FORMS = {
 
 
 def axiom_instance(scheme: str, form: str, args: tuple) -> sx.Formula:
-    need = 1 if (scheme, form) == ("cut", "contract") else 2 if scheme == "add" else 3
-    if scheme in SCHEME_FORMS and len(args) != need:
+    if form not in SCHEME_FORMS.get(scheme, ()):
+        raise PropError(f"unknown scheme {scheme}/{form}")
+    need = 1 if form == "contract" else 2 if scheme == "add" else 3
+    if len(args) != need:
         raise PropError(f"{scheme}/{form} takes {need} formulas, found {len(args)}")
-    if scheme == "cut":
-        if form == "contract":
-            (phi,) = args
-            return imp(sx.Or(phi, phi), phi)
-        phi, psi, chi = args
-        return imp(sx.Or(phi, psi), imp(sx.Or(sx.Not(phi), chi), sx.Or(psi, chi)))
+    if form == "contract":
+        (phi,) = args
+        return imp(sx.Or(phi, phi), phi)
     if scheme == "add":
         phi, psi = args
         return imp(phi, sx.Or(phi, psi) if form == "l" else sx.Or(psi, phi))
-    if scheme == "sum":
-        phi, psi, chi = args
-        ante = imp(phi, psi)
-        if form == "rr":
-            return imp(ante, imp(sx.Or(chi, phi), sx.Or(chi, psi)))
-        if form == "ll":
-            return imp(ante, imp(sx.Or(phi, chi), sx.Or(psi, chi)))
-        if form == "rc":
-            return imp(ante, imp(sx.Or(chi, phi), sx.Or(psi, chi)))
-        if form == "lc":
-            return imp(ante, imp(sx.Or(phi, chi), sx.Or(chi, psi)))
-    raise PropError(f"unknown scheme {scheme}/{form}")
+    phi, psi, chi = args
+    if scheme == "cut":
+        return imp(sx.Or(phi, psi), imp(sx.Or(sx.Not(phi), chi), sx.Or(psi, chi)))
+    # sum: the first letter places phi in the antecedent disjunction, the
+    # second says whether psi keeps that place (r, l) or is commuted (c)
+    ante = sx.Or(chi, phi) if form in ("rr", "rc") else sx.Or(phi, chi)
+    post = sx.Or(chi, psi) if form in ("rr", "lc") else sx.Or(psi, chi)
+    return imp(imp(phi, psi), imp(ante, post))
 
 
 # each scheme's shape stated once, as axiom_instance over the placeholder
@@ -168,42 +163,71 @@ class PropCertificate:
     lines: tuple[CertLine, ...]
 
 
+def _antecedent(g: sx.Formula) -> Optional[sx.Formula]:
+    """h when g is the implication h -> r, that is (not h) or r, else None."""
+    if type(g) is sx.Or and type(g.left) is sx.Not:
+        return g.left.body
+    return None
+
+
 def certificate_errors(cert: PropCertificate, hyp: Callable[[sx.Formula], bool],
                        first_order: bool = False) -> list[tuple[int, str]]:
+    """The located errors of a certificate, in line order, at most one per line.
+
+    Every line must be a sentence. A line that meets its justification
+    takes its closedness from it, without a free-variable walk of its own:
+    an ``ax`` line that equals its rebuilt instance is closed exactly when
+    its arguments are, since the schemes have no binders, and an ``mp``
+    line whose cited implication line is closed is closed, being that
+    line's right disjunct. Every other line (``hyp`` and ``ax-fo`` lines,
+    and any line that fails its justification) is tested for closedness
+    first, so ``hyp`` is asked only about sentences.
+    """
+    lines = cert.lines
+    closed: list[bool] = []
     errors: list[tuple[int, str]] = []
-    for i, line in enumerate(cert.lines):
+    for i, line in enumerate(lines):
         f = line.formula
-        if not sx.is_closed(f):
-            errors.append((i, "line is not a sentence"))
-            continue
         tag = line.just[0]
-        if tag == "hyp":
-            if not hyp(f):
-                errors.append((i, "hypothesis not accepted"))
-        elif tag == "ax":
+        err = None
+        if tag == "ax":
             _, scheme, form, args = line.just
             try:
-                want = axiom_instance(scheme, form, args)
+                if axiom_instance(scheme, form, args) != f:
+                    err = "axiom instantiation does not rebuild the line"
             except PropError as e:
-                errors.append((i, str(e)))
+                err = str(e)
+            if err is None:
+                closed.append(all(map(sx.is_closed, args)))
+                if not closed[i]:
+                    errors.append((i, "line is not a sentence"))
                 continue
-            if want != f:
-                errors.append((i, "axiom instantiation does not rebuild the line"))
-            elif scheme not in SCHEME_FORMS and not first_order:
-                errors.append((i, "unknown scheme"))
-        elif tag == "ax-fo":
-            if not first_order:
-                errors.append((i, "first-order axiom in a propositional certificate"))
-            elif match_fo_axiom(f) is None:
-                errors.append((i, "not a quantifier-instantiation axiom"))
         elif tag == "mp":
             _, j, k = line.just
             if not (0 <= j < i and 0 <= k < i):
-                errors.append((i, "modus ponens cites a line not before this one"))
-            elif cert.lines[j].formula != imp(cert.lines[k].formula, f):
-                errors.append((i, "cited lines are not an implication pair"))
-        else:
-            errors.append((i, f"unknown justification {tag!r}"))
+                err = "modus ponens cites a line not before this one"
+            else:
+                g = lines[j].formula
+                if _antecedent(g) != lines[k].formula or g.right != f:
+                    err = "cited lines are not an implication pair"
+                elif closed[j]:
+                    closed.append(True)
+                    continue
+        closed.append(sx.is_closed(f))
+        if not closed[i]:
+            err = "line is not a sentence"
+        elif tag == "hyp":
+            if not hyp(f):
+                err = "hypothesis not accepted"
+        elif tag == "ax-fo":
+            if not first_order:
+                err = "first-order axiom in a propositional certificate"
+            elif match_fo_axiom(f) is None:
+                err = "not a quantifier-instantiation axiom"
+        elif tag not in ("ax", "mp"):
+            err = f"unknown justification {tag!r}"
+        if err is not None:
+            errors.append((i, err))
     return errors
 
 
@@ -216,30 +240,28 @@ def recheck_unlabelled(cert: PropCertificate, hyp: Callable[[sx.Formula], bool],
                        first_order: bool = False) -> bool:
     """Validity in the justification-free reading: each line is an axiom,
     an accepted hypothesis, or modus ponens from two earlier lines."""
-    for i, line in enumerate(cert.lines):
+    seen: set[sx.Formula] = set()
+    antes: dict[sx.Formula, list] = {}  # r -> every h with h -> r seen so far
+    for line in cert.lines:
         f = line.formula
-        if is_axiom(f, first_order) or hyp(f):
-            continue
-        if any(cert.lines[j].formula == imp(cert.lines[k].formula, f)
-               for j in range(i) for k in range(i)):
-            continue
-        return False
+        if not (is_axiom(f, first_order) or hyp(f)
+                or any(h in seen for h in antes.get(f, ()))):
+            return False
+        seen.add(f)
+        h = _antecedent(f)
+        if h is not None:
+            antes.setdefault(f.right, []).append(h)
     return True
 
 
 def extract_hypotheses(cert: PropCertificate, first_order: bool = False) -> frozenset:
     """The lines that are neither axioms nor modus-ponens results anywhere
-    in the certificate; re-checking against this set always succeeds."""
-    formulas = [line.formula for line in cert.lines]
-    present = set(formulas)
-    out = set()
-    for f in present:
-        if is_axiom(f, first_order):
-            continue
-        if any(g == imp(h, f) for g in present for h in present):
-            continue
-        out.add(f)
-    return frozenset(out)
+    in the certificate. Re-checking against this set fails when a line
+    stands as a hypothesis before a later line derives it again."""
+    present = {line.formula for line in cert.lines}
+    derived = {g.right for g in present if _antecedent(g) in present}
+    return frozenset(f for f in present
+                     if f not in derived and not is_axiom(f, first_order))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +487,7 @@ class CertBuilder:
 
     def mp(self, i_imp: int, i_ante: int) -> int:
         f = self.lines[i_imp].formula
-        if not (isinstance(f, sx.Or) and isinstance(f.left, sx.Not)
-                and f.left.body == self.lines[i_ante].formula):
+        if _antecedent(f) != self.lines[i_ante].formula:
             raise PropError("modus ponens on a non-implication pair")
         return self._emit(f.right, ("mp", i_imp, i_ante))
 

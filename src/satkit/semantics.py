@@ -361,13 +361,6 @@ class SatFragment:
     def accepted(self) -> list[sx.Formula]:
         return [f for f, v in self.decided.items() if v]
 
-    def consistent_pairing(self) -> bool:
-        for f, v in self.decided.items():
-            if isinstance(f, sx.Not) and f.body in self.decided:
-                if v == self.decided[f.body]:
-                    return False
-        return True
-
 
 ORACLE_FUEL = 32  # the quantifier fuel of each evaluation
 ORACLE_DEPTH = 2  # the approximation depth probed

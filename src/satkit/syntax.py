@@ -470,23 +470,6 @@ class VarAssignment:
     def of(mapping: Mapping[int, Element]) -> "VarAssignment":
         return VarAssignment(tuple(sorted(mapping.items(), key=lambda kv: kv[0])))
 
-    @staticmethod
-    def from_list(values: list[int]) -> "VarAssignment":
-        """Positional decoding: values[i] == 0 means untouched, k+1 means c_k."""
-        return VarAssignment.of(
-            {i: std(v - 1) for i, v in enumerate(values) if v != 0}
-        )
-
-    def to_list(self) -> list[int]:
-        if not self.entries:
-            return []
-        top = max(i for i, _ in self.entries)
-        out = [0] * (top + 1)
-        for i, e in self.entries:
-            if not isinstance(e, Std):
-                raise SyntaxError_("only standard assignments have a coded form")
-            out[i] = e.n + 1
-        return out
 
     def lookup(self, i: int) -> Optional[Element]:
         for j, e in self.entries:

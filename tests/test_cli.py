@@ -329,6 +329,16 @@ class TestDataCommands:
         code, out = run_cli(["prop-check", "--cert", str(f)], capsys)
         assert code == 0 and "ok: True" in out
 
+    @pytest.mark.parametrize("form, code", [("r", 0), ("zz", 1), ("_", 1)])
+    def test_prop_check_rejects_an_unlisted_form(self, tmp_path, capsys, form, code):
+        # (= 0 0) -> ((= c1 c1) or (= 0 0)) is an add/r instance; add has no
+        # other form that builds it
+        line = "(or (not (= 0 0)) (or (= c1 c1) (= 0 0)))"
+        f = tmp_path / "cert.sexp"
+        f.write_text(f"(cert (line {line} (ax add {form} (= 0 0) (= c1 c1))))")
+        got, out = run_cli(["prop-check", "--cert", str(f)], capsys)
+        assert got == code and f"ok: {code == 0}" in out
+
     def test_approx(self, tmp_path, capsys):
         chain = tmp_path / "chain.sexp"
         chain.write_text("(chain (delta 2))")

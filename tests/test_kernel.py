@@ -457,6 +457,22 @@ class TestExtendedRules:
         assert not rep.ok and rep.first_error() == "root: certificate rejected"
 
 
+    @pytest.mark.parametrize("scheme, form, args", [
+        ("add", "r", (ZERO_EQ, e(c(1), c(1)))),
+        ("cut", "full", (ZERO_EQ, e(c(1), c(1)), e(c(2), c(2))))])
+    def test_unlisted_scheme_form_is_a_located_rejection(self, scheme, form, args):
+        # the line is the instance of a listed form; cited under a form the
+        # scheme manifest does not list, it is rejected
+        from satkit.propcalc import CertLine, PropCertificate, axiom_instance
+        line = axiom_instance(scheme, form, args)
+        for cited, ok in ((form, True), ("zz", False)):
+            cert = PropCertificate((CertLine(line, ("ax", scheme, cited, args)),))
+            node = Proof(seq(line), "prop", (), info={"prop": {"cert": cert}})
+            rep = check(node, RulePolicy(allow_prop=True))
+            assert rep.ok == ok
+            assert ok or rep.first_error() == "root: certificate rejected"
+
+
 class TestDerivedCalculus:
     def test_structural_rules_map_to_certified_steps(self):
         from satkit.transform import to_certified_calculus

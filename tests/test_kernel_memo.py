@@ -4,8 +4,9 @@ Inside a uniform schema the checker records every subproof that passes,
 with its height and the active parameters it passed under; a later check
 of the same object under a subset of those parameters reuses the result.
 These tests hold the memo checker to a reference checker whose memo never
-stores, pin the handler calls it makes on criterion 11 and the prop
-handler calls on the certified corpus, show that a pass under fewer
+stores, pin the handler calls it makes on criterion 11, and the prop
+handler calls and the free-variable fills of certificate checking on the
+certified corpus, show that a pass under fewer
 parameters is never reused under more, and show that no entry outlives
 its sample, its schema or the check.
 """
@@ -17,6 +18,7 @@ from functools import partial
 import pytest
 
 import satkit.kernel as kernel
+import satkit.propcalc as propcalc
 import satkit.syntax as sx
 from satkit.eldiag import prove_eldiag
 from satkit.elements import Sym, std
@@ -113,6 +115,33 @@ def test_prop_handler_calls_on_the_certified_corpus(monkeypatch):
         pol = RulePolicy(allow_prop=True, extra_axioms=entry.policy.extra_axioms)
         assert check(to_certified_calculus(entry.proof), pol).ok, entry.name
     assert calls[0] == 701
+
+
+def test_free_var_fills_in_certificate_checks_on_the_certified_corpus(monkeypatch):
+    # certificate_errors takes the closedness of an ax line that rebuilds
+    # from closed arguments, and of an mp line citing a closed implication,
+    # from its justification; walking every line made 89,223 fills
+    fills, inside = [0], [False]
+    fill = sx._free_vars
+    errors = propcalc.certificate_errors
+
+    def counted_fill(x):
+        fills[0] += inside[0]
+        return fill(x)
+
+    def counted_errors(*args, **kwargs):
+        inside[0] = True
+        try:
+            return errors(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(sx, "_free_vars", counted_fill)
+    monkeypatch.setattr(propcalc, "certificate_errors", counted_errors)
+    for entry in base_corpus():
+        pol = RulePolicy(allow_prop=True, extra_axioms=entry.policy.extra_axioms)
+        assert check(to_certified_calculus(entry.proof), pol).ok, entry.name
+    assert fills[0] == 11139
 
 
 def _counted(calls, handler):

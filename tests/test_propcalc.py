@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import random
 
@@ -5,15 +7,16 @@ import pytest
 
 import satkit.syntax as sx
 from satkit import sexpr
-from satkit.corpus import mprop_entries
+from satkit.corpus import base_corpus, mprop_entries
 from satkit.elements import std
-from satkit.kernel import RulePolicy, check, vee
+from satkit.kernel import RulePolicy, check, subst_param_proof, vee
 from satkit.propcalc import (
-    CertLine, Exhausted, PropCertificate, PropError, axiom_instance, check_certificate,
-    derive_or_search, expand_pf, extract_hypotheses, imp,
-    is_tautology, match_prop_axiom, one_line, pf_height_check,
+    CertLine, Exhausted, PropCertificate, PropError, axiom_instance, certificate_errors,
+    check_certificate, derive_or_search, expand_pf, extract_hypotheses, imp,
+    is_axiom, is_tautology, match_fo_axiom, match_prop_axiom, one_line, pf_height_check,
     SCHEME_FORMS, recheck_unlabelled, scheme_manifest,
 )
+from satkit.transform import to_certified_calculus
 from generators import random_formula
 
 e, n, o = sx.Eq, sx.Not, sx.Or
@@ -95,6 +98,14 @@ class TestSchemes:
                 with pytest.raises(PropError, match=f"takes {need} formulas"):
                     axiom_instance(scheme, form, (ZERO_EQ,) * k)
 
+    @pytest.mark.parametrize("scheme, form", [("add", "zz"), ("cut", "zz"), ("sum", "l"),
+                                              ("add", ""), ("zz", "l"), ("ax-fo", "full")])
+    def test_unknown_scheme_form_raises_prop_error(self, scheme, form):
+        # a pair the scheme manifest does not list has no instance, at any arity
+        for k in (1, 2, 3):
+            with pytest.raises(PropError, match=f"unknown scheme {scheme}/{form}$"):
+                axiom_instance(scheme, form, (ZERO_EQ,) * k)
+
     def test_manifest_lists_all_schemes(self):
         m = scheme_manifest()
         assert set(m["schemes"]) >= {"add", "sum", "cut"}
@@ -158,6 +169,234 @@ class TestExtraction:
                 continue
             got = extract_hypotheses(cert)
             assert recheck_unlabelled(cert, got.__contains__)
+
+
+# an open formula, for mutants that must fail as "line is not a sentence"
+OPEN = e(sx.Var(0), sx.ZERO)
+
+
+def _certificate_errors_closed_first(cert, hyp, first_order=False):
+    """The reference checker: certificate_errors as it was before a line
+    could take its closedness from its justification, with a full
+    free-variable walk of every line first. It calls the current
+    axiom_instance, so both reject a scheme/form pair the manifest does
+    not list."""
+    errors = []
+    for i, line in enumerate(cert.lines):
+        f = line.formula
+        if not sx.is_closed(f):
+            errors.append((i, "line is not a sentence"))
+            continue
+        tag = line.just[0]
+        if tag == "hyp":
+            if not hyp(f):
+                errors.append((i, "hypothesis not accepted"))
+        elif tag == "ax":
+            _, scheme, form, args = line.just
+            try:
+                want = axiom_instance(scheme, form, args)
+            except PropError as exc:
+                errors.append((i, str(exc)))
+                continue
+            if want != f:
+                errors.append((i, "axiom instantiation does not rebuild the line"))
+            elif scheme not in SCHEME_FORMS and not first_order:
+                errors.append((i, "unknown scheme"))
+        elif tag == "ax-fo":
+            if not first_order:
+                errors.append((i, "first-order axiom in a propositional certificate"))
+            elif match_fo_axiom(f) is None:
+                errors.append((i, "not a quantifier-instantiation axiom"))
+        elif tag == "mp":
+            _, j, k = line.just
+            if not (0 <= j < i and 0 <= k < i):
+                errors.append((i, "modus ponens cites a line not before this one"))
+            elif cert.lines[j].formula != imp(cert.lines[k].formula, f):
+                errors.append((i, "cited lines are not an implication pair"))
+        else:
+            errors.append((i, f"unknown justification {tag!r}"))
+    return errors
+
+
+def _recheck_unlabelled_cubic(cert, hyp, first_order=False):
+    """The reference for recheck_unlabelled: every pair of earlier lines."""
+    for i, line in enumerate(cert.lines):
+        f = line.formula
+        if is_axiom(f, first_order) or hyp(f):
+            continue
+        if any(cert.lines[j].formula == imp(cert.lines[k].formula, f)
+               for j in range(i) for k in range(i)):
+            continue
+        return False
+    return True
+
+
+def _extract_hypotheses_cubic(cert, first_order=False):
+    """The reference for extract_hypotheses: every pair of lines."""
+    present = {line.formula for line in cert.lines}
+    out = set()
+    for f in present:
+        if is_axiom(f, first_order):
+            continue
+        if any(g == imp(h, f) for g in present for h in present):
+            continue
+        out.add(f)
+    return frozenset(out)
+
+
+def _certified_nodes(p):
+    return [q for q in sx.subobjects(p) if "prop" in q.info]
+
+
+@functools.cache
+def _certificate_cases():
+    """(certificate, accepted hypotheses, first_order) of every certified
+    node, one per distinct certificate: the certified base corpus, the
+    mprop entries, and the certificates that _subst_certificate replays at
+    each sample of the certified corpus's uniform schemas."""
+    cases = {}
+
+    def add(nodes):
+        for q in nodes:
+            hyps = frozenset(vee(r.conclusion.sentences) for r in q.premises)
+            cases.setdefault((q.info["prop"]["cert"], q.rule == "pred"), hyps)
+
+    for entry in base_corpus():
+        conv = to_certified_calculus(entry.proof)
+        add(_certified_nodes(conv))
+        for u in (q.uniform for q in sx.subobjects(conv) if q.uniform is not None):
+            for values in u.sampled:
+                inst = u.schema
+                for base, value in zip(u.params, values):
+                    inst = subst_param_proof(inst, base, value)
+                add(_certified_nodes(inst))
+    for entry in mprop_entries():
+        add(_certified_nodes(entry.proof))
+    return [(cert, hyps, fo) for (cert, fo), hyps in cases.items()]
+
+
+def _with(cert, edits):
+    """cert with the lines at the keys of edits replaced by their values."""
+    return PropCertificate(tuple(edits.get(i, line) for i, line in enumerate(cert.lines)))
+
+
+def _mutants(cert, rng):
+    """Certificates one fault away from cert, each at a seeded line."""
+    lines = cert.lines
+    n_lines = len(lines)
+    by_tag = {}
+    for i, line in enumerate(lines):
+        by_tag.setdefault(line.just[0], []).append(i)
+    yield "dropped line", PropCertificate(lines[:(d := rng.randrange(n_lines))] + lines[d + 1:])
+    if "ax" in by_tag:
+        i = rng.choice(by_tag["ax"])
+        f, (_, scheme, form, args) = lines[i].formula, lines[i].just
+        for s2, f2 in (rng.choice([(s, g) for s in SCHEME_FORMS for g in SCHEME_FORMS[s]
+                                   if (s, g) != (scheme, form)]),
+                       (scheme, "zz"), ("zz", form)):
+            yield "changed scheme or form", _with(cert, {i: CertLine(f, ("ax", s2, f2, args))})
+        m = rng.randrange(len(args))
+        opened = args[:m] + (o(args[m], OPEN),) + args[m + 1:]
+        yield "open argument", _with(cert, {i: CertLine(f, ("ax", scheme, form, opened))})
+        yield "open argument, line rebuilt", _with(cert, {i: CertLine(
+            axiom_instance(scheme, form, opened), ("ax", scheme, form, opened))})
+    if "hyp" in by_tag:
+        i = rng.choice(by_tag["hyp"])
+        yield "open hypothesis", _with(cert, {i: CertLine(o(lines[i].formula, OPEN), ("hyp",))})
+    if "mp" in by_tag:
+        i = rng.choice(by_tag["mp"])
+        f, (_, j, k) = lines[i].formula, lines[i].just
+        later = rng.randrange(i, n_lines + 1)
+        for just in (("mp", later, k), ("mp", j, later), ("mp", k, j), ("mp", j, j),
+                     ("mp", -1, k)):
+            yield "modus ponens citation", _with(cert, {i: CertLine(f, just)})
+        # the cited implication line open through its antecedent, the
+        # line itself closed
+        h = o(lines[k].formula, OPEN)
+        yield "open cited lines", _with(cert, {
+            j: CertLine(imp(h, f), ("hyp",)), k: CertLine(h, ("hyp",))})
+        # the cited implication line and the line itself open
+        g = o(f, OPEN)
+        yield "open conclusion", _with(cert, {
+            j: CertLine(imp(lines[k].formula, g), ("hyp",)), i: CertLine(g, lines[i].just)})
+
+
+def _with_antecedents_dropped(cases):
+    """Each case, then the same without the line its first modus ponens
+    cites as the antecedent, which leaves that implication unusable."""
+    for cert, hyps, fo in cases:
+        yield cert, hyps, fo
+        k = next((line.just[2] for line in cert.lines if line.just[0] == "mp"), None)
+        if k is not None:
+            yield PropCertificate(cert.lines[:k] + cert.lines[k + 1:]), hyps, fo
+
+
+def _errors_and_asked(check_errors, cert, hyps, first_order):
+    """The errors, and the formulas hyp was asked about, in order; hyp
+    fails the test when asked about an open formula."""
+    asked = []
+
+    def hyp(f):
+        assert sx.is_closed(f), "hyp asked about an open formula"
+        asked.append(f)
+        return f in hyps
+
+    return check_errors(cert, hyp, first_order), asked
+
+
+class TestClosureByJustification:
+    """certificate_errors takes a line's closedness from its justification
+    where the line meets it; its list must be the reference checker's."""
+
+    def test_same_errors_on_every_certificate_and_mutant(self):
+        rng = random.Random(16)
+        kinds = {}
+        cases = _certificate_cases()
+        assert len(cases) > 300
+        for cert, hyps, fo in cases:
+            for kind, mutant in [("certificate", cert)] + list(_mutants(cert, rng)):
+                want = _errors_and_asked(_certificate_errors_closed_first, mutant, hyps, fo)
+                assert _errors_and_asked(certificate_errors, mutant, hyps, fo) == want, kind
+                kinds.setdefault(kind, set()).add(bool(want[0]))
+        # every certificate passes, and every kind of mutant occurs, the
+        # faults among them rejected
+        assert kinds.pop("certificate") == {False}
+        assert set(kinds) == {
+            "dropped line", "changed scheme or form", "open argument",
+            "open argument, line rebuilt", "open hypothesis", "modus ponens citation",
+            "open cited lines", "open conclusion"}
+        assert all(True in seen for seen in kinds.values())
+
+    def test_open_line_messages(self):
+        a = imp(PHI, ZERO_EQ)
+        cert = PropCertificate((
+            CertLine(OPEN, ("hyp",)),
+            CertLine(imp(OPEN, PHI), ("hyp",)),
+            CertLine(PHI, ("mp", 1, 0)),  # closed, citing open lines
+            CertLine(axiom_instance("add", "l", (OPEN, PHI)), ("ax", "add", "l", (OPEN, PHI))),
+            CertLine(o(a, OPEN), ("mp", 3, 0)),  # open, not a pair
+            CertLine(a, ("ax", "add", "zz", (PHI, ZERO_EQ))),
+        ))
+        got = certificate_errors(cert, lambda f: True)
+        assert got == [(0, "line is not a sentence"), (1, "line is not a sentence"),
+                       (3, "line is not a sentence"), (4, "line is not a sentence"),
+                       (5, "unknown scheme add/zz")]
+        assert got == _certificate_errors_closed_first(cert, lambda f: True)
+
+    def test_hypothesis_helpers_match_the_pairwise_versions(self):
+        # the pairwise references cost seconds on the longest certificates,
+        # so they run on every certificate of at most 30 lines
+        cases = [(c, h, fo) for c, h, fo in _certificate_cases() if len(c.lines) <= 30]
+        assert len(cases) > 150
+        verdicts = set()
+        for cert, hyps, fo in _with_antecedents_dropped(cases):
+            got = extract_hypotheses(cert, fo)
+            assert got == _extract_hypotheses_cubic(cert, fo)
+            for accept in (got, hyps, frozenset()):
+                ok = recheck_unlabelled(cert, accept.__contains__, fo)
+                assert ok == _recheck_unlabelled_cubic(cert, accept.__contains__, fo)
+                verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestSearch:
