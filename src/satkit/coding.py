@@ -227,26 +227,34 @@ class GodelCode:
         return self.code <= other.code
 
 
-def _index_symbols(n: int) -> list[int]:
-    syms = []
-    while n:
-        n, d = divmod(n, 4)
-        syms.append(DIGIT_CODES[d])
-    syms.append(SYM_ENDIDX)
-    return syms
+# Codes are built and read as hex strings: one hex digit per symbol, the
+# first symbol the last digit.
 
-
-# the symbol each codable node class writes before its index and parts
-SYMBOL_OF = {
+# the symbol (as its hex digit) each codable node class writes before its
+# index and parts
+SYMBOL_OF = {cls: format(sym, "x") for cls, sym in {
     sx.Zero: SYM_ZERO, sx.Const: SYM_CONST, sx.Var: SYM_VAR, sx.Succ: SYM_SC,
     sx.Add: SYM_ADD, sx.Mul: SYM_MUL, sx.Eq: SYM_EQ, sx.Not: SYM_NOT,
     sx.Or: SYM_OR, sx.Ex: SYM_EXISTS,
-}
+}.items()}
+_CONST, _VAR, _EXISTS, _END, _ZERO_DIGIT = (
+    format(s, "x") for s in (SYM_CONST, SYM_VAR, SYM_EXISTS, SYM_ENDIDX, DIGIT_CODES[0]))
+# each hex digit of an index as its two base-4 index digits, the low one first
+_QUADS = str.maketrans({format(h, "x"): format(DIGIT_CODES[h % 4], "x")
+                        + format(DIGIT_CODES[h // 4], "x") for h in range(16)})
 
 
-def _emit(x: sx.Obj, out: list[int]) -> None:
-    """Write x's symbols in pre-order; iterative, so any nesting depth is
-    fine."""
+def _index_run(n: int) -> str:
+    """An index's symbols: its base-4 digits, least significant first and
+    with no zero digit on top, then the terminator."""
+    if n < 0:
+        raise NotEncodable(f"index {n} is negative; indices are naturals")
+    return format(n, "x")[::-1].translate(_QUADS).rstrip(_ZERO_DIGIT) + _END
+
+
+def _emit(x: sx.Obj, out: list[str]) -> None:
+    """Write x's symbols in pre-order, an index with the symbol before it;
+    iterative, so any nesting depth is fine."""
     stack = [x]
     pop, push, put = stack.pop, stack.extend, out.append  # bound once: most calls code small objects
     while stack:
@@ -256,20 +264,20 @@ def _emit(x: sx.Obj, out: list[int]) -> None:
             if isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
                 raise NotEncodable(f"family reference {y!r} has no standard code")
             raise NotEncodable(f"abbreviation {y!r} must be expanded before coding")
-        put(sym)
-        if sym == SYM_CONST:
+        if sym == _CONST:
             if not isinstance(y.elem, Std):
                 raise NotEncodable(f"constant {y.elem} has no standard code")
-            out.extend(_index_symbols(y.elem.n))
-        elif sym == SYM_VAR or sym == SYM_EXISTS:
-            out.extend(_index_symbols(y.index))
+            sym += _index_run(y.elem.n)
+        elif sym == _VAR or sym == _EXISTS:
+            sym += _index_run(y.index)
+        put(sym)
         push(y.children[::-1])
 
 
 def godel_encode(x: sx.Obj) -> GodelCode:
-    out: list[int] = []
+    out: list[str] = []
     _emit(x, out)
-    return GodelCode(_digits_to_int(out, 4))
+    return GodelCode(int("".join(out)[::-1], 16))
 
 
 def code_key(x: sx.Obj) -> tuple:
@@ -363,12 +371,18 @@ class _Reader:
                 stack[-1][1].append(obj)
 
 
+def _const(n: int) -> sx.Const:
+    if n == 0:  # const() would give ZERO, whose code is another
+        raise NotWellFormed("constant index 0: the constant 0 has its own symbol")
+    return sx.Const(Std(n))
+
+
 # what each symbol starts, by kind: its node's constructor, whether an
 # index run follows the symbol, and the kinds of the parts after that
 _SHAPES = {
     "term": {
         SYM_ZERO: (lambda: sx.ZERO, False, ()),
-        SYM_CONST: (lambda n: sx.const(Std(n)), True, ()),
+        SYM_CONST: (_const, True, ()),
         SYM_VAR: (sx.Var, True, ()),
         SYM_SC: (sx.Succ, False, ("term",)),
         SYM_ADD: (sx.Add, False, ("term", "term")),
@@ -383,16 +397,17 @@ _SHAPES = {
 }
 
 
+# a code's hex digits (as ASCII bytes) to the symbols they stand for
+_SYMBOL_BYTES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def _symbols_of(code: int) -> list[int]:
     if code == 0:
         return []
-    bits = bin(code)[2:]
-    pad = (-len(bits)) % 4
-    bits = "0" * pad + bits
-    syms = [int(bits[i - 4:i], 2) for i in range(len(bits), 0, -4)]
-    if any(s == 0 for s in syms):
+    digits = format(code, "x")
+    if "0" in digits:
         raise NotWellFormed("zero symbol inside a code")
-    return syms
+    return list(digits[::-1].encode().translate(_SYMBOL_BYTES))
 
 
 def godel_decode(g: GodelCode) -> sx.Obj:

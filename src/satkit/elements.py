@@ -226,13 +226,15 @@ def parse_element(text: str) -> Element:
     """Parse the printed element syntax: a decimal, the omega-bracket form
     (ASCII alias w[...]), or the sym:name shorthand."""
     text = text.strip()
-    if text.isdigit():
+    if text.isdecimal():  # digits int() reads; isdigit() also takes superscripts
         return Std(int(text))
     m = _ELEM_RE.match(text)
     if m is None:
         raise ElementError(f"unparseable element {text!r}")
     coeff = Fraction(1)
     if m.group("num"):
+        if m.group("den") and int(m.group("den")) == 0:
+            raise ElementError(f"zero denominator in {text!r}")
         coeff = Fraction(int(m.group("num")), int(m.group("den") or 1))
     off = int(m.group("off") or 0)
     return Sym(m.group("base") or m.group("name"), coeff, off)

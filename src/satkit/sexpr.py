@@ -9,7 +9,7 @@ trees of (rule <tag> (concl ...) ...) nodes.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Union
+from typing import Union, get_type_hints
 
 from . import syntax as sx
 from . import template as tp
@@ -133,8 +133,8 @@ def print_certificate(cert: PropCertificate) -> str:
     parts = []
     for line in cert.lines:
         just = line.just
-        if just[0] == "hyp":
-            j = "hyp"
+        if just[0] in ("hyp", "ax-fo"):  # bare words
+            j = just[0]
         elif just[0] == "ax":
             _, scheme, form, args = just
             inner = " ".join(print_obj(a) for a in args)
@@ -201,74 +201,103 @@ def parse_elem_node(node: Node) -> Element:
         raise ParseError(str(e)) from None
 
 
+def _index(text: str) -> int | None:
+    """The natural a run of ASCII digits names, else None."""
+    return int(text) if text.isdigit() and text.isascii() else None
+
+
 def _parse_atom(node: str):
     if node == "0":
         return sx.ZERO
-    if node.startswith("v") and node[1:].isdigit():
-        return sx.Var(int(node[1:]))
-    if node.startswith("c") and len(node) > 1:
+    if node[:1] == "v" and (n := _index(node[1:])) is not None:
+        return sx.Var(n)
+    if node[:1] == "c" and len(node) > 1:
         return sx.const(parse_elem_node(node[1:]))
     raise ParseError(f"unknown atom {node!r}")
 
 
+def _binder_index(node: Node) -> int:
+    n = _index(node) if type(node) is str else None
+    if n is None:
+        raise ParseError(f"expected a binder index, found {node!r}")
+    return n
+
+
 # how to build each compound expression (head [lead] part ...): the
-# constructor, how many arguments follow the head, and the reader of a
-# leading argument that is not a part (a binder's index, a family's
-# element)
-BUILDERS = {head: (cls, len(fields(cls)), int if cls.scope else None)
-            for head, cls in HEADS.items()}
-BUILDERS.update({"num": (sx.numeral, 1, parse_elem_node),
-                 "addtower": (sx.addtower, 1, parse_elem_node),
-                 "delta": (sx.delta, 1, parse_elem_node),
-                 "eps": (sx.epsilon, 2, parse_elem_node)})
+# constructor, the reader of a leading argument that is not a part (a
+# binder's index, a family's element), the sort of each argument (from
+# the constructor's field types) and the most items the expression holds
+BUILDERS = {head: (make, read_lead, sorts, len(sorts) + 1) for head, make, read_lead, sorts in (
+    *((head, cls, _binder_index if cls.scope else None,
+       tuple(get_type_hints(cls)[f.name] for f in fields(cls))) for head, cls in HEADS.items()),
+    ("num", sx.numeral, parse_elem_node, (Element,)),
+    ("addtower", sx.addtower, parse_elem_node, (Element,)),
+    ("delta", sx.delta, parse_elem_node, (Element,)),
+    ("eps", sx.epsilon, parse_elem_node, (Element, sx.Formula)))}
+SORT_NAMES = {sx.Term: "term", sx.Formula: "formula"}
 
 
 def _arity_error(head: str) -> ParseError:
-    return ParseError(f"({head} ...) takes {BUILDERS[head][1]} arguments")
+    return ParseError(f"({head} ...) takes {len(BUILDERS[head][2])} arguments")
 
 
-def _open(node: list):
-    """A frame for a compound expression: its head, constructor, leading
-    argument, the objects built so far and the part expressions left."""
-    if not node or not isinstance(node[0], str):
-        raise ParseError(f"bad expression {node!r}")
-    head = node[0]
-    if head not in BUILDERS:
-        raise ParseError(f"unknown head {head!r}")
-    make, need, read_lead = BUILDERS[head]
-    if len(node) > need + 1:
-        raise _arity_error(head)
-    if read_lead is None:
-        return head, make, None, [], iter(node[1:])
-    if len(node) < 2:
-        raise _arity_error(head)
-    return head, make, read_lead(node[1]), [], iter(node[2:])
+def _sort_error(head: str, i: int, obj) -> ParseError:
+    want = SORT_NAMES[BUILDERS[head][2][i]]
+    got = "term" if isinstance(obj, sx.Term) else "formula"
+    return ParseError(f"({head} ...) takes a {want} as argument {i + 1}, found a {got}")
 
 
 def parse_obj(node: Node):
     """The term or formula an expression denotes; iterative, so any
-    nesting depth parses. Parts are read left to right, so the first
-    fault in that order is the one reported."""
-    if isinstance(node, str):
+    nesting depth parses. Parts are read left to right, each checked
+    against its argument's sort as it is built, so the first fault in
+    that order is the one reported."""
+    if type(node) is str:
         return _parse_atom(node)
-    stack = [_open(node)]
-    while True:
-        head, make, lead, built, parts = stack[-1]
-        for part in parts:
-            if isinstance(part, str):
-                built.append(_parse_atom(part))
+    # the open expression, in locals: its constructor, argument sorts,
+    # the arguments built so far, the expression, the position of its
+    # next part and its length; an enclosing one waits on the stack as
+    # one flat tuple of these
+    stack = []
+    expr = node
+    try:
+        while True:  # open expr
+            try:
+                make, read_lead, sorts, size = BUILDERS[expr[0]]
+            except (IndexError, KeyError, TypeError):  # empty, or a bad head
+                if not expr or type(expr[0]) is not str:
+                    raise ParseError(f"bad expression {expr!r}") from None
+                raise ParseError(f"unknown head {expr[0]!r}") from None
+            n = len(expr)
+            if n > size:
+                raise _arity_error(expr[0])
+            if read_lead is None:
+                built, pos = [], 1
+            elif n < 2:
+                raise _arity_error(expr[0])
             else:
-                stack.append(_open(part))
-                break
-        else:  # every part built
-            args = built if lead is None else [lead, *built]
-            if len(args) < BUILDERS[head][1]:
-                raise _arity_error(head)
-            obj = make(*args)
-            stack.pop()
-            if not stack:
-                return obj
-            stack[-1][3].append(obj)
+                built, pos = [read_lead(expr[1])], 2
+            while True:
+                if pos < n:
+                    part = expr[pos]
+                    pos += 1
+                    if type(part) is not str:
+                        stack.append((make, sorts, built, expr, pos, n))
+                        expr = part
+                        break
+                    obj = _parse_atom(part)
+                else:  # every part built
+                    if len(built) < len(sorts):
+                        raise _arity_error(expr[0])
+                    obj = make(*built)
+                    if not stack:
+                        return obj
+                    make, sorts, built, expr, pos, n = stack.pop()
+                if not isinstance(obj, sorts[len(built)]):
+                    raise _sort_error(expr[0], len(built), obj)
+                built.append(obj)
+    except tp.TemplateError as e:  # a box in a box
+        raise ParseError(str(e)) from None
 
 
 def parse_formula(text: str) -> sx.Formula:
@@ -296,8 +325,8 @@ def parse_certificate(node: Node) -> PropCertificate:
         formula = parse_obj(ln[1])
         j = ln[2]
         head = j[0] if isinstance(j, list) and j else None
-        if j == "hyp":
-            just = ("hyp",)
+        if j in ("hyp", "ax-fo"):  # bare words
+            just = (j,)
         elif head == "ax" and len(j) >= 3 and all(isinstance(x, str) for x in j[1:3]):
             scheme, form = j[1], ("" if j[2] == "_" else j[2])
             args = tuple(parse_obj(a) for a in j[3:])

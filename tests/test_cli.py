@@ -339,6 +339,20 @@ class TestDataCommands:
         got, out = run_cli(["prop-check", "--cert", str(f)], capsys)
         assert got == code and f"ok: {code == 0}" in out
 
+    @pytest.mark.parametrize("flags, code", [(["--first-order"], 0), ([], 1)])
+    def test_prop_check_first_order_line(self, tmp_path, capsys, flags, code):
+        # (= c2 c2) -> (ex 0 (= v0 c2)) instantiates a quantifier: an axiom
+        # of the first-order certificates only
+        f = tmp_path / "cert.sexp"
+        f.write_text("(cert (line (= c2 c2) hyp)"
+                     " (line (or (not (= c2 c2)) (ex 0 (= v0 c2))) ax-fo)"
+                     " (line (ex 0 (= v0 c2)) (mp 1 0)))")
+        hyps = tmp_path / "hyps.txt"
+        hyps.write_text("(= c2 c2)\n")
+        got, out = run_cli(["prop-check", "--cert", str(f), "--hyps", str(hyps)] + flags,
+                           capsys)
+        assert got == code and out.strip() == f"ok: {code == 0}"
+
     def test_approx(self, tmp_path, capsys):
         chain = tmp_path / "chain.sexp"
         chain.write_text("(chain (delta 2))")

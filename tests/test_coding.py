@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +140,10 @@ class TestGodelCodec:
         ([10, 1], "symbol 1 inside an index run"),
         ([10, 12, 11], "non-canonical index digits"),
         ([8, 13, 11, 5, 1], "truncated code"),
+        # 0 has a symbol of its own, so a constant with index 0 would
+        # decode to a term whose code is another
+        ([9, 11], "constant index 0: the constant 0 has its own symbol"),
+        ([5, 1, 9, 11], "constant index 0: the constant 0 has its own symbol"),
     ])
     def test_rejection_messages(self, symbols, message):
         code = sum(s << (4 * k) for k, s in enumerate(symbols))
@@ -152,6 +159,33 @@ class TestGodelCodec:
             assert type(g) is type(f) and getattr(g, "index", None) == getattr(f, "index", None)
             f, g = f.children[-1], g.children[-1]
         assert g == f
+
+    def test_negative_indices_are_not_encodable(self):
+        # a negative index once sent the index-digit loop round for ever,
+        # so this runs in a child process that is stopped after half a minute
+        script = """if True:
+            import satkit.syntax as sx
+            from satkit.coding import NotEncodable, code_key, godel_encode
+            from satkit.kernel import vee
+            body = sx.Eq(sx.ZERO, sx.ZERO)
+            for x in (sx.Var(-1), sx.Ex(-1, body), sx.Ex(0, sx.Eq(sx.Var(-5), sx.ZERO))):
+                try:
+                    godel_encode(x)
+                    raise SystemExit("encoded " + repr(x))
+                except NotEncodable as e:
+                    assert "negative" in str(e), e
+                assert code_key(x)[0] == 1
+            assert vee([sx.Ex(-1, body), body]) == sx.Or(body, sx.Ex(-1, body))
+            print("ok")
+        """
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=30, env=env)
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+        cli = subprocess.run([sys.executable, "-m", "satkit", "encode", "(ex -1 (= 0 0))"],
+                             capture_output=True, text=True, timeout=30, env=env)
+        assert cli.returncode == 2
+        assert cli.stderr == "error: expected a binder index, found '-1'\n"
 
     def test_manifest_is_stable(self):
         m = encoding_manifest()

@@ -4,7 +4,10 @@ exact ParseError message, in-process and through `satkit encode` (exit 2)."""
 import pytest
 
 import satkit.sexpr as sexpr
+import satkit.syntax as sx
 from satkit.cli import main
+from satkit.elements import std
+from satkit.propcalc import CertLine, PropCertificate, imp
 from satkit.sexpr import ParseError
 
 # (expression, the ParseError text it gives); parts are read left to
@@ -37,16 +40,79 @@ MALFORMED = [
     ("(not (not (or (= 0 0) (not (= v1 c)))))", "unknown atom 'c'"),
 ]
 
+# parts of the wrong sort, and binder indices that are not digit runs:
+# each is found where it is built, left to right
+ILL_SORTED = [
+    ("(not 0)", "(not ...) takes a formula as argument 1, found a term"),
+    ("(sc (= 0 0))", "(sc ...) takes a term as argument 1, found a formula"),
+    ("(= (= 0 0) 0)", "(= ...) takes a term as argument 1, found a formula"),
+    ("(= 0 (not (= 0 0)))", "(= ...) takes a term as argument 2, found a formula"),
+    ("(or 0 0)", "(or ...) takes a formula as argument 1, found a term"),
+    ("(ex 0 0)", "(ex ...) takes a formula as argument 2, found a term"),
+    ("(bex 0 (= 0 0) (= 0 0))", "(bex ...) takes a term as argument 2, found a formula"),
+    ("(tt (= 0 0))", "(tt ...) takes a term as argument 1, found a formula"),
+    ("(tf 0)", "(tf ...) takes a formula as argument 1, found a term"),
+    ("(tt (tt 0))", "boxes hold plain terms"),
+    ("(eps 2 0)", "(eps ...) takes a formula as argument 2, found a term"),
+    ("(or (not 0) (foo))", "(not ...) takes a formula as argument 1, found a term"),
+    ("(or (foo) (not 0))", "unknown head 'foo'"),
+    ("(ex +1 (= 0 0))", "expected a binder index, found '+1'"),
+    ("(ex 1_0 (= 0 0))", "expected a binder index, found '1_0'"),
+    ("(ex -1 (= 0 0))", "expected a binder index, found '-1'"),
+    ("(ex x (= 0 0))", "expected a binder index, found 'x'"),
+    ("(ex (= 0 0) (= 0 0))", "expected a binder index, found ['=', '0', '0']"),
+    ("(all \u00b2 (= 0 0))", "expected a binder index, found '\u00b2'"),
+    ("(= v\u00b2 0)", "unknown atom 'v\u00b2'"),
+]
 
-@pytest.mark.parametrize("text, message", MALFORMED)
+# elements that int() or Fraction() refused with their own errors (exit 1)
+BAD_ELEMENTS = [
+    ("(= 0 c\u00b2)", "unparseable element '\u00b2'"),
+    ("(= 0 cw[a]*1/0)", "zero denominator in 'w[a]*1/0'"),
+    ("(num w[a]*3/00)", "zero denominator in 'w[a]*3/00'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED + ILL_SORTED + BAD_ELEMENTS)
 def test_parse_error_text(text, message):
     with pytest.raises(ParseError) as e:
         sexpr.parse_obj(sexpr.read_one(text))
     assert str(e.value) == message
 
 
-@pytest.mark.parametrize("text, message", MALFORMED)
+@pytest.mark.parametrize("text, message", MALFORMED + ILL_SORTED + BAD_ELEMENTS)
 def test_encode_exits_2_with_the_parse_error(text, message, capsys):
     code = main(["encode", text])
     err = capsys.readouterr().err
     assert code == 2 and err == f"error: {message}\n"
+
+
+def test_a_proof_file_with_an_ill_sorted_conclusion_exits_2(tmp_path, capsys):
+    f = tmp_path / "proof.sexp"
+    f.write_text("(rule axiom3 (concl (not 0)))")
+    code = main(["check", "--in", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: (not ...) takes a formula as argument 1, found a term\n"
+
+
+def test_well_sorted_expressions_still_parse():
+    for text in ["(ex 0 (= v0 0))", "(ex 007 (= v7 0))", "(bex 0 (sc 0) (= v0 0))",
+                 "(tt (sc v1))", "(tf (not (= 0 0)))", "(eps 2 (= 0 0))", "(num w[a])"]:
+        sexpr.parse_obj(sexpr.read_one(text))
+
+
+def test_first_order_lines_print_and_parse():
+    # a quantifier-instantiation line: (= c2 c2) -> (ex 0 (= v0 c2))
+    two = sx.const(std(2))
+    inst, exists = sx.Eq(two, two), sx.Ex(0, sx.Eq(sx.Var(0), two))
+    cert = PropCertificate((CertLine(inst, ("hyp",)),
+                            CertLine(imp(inst, exists), ("ax-fo",)),
+                            CertLine(exists, ("mp", 1, 0))))
+    text = sexpr.print_certificate(cert)
+    assert "(line (or (not (= c2 c2)) (ex 0 (= v0 c2))) ax-fo)" in text
+    back = sexpr.parse_certificate(sexpr.read_one(text))
+    assert back == cert and sexpr.print_certificate(back) == text
+    # the bare word only: a list form is no justification
+    with pytest.raises(ParseError, match="unknown justification"):
+        sexpr.parse_certificate(sexpr.read_one("(cert (line (= 0 0) (ax-fo)))"))
