@@ -234,7 +234,6 @@ BUILDERS = {head: (make, read_lead, sorts, len(sorts) + 1) for head, make, read_
     ("addtower", sx.addtower, parse_elem_node, (Element,)),
     ("delta", sx.delta, parse_elem_node, (Element,)),
     ("eps", sx.epsilon, parse_elem_node, (Element, sx.Formula)))}
-SORT_NAMES = {sx.Term: "term", sx.Formula: "formula"}
 
 
 def _arity_error(head: str) -> ParseError:
@@ -242,7 +241,7 @@ def _arity_error(head: str) -> ParseError:
 
 
 def _sort_error(head: str, i: int, obj) -> ParseError:
-    want = SORT_NAMES[BUILDERS[head][2][i]]
+    want = BUILDERS[head][2][i].__name__.lower()  # a term or a formula
     got = "term" if isinstance(obj, sx.Term) else "formula"
     return ParseError(f"({head} ...) takes a {want} as argument {i + 1}, found a {got}")
 
