@@ -2,9 +2,9 @@
 """Walk the pathology witnesses: towers that some truth predicates accept.
 
 Shows the disjunction tower over 0 != 0 made true at a symbolic stage, the
-successor tower valued at an arbitrary symbolic target, the free-valuation
-tower escaping the model, and the prime-target refutation that blocks
-multiplication-bearing towers.
+successor and addition towers valued at an arbitrary symbolic target, the
+free-valuation tower escaping the model, and the prime-target refutation
+that blocks multiplication-bearing towers.
 """
 
 from __future__ import annotations
@@ -43,6 +43,17 @@ def main() -> int:
     for k in (0, 3, 7, 10):
         chain = tp.ApproxChain(tuple(
             sx.SymTermRef("num", Sym("h", h.coeff, -j)) for j in range(k)))
+        value = val_t(tower, tp.apply_to_object(chain, root))
+        print(f"  chain length {k}: value {value}")
+
+    show("addition tower valued at a symbolic target")
+    # each unfolding is Add(c, c) over one child, and the approximation
+    # keeps that sharing: chain length 40 stands for a tree of 2^40 leaves
+    tower = sc_tower("addtower", h, b)
+    root = sx.SymTermRef("addtower", h)
+    for k in (0, 8, 20, 40):
+        chain = tp.ApproxChain(tuple(
+            sx.SymTermRef("addtower", Sym("h", h.coeff, -j)) for j in range(k)))
         value = val_t(tower, tp.apply_to_object(chain, root))
         print(f"  chain length {k}: value {value}")
 

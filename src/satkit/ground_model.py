@@ -10,6 +10,10 @@ one witness loop; ``eval_tr`` runs it with the standard model's atoms
 and searches, and eldiag's decision and template satisfaction
 (``semantics.models``) subclass it with their own atoms and their own
 search order for an existential.
+
+A walk values or decides a child once when it is the same object as its
+sibling: ``Add(x, x)``, ``Mul(x, x)`` and ``Or(x, x)`` cost one recursive
+call, as towers and their approximations are shared DAGs (see ``template``).
 """
 
 from __future__ import annotations
@@ -99,10 +103,10 @@ def val(t: sx.Term, leaf=None) -> Element:
         base: Element = Std(0)
     elif isinstance(t, sx.Const):
         base = t.elem
-    elif isinstance(t, sx.Add):
-        base = add(val(t.left, leaf), val(t.right, leaf))
-    elif isinstance(t, sx.Mul):
-        base = mul(val(t.left, leaf), val(t.right, leaf))
+    elif isinstance(t, (sx.Add, sx.Mul)):
+        u = val(t.left, leaf)
+        w = u if t.right is t.left else val(t.right, leaf)
+        base = add(u, w) if isinstance(t, sx.Add) else mul(u, w)
     elif leaf is not None:
         base = leaf(t)
     elif isinstance(t, sx.Var):
@@ -250,7 +254,8 @@ class Tarski:
         if isinstance(f, sx.Not):
             return tv_not(self.decide(f.body, params))
         if isinstance(f, sx.Or):
-            return tv_or(self.decide(f.left, params), self.decide(f.right, params))
+            u = self.decide(f.left, params)
+            return tv_or(u, u if f.right is f.left else self.decide(f.right, params))
         if isinstance(f, sx.Ex):
             return self.exists(f, params)
         return self.atom(f, params)

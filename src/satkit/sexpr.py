@@ -216,10 +216,11 @@ def _parse_atom(node: str):
     raise ParseError(f"unknown atom {node!r}")
 
 
-def _binder_index(node: Node) -> int:
+def _natural(node: Node, what: str) -> int:
+    """A natural-number field, read as _index reads it; what names the field."""
     n = _index(node) if type(node) is str else None
     if n is None:
-        raise ParseError(f"expected a binder index, found {node!r}")
+        raise ParseError(f"expected {what}, found {node!r}")
     return n
 
 
@@ -228,7 +229,7 @@ def _binder_index(node: Node) -> int:
 # binder's index, a family's element), the sort of each argument (from
 # the constructor's field types) and the most items the expression holds
 BUILDERS = {head: (make, read_lead, sorts, len(sorts) + 1) for head, make, read_lead, sorts in (
-    *((head, cls, _binder_index if cls.scope else None,
+    *((head, cls, (lambda node: _natural(node, "a binder index")) if cls.scope else None,
        tuple(get_type_hints(cls)[f.name] for f in fields(cls))) for head, cls in HEADS.items()),
     ("num", sx.numeral, parse_elem_node, (Element,)),
     ("addtower", sx.addtower, parse_elem_node, (Element,)),
@@ -331,7 +332,7 @@ def parse_certificate(node: Node) -> PropCertificate:
             args = tuple(parse_obj(a) for a in j[3:])
             just = ("ax", scheme, form, args)
         elif head == "mp" and len(j) == 3 and all(isinstance(x, str) for x in j[1:]):
-            just = ("mp", int(j[1]), int(j[2]))
+            just = ("mp", *(_natural(x, "an mp line number") for x in j[1:]))
         else:
             raise ParseError(f"unknown justification {j!r}")
         lines.append(CertLine(formula, just))
@@ -340,13 +341,14 @@ def parse_certificate(node: Node) -> PropCertificate:
 
 def _parse_skolem(node: Node) -> dict:
     fields = {item[0]: item for item in node[1:]}
-    q = QuantSeq(tuple((it[0], int(it[1])) for it in fields["q"][1:]))
+    q = QuantSeq(tuple((it[0], _natural(it[1], "a Skolem q index")) for it in fields["q"][1:]))
     rows = {}
     for row in fields["table"][1:]:
         inner = {x[0]: x for x in row[1:]}
-        rows[tuple(int(v) for v in inner["in"][1:])] = \
-            tuple(int(v) for v in inner["out"][1:])
-    samples = tuple(tuple(int(v) for v in s[1:]) for s in fields["samples"][1:])
+        rows[tuple(_natural(v, "a Skolem row input") for v in inner["in"][1:])] = \
+            tuple(_natural(v, "a Skolem row output") for v in inner["out"][1:])
+    samples = tuple(tuple(_natural(v, "a Skolem sample") for v in s[1:])
+                    for s in fields["samples"][1:])
     from .skolem import table_of
     return {
         "q": q,
@@ -380,7 +382,7 @@ def parse_proof_node(node: Node) -> Proof:
             elif head == "witness":
                 info["witness"] = parse_elem_node(item[1])
             elif head == "block":
-                info["block"] = tuple(int(v) for v in item[1:])
+                info["block"] = tuple(_natural(v, "a block index") for v in item[1:])
             elif head == "tuple":
                 info["tuple"] = tuple(parse_elem_node(v) for v in item[1:])
             elif head == "cert":

@@ -7,6 +7,10 @@ Chains of steps compose left to right. A chain is in normal form when
 containers unfold before their parts; the canonical normal order used
 here is descending skeleton depth with code/text tie-breaks, which makes
 chain unions absorbing.
+
+Approximations keep their input's sharing: a walk steps a child once when
+it is the same object as its sibling before it, so a tower's ``Add(c, c)``
+or ``Or(s, s)`` unfolds to one shared box and stays a DAG of O(depth) nodes.
 """
 
 from __future__ import annotations
@@ -104,7 +108,12 @@ def _unfold(obj: sx.Obj) -> TObj:
     obj = sx.unfold_ref(obj)
     if obj.extended:
         raise TemplateError(f"cannot unfold {obj!r}")
-    return obj.rebuild(*map(templ, obj.children))
+    boxes: list = []
+    prev = None
+    for k in obj.children:  # a child that is its sibling shares its box
+        boxes.append(boxes[-1] if k is prev else templ(k))
+        prev = k
+    return obj.rebuild(*boxes)
 
 
 def f_step(tau: sx.Obj, x: TObj) -> TObj:
@@ -119,10 +128,12 @@ def f_step(tau: sx.Obj, x: TObj) -> TObj:
         return _unfold(x.obj) if skeleton_congruent(x.obj, tau) else x
     changed = False
     new = []
-    for k in x.children:
-        y = f_step(tau, k)
+    prev = None
+    for k in x.children:  # a child that is its sibling is stepped once
+        y = new[-1] if k is prev else f_step(tau, k)
         changed = changed or y is not k
         new.append(y)
+        prev = k
     return x.rebuild(*new) if changed else x
 
 

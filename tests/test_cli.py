@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import satkit.sexpr as sexpr
 from satkit.cli import build_parser, main
 from satkit.corpus import commute_or_proof
 import satkit.syntax as sx
+from test_sexpr import INTEGER_FIELDS, NOT_NATURALS
 
 
 def run_cli(args, capsys):
@@ -264,6 +266,17 @@ class TestProofCommands:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("template, field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("bad", NOT_NATURALS)
+    def test_loose_integer_field_exits_2(self, tmp_path, capsys, template, field, bad):
+        f = tmp_path / "input.sexp"
+        f.write_text(template.format(bad))
+        argv = (["prop-check", "--cert", str(f)] if template.startswith("(cert")
+                else ["check", "--in", str(f)])
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err == f"error: expected {field}, found {bad!r}\n"
+
 
 class TestWitnessCommands:
     def test_delta(self, capsys):
@@ -282,6 +295,31 @@ class TestWitnessCommands:
             ["witness", "free-tower", "--a", "w[a]", "--b", "w[b]",
              "--depth", "6"], capsys)
         assert code == 0 and "ok: True" in out
+
+    def test_towers_of_depth_40_finish(self):
+        # a tower unfolds to Add(c, c) or Or(s, s) over one child; walks
+        # that lost that sharing took 2^depth steps (depth 14 took seconds,
+        # 40 would never end), so this runs in a child process that is
+        # stopped after half a minute
+        script = """if True:
+            import contextlib, io, json
+            from satkit.cli import main
+            for argv, want in [
+                    (["sc-tower", "--family", "addtower", "--height", "w[h]"], "ω[a]"),
+                    (["delta"], "True"),
+                    (["free-tower", "--b", "w[b]"], "True")]:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["witness", *argv, "--a", "w[a]", "--depth", "40", "--json"])
+                results = json.loads(out.getvalue())["results"]
+                assert code == 0 and len(results) == 41, (argv, code, results)
+                assert all(v == want for _, v in results), (argv, results)
+            print("ok")
+        """
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=30, env=env)
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
 
 
 class TestDataCommands:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -427,3 +428,112 @@ class TestOracleMemo:
             reference = _reference_oracle(t_struct or ground_truth_structure())
             got = _henkin_outcome(lam, enum, memo, budget)
             assert got == _henkin_outcome(lam, enum, reference, budget), enum
+
+
+# ---------------------------------------------------------------------------
+# approximations of towers keep their sharing
+
+
+def unshared(x):
+    """A copy of x with every node built fresh, boxes and their objects
+    included: the tree that x's DAG stands for."""
+    if isinstance(x, sx.Sealed):
+        return type(x)(unshared(x.obj))
+    kids = x.children
+    return x.rebuild(*map(unshared, kids)) if kids else dataclasses.replace(x)
+
+
+def distinct_nodes(x) -> int:
+    """Nodes of x counted by identity, boxes' objects included."""
+    seen, stack = set(), [x]
+    while stack:
+        y = stack.pop()
+        if id(y) not in seen:
+            seen.add(id(y))
+            stack.extend(y.children)
+            if isinstance(y, sx.Sealed):
+                stack.append(y.obj)
+    return len(seen)
+
+
+def tower_chain(family, k):
+    """The target, the chain of its first k unfoldings and the witness
+    structure, as `satkit witness` builds them at --depth k."""
+    a, h = sym("a"), sym("h")
+    if family == "delta":
+        steps = [sx.delta(Sym("a", a.coeff, a.offset - j)) for j in range(k)]
+        return sx.delta(a), tp.ApproxChain(tuple(steps)), delta_structure(a)
+    steps = [sx.SymTermRef(family, Sym("h", h.coeff, h.offset - j)) for j in range(k)]
+    return sx.SymTermRef(family, h), tp.ApproxChain(tuple(steps)), sc_tower(family, h, a)
+
+
+def concrete_chain(family, k):
+    """A standard tower of height k and the chain that unfolds it fully."""
+    make = sx.delta if family == "delta" else sx.addtower
+    return make(std(k)), tp.ApproxChain(tuple(make(std(k - j)) for j in range(k)))
+
+
+class TestSharedApproximations:
+    @pytest.mark.parametrize("family", ["addtower", "delta"])
+    @pytest.mark.parametrize("k", range(11))
+    def test_same_results_as_the_unshared_tree(self, family, k):
+        target, f, t = tower_chain(family, k)
+        x = tp.templ(target)
+        for tau in f.steps:
+            step = tp.f_step(tau, x)
+            assert step == tp.f_step(tau, unshared(x))
+            x = step
+        assert x == tp.apply_to_object(f, target)
+        if family == "delta":
+            assert models(t, x, fuel=8) is models(t, unshared(x), fuel=8) is TRUE
+        else:
+            assert val_t(t, x) == val_t(t, unshared(x)) == sym("a")
+
+    @pytest.mark.parametrize("family", ["addtower", "delta"])
+    @pytest.mark.parametrize("k", range(11))
+    def test_concrete_towers_agree_with_their_unshared_trees(self, family, k):
+        target, f = concrete_chain(family, k)
+        t = ground_truth_structure()
+        for j in range(k + 1):
+            x = tp.apply_chain(tp.ApproxChain(f.steps[:j]), tp.templ(target))
+            assert x == tp.apply_chain(tp.ApproxChain(f.steps[:j]), tp.templ(unshared(target)))
+            if family == "delta":
+                assert models(t, x) is models(t, unshared(x)) is FALSE
+            else:
+                assert val_t(t, x) == val_t(t, unshared(x)) == Std(0)
+
+    @pytest.mark.parametrize("family", ["addtower", "delta"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 12])
+    def test_approximations_have_linearly_many_nodes(self, family, k):
+        target, f, _ = tower_chain(family, k)
+        x = tp.apply_to_object(f, target)
+        # k inner nodes over one box and its reference; the tree it stands
+        # for doubles per level
+        assert distinct_nodes(x) <= 2 * (k + 1)
+        assert distinct_nodes(unshared(x)) >= 2 ** k
+
+    @pytest.mark.parametrize("family", ["addtower", "delta"])
+    def test_walks_visit_each_node_once(self, family, monkeypatch):
+        import satkit.ground_model as gm
+        calls = {"f_step": 0, "val": 0, "decide": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tp, "f_step", counted("f_step", tp.f_step))
+        monkeypatch.setattr(gm, "val", counted("val", gm.val))
+        monkeypatch.setattr(gm.Tarski, "decide", counted("decide", gm.Tarski.decide))
+        k = 12  # the depth-40 runs are in test_cli, in a child process
+        target, f, t = tower_chain(family, k)
+        x = tp.apply_to_object(f, target)
+        # step j walks the j nodes above the open box, once each
+        assert calls["f_step"] <= 2 * (k + 1) ** 2
+        if family == "delta":
+            assert models(t, x, fuel=8) is TRUE
+            assert calls["decide"] <= 2 * (k + 1)
+        else:
+            assert val_t(t, x) == sym("a")
+            assert calls["val"] <= 2 * (k + 1)

@@ -116,3 +116,34 @@ def test_first_order_lines_print_and_parse():
     # the bare word only: a list form is no justification
     with pytest.raises(ParseError, match="unknown justification"):
         sexpr.parse_certificate(sexpr.read_one("(cert (line (= 0 0) (ax-fo)))"))
+
+
+# the integer fields of proof and certificate files, each with one slot
+# for a natural and the name its ParseError gives it; they are read as
+# digit runs, like a binder index (int() took "+0", "0_0", "-1" and "²":
+# "(mp +0 0_0)" read as (mp 0 0), and "(block +1 1_0)" as (1, 10))
+SKOLEM = ("(rule skolem (concl (= 0 0)) (skolem (q (A {q}) (E 1)) "
+          "(table (row (in {i}) (out {o}))) (phi (= 0 0)) (samples (tuple {s}))))")
+INTEGER_FIELDS = [
+    ("(cert (line (= 0 0) hyp) (line (= 0 0) (mp {} 0)))", "an mp line number"),
+    ("(cert (line (= 0 0) hyp) (line (= 0 0) (mp 0 {})))", "an mp line number"),
+    ("(rule i-ex-inf (concl (= 0 0)) (block 0 {}))", "a block index"),
+    (SKOLEM.format(q="{}", i=0, o=1, s=0), "a Skolem q index"),
+    (SKOLEM.format(q=0, i="{}", o=1, s=0), "a Skolem row input"),
+    (SKOLEM.format(q=0, i=0, o="{}", s=0), "a Skolem row output"),
+    (SKOLEM.format(q=0, i=0, o=1, s="{}"), "a Skolem sample"),
+]
+NOT_NATURALS = ["+0", "0_0", "-1", "²"]
+
+
+def parse_file(text: str):
+    node = sexpr.read_one(text)
+    return sexpr.parse_certificate(node) if node[0] == "cert" else sexpr.parse_proof_node(node)
+
+
+@pytest.mark.parametrize("template, field", INTEGER_FIELDS)
+@pytest.mark.parametrize("bad", NOT_NATURALS)
+def test_integer_fields_are_digit_runs(template, field, bad):
+    with pytest.raises(ParseError) as e:
+        parse_file(template.format(bad))
+    assert str(e.value) == f"expected {field}, found {bad!r}"
