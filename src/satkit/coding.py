@@ -280,18 +280,16 @@ def godel_encode(x: sx.Obj) -> GodelCode:
     return GodelCode(int("".join(out)[::-1], 16))
 
 
-def code_key(x: sx.Obj) -> tuple:
-    """x's key in the code order: (0, its code), or (1, its repr) when it
-    has no code, so uncodable objects sort after codable ones. Cached per
-    node."""
-    k = getattr(x, "_ck", None)
-    if k is None:
-        try:
-            k = (0, godel_encode(x).code)
-        except NotEncodable:
-            k = (1, repr(x))
-        sx.cache_fact(x, "_ck", k)
-    return k
+def _code_key(x: sx.Obj) -> tuple:
+    try:
+        return (0, godel_encode(x).code)
+    except NotEncodable:
+        return (1, repr(x))
+
+
+# x's key in the code order: (0, its code), or (1, its repr) when it has no
+# code, so uncodable objects sort after codable ones; cached per node
+code_key = sx.fact("_ck", _code_key)
 
 
 @contextmanager

@@ -29,8 +29,8 @@ by ``match_axiom`` alone; whether the policy allows one is the checker's
 test.
 
 Invariants the checker relies on: syntax nodes are immutable and carry
-cached facts (hash, free variables, primitivity, template flag, parameter
-bases), so reading a fact never re-walks a subtree. Instantiating a
+cached facts (hash, free variables, template flag, parameter bases), so
+reading a fact, a rejected abbreviation included, never re-walks a subtree. Instantiating a
 schema returns every subtree and subproof that lacks the parameter as it
 is. Each ``check`` call keeps one instantiation memo per (parameter,
 value), read and filled at every node level by every schema, sample and
@@ -94,7 +94,7 @@ class Sequent:
                 tp.has_templates(f)  # raises on an abbreviation
             except tp.TemplateError:
                 raise KernelError(f"abbreviation in a sequent: {f!r}") from None
-            if not tp.t_is_closed(f):
+            if not sx.is_closed(f):
                 raise KernelError(f"open sentence in a sequent: {f!r}")
         return Sequent(frozenset(formulas))
 
@@ -200,14 +200,6 @@ def vee(sentences) -> sx.Formula:
 # element plumbing for schemas
 
 
-def bases_of(x) -> frozenset[str]:
-    """The parameter bases in an object's element slots, cached per node."""
-    bs = getattr(x, "_bs", None)
-    if bs is None:
-        bs = sx.cache_fact(x, "_bs", sx.canonical(_bases(x)))
-    return bs
-
-
 def _bases(y) -> frozenset[str]:
     # the element slots: a constant, a family index and an eps payload
     if isinstance(y, sx.Sealed):
@@ -219,6 +211,10 @@ def _bases(y) -> frozenset[str]:
         payload = getattr(y, "payload", None)
         return out if payload is None else out | bases_of(payload)
     return reduce(or_, map(bases_of, y.children), sx.EMPTY)
+
+
+# the parameter bases in an object's element slots, cached per node
+bases_of = sx.fact("_bs", lambda x: sx.canonical(_bases(x)))
 
 
 def subst_elem_in_obj(x, base: str, value: Element, memo: dict):
@@ -248,11 +244,8 @@ def _subst_elem(x, base: str, value: Element, memo: dict):
             return sx.numeral(idx) if x.family == "num" else sx.addtower(idx)
         return sx.SymTermRef(x.family, idx)
     if isinstance(x, sx.SymFormulaRef):
-        idx = subst_base(x.index, base, value)
         payload = None if x.payload is None else subst_elem_in_obj(x.payload, base, value, memo)
-        if isinstance(idx, Std):
-            return sx.delta(idx) if x.family == "delta" else sx.epsilon(idx, payload)
-        return sx.SymFormulaRef(x.family, idx, payload)
+        return sx.or_tower(x.family, subst_base(x.index, base, value), payload)
     if x.extended:
         raise KernelError(f"cannot instantiate inside {x!r}")
     return x.rebuild(*(subst_elem_in_obj(k, base, value, memo) for k in x.children))
@@ -351,7 +344,7 @@ def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):
 
 
 def _closed_term(t) -> bool:
-    return isinstance(t, sx.Term) and tp.t_is_closed(t)
+    return isinstance(t, sx.Term) and sx.is_closed(t)  # a term holds no abbreviation
 
 
 def match_axiom1(s: frozenset, params: frozenset):
@@ -506,8 +499,12 @@ def match_instance(f, i: int, psi) -> Optional[list[Element]]:
     """Witnesses a with templ_substitute(f, a, i) == psi; None when impossible.
 
     An empty candidate list means any element works (v_i is not free).
+    Raises TemplateError on an abbreviation in f outside a template symbol,
+    as templ_substitute does: certificate lines and fragments reach here
+    unchecked.
     """
-    if i not in tp.t_free_vars(f):
+    tp.has_templates(f)
+    if i not in sx.free_vars(f):
         return [] if f == psi else None
     found: list[Element] = []
 
@@ -710,7 +707,7 @@ class _Checker:
                 self.fail(path, f"ill-formed template sentence {f!r}" if pol.template
                           else f"abbreviation {f!r} in a sequent")
                 return None
-            if not tp.t_is_closed(f):
+            if not sx.is_closed(f):
                 self.fail(path, f"open sentence {f!r}")
                 return None
             if templated and not pol.template:

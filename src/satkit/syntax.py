@@ -31,14 +31,19 @@ cached facts, ``substitute`` and ``skeleton_depth`` stay recursive: on the
 kernel's hot paths an explicit stack costs up to twice as much per node.
 
 Nodes are immutable. Each carries slots for facts computed once, on first
-use: its hash, free variables and primitivity here, its template flag in
-``template`` and its parameter bases in ``kernel``, each from its
-children; and the keys of the canonical orders, its code key in
-``coding`` (the disjunction order) and its step key in ``template`` (the
-chain order), each from the node as a whole and filled only on the nodes
-that get sorted. Cached sets are shared through ``canonical``. The caches
-live only in this process (string hashes differ between processes) and
-are never serialised.
+use, and every fact is read through one protocol: ``fact(slot, compute)``
+is the getter that reads the slot and, on a miss, stores ``compute(x)``.
+No fact is ``None``, so ``None`` means not filled yet. The facts are the
+hash and free variables here, the template flag in ``template`` (which
+also caches a rejection: the first abbreviation outside a box) and the
+parameter bases in ``kernel``, each from the children's; and the keys of
+the canonical orders, the code key in ``coding`` (the disjunction order)
+and the step key in ``template`` (the chain order), each from the node as
+a whole and filled only on the nodes that get sorted. Facts are filled
+lazily: filling them when a node is built was measured slower. Cached
+sets are shared through ``canonical``. The caches live only in this
+process (string hashes differ between processes) and are never
+serialised.
 """
 
 from __future__ import annotations
@@ -63,10 +68,9 @@ class CaptureRisk(SyntaxError_):
 # immutable nodes with cached facts
 
 # the slots every node carries: its hash, free variables (read through
-# template symbols), primitivity, template flag, parameter bases, code key
-# and chain-step key; unset until first asked for, so read them with
-# getattr(x, slot, None)
-FACT_SLOTS = ("_h", "_fv", "_pr", "_tm", "_bs", "_ck", "_sk")
+# template symbols), template flag, parameter bases, code key and
+# chain-step key; unset until first asked for, so read them through fact()
+FACT_SLOTS = ("_h", "_fv", "_tm", "_bs", "_ck", "_sk")
 
 EMPTY: frozenset = frozenset()
 _CANONICAL: dict[frozenset, frozenset] = {EMPTY: EMPTY}
@@ -77,17 +81,18 @@ def canonical(s: frozenset) -> frozenset:
     return _CANONICAL.setdefault(s, s)
 
 
-def cache_fact(x, slot: str, value):
-    """Store a fact in a node's slot and return it."""
-    object.__setattr__(x, slot, value)
-    return value
+def fact(slot: str, compute: Callable) -> Callable:
+    """The getter of a fact cached in ``slot``: it reads the slot and, on
+    a miss, stores and returns ``compute(x)``, which must not be None."""
 
+    def get(x):
+        v = getattr(x, slot, None)
+        if v is None:
+            v = compute(x)
+            object.__setattr__(x, slot, v)
+        return v
 
-def _cached_hash(self) -> int:
-    h = getattr(self, "_h", None)
-    if h is None:
-        h = cache_fact(self, "_h", self._field_hash())
-    return h
+    return get
 
 
 def node(cls):
@@ -98,8 +103,7 @@ def node(cls):
     The hash is the dataclass hash over the fields, so it is the same in
     every process for nodes whose fields hold no strings."""
     cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = _cached_hash
+    cls.__hash__ = fact("_h", cls.__hash__)
     names = [f.name for f in fields(cls)]
     hints = get_type_hints(cls)
     kids = () if issubclass(cls, Sealed) else tuple(
@@ -349,19 +353,11 @@ Obj = Union[Term, Formula]
 
 
 def is_primitive(x: Obj) -> bool:
-    """Built from the primitive connectives alone; cached per node."""
-    pr = getattr(x, "_pr", None)
-    if pr is None:
-        pr = cache_fact(x, "_pr", _is_primitive(x))
-    return pr
-
-
-def _is_primitive(x: Obj) -> bool:
-    if isinstance(x, Term):
-        return True
-    if x.extended or isinstance(x, Sealed):  # an abbreviation or a template formula
-        return False
-    return all(map(is_primitive, x.children))
+    """Built from the primitive connectives alone: no abbreviation and no
+    template formula (every term is primitive). A walk, so any depth is
+    fine."""
+    return not any(isinstance(y, Formula) and (y.extended or isinstance(y, Sealed))
+                   for y in subobjects(x))
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +377,7 @@ def unfold_ref(x: Obj) -> Obj:
             return Succ(child)
         return Add(child, child)
     if isinstance(x, SymFormulaRef):
-        below = pred(x.index)
-        if isinstance(below, Std):
-            sub = delta(below) if x.family == "delta" else epsilon(below, x.payload)
-        else:
-            sub = SymFormulaRef(x.family, below, x.payload)
+        sub = or_tower(x.family, pred(x.index), x.payload)
         return Or(sub, sub)
     return x
 
@@ -394,25 +386,21 @@ def unfold_ref(x: Obj) -> Obj:
 # free variables / substitution
 
 
-def free_vars(x: Obj) -> frozenset[int]:
-    """Free variables, reading through template symbols; cached per node."""
-    fv = getattr(x, "_fv", None)
-    if fv is None:
-        fv = cache_fact(x, "_fv", canonical(_free_vars(x)))
-    return fv
-
-
 def _free_vars(x: Obj) -> frozenset[int]:
     kids = x.children
     if not kids:
         # a family reference is a closed leaf, its eps payload included
         if type(x) is Var:
-            return frozenset((x.index,))
+            return canonical(frozenset((x.index,)))
         return free_vars(x.obj) if isinstance(x, Sealed) else EMPTY
     sets = map(free_vars, kids)
     if x.scope:
         sets = [s - {x.index} if pos in x.scope else s for pos, s in enumerate(sets)]
-    return reduce(or_, sets)
+    return canonical(reduce(or_, sets))
+
+
+# free variables, reading through template symbols; cached per node
+free_vars = fact("_fv", _free_vars)
 
 
 def is_closed(x: Obj) -> bool:
@@ -664,28 +652,28 @@ def addtower(a: Element) -> Term:
 FALSUM = Not(Eq(ZERO, ZERO))
 
 
-def delta(a: Element | int) -> Formula:
-    """The disjunction tower over 0 != 0; lazy at symbolic indices."""
+def or_tower(family: str, a: Element | int, payload: Optional[Formula] = None) -> Formula:
+    """A formula family's disjunction tower of height a, over 0 != 0 for
+    "delta" and over not(payload or not payload) for "eps"; lazy at
+    symbolic indices."""
     if isinstance(a, int):
         a = std(a)
     if isinstance(a, Sym):
-        return SymFormulaRef("delta", a)
-    f: Formula = FALSUM
+        return SymFormulaRef(family, a, payload)
+    f: Formula = FALSUM if family == "delta" else Not(Or(payload, Not(payload)))
     for _ in range(a.n):
         f = Or(f, f)
     return f
+
+
+def delta(a: Element | int) -> Formula:
+    """The disjunction tower over 0 != 0; lazy at symbolic indices."""
+    return or_tower("delta", a)
 
 
 def epsilon(a: Element | int, phi: Formula) -> Formula:
     """The disjunction tower over not(phi or not phi)."""
-    if isinstance(a, int):
-        a = std(a)
-    if isinstance(a, Sym):
-        return SymFormulaRef("eps", a, phi)
-    f: Formula = Not(Or(phi, Not(phi)))
-    for _ in range(a.n):
-        f = Or(f, f)
-    return f
+    return or_tower("eps", a, phi)
 
 
 def subobjects(x) -> Iterator:

@@ -57,36 +57,32 @@ def templ(x: sx.Obj) -> TObj:
     return TemplTerm(x) if isinstance(x, sx.Term) else TemplForm(x)
 
 
-def has_templates(x: TObj) -> bool:
-    """Does x hold a template symbol? Raises TemplateError on an
-    abbreviation outside a template symbol. Cached per node."""
-    t = getattr(x, "_tm", None)
-    if t is None:
-        t = sx.cache_fact(x, "_tm", _has_templates(x))
-    return t
-
-
-def _has_templates(x: TObj) -> bool:
+def _templates(x: TObj):
+    # True or False, or the first abbreviation outside a box in pre-order
     if isinstance(x, sx.Sealed):
         return True
     if x.extended:
-        raise TemplateError(f"non-primitive node {x!r}")
+        return x
     found = False
-    for k in x.children:  # every child, so that an abbreviation on the right always raises
-        found = has_templates(k) or found
+    for k in x.children:
+        t = _template_fact(k)
+        if t is not True and t is not False:
+            return t
+        found = found or t
     return found
 
 
-def t_free_vars(x: TObj) -> frozenset[int]:
-    """Free variables, reading through template symbols into their objects.
-
-    Raises TemplateError on an abbreviation outside a template symbol."""
-    has_templates(x)
-    return sx.free_vars(x)
+_template_fact = sx.fact("_tm", _templates)
 
 
-def t_is_closed(x: TObj) -> bool:
-    return not t_free_vars(x)
+def has_templates(x: TObj) -> bool:
+    """Does x hold a template symbol? Raises TemplateError on an
+    abbreviation outside a template symbol. Cached per node, the
+    rejection too."""
+    t = _template_fact(x)
+    if t is True or t is False:
+        return t
+    raise TemplateError(f"non-primitive node {t!r}")
 
 
 def templ_substitute(x: TObj, e: Element, i: int) -> TObj:
@@ -94,7 +90,8 @@ def templ_substitute(x: TObj, e: Element, i: int) -> TObj:
 
     A subtree in which v_i is not free is returned as it is. Raises
     TemplateError on an abbreviation outside a template symbol."""
-    if i not in t_free_vars(x):
+    has_templates(x)
+    if i not in sx.free_vars(x):
         return x
     return sx.substitute(x, sx.const(e), i)
 
@@ -171,17 +168,15 @@ def length(f: ApproxChain) -> int:
     return len(f.steps)
 
 
-def _sort_key(target: sx.Obj):
-    """A step's key in the normal order; cached per node."""
-    k = getattr(target, "_sk", None)
-    if k is None:
-        d = sx.skeleton_depth(target)
-        if isinstance(d, Sym):
-            k = (0, d.base, -d.coeff, -d.offset, repr(target))
-        else:
-            k = (1, -d.n, code_key(target))
-        sx.cache_fact(target, "_sk", k)
-    return k
+def _step_key(target: sx.Obj):
+    d = sx.skeleton_depth(target)
+    if isinstance(d, Sym):
+        return (0, d.base, -d.coeff, -d.offset, repr(target))
+    return (1, -d.n, code_key(target))
+
+
+# a step's key in the normal order; cached per node
+_sort_key = sx.fact("_sk", _step_key)
 
 
 def _dedup_congruent(steps: Iterable[sx.Obj]) -> list[sx.Obj]:

@@ -62,7 +62,7 @@ def _template_sentences():
         r = k % 5
         if r == 0:
             f = random_templated(rng, 3)
-            for i in sorted(tp.t_free_vars(f)):
+            for i in sorted(sx.free_vars(f)):
                 f = sx.Ex(i, f)
         elif r == 1:
             f = tp.TemplForm(random_closed_formula(rng, 2, 6))

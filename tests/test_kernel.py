@@ -148,6 +148,14 @@ class TestExistentialRules:
         assert match_instance(body, 0, e(sx.Add(c(2), c(2)), c(4))) == [std(2)]
         assert match_instance(body, 0, e(sx.Add(c(2), c(3)), c(4))) is None
 
+    def test_match_instance_rejects_an_abbreviation(self):
+        # certificate lines reach it unchecked (prop-check --first-order)
+        body = sx.And(e(v(0), c(2)), e(v(0), c(2)))
+        inst = sx.And(e(c(2), c(2)), e(c(2), c(2)))
+        for i, psi in ((0, inst), (1, body)):  # an instance, and a vacuous match
+            with pytest.raises(tp.TemplateError, match="non-primitive node And"):
+                match_instance(body, i, psi)
+
     def test_m_rule_requires_fresh_parameter(self):
         base = "p"
         inst = n(e(sx.Succ(sx.const(Sym(base))), sx.ZERO))

@@ -136,7 +136,7 @@ def test_free_var_fills_in_certificate_checks_on_the_certified_corpus(monkeypatc
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(sx, "_free_vars", counted_fill)
+    monkeypatch.setattr(sx, "free_vars", sx.fact("_fv", counted_fill))
     monkeypatch.setattr(propcalc, "certificate_errors", counted_errors)
     for entry in base_corpus():
         pol = RulePolicy(allow_prop=True, extra_axioms=entry.policy.extra_axioms)

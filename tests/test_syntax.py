@@ -12,7 +12,7 @@ import satkit.template as tp
 from satkit.coding import code_key, godel_decode, godel_encode
 from satkit.congruence import skeleton_congruent
 from satkit.elements import Std, Sym, std, sym
-from satkit.kernel import bases_of
+from satkit.kernel import TEMPLATE_POLICY, KernelError, Proof, Sequent, bases_of, check
 from generators import random_bounded_sentence, random_formula, random_templated, random_term
 
 
@@ -218,10 +218,19 @@ def _ref_free_vars(x) -> set:
     return below - {x.index} if isinstance(x, sx.Ex) else below
 
 
-def _ref_has_templates(x) -> bool:
+def _ref_has_templates(x):
+    """True or False, or the first abbreviation outside a box in pre-order."""
     if isinstance(x, (tp.TemplTerm, tp.TemplForm)):
         return True
-    return any(_ref_has_templates(p) for p in _parts(x))
+    if isinstance(x, (sx.And, sx.Imp, sx.Iff, sx.Xor, sx.All, sx.Lt, sx.BEx, sx.BAll)):
+        return x
+    found = False
+    for p in _parts(x):
+        t = _ref_has_templates(p)
+        if not isinstance(t, bool):
+            return t
+        found = found or t
+    return found
 
 
 def _ref_bases(x) -> set:
@@ -334,7 +343,7 @@ class TestCachedFacts:
     @staticmethod
     def _agree(y):
         assert sx.is_primitive(y) == _ref_is_primitive(y)
-        assert tp.t_free_vars(y) == _ref_free_vars(y)
+        assert sx.free_vars(y) == _ref_free_vars(y)
         assert tp.has_templates(y) == _ref_has_templates(y)
         assert bases_of(y) == _ref_bases(y)
         assert hash(y) == hash(_rebuild(y))
@@ -364,6 +373,33 @@ class TestCachedFacts:
         for y in _nodes(g):
             assert sx.is_primitive(y) == _ref_is_primitive(y)
         assert sx.is_primitive(_rebuild(g)) == _ref_is_primitive(g)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_template_flag_caches_the_first_abbreviation(self, seed):
+        # unexpanded sentences next to boxes: every node's rejection names
+        # the reference's abbreviation on the first call and, read from the
+        # cache, on a repeated one; the kernel's texts around it stay
+        rng = random.Random(seed)
+        box = tp.TemplForm(random_bounded_sentence(rng, 2))
+        f, g = random_bounded_sentence(rng, 3), random_bounded_sentence(rng, 2)
+        x = sx.Or(box, sx.Or(f, sx.And(g, box))) if seed % 2 else sx.Or(f, box)
+        for y in _nodes(x):
+            want = _ref_has_templates(y)
+            for _ in range(2):
+                if isinstance(want, bool):
+                    assert tp.has_templates(y) is want
+                    continue
+                with pytest.raises(tp.TemplateError) as exc:
+                    tp.has_templates(y)
+                assert str(exc.value) == f"non-primitive node {want!r}"
+        if isinstance(_ref_has_templates(x), bool):
+            return
+        with pytest.raises(KernelError) as exc:
+            Sequent.of(x)
+        assert str(exc.value) == f"abbreviation in a sequent: {x!r}"
+        rep = check(Proof(Sequent(frozenset((x,))), "axiom1"), TEMPLATE_POLICY)
+        assert rep.first_error() == f"root: ill-formed template sentence {x!r}"
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=80, deadline=None)
@@ -407,7 +443,7 @@ class TestCachedFacts:
     def test_pickling_carries_no_cached_fact(self):
         # string hashes differ between processes, so caches must not travel
         f = sx.Eq(sx.const(sym("p")), sx.Succ(v(0)))
-        hash(f), sx.is_primitive(f), tp.t_free_vars(f), bases_of(f), code_key(f), tp._sort_key(f)
+        hash(f), tp.has_templates(f), sx.free_vars(f), bases_of(f), code_key(f), tp._sort_key(f)
         assert all(getattr(f, slot, None) is not None for slot in sx.FACT_SLOTS)
         g = pickle.loads(pickle.dumps(f))
         assert g == f and all(getattr(g, slot, None) is None for slot in sx.FACT_SLOTS)
@@ -645,5 +681,7 @@ class TestFoldedWalks:
         for _ in range(3000):
             boxed = sx.Or(sx.FALSUM, sx.Ex(1, boxed))
         assert tp._tsize(boxed) == 6 * 3000 + 2  # or, falsum (4), ex; then not and the box
+        assert sx.is_primitive(nest) and sx.is_primitive(alternation)
+        assert not sx.is_primitive(boxed) and not sx.is_primitive(sx.Or(alternation, inner))
         refolded = tp.refold(boxed)
         assert sum(1 for y in sx.subobjects(refolded) if type(y) is sx.Imp) == 1
