@@ -14,6 +14,7 @@ model; their outside bases are excluded from quantifier range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
@@ -282,8 +283,14 @@ def _ground_value(t: sx.Term) -> Element:
 def _truth_structure(name: str, classes: tuple[str, ...], fuel: int) -> TStructure:
     """Ground truth as the template oracle: a sentence is true when it is
     true in the first of the classes that admits it. A term takes its
-    ground value, 0 when it has none."""
+    ground value, 0 when it has none.
 
+    A verdict reads only the sentence, the classes and the fuel, so
+    ``t_set`` keeps one per sentence. The memo lives as long as the
+    structure: one ``henkin_extend`` run (one ``satkit henkin`` request),
+    or every use of a gallery structure that its caller keeps."""
+
+    @cache
     def t_set(phi: sx.Formula) -> bool:
         for cls in classes:
             try:
@@ -379,9 +386,8 @@ def structure_oracle(t_struct: TStructure):
     as long as the returned oracle: one ``henkin_extend`` run (one
     ``satkit henkin`` request), which asks about each stage's whole set.
     """
-    verdicts: dict[sx.Formula, bool] = {}
-
-    def certified(f: sx.Formula) -> bool:
+    @cache
+    def verdict(f: sx.Formula) -> bool:
         if models(t_struct, _boxed(f), ORACLE_FUEL) is not TRUE:
             return False
         for k in range(1, ORACLE_DEPTH + 1):
@@ -390,12 +396,6 @@ def structure_oracle(t_struct: TStructure):
             if models(t_struct, image, ORACLE_FUEL) is FALSE:
                 return False
         return True
-
-    def verdict(f: sx.Formula) -> bool:
-        hit = verdicts.get(f)
-        if hit is None:
-            hit = verdicts[f] = certified(f)
-        return hit
 
     def oracle(sentences: Iterable[sx.Formula]) -> bool:
         return all(map(verdict, sentences))

@@ -4,6 +4,12 @@ One space between tokens, no redundant parentheses, deterministic output.
 Variables print as v0, v1, ...; standard constants as c0, c1, ...;
 symbolic constants carry their affine element text. Proof files are
 trees of (rule <tag> (concl ...) ...) nodes.
+
+Each distinct sentence of a proof file is read once: ``parse_proof``
+keeps one table per call from a sentence's read expression to the node
+built for it, so equal sentences of a file (in conclusions and
+certificate lines) are one object. ``print_proof`` prints each sentence
+object once per call.
 """
 
 from __future__ import annotations
@@ -72,6 +78,8 @@ HEADS = {
     "lt": sx.Lt, "bex": sx.BEx, "ball": sx.BAll,
 }
 HEAD_OF = {cls: head for head, cls in HEADS.items()}
+# the abbreviations' heads, as the repr of a read expression quotes them
+_ABBREVIATION_HEADS = tuple(repr(head) for head, cls in HEADS.items() if cls.extended)
 
 
 def print_elem(e: Element) -> str:
@@ -125,10 +133,6 @@ def print_chain(f: tp.ApproxChain) -> str:
     return f"(chain {inner})" if inner else "(chain)"
 
 
-def _sorted_sentences(s: Sequent) -> list:
-    return sorted(s.sentences, key=lambda f: print_obj(f))
-
-
 def print_certificate(cert: PropCertificate) -> str:
     parts = []
     for line in cert.lines:
@@ -148,9 +152,18 @@ def print_certificate(cert: PropCertificate) -> str:
 
 
 def print_proof(p: Proof, indent: int = 0) -> str:
+    return _print_proof(p, indent, {})
+
+
+def _print_proof(p: Proof, indent: int, texts: dict) -> str:
+    """texts maps id(sentence) to its text for this call; the proof keeps
+    every key's sentence alive."""
     pad = "  " * indent
     bits = [f"{pad}(rule {p.rule}"]
-    concl = " ".join(print_obj(f) for f in _sorted_sentences(p.conclusion))
+    for f in p.conclusion.sentences:
+        if id(f) not in texts:
+            texts[id(f)] = print_obj(f)
+    concl = " ".join(sorted(texts[id(f)] for f in p.conclusion.sentences))
     bits.append(f"{pad}  (concl {concl})")
     if "witness" in p.info:
         bits.append(f"{pad}  (witness {print_elem(p.info['witness'])})")
@@ -173,7 +186,7 @@ def print_proof(p: Proof, indent: int = 0) -> str:
     if p.premises:
         bits.append(f"{pad}  (prem")
         for q in p.premises:
-            bits.append(print_proof(q, indent + 2))
+            bits.append(_print_proof(q, indent + 2, texts))
         bits.append(f"{pad}  )")
     if p.uniform is not None:
         u = p.uniform
@@ -181,7 +194,7 @@ def print_proof(p: Proof, indent: int = 0) -> str:
             f"(tuple {' '.join(print_elem(e) for e in s)})" for s in u.sampled)
         bits.append(f"{pad}  (uniform (params {' '.join(u.params)})")
         bits.append(f"{pad}    (schema")
-        bits.append(print_proof(u.schema, indent + 3))
+        bits.append(_print_proof(u.schema, indent + 3, texts))
         bits.append(f"{pad}    )")
         bits.append(f"{pad}    (sample {samples}))")
     bits.append(f"{pad})")
@@ -314,22 +327,54 @@ def parse_chain(text: str) -> tp.ApproxChain:
     return tp.ApproxChain(tuple(parse_obj(n) for n in node[1:]))
 
 
-def parse_certificate(node: Node) -> PropCertificate:
+def _read_once(node: Node, table: dict):
+    """The object node denotes, built once per table, and its key: the
+    read expression's repr, which CPython builds in C, so no node is
+    hashed for it. A node too deep to key is read unshared (key None)."""
+    try:
+        key = repr(node)
+    except RecursionError:
+        return parse_obj(node), None
+    obj = table.get(key)
+    if obj is None:
+        obj = table[key] = parse_obj(node)
+    return obj, key
+
+
+def _read_plain(node: Node, table: dict, line: int):
+    """A certificate formula read through table. It may hold an
+    abbreviation only if its key quotes an abbreviation's head; then it
+    is walked, and an abbreviation outside a box is a ParseError."""
+    obj, key = _read_once(node, table)
+    if key is None or any(head in key for head in _ABBREVIATION_HEADS):
+        try:
+            tp.has_templates(obj)
+        except tp.TemplateError as e:
+            raise ParseError(f"abbreviation in certificate line {line}: {e}") from None
+    return obj
+
+
+def parse_certificate(node: Node, table: dict | None = None) -> PropCertificate:
+    """A certificate; its formulas are read through table (one of its
+    own when none is given). No line or ax argument may hold an
+    abbreviation outside a box."""
     if not (isinstance(node, list) and node and node[0] == "cert"):
         raise ParseError("expected (cert ...)")
+    if table is None:
+        table = {}
     lines = []
     for ln in node[1:]:
         if not (isinstance(ln, list) and len(ln) == 3 and ln[0] == "line"):
             raise ParseError(f"certificate entries are (line <formula> <justification>), "
                              f"found {ln!r}")
-        formula = parse_obj(ln[1])
+        formula = _read_plain(ln[1], table, len(lines))
         j = ln[2]
         head = j[0] if isinstance(j, list) and j else None
         if j in ("hyp", "ax-fo"):  # bare words
             just = (j,)
         elif head == "ax" and len(j) >= 3 and all(isinstance(x, str) for x in j[1:3]):
             scheme, form = j[1], ("" if j[2] == "_" else j[2])
-            args = tuple(parse_obj(a) for a in j[3:])
+            args = tuple(_read_plain(a, table, len(lines)) for a in j[3:])
             just = ("ax", scheme, form, args)
         elif head == "mp" and len(j) == 3 and all(isinstance(x, str) for x in j[1:]):
             just = ("mp", *(_natural(x, "an mp line number") for x in j[1:]))
@@ -358,7 +403,11 @@ def _parse_skolem(node: Node) -> dict:
     }
 
 
-def parse_proof_node(node: Node) -> Proof:
+def parse_proof_node(node: Node, table: dict | None = None) -> Proof:
+    """A proof; its sentences are read through table (one of its own
+    when none is given), which the premises and the schema share."""
+    if table is None:
+        table = {}
     if not (isinstance(node, list) and node[:1] == ["rule"] and len(node) > 1
             and isinstance(node[1], str)):
         raise ParseError("proof nodes start with (rule <tag> ...)")
@@ -373,12 +422,14 @@ def parse_proof_node(node: Node) -> Proof:
         head = item[0]
         try:
             if head == "concl":
+                # every sentence is built before any is validated, so a
+                # ParseError in a later one wins over a KernelError
                 try:
-                    concl = Sequent.of(*(parse_obj(n) for n in item[1:]))
+                    concl = Sequent.of(*[_read_once(n, table)[0] for n in item[1:]])
                 except KernelError as e:  # not a sentence: a term, open or an abbreviation
                     raise ParseError(str(e)) from None
             elif head == "prem":
-                premises = [parse_proof_node(n) for n in item[1:]]
+                premises = [parse_proof_node(n, table) for n in item[1:]]
             elif head == "witness":
                 info["witness"] = parse_elem_node(item[1])
             elif head == "block":
@@ -386,13 +437,13 @@ def parse_proof_node(node: Node) -> Proof:
             elif head == "tuple":
                 info["tuple"] = tuple(parse_elem_node(v) for v in item[1:])
             elif head == "cert":
-                info["prop"] = {"cert": parse_certificate(item)}
+                info["prop"] = {"cert": parse_certificate(item, table)}
             elif head == "skolem":
                 info["skolem"] = _parse_skolem(item)
             elif head == "uniform":
                 fields = {x[0]: x for x in item[1:] if isinstance(x, list)}
                 params = tuple(fields["params"][1:])
-                schema = parse_proof_node(fields["schema"][1])
+                schema = parse_proof_node(fields["schema"][1], table)
                 sampled = tuple(
                     tuple(parse_elem_node(e) for e in s[1:])
                     for s in fields["sample"][1:])

@@ -234,8 +234,25 @@ class TestProofCommands:
         # the bound starts at 1
         pytest.param(["gbound", "0"], "gbound: n ", id="gbound-zero"),
         pytest.param(["gbound", "--", "-1"], "gbound: n ", id="gbound-negative"),
+        # an abbreviation outside a box in a certificate line or an ax
+        # argument, named by its line (a (name, text) pair is a file
+        # holding the text)
+        pytest.param(["prop-check", "--first-order", "--cert", ("cert.sexp", (
+            "(cert (line (or (not (and (= c2 c2) (= c2 c2))) "
+            "(ex 0 (and (= v0 c2) (= v0 c2)))) ax-fo))"))],
+            "certificate line 0", id="prop-check-abbreviation-in-a-line"),
+        pytest.param(["prop-check", "--cert", ("cert.sexp", (
+            "(cert (line (= 0 0) hyp) (line (or (not (= 0 0)) (or (= 0 0) (tf (= 0 0)))) "
+            "(ax add l (= 0 0) (and (= 0 0) (= 0 0)))))"))],
+            "certificate line 1", id="prop-check-abbreviation-in-an-ax-argument"),
     ])
-    def test_bad_input_exits_2(self, capsys, argv, option):
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv, option):
+        argv = list(argv)
+        for k, a in enumerate(argv):
+            if isinstance(a, tuple):
+                name, text = a
+                argv[k] = str(tmp_path / name)
+                (tmp_path / name).write_text(text)
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2

@@ -356,6 +356,21 @@ def _reference_oracle(t_struct):
     return oracle
 
 
+def _memo_free_ground_truth():
+    """ground_truth_structure without its verdict memo: every sentence
+    is decided again each time it is asked."""
+
+    def t_set(phi):
+        for cls in ("d0", "s1", "s2"):
+            try:
+                return semantics.eval_tr(phi, cls, 64) is TRUE
+            except Exception:
+                continue
+        return False
+
+    return TStructure("ground-truth", t_set, semantics._ground_value)
+
+
 def _cli_session_enumeration(rng):
     """The shape of a cli-session henkin request: two sums, a
     disequation, a disjunction and two existentials, seeded constants."""
@@ -428,6 +443,30 @@ class TestOracleMemo:
             reference = _reference_oracle(t_struct or ground_truth_structure())
             got = _henkin_outcome(lam, enum, memo, budget)
             assert got == _henkin_outcome(lam, enum, reference, budget), enum
+
+    def test_truth_structure_matches_one_without_its_memo(self):
+        for lam, enum, t_struct, budget in _henkin_cases():
+            if t_struct is None:  # henkin_extend's default: ground truth
+                reference = structure_oracle(_memo_free_ground_truth())
+                got = _henkin_outcome(lam, enum, None, budget)
+                assert got == _henkin_outcome(lam, enum, reference, budget), enum
+
+    def test_eval_tr_runs_once_per_sentence_of_a_request(self, monkeypatch):
+        calls = []
+
+        def counted(phi, cls, fuel):
+            calls.append((phi, cls))
+            return eval_tr(phi, cls, fuel)
+
+        monkeypatch.setattr(semantics, "eval_tr", counted)
+        enum = _cli_session_enumeration(random.Random(1313))
+        henkin_extend([], enum)
+        # one call per sentence and class tried, where the structure
+        # without the memo repeats 16 of 66
+        assert len(calls) == len(set(calls)) == 50
+        del calls[:]
+        henkin_extend([], enum, oracle=structure_oracle(_memo_free_ground_truth()))
+        assert len(calls) == 66 and len(set(calls)) == 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
 """The expression reader's faults: each malformed expression gives one
-exact ParseError message, in-process and through `satkit encode` (exit 2)."""
+exact ParseError message, in-process and through `satkit encode` (exit 2).
+And the proof reader and printer: each distinct sentence of a file is
+read once and printed once, with the same text and errors."""
+
+import random
 
 import pytest
 
 import satkit.sexpr as sexpr
 import satkit.syntax as sx
 from satkit.cli import main
+from satkit.corpus import base_corpus, mprop_entries
+from satkit.eldiag import prove_eldiag
 from satkit.elements import std
 from satkit.propcalc import CertLine, PropCertificate, imp
 from satkit.sexpr import ParseError
+from satkit.translate import translate_proof
+
+from generators import random_decidable_sentence
 
 # (expression, the ParseError text it gives); parts are read left to
 # right, and a head with too many arguments is refused before any of them
@@ -147,3 +156,119 @@ def test_integer_fields_are_digit_runs(template, field, bad):
     with pytest.raises(ParseError) as e:
         parse_file(template.format(bad))
     assert str(e.value) == f"expected {field}, found {bad!r}"
+
+
+# ---------------------------------------------------------------------------
+# each distinct sentence of a proof file is read once and printed once
+
+
+@pytest.fixture(scope="module")
+def printed_proofs():
+    """Printed proofs: the base and mprop corpora, the translations of
+    those without certificates, and seeded eldiag proofs."""
+    entries = base_corpus() + mprop_entries()
+    proofs = [e.proof for e in entries]
+    proofs += [translate_proof(e.proof, e.policy).proof
+               for e in entries if not e.policy.allow_prop]
+    rng = random.Random(2020)
+    proofs += [prove_eldiag(random_decidable_sentence(rng, want_true=k % 2 == 0))
+               for k in range(40)]
+    return [sexpr.print_proof(p) for p in proofs]
+
+
+def _sentences(p):
+    """Every conclusion sentence and certificate-line formula of p, with
+    repeats."""
+    for q in sx.subobjects(p):
+        yield from q.conclusion.sentences
+        if "prop" in q.info:
+            yield from (line.formula for line in q.info["prop"]["cert"].lines)
+
+
+def test_equal_sentences_of_a_file_are_one_object(printed_proofs):
+    occurrences = distinct = 0
+    for text in printed_proofs:
+        back = sexpr.parse_proof(text)
+        assert sexpr.print_proof(back) == text
+        ids_by_value = {}
+        for f in _sentences(back):
+            ids_by_value.setdefault(f, set()).add(id(f))
+            occurrences += 1
+        assert all(len(ids) == 1 for ids in ids_by_value.values()), text
+        distinct += len(ids_by_value)
+    assert occurrences > 2 * distinct  # the files do repeat their sentences
+
+
+def _concl_lines(text: str) -> list[str]:
+    return [line.strip()[len("(concl "):-1] for line in text.splitlines()
+            if line.strip().startswith("(concl ")]
+
+
+def test_print_proof_prints_each_sentence_once(printed_proofs, monkeypatch):
+    """Each node's sentences come out as the two-pass printer gave them
+    (sorted by printed text, then printed again), and each sentence
+    object is printed once per call."""
+    proofs = [sexpr.parse_proof(t) for t in printed_proofs]
+    proofs += [translate_proof(e.proof, e.policy).proof
+               for e in base_corpus() if not e.policy.allow_prop]
+    print_obj = sexpr.print_obj
+    printed = []
+
+    def counted(x):
+        printed.append(id(x))
+        return print_obj(x)
+
+    monkeypatch.setattr(sexpr, "print_obj", counted)
+    shared = 0
+    for p in proofs:
+        nodes = list(sx.subobjects(p))
+        text = sexpr.print_proof(p)
+        assert _concl_lines(text) == [
+            " ".join(print_obj(f) for f in sorted(q.conclusion.sentences, key=print_obj))
+            for q in nodes]
+        if "(cert " not in text and "(skolem " not in text:
+            objects = {id(f) for q in nodes for f in q.conclusion.sentences}
+            assert sorted(printed) == sorted(objects)
+            shared += sum(len(q.conclusion.sentences) for q in nodes) > len(objects)
+        printed.clear()
+    assert shared  # some proofs hold one sentence object in several nodes
+
+
+@pytest.mark.parametrize("text", [
+    "(rule axiom3 (concl (= v0 v0) (foo)))",
+    "(rule axiom3 (concl (foo) (= v0 v0)))",
+    "(rule axiom3 (concl (and (= 0 0) (= 0 0)) (foo)))",
+    # the second conclusion reads (= 0 0) from the table
+    "(rule weak (concl (= 0 0)) (prem (rule axiom3 (concl (= 0 0) (= v0 v0) (foo)))))",
+])
+def test_a_parse_error_wins_over_an_earlier_sentence_of_its_conclusion(text):
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_proof(text)
+    assert str(e.value) == "unknown head 'foo'"
+
+
+def test_an_open_sentence_read_from_the_table_is_still_refused():
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_proof("(rule weak (concl (= 0 0)) (prem (rule axiom3 (concl (= v0 v0)))"
+                          " (rule axiom3 (concl (= v0 v0)))))")
+    assert str(e.value).startswith("open sentence in a sequent: ")
+
+
+ABBREVIATIONS = ["(and (= 0 0) (= 0 0))", "(imp (= 0 0) (= 0 0))", "(iff (= 0 0) (= 0 0))",
+                 "(xor (= 0 0) (= 0 0))", "(all 0 (= v0 v0))", "(lt 0 (sc 0))",
+                 "(bex 0 (sc 0) (= v0 v0))", "(ball 0 (sc 0) (= v0 v0))"]
+
+
+@pytest.mark.parametrize("abbreviation", ABBREVIATIONS)
+def test_a_certificate_abbreviation_outside_a_box_is_refused(abbreviation):
+    line = f"(line (or (= 0 0) {abbreviation}) hyp)"
+    ax = f"(line (= 0 0) (ax add l (= 0 0) {abbreviation}))"
+    for text, k in [(f"(cert {line})", 0), (f"(cert (line (= 0 0) hyp) {ax})", 1),
+                    (f"(rule prop (concl (= 0 0)) (cert (line (= 0 0) hyp) {line}))", 1)]:
+        with pytest.raises(ParseError) as e:
+            parse_file(text)
+        assert str(e.value).startswith(f"abbreviation in certificate line {k}: "
+                                       "non-primitive node "), text
+    # inside a box it is a template object, and the line reads
+    boxed = sexpr.parse_certificate(sexpr.read_one(f"(cert (line (tf {abbreviation}) hyp))"))
+    assert sexpr.print_certificate(boxed) == f"(cert (line (tf {abbreviation}) hyp))"
