@@ -30,13 +30,16 @@ test.
 
 Invariants the checker relies on: syntax nodes are immutable and carry
 cached facts (hash, free variables, template flag, parameter bases), so
-reading a fact, a rejected abbreviation included, never re-walks a subtree. Instantiating a
-schema returns every subtree and subproof that lacks the parameter as it
-is. Each ``check`` call keeps one instantiation memo per (parameter,
-value), read and filled at every node level by every schema, sample and
-certificate line of that call, so each distinct subtree is instantiated
-once per value and equal sentences of the instances are one object,
-whose set comparisons succeed on identity. The instantiation memo ends
+reading a fact, a rejected abbreviation included, never re-walks a
+subtree. Instantiating a schema returns every subtree and subproof that
+lacks the parameter as it is, and a rebuilt node keeps its original's
+free variables and template flag where its children keep theirs, so a
+sample's sentences mostly read both from their slots. Each ``check``
+call keeps one instantiation memo per (parameter, value), read and
+filled at every node level by every schema, sample and certificate line
+of that call, so each distinct subtree is instantiated once per value
+and equal sentences of the instances are one object, whose set
+comparisons succeed on identity. The instantiation memo ends
 with its call and is never kept across calls. A sample that takes an
 element out of the naturals is a located error at that sample.
 
@@ -224,7 +227,16 @@ def subst_elem_in_obj(x, base: str, value: Element, memo: dict):
     read and filled at every node level, so each distinct subtree is
     instantiated once per memo. An object whose bases lack the parameter
     is returned as it is, so the copy shares every untouched subtree with
-    the original."""
+    the original.
+
+    A rebuilt node keeps its original's free variables and template flag,
+    when the original's free variables are filled, if each of its children
+    is the original's child or keeps that child's: the facts are computed
+    from the children's alone. A
+    constant, a term family and a ``delta`` tower are closed and
+    template-free at every index. An ``eps`` tower whose index becomes
+    standard unfolds to its payload, which may be open or hold a box, so
+    it keeps neither fact."""
     if base not in bases_of(x):
         return x
     y = memo.get(x)
@@ -235,20 +247,61 @@ def subst_elem_in_obj(x, base: str, value: Element, memo: dict):
 
 def _subst_elem(x, base: str, value: Element, memo: dict):
     if isinstance(x, sx.Sealed):
-        return type(x)(subst_elem_in_obj(x.obj, base, value, memo))
+        y = type(x)(subst_elem_in_obj(x.obj, base, value, memo))
+        return _carry(x, y, (x.obj,), (y.obj,))
     if type(x) is sx.Const:
-        return sx.const(subst_base(x.elem, base, value))
-    if isinstance(x, sx.SymTermRef):
+        y = sx.const(subst_base(x.elem, base, value))
+    elif isinstance(x, sx.SymTermRef):
         idx = subst_base(x.index, base, value)
         if isinstance(idx, Std):
-            return sx.numeral(idx) if x.family == "num" else sx.addtower(idx)
-        return sx.SymTermRef(x.family, idx)
-    if isinstance(x, sx.SymFormulaRef):
+            y = sx.numeral(idx) if x.family == "num" else sx.addtower(idx)
+        else:
+            y = sx.SymTermRef(x.family, idx)
+    elif isinstance(x, sx.SymFormulaRef):
         payload = None if x.payload is None else subst_elem_in_obj(x.payload, base, value, memo)
-        return sx.or_tower(x.family, subst_base(x.index, base, value), payload)
-    if x.extended:
-        raise KernelError(f"cannot instantiate inside {x!r}")
-    return x.rebuild(*(subst_elem_in_obj(k, base, value, memo) for k in x.children))
+        y = sx.or_tower(x.family, subst_base(x.index, base, value), payload)
+        if payload is not None and not isinstance(y, sx.SymFormulaRef):
+            return y
+    else:
+        if x.extended:
+            raise KernelError(f"cannot instantiate inside {x!r}")
+        kids = x.children
+        news = [subst_elem_in_obj(k, base, value, memo) for k in kids]
+        return _carry(x, x.rebuild(*news), kids, news)
+    # a constant, a family reference or a tower without payload: closed
+    # and template-free
+    _set_fv(y, sx.EMPTY)
+    _set_tm(y, False)
+    return y
+
+
+# the slots' own setters, which cost a fifth of object.__setattr__
+_set_fv, _set_tm = sx.Node._fv.__set__, sx.Node._tm.__set__
+_UNSET = object()  # no fact is this, so an unfilled child's slot matches nothing
+
+
+def _carry(x, y, olds, news):
+    """y, which is x over the children ``news`` in place of ``olds``, with
+    each of x's free-variable and template facts that every new child
+    keeps: it is the child itself or has the child's fact. Nothing is
+    carried when x's free variables are unfilled: reading an unfilled slot
+    costs several times a filled one, and the checker fills both facts of
+    every sentence it reads."""
+    fv = getattr(x, "_fv", None)
+    if fv is None:
+        return y
+    tm = getattr(x, "_tm", None)
+    for o, n in zip(olds, news):
+        if n is not o:
+            if fv is not None and getattr(n, "_fv", None) is not getattr(o, "_fv", _UNSET):
+                fv = None
+            if tm is not None and getattr(n, "_tm", None) is not getattr(o, "_tm", _UNSET):
+                tm = None
+    if fv is not None:
+        _set_fv(y, fv)
+    if tm is not None:
+        _set_tm(y, tm)
+    return y
 
 
 def subst_param_proof(p: Proof, base: str, value: Element,
@@ -269,12 +322,18 @@ def subst_param_proof(p: Proof, base: str, value: Element,
         return subst_elem_in_obj(f, base, value, memo)
 
     def step(p: Proof, subs: list) -> Proof:
-        old = p.conclusion.sentences
-        new = [inst(f) for f in old]
-        same = all(g is f for f, g in zip(old, new))
+        new, same = [], True
+        for f in p.conclusion.sentences:
+            if base in bases_of(f):  # then f's instance is a new object
+                same = False
+                g = memo.get(f)
+                if g is None:
+                    g = memo[f] = _subst_elem(f, base, value, memo)
+                f = g
+            new.append(f)
         concl = p.conclusion if same else Sequent(frozenset(new))
         same = same and all(q2 is q for q2, q in zip(subs, p.children))
-        info = dict(p.info)
+        info = dict(p.info) if p.info else {}
         if "witness" in info:
             info["witness"] = subst_base(info["witness"], base, value)
             same = same and info["witness"] is p.info["witness"]
@@ -507,39 +566,9 @@ def match_instance(f, i: int, psi) -> Optional[list[Element]]:
     if i not in sx.free_vars(f):
         return [] if f == psi else None
     found: list[Element] = []
-
-    class No(Exception):
-        pass
-
-    def walk(a, b, shadowed: bool):
-        if shadowed:
-            if a != b:
-                raise No
-            return
-        if type(a) is sx.Var and a.index == i:
-            e = sx.const_elem(b)
-            if e is None:
-                raise No
-            found.append(e)
-            return
-        if type(a) is not type(b) or a.extended:
-            raise No
-        if isinstance(a, sx.Sealed):
-            walk(a.obj, b.obj, False)
-            return
-        kids = a.children
-        if not kids:
-            if a != b:
-                raise No
-            return
-        if a.scope and a.index != b.index:
-            raise No
-        for pos, (x, y) in enumerate(zip(kids, b.children)):
-            walk(x, y, pos in a.scope and a.index == i)
-
     try:
-        walk(f, psi, False)
-    except No:
+        _match_walk(f, psi, False, i, found)
+    except _NoMatch:
         return None
     if not found:
         return None
@@ -547,6 +576,38 @@ def match_instance(f, i: int, psi) -> Optional[list[Element]]:
     if any(e != first for e in found):
         return None
     return [first]
+
+
+class _NoMatch(Exception):
+    pass
+
+
+def _match_walk(a, b, shadowed: bool, i: int, found: list) -> None:
+    # a against b, collecting in found the constants that stand for v_i
+    if shadowed:
+        if a != b:
+            raise _NoMatch
+        return
+    if type(a) is sx.Var and a.index == i:
+        e = sx.const_elem(b)
+        if e is None:
+            raise _NoMatch
+        found.append(e)
+        return
+    if type(a) is not type(b) or a.extended:
+        raise _NoMatch
+    if isinstance(a, sx.Sealed):
+        _match_walk(a.obj, b.obj, False, i, found)
+        return
+    kids = a.children
+    if not kids:
+        if a != b:
+            raise _NoMatch
+        return
+    if a.scope and a.index != b.index:
+        raise _NoMatch
+    for pos, (x, y) in enumerate(zip(kids, b.children)):
+        _match_walk(x, y, pos in a.scope and a.index == i, i, found)
 
 
 def block_instance(f, block, values):

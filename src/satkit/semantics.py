@@ -145,27 +145,28 @@ def _candidate_elems(t_struct: TStructure, body) -> list[Element]:
     """Values of the closed boxed terms inside a quantifier body; these are
     the witnesses a structure can actually name."""
     out: list[Element] = []
-
-    def go(x):
-        if isinstance(x, (tp.TemplTerm, sx.SymTermRef)):
-            try:
-                out.append(val_t(t_struct, x))
-            except ElementError:
-                pass
-            return
-        if x.extended:
-            return
-        if type(x) is sx.Eq:
-            for side in (x.left, x.right):
-                try:
-                    out.append(val_t(t_struct, side))
-                except (ElementError, SemanticsError):
-                    pass
-        for k in x.children:
-            go(k)
-
-    go(body)
+    _collect_values(t_struct, body, out)
     return [e for e in out if not (isinstance(e, Sym) and e.base in t_struct.outside_bases)]
+
+
+def _collect_values(t_struct: TStructure, x, out: list) -> None:
+    # the values of x's boxed terms, family terms and equation sides
+    if isinstance(x, (tp.TemplTerm, sx.SymTermRef)):
+        try:
+            out.append(val_t(t_struct, x))
+        except ElementError:
+            pass
+        return
+    if x.extended:
+        return
+    if type(x) is sx.Eq:
+        for side in (x.left, x.right):
+            try:
+                out.append(val_t(t_struct, side))
+            except (ElementError, SemanticsError):
+                pass
+    for k in x.children:
+        _collect_values(t_struct, k, out)
 
 
 # ---------------------------------------------------------------------------

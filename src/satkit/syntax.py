@@ -40,8 +40,13 @@ parameter bases in ``kernel``, each from the children's; and the keys of
 the canonical orders, the code key in ``coding`` (the disjunction order)
 and the step key in ``template`` (the chain order), each from the node as
 a whole and filled only on the nodes that get sorted. Facts are filled
-lazily: filling them when a node is built was measured slower. Cached
-sets are shared through ``canonical``. The caches live only in this
+lazily: filling them when a node is built was measured slower. One
+exception: a node that parameter instantiation rebuilds
+(``kernel.subst_elem_in_obj``) takes its original's free variables and
+template flag when each child is the original's child or carries that
+child's, since both facts come from the children's alone; an ``eps``
+tower that unfolds at a standard index carries neither. Cached sets are
+shared through ``canonical``. The caches live only in this
 process (string hashes differ between processes) and are never
 serialised.
 """
@@ -415,26 +420,28 @@ def substitute(x: Obj, t: Term, i: int) -> Obj:
     a variable that is bound at some substitution site. All internal
     callers substitute closed terms.
     """
-    tv = free_vars(t)
+    return _substitute(x, t, i, free_vars(t))
 
-    def go(y: Obj):
-        # go descends only where v_i is free, so no binder above y binds it
-        if i not in free_vars(y):
-            return y
-        kids = y.children
-        if not kids:  # v_i itself, or a template symbol to read through
-            return t if type(y) is Var else type(y)(go(y.obj))
-        scope = y.scope
-        if scope:
-            if y.index == i:  # v_i is free only outside the binder's scope
-                return y.rebuild(*[k if pos in scope else go(k) for pos, k in enumerate(kids)])
-            if y.index in tv and any(i in free_vars(kids[pos]) for pos in scope):
-                raise CaptureRisk(f"v{y.index} of the substituted term is captured")
-        if len(kids) == 1:  # no map for the common unary case (numeral towers)
-            return y.rebuild(go(kids[0]))
-        return y.rebuild(*map(go, kids))
 
-    return go(x)
+def _substitute(y: Obj, t: Term, i: int, tv: frozenset) -> Obj:
+    # descends only where v_i is free, so no binder above y binds it; tv is
+    # t's free variables (a module-level recursion: a self-referencing
+    # closure would leave a cycle per call for the cyclic collector)
+    if i not in free_vars(y):
+        return y
+    kids = y.children
+    if not kids:  # v_i itself, or a template symbol to read through
+        return t if type(y) is Var else type(y)(_substitute(y.obj, t, i, tv))
+    scope = y.scope
+    if scope:
+        if y.index == i:  # v_i is free only outside the binder's scope
+            return y.rebuild(*[k if pos in scope else _substitute(k, t, i, tv)
+                               for pos, k in enumerate(kids)])
+        if y.index in tv and any(i in free_vars(kids[pos]) for pos in scope):
+            raise CaptureRisk(f"v{y.index} of the substituted term is captured")
+    if len(kids) == 1:  # the common unary case (numeral towers)
+        return y.rebuild(_substitute(kids[0], t, i, tv))
+    return y.rebuild(*[_substitute(k, t, i, tv) for k in kids])
 
 
 @dataclass(frozen=True)

@@ -264,19 +264,20 @@ def full_depth_approx(gamma: Sequence[sx.Formula | sx.Term], k: int) -> ApproxCh
     if k < 0:
         raise TemplateError("depth must be a natural")
     acc: list[sx.Obj] = []
-
-    def collect(obj: sx.Obj, d: int):
-        if d > k:
-            return
-        acc.append(obj)
-        if obj.extended:
-            raise sx.SyntaxError_(f"children: non-primitive node {obj!r}")
-        for child in sx.unfold_ref(obj).children:
-            collect(child, d + 1)
-
     for g in gamma:
-        collect(g, 1)
+        _collect_to_depth(g, k, acc)
     return normalize(ApproxChain(tuple(acc)))
+
+
+def _collect_to_depth(obj: sx.Obj, k: int, acc: list) -> None:
+    # obj and its subobjects down to k more levels, in pre-order
+    if k <= 0:
+        return
+    acc.append(obj)
+    if obj.extended:
+        raise sx.SyntaxError_(f"children: non-primitive node {obj!r}")
+    for child in sx.unfold_ref(obj).children:
+        _collect_to_depth(child, k - 1, acc)
 
 
 # ---------------------------------------------------------------------------

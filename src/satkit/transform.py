@@ -28,7 +28,9 @@ def weak_to(p: Proof, target: frozenset) -> Proof:
     have = p.conclusion.sentences
     if not have <= target:
         raise NotApplicable("weakening cannot drop sentences")
-    for f in sorted(target - have, key=repr):
+    added = target - have
+    # repr keys only order two or more sentences; one needs no key
+    for f in sorted(added, key=repr) if len(added) > 1 else added:
         have = have | {f}
         p = Proof(Sequent(have), "weak", (p,))
     return p

@@ -537,3 +537,34 @@ class TestTemplateLogic:
         boxed = tp.TemplForm(ZERO_EQ)
         a1 = Proof(Sequent(frozenset((boxed, n(boxed)))), "axiom1")
         assert not check(a1, M_POLICY).ok
+
+
+def test_proving_and_checking_leave_no_garbage_cycles():
+    # no call leaves a reference cycle behind (a self-referencing nested
+    # function, a class made per call), so the cyclic collector finds
+    # nothing after criterion-11 proofs and a corpus proof's pipeline
+    import gc
+    import random
+    from generators import random_decidable_sentence
+    from satkit.eldiag import prove_eldiag
+    from satkit.semantics import audit_soundness, ground_truth_structure, tr_sigma
+    from satkit.transform import to_certified_calculus
+    from satkit.translate import translate_proof
+    rng = random.Random(1111)
+    sentences = [random_decidable_sentence(rng, want_true=i < 70) for i in range(100)]
+    (entry,) = [x for x in base_corpus() if x.name == "uniform-refutation-2"]
+    structures = [ground_truth_structure(), tr_sigma(1)]
+    gc.collect()
+    gc.disable()
+    try:
+        for phi in sentences:
+            assert check(prove_eldiag(phi), M_POLICY).ok
+        res = translate_proof(entry.proof, entry.policy)
+        assert check(res.proof, TEMPLATE_POLICY).ok
+        for s in structures:
+            assert audit_soundness(res.proof, s, fuel=8).verdict is not None
+        conv = to_certified_calculus(entry.proof)
+        assert check(conv, RulePolicy(allow_prop=True)).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

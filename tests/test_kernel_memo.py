@@ -4,11 +4,11 @@ Inside a uniform schema the checker records every subproof that passes,
 with its height and the active parameters it passed under; a later check
 of the same object under a subset of those parameters reuses the result.
 These tests hold the memo checker to a reference checker whose memo never
-stores, pin the handler calls it makes on criterion 11, and the prop
-handler calls and the free-variable fills of certificate checking on the
-certified corpus, show that a pass under fewer
-parameters is never reused under more, and show that no entry outlives
-its sample, its schema or the check.
+stores, pin the handler calls and the fact fills it makes on criterion
+11, and the prop handler calls and the free-variable fills of
+certificate checking on the certified corpus, show that a pass under
+fewer parameters is never reused under more, and show that no entry
+outlives its sample, its schema or the check.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ import pytest
 import satkit.kernel as kernel
 import satkit.propcalc as propcalc
 import satkit.syntax as sx
+import satkit.template as tp
 from satkit.eldiag import prove_eldiag
 from satkit.elements import Sym, std
 from satkit.corpus import base_corpus
@@ -103,6 +104,31 @@ def test_handler_calls_on_criterion_11(monkeypatch, criterion_11_proofs):
     assert (calls[0], nodes) == (54788, 16743)
 
 
+def test_fact_fills_in_checks_on_criterion_11(monkeypatch):
+    # a node rebuilt at a sample keeps its original's free variables and
+    # template flag where its children keep theirs, so most instance
+    # sentences read both from their slots; instances built with empty
+    # slots took 57,443 free-variable and 62,834 template fills
+    rng = random.Random(1111)
+    proofs = [prove_eldiag(random_decidable_sentence(rng, want_true=i < 200))
+              for i in range(300)]
+    for x in (sx.ZERO, sx.FALSUM):  # shared by every test; filled here or before
+        sx.free_vars(x), tp.has_templates(x)
+    fills = {"_fv": 0, "_tm": 0}
+
+    def counted(slot, compute):
+        def fill(x):
+            fills[slot] += 1
+            return compute(x)
+        return sx.fact(slot, fill)
+
+    monkeypatch.setattr(sx, "free_vars", counted("_fv", sx._free_vars))
+    monkeypatch.setattr(tp, "_template_fact", counted("_tm", tp._templates))
+    for p in proofs:
+        assert check(p, M_POLICY).ok
+    assert fills == {"_fv": 30036, "_tm": 35426}
+
+
 def test_prop_handler_calls_on_the_certified_corpus(monkeypatch):
     # a certified node whose sentences, premises and certificate lack a
     # sample's parameter is the schema's own object at that sample, so the
@@ -120,7 +146,8 @@ def test_prop_handler_calls_on_the_certified_corpus(monkeypatch):
 def test_free_var_fills_in_certificate_checks_on_the_certified_corpus(monkeypatch):
     # certificate_errors takes the closedness of an ax line that rebuilds
     # from closed arguments, and of an mp line citing a closed implication,
-    # from its justification; walking every line made 89,223 fills
+    # from its justification; walking every line made 89,223 fills, and
+    # before instances kept their schema's facts there were 11,139
     fills, inside = [0], [False]
     fill = sx._free_vars
     errors = propcalc.certificate_errors
@@ -141,7 +168,7 @@ def test_free_var_fills_in_certificate_checks_on_the_certified_corpus(monkeypatc
     for entry in base_corpus():
         pol = RulePolicy(allow_prop=True, extra_axioms=entry.policy.extra_axioms)
         assert check(to_certified_calculus(entry.proof), pol).ok, entry.name
-    assert fills[0] == 11139
+    assert fills[0] == 10347
 
 
 def _counted(calls, handler):

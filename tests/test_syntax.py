@@ -12,7 +12,10 @@ import satkit.template as tp
 from satkit.coding import code_key, godel_decode, godel_encode
 from satkit.congruence import skeleton_congruent
 from satkit.elements import Std, Sym, std, sym
-from satkit.kernel import TEMPLATE_POLICY, KernelError, Proof, Sequent, bases_of, check
+from satkit.kernel import (
+    DEFAULT_SAMPLES, TEMPLATE_POLICY, KernelError, Proof, Sequent, bases_of, check,
+    subst_elem_in_obj,
+)
 from generators import random_bounded_sentence, random_formula, random_templated, random_term
 
 
@@ -207,6 +210,27 @@ def _rebuild(x):
     if not isinstance(x, (sx.Term, sx.Formula)):
         return x
     return type(x)(*(_rebuild(getattr(x, f.name)) for f in dataclasses.fields(x)))
+
+
+def _distinct_nodes(x):
+    """Every distinct node object of x once, so shared towers stay small."""
+    seen, stack = set(), [x]
+    while stack:
+        y = stack.pop()
+        if id(y) not in seen:
+            seen.add(id(y))
+            yield y
+            stack.extend(_parts(y))
+
+
+def _fresh_copy(x, made: dict):
+    """_rebuild that keeps x's sharing: one new node per node object."""
+    if not isinstance(x, (sx.Term, sx.Formula)):
+        return x
+    if id(x) not in made:
+        made[id(x)] = type(x)(*(_fresh_copy(getattr(x, f.name), made)
+                                for f in dataclasses.fields(x)))
+    return made[id(x)]
 
 
 def _ref_free_vars(x) -> set:
@@ -432,6 +456,33 @@ class TestCachedFacts:
         for y in _nodes(x):
             for z in others:
                 assert skeleton_congruent(y, z) == _ref_congruent(y, z)
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from(DEFAULT_SAMPLES))
+    @settings(max_examples=120, deadline=None)
+    def test_instances_keep_only_facts_a_fresh_walk_gives(self, seed, value):
+        # an instance keeps its original's free variables and template flag
+        # where its rebuilt children keep theirs; an eps tower unfolding at
+        # a standard index to an open payload, or to one holding a box, may not
+        rng = random.Random(seed)
+        p = sym("p", 1, rng.randrange(3))
+        box = tp.TemplForm(random_formula(rng, 2))
+        x = sx.Or(random_templated(rng, 4), sx.Or(
+            sx.epsilon(p, sx.Eq(v(0), sx.const(p))),
+            sx.epsilon(sym("p"), sx.Or(box, sx.Eq(sx.const(p), sx.ZERO)))))
+        everything = seed % 2 == 1
+        for y in list(_distinct_nodes(x))[::1 if everything else 3]:
+            sx.free_vars(y), tp.has_templates(y)
+        got = subst_elem_in_obj(x, "p", value, {})
+        kept = 0
+        for y in _distinct_nodes(got):
+            fresh = _fresh_copy(y, {})
+            fv, tm = getattr(y, "_fv", None), getattr(y, "_tm", None)
+            assert fv is None or fv == sx.free_vars(fresh)
+            assert tm is None or tm == tp.has_templates(fresh)
+            kept += fv is not None and tm is not None
+        if everything and isinstance(value, Sym):  # no tower unfolds
+            assert got._fv is x._fv and got._tm is x._tm
+        assert kept > 0
 
     def test_equal_nodes_built_apart(self):
         a = sx.Ex(0, sx.Or(sx.Eq(v(0), sx.const(sym("p"))), tp.TemplForm(sx.FALSUM)))

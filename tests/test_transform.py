@@ -74,3 +74,24 @@ class TestDoubleNegation:
         down = transform("double_neg", up, phi=ZERO_EQ, direction="elim")
         assert down.conclusion.sentences == {ZERO_EQ}
         assert check(down, M_POLICY).ok
+
+
+class TestWeakTo:
+    def test_order_is_the_repr_order_for_every_count(self):
+        # the repr key is computed only when two or more sentences are
+        # added; the chain must still add them in repr order
+        from satkit.kernel import Proof, seq
+        from satkit.transform import weak_to
+        base = Proof(seq(ZERO_EQ), "axiom3")
+        extra = [e(c(k), c(k + 1)) for k in range(3)] + [n(ONE_EQ)]
+        for count in range(4):
+            for start in range(len(extra)):
+                added = [extra[(start + j) % len(extra)] for j in range(count)]
+                target = frozenset([ZERO_EQ, *added])
+                p, got = weak_to(base, target), []
+                while p is not base:
+                    assert p.rule == "weak" and check(p, M_POLICY).ok
+                    (f,) = p.conclusion.sentences - p.premises[0].conclusion.sentences
+                    got.append(f)
+                    p = p.premises[0]
+                assert got[::-1] == sorted(added, key=repr)
