@@ -315,8 +315,11 @@ def to_decimal(n: int) -> str:
 
 
 def from_decimal(text: str) -> int:
-    """The integer a decimal text names (as int() reads it), however many
-    digits it has."""
+    """The natural a run of ASCII digits names, however many digits it
+    has; raises InvalidCode on any other text (a sign, a space, an
+    underscore or a non-ASCII digit)."""
+    if not (text.isdigit() and text.isascii()):
+        raise InvalidCode(f"a code is a run of ASCII digits, found {text!r}")
     with _any_length():
         return int(text)
 

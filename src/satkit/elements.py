@@ -133,20 +133,6 @@ def half(a: Element) -> Element:
     return Sym(a.base, a.coeff / 2, a.offset // 2)
 
 
-def half_up(a: Element) -> Element:
-    """(a+1)/2; odd branch, standard elements only."""
-    if not isinstance(a, Std) or a.n % 2 == 0:
-        raise Indeterminate("half_up applies to odd standard elements")
-    return Std((a.n + 1) // 2)
-
-
-def half_down(a: Element) -> Element:
-    """(a-1)/2; odd branch, standard elements only."""
-    if not isinstance(a, Std) or a.n % 2 == 0:
-        raise Indeterminate("half_down applies to odd standard elements")
-    return Std((a.n - 1) // 2)
-
-
 def elem_lt(a: Element, b: Element) -> bool:
     """Strict order; raises PartialOrderError across distinct symbolic bases."""
     if isinstance(a, Std) and isinstance(b, Std):

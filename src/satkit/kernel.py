@@ -557,57 +557,30 @@ def match_axiom(tag: str, s: frozenset, params: frozenset):
 def match_instance(f, i: int, psi) -> Optional[list[Element]]:
     """Witnesses a with templ_substitute(f, a, i) == psi; None when impossible.
 
-    An empty candidate list means any element works (v_i is not free).
-    Raises TemplateError on an abbreviation in f outside a template symbol,
-    as templ_substitute does: certificate lines and fragments reach here
-    unchecked.
+    An empty list means any element works (v_i is not free). Otherwise
+    the one candidate is the constant psi holds where f holds its first
+    free v_i, reached down the children in which v_i is free and unbound
+    and through boxes; it is returned when substituting it rebuilds psi.
+    Raises TemplateError on an abbreviation in f outside a template
+    symbol, as templ_substitute does: certificate lines and fragments
+    reach here unchecked.
     """
     tp.has_templates(f)
     if i not in sx.free_vars(f):
         return [] if f == psi else None
-    found: list[Element] = []
-    try:
-        _match_walk(f, psi, False, i, found)
-    except _NoMatch:
-        return None
-    if not found:
-        return None
-    first = found[0]
-    if any(e != first for e in found):
-        return None
-    return [first]
-
-
-class _NoMatch(Exception):
-    pass
-
-
-def _match_walk(a, b, shadowed: bool, i: int, found: list) -> None:
-    # a against b, collecting in found the constants that stand for v_i
-    if shadowed:
-        if a != b:
-            raise _NoMatch
-        return
-    if type(a) is sx.Var and a.index == i:
-        e = sx.const_elem(b)
-        if e is None:
-            raise _NoMatch
-        found.append(e)
-        return
-    if type(a) is not type(b) or a.extended:
-        raise _NoMatch
-    if isinstance(a, sx.Sealed):
-        _match_walk(a.obj, b.obj, False, i, found)
-        return
-    kids = a.children
-    if not kids:
-        if a != b:
-            raise _NoMatch
-        return
-    if a.scope and a.index != b.index:
-        raise _NoMatch
-    for pos, (x, y) in enumerate(zip(kids, b.children)):
-        _match_walk(x, y, pos in a.scope and a.index == i, i, found)
+    a, b = f, psi
+    while type(a) is not sx.Var:  # v_i is free in a: a box or an inner node
+        if type(a) is not type(b):
+            return None
+        if isinstance(a, sx.Sealed):
+            a, b = a.obj, b.obj
+            continue
+        kids = a.children
+        pos = next(k for k, y in enumerate(kids)
+                   if i in sx.free_vars(y) and not (k in a.scope and a.index == i))
+        a, b = kids[pos], b.children[pos]
+    e = sx.const_elem(b)
+    return None if e is None or tp.templ_substitute(f, e, i) != psi else [e]
 
 
 def block_instance(f, block, values):
@@ -639,6 +612,12 @@ def _block_of(p: Proof, f) -> tuple:
 def _adds(c: frozenset, d, pc: frozenset, psi) -> bool:
     """The premise is d's context, c without d or c itself, plus psi."""
     return pc == (c - {d}) | {psi} or pc == c | {psi}
+
+
+def _match_weak(p):
+    c, pc = p.conclusion.sentences, p.premises[0].conclusion.sentences
+    added = c - pc
+    return added if len(added) <= 1 and pc <= c else None
 
 
 def _match_or_intro(p):
@@ -727,7 +706,8 @@ def _match_schema(p):
 def match_rule(p: Proof):
     """The principal formula of an inference and its parts, or None.
 
-    or-i1, or-i2, or-i3 and neg-i give the introduced sentence d; cut
+    weak gives the set of the sentences it adds, at most one; or-i1,
+    or-i2, or-i3 and neg-i give the introduced sentence d; cut
     gives its pivot; ex-i gives (d, witness); i-ex-inf, m-rule and m-inf
     give (d, instance). The node must have its rule's premise shape and
     side data."""
@@ -816,18 +796,6 @@ class _Checker:
         return 0
 
     # -- inferences; each handler is called with its table row
-
-    def _weak(self, p, rule, path, params):
-        if len(p.premises) != 1 or p.uniform is not None:
-            self.fail(path, "weak takes exactly one premise")
-            return None
-        q = p.premises[0]
-        c, pc = p.conclusion.sentences, q.conclusion.sentences
-        if not pc <= c or len(c - pc) > 1:
-            self.fail(path, "weakening adds exactly one sentence")
-            return None
-        h = self.check(q, path + (0,), params)
-        return None if h is None else h + 1
 
     def _finite(self, p, rule, path, params):
         """A rule with finitely many premises: its premise count, its
@@ -965,10 +933,7 @@ class _Checker:
         heights = []
         for i, (qp, a) in enumerate(zip(p.premises, samples)):
             want = apply_skolem(phi, q, table, a)
-            for gamma in (c - {d}, c):
-                if qp.conclusion.sentences == gamma | {want}:
-                    break
-            else:
+            if not _adds(c, d, qp.conclusion.sentences, want):
                 self.fail(path, f"premise {i} is not the Skolem instance at {a}")
                 return None
             h = self.check(qp, path + (i,), params)
@@ -1004,7 +969,7 @@ _INF_OFF = "infinite instantiation rules disabled by policy"
 _OR_MISMATCH = "no disjunction in the conclusion matches the premise"
 
 _RULES = {
-    "weak": _Rule(_Checker._weak),
+    "weak": _Rule(_Checker._finite, _match_weak, 1, "weakening adds exactly one sentence"),
     "or-i1": _Rule(_Checker._finite, _match_or_intro, 1, _OR_MISMATCH),
     "or-i2": _Rule(_Checker._finite, _match_or_intro, 1, _OR_MISMATCH),
     "or-i3": _Rule(_Checker._finite, _match_or_i3, 2,

@@ -135,10 +135,9 @@ class _Satisfaction(Tarski):
         return FALSE if r is FALSE and generic is FALSE else UNKNOWN
 
 
-def models(t_struct: TStructure, gamma, fuel: int = 32,
-           _generics: frozenset[str] = frozenset()) -> TruthValue:
+def models(t_struct: TStructure, gamma, fuel: int = 32) -> TruthValue:
     """Three-valued satisfaction; Unknown only from quantifier exhaustion."""
-    return _Satisfaction(fuel, t_struct).decide(gamma, _generics)
+    return _Satisfaction(fuel, t_struct).decide(gamma, frozenset())
 
 
 def _candidate_elems(t_struct: TStructure, body) -> list[Element]:
@@ -337,20 +336,6 @@ def free_tower(a: Element, b: Element) -> TStructure:
         lambda t: _tower_value(a, "num", b, t),
         outside_bases=frozenset((b.base,)),
     )
-
-
-def gallery(name: str, **params) -> TStructure:
-    if name == "delta":
-        return delta_structure(params["a"])
-    if name == "sc-tower":
-        return sc_tower(params.get("family", "num"), params["height"], params["a"])
-    if name == "tr-sigma":
-        return tr_sigma(params.get("k", 0), params.get("fuel", 32))
-    if name == "quotient":
-        return quotient_witness(params["quotient"])
-    if name == "free-tower":
-        return free_tower(params["a"], params["b"])
-    raise BadWitnessParams(f"unknown witness structure {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -607,11 +607,21 @@ def _offset(idx: Element, base: Element) -> Element:
     raise SyntaxError_("family payload depth must be standard")
 
 
+def _deeper(e: Element, d: Element) -> bool:
+    """Does e replace d as a node's deepest child depth? Across distinct
+    symbolic bases, which are incomparable, the least base does."""
+    if isinstance(d, Sym) and isinstance(e, Sym) and d.base != e.base:
+        return e.base < d.base
+    return _try_lt(d, e)
+
+
 def skeleton_depth(x: Obj) -> Element:
     """Constructor-path length with every node counted; leaves at depth 1.
 
     A bounded quantifier counts as two nodes, a binder over its (bound,
-    body) pair."""
+    body) pair. A node over children on distinct symbolic bases takes its
+    depth from the child on the least base, so in the normal order of
+    chain steps a container comes before each of its parts."""
     if isinstance(x, SymTermRef):
         return _offset(x.index, std(1))
     if isinstance(x, SymFormulaRef):
@@ -624,7 +634,7 @@ def skeleton_depth(x: Obj) -> Element:
     d = skeleton_depth(kids[0])
     for k in kids[1:]:
         e = skeleton_depth(k)
-        if _try_lt(d, e):
+        if _deeper(e, d):
             d = e
     return _bump(_bump(d) if isinstance(x, (BEx, BAll)) else d)
 

@@ -347,68 +347,41 @@ def _fold_tower(x: sx.Obj) -> sx.Obj:
     return x
 
 
-class _Mismatch(Exception):
-    pass
+def _opened(x: TObj) -> tuple[sx.Obj, tuple[sx.Obj, ...]]:
+    """x refolded, and the classes x opens: the refolds of its unboxed
+    nodes, each once. Raises TemplateError on an abbreviation outside a
+    template symbol."""
+    classes: dict = {}
+
+    def step(y: TObj, kids: list) -> sx.Obj:
+        z = _refold_step(y, kids)
+        if not isinstance(y, sx.Sealed):
+            classes[z] = None
+        return z
+
+    return sx.fold(x, step), tuple(classes)
 
 
-def _needed_classes(cur: TObj, goal: TObj, acc: list[sx.Obj]):
-    if isinstance(cur, sx.Sealed):
-        if cur == goal:
-            return
-        if isinstance(goal, sx.Sealed):
-            raise _Mismatch
-        acc.append(cur.obj)
-        return
-    if isinstance(goal, sx.Sealed) or type(cur) is not type(goal):
-        raise _Mismatch
-    kids = cur.children
-    if not kids:
-        if cur != goal:
-            raise _Mismatch
-        return
-    if cur.extended:
-        raise TemplateError(f"non-primitive node {cur!r}")
-    if cur.scope and cur.index != goal.index:
-        raise _Mismatch
-    for a, b in zip(kids, goal.children):
-        _needed_classes(a, b, acc)
+def _rebuilds(x: TObj, target: sx.Obj, classes: tuple[sx.Obj, ...]) -> bool:
+    return apply_chain(normalize(ApproxChain(classes)), templ(target)) == x
 
 
 def is_approximation(x: TObj, target: sx.Obj) -> bool:
     """Is x reachable from the sealed target by some normal chain?
 
-    Unfolds the most deeply nested needed class one step at a time;
-    because a step opens every congruent box at once, a goal that keeps
-    one box of a class closed while another is open is unreachable.
-    """
-    cur: TObj = templ(target)
-    for _ in range(4 * _tsize(x) + 4):
-        needed: list[sx.Obj] = []
-        try:
-            _needed_classes(cur, x, needed)
-        except _Mismatch:
-            return False
-        if not needed:
-            return cur == x
-        step = min(needed, key=_sort_key)
-        cur = f_step(step, cur)
-    return False
-
-
-def _tsize(x: TObj) -> int:
-    return sx.fold(x, _tsize_step)
-
-
-def _tsize_step(x: TObj, kids: list) -> int:
-    if x.extended:
-        raise TemplateError(f"non-primitive node {x!r}")
-    return 1 + sum(kids)
+    A step opens every box of its class at once, and a normal chain is
+    fixed by the classes it opens, which are x's unboxed nodes refolded:
+    x is an approximation exactly when the normal chain of those classes
+    rebuilds x from the sealed target. Raises TemplateError on an
+    abbreviation in x outside a template symbol."""
+    return _rebuilds(x, target, _opened(x)[1])
 
 
 def apprx_member(x: TObj, member_oracle) -> bool:
-    """Membership in the approximation closure of an axiom set oracle."""
+    """Membership in the approximation closure of an axiom set oracle: x
+    refolds to a member, and the classes x opens rebuild x from it."""
     try:
-        base = refold(x)
+        base, classes = _opened(x)
     except TemplateError:
         return False
-    return bool(member_oracle(base)) and is_approximation(x, base)
+    return bool(member_oracle(base)) and _rebuilds(x, base, classes)

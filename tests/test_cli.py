@@ -197,6 +197,11 @@ class TestProofCommands:
         # numbers outside the codec's image
         pytest.param(["decode", "--", "0"], None, id="decode-zero"),
         pytest.param(["decode", "--", "-1"], None, id="decode-negative"),
+        # a code is a run of ASCII digits, not whatever int() reads
+        pytest.param(["decode", "\u0667\u0666\u0662\u0661\u0664\u0669"], "ASCII digits",
+                     id="decode-arabic-indic-digits"),
+        pytest.param(["decode", "762_149"], "ASCII digits", id="decode-underscore"),
+        pytest.param(["decode", "--", " +762149 "], "ASCII digits", id="decode-sign-and-spaces"),
         # sentences outside the ground model, or outside any class
         pytest.param(["eval-tr", "--formula", "(= (num w[a]) 0)"], None, id="eval-tr-family"),
         pytest.param(["eval-tr", "--formula", "(= v0 0)"], None, id="eval-tr-open"),

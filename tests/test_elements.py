@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from satkit.elements import (
     Indeterminate, PartialOrderError, Sym, Underflow, add, affine_hits,
-    elem_lt, half, half_down, half_up, mul,
-    never_equal_under, parse_element, pred, std, subst_base, succ, sym,
+    elem_lt, half, mul, never_equal_under, parse_element, pred, std, subst_base, succ, sym,
 )
 
 
@@ -28,12 +27,6 @@ class TestArithmetic:
     def test_half_odd_offset_rejected(self):
         with pytest.raises(Indeterminate):
             half(Sym("a", Fraction(1), 3))
-
-    def test_half_up_down_standard_only(self):
-        assert half_up(std(7)) == std(4)
-        assert half_down(std(7)) == std(3)
-        with pytest.raises(Indeterminate):
-            half_up(sym("a"))
 
     def test_pred_underflow(self):
         with pytest.raises(Underflow):

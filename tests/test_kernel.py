@@ -1,7 +1,10 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satkit.syntax as sx
 import satkit.template as tp
@@ -16,6 +19,7 @@ from satkit.kernel import (
 )
 from satkit.syntax import fold, subobjects
 from satkit.skolem import quantseq, table_of
+from generators import random_formula, random_templated
 
 
 def c(n):
@@ -130,6 +134,95 @@ class TestRuleArity:
         assert not check(bad, M_POLICY).ok
 
 
+class _RefNoMatch(Exception):
+    pass
+
+
+def _ref_match_instance(f, i, psi):
+    """The reference matcher: a walk over f and psi together, collecting
+    the constants that stand for v_i, with one witness when they agree. It
+    refuses an abbreviation inside a box, which match_instance substitutes
+    through, so the properties below give it none."""
+    tp.has_templates(f)
+    if i not in sx.free_vars(f):
+        return [] if f == psi else None
+    found = []
+    try:
+        _ref_match_walk(f, psi, False, i, found)
+    except _RefNoMatch:
+        return None
+    if not found or any(w != found[0] for w in found):
+        return None
+    return [found[0]]
+
+
+def _ref_match_walk(a, b, shadowed, i, found):
+    if shadowed:
+        if a != b:
+            raise _RefNoMatch
+        return
+    if type(a) is sx.Var and a.index == i:
+        w = sx.const_elem(b)
+        if w is None:
+            raise _RefNoMatch
+        found.append(w)
+        return
+    if type(a) is not type(b) or a.extended:
+        raise _RefNoMatch
+    if isinstance(a, sx.Sealed):
+        _ref_match_walk(a.obj, b.obj, False, i, found)
+        return
+    kids = a.children
+    if not kids:
+        if a != b:
+            raise _RefNoMatch
+        return
+    if a.scope and a.index != b.index:
+        raise _RefNoMatch
+    for pos, (x, y) in enumerate(zip(kids, b.children)):
+        _ref_match_walk(x, y, pos in a.scope and a.index == i, i, found)
+
+
+def _with_constant(x, k, new):
+    """x with its k-th constant in pre-order, boxes read through, made new."""
+    seen = 0
+
+    def go(y):
+        nonlocal seen
+        if isinstance(y, sx.Sealed):
+            return type(y)(go(y.obj))
+        if sx.const_elem(y) is not None:
+            seen += 1
+            return new if seen == k else y
+        return y.rebuild(*map(go, y.children))
+
+    return go(x)
+
+
+def _random_elem(rng):
+    return std(rng.randrange(4)) if rng.random() < 0.7 else sym("p", 1, rng.randrange(2))
+
+
+def _instance_query(rng):
+    """(f, i, psi): f with boxes and towers over symbolic indices (or
+    plain), under a binder that shadows v_i at times; psi an instance of
+    f, an instance with one constant changed (inconsistent witnesses when
+    it stood for v_i), an unrelated formula, or f itself."""
+    f = random_templated(rng, 3) if rng.random() < 0.5 else random_formula(rng, 3, max_const=3)
+    if rng.random() < 0.3:
+        f = sx.Or(f, sx.Ex(rng.randrange(3), f))
+    i = rng.randrange(3)
+    psi = tp.templ_substitute(f, _random_elem(rng), i)
+    roll = rng.random()
+    if roll < 0.35:
+        psi = _with_constant(psi, rng.randrange(1, 6), sx.const(_random_elem(rng)))
+    elif roll < 0.45:
+        psi = random_formula(rng, 3, max_const=3)
+    elif roll < 0.5:
+        psi = f
+    return f, i, psi
+
+
 class TestExistentialRules:
     def test_witness_inference(self):
         body = e(v(0), c(3))
@@ -147,6 +240,36 @@ class TestExistentialRules:
         body = e(sx.Add(v(0), v(0)), c(4))
         assert match_instance(body, 0, e(sx.Add(c(2), c(2)), c(4))) == [std(2)]
         assert match_instance(body, 0, e(sx.Add(c(2), c(3)), c(4))) is None
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_match_instance_agrees_with_the_reference_walk(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            f, i, psi = _instance_query(rng)
+            assert match_instance(f, i, psi) == _ref_match_instance(f, i, psi)
+
+    def test_the_instance_queries_reach_every_verdict(self):
+        rng = random.Random(5)
+        verdicts = {"none": 0, "any": 0, "std": 0, "sym": 0}
+        for _ in range(1000):
+            ws = match_instance(*_instance_query(rng))
+            kind = "none" if ws is None else "any" if not ws else \
+                "std" if isinstance(ws[0], Std) else "sym"
+            verdicts[kind] += 1
+        assert all(n >= 50 for n in verdicts.values()), verdicts
+
+    @pytest.mark.parametrize("info", [{"witness": std(0)}, {}], ids=["witness", "matched"])
+    def test_instance_under_a_boxed_abbreviation(self, info):
+        # substitution reaches an abbreviation inside a box, so the
+        # instance checks with its witness given and with it matched
+        body = tp.TemplForm(sx.And(e(v(0), sx.ZERO), ZERO_EQ))
+        inst = tp.TemplForm(sx.And(ZERO_EQ, ZERO_EQ))
+        assert match_instance(body, 0, inst) == [std(0)]
+        ax = Proof(seq(inst, n(inst)), "axiom1")
+        p = Proof(seq(sx.Ex(0, body), n(inst)), "ex-i", (ax,), info=info)
+        rep = check(p, TEMPLATE_POLICY)
+        assert rep.ok and rep.height == 1
 
     def test_match_instance_rejects_an_abbreviation(self):
         # certificate lines reach it unchecked (prop-check --first-order)

@@ -21,7 +21,7 @@ from satkit.kernel import (
 from satkit.semantics import (
     BadWitnessParams, OracleUndecided, SatFragment, SemanticsError, SoundnessViolation,
     TStructure, audit_soundness, check_fragment, delta_structure,
-    fragment_structure, free_tower, gallery, ground_truth_structure,
+    fragment_structure, free_tower, ground_truth_structure,
     henkin_extend, models, quotient_witness, sc_tower, structure_oracle,
     tr_sigma, uses_axiom12, val_t,
 )
@@ -173,11 +173,6 @@ class TestGallery:
             f = tp.normalize(tp.ApproxChain(tuple(steps)))
             approx = tp.apply_to_object(f, target)
             assert models(t, approx, fuel=6) is TRUE
-
-    def test_gallery_front_door(self):
-        assert gallery("delta", a=sym("a")).name.startswith("delta")
-        with pytest.raises(BadWitnessParams):
-            gallery("unknown-witness")
 
 
 class TestAudit:

@@ -624,12 +624,6 @@ def _ref_refold(x):
     return tp._fold_tower(x.rebuild(*map(_ref_refold, x.children)))
 
 
-def _ref_tsize(x):
-    if x.extended:
-        raise tp.TemplateError(f"non-primitive node {x!r}")
-    return 1 + sum(map(_ref_tsize, x.children))
-
-
 _CONNECTIVES = ("not", "or", "ex", "and", "imp", "iff", "xor", "all", "bex", "ball")
 
 
@@ -687,16 +681,15 @@ class TestFoldedWalks:
         for y in _nodes(x):
             assert _outcome(sx.depth, y) == _outcome(_ref_depth, y)
             assert _outcome(sx.expand_abbreviation, y) == _outcome(_ref_expand, y)
-            # refold and _tsize raise on the first abbreviation outside a box
-            # in post-order, the recursive walks on the first in pre-order
+            # refold raises on the first abbreviation outside a box in
+            # post-order, the recursive walk on the first in pre-order
             assert _outcome(tp.refold, y, False) == _outcome(_ref_refold, y, False)
-            assert _outcome(tp._tsize, y, False) == _outcome(_ref_tsize, y, False)
             got = sx.multi_substitute(y, sx.VarAssignment.of(values))
             want = _ref_multi_substitute(y, values)
             assert got == want and repr(got) == repr(want)
 
     def test_the_inputs_reach_every_class_and_outcome(self):
-        seen, ok = set(), {"depth": 0, "expand": 0, "refold": 0, "tsize": 0}
+        seen, ok = set(), {"depth": 0, "expand": 0, "refold": 0}
         for seed in range(150):
             rng = random.Random(seed)
             x = _random_extended(rng, 4, abbreviations=seed % 3 != 0, boxes=seed % 2 == 0)
@@ -704,7 +697,6 @@ class TestFoldedWalks:
             ok["depth"] += not isinstance(_outcome(sx.depth, x)[0], type)
             ok["expand"] += not isinstance(_outcome(sx.expand_abbreviation, x)[0], type)
             ok["refold"] += not isinstance(_outcome(tp.refold, x)[0], type)
-            ok["tsize"] += not isinstance(_outcome(tp._tsize, x)[0], type)
         assert seen == _node_classes()
         assert all(n >= 20 for n in ok.values()), ok
 
@@ -721,7 +713,6 @@ class TestFoldedWalks:
             text = sexpr.print_obj(f)
             assert sexpr.print_obj(sx.expand_abbreviation(f)) == text
             assert sexpr.print_obj(tp.refold(f)) == text
-            assert tp._tsize(f) == sum(1 for _ in sx.subobjects(f))
         # refold rebuilds each half apart, so the halves are equal, not identical
         twins = sx.Or(nest, nest)
         assert sexpr.print_obj(tp.refold(twins)) == sexpr.print_obj(twins)
@@ -731,7 +722,6 @@ class TestFoldedWalks:
         boxed = sx.Not(tp.TemplForm(inner))
         for _ in range(3000):
             boxed = sx.Or(sx.FALSUM, sx.Ex(1, boxed))
-        assert tp._tsize(boxed) == 6 * 3000 + 2  # or, falsum (4), ex; then not and the box
         assert sx.is_primitive(nest) and sx.is_primitive(alternation)
         assert not sx.is_primitive(boxed) and not sx.is_primitive(sx.Or(alternation, inner))
         refolded = tp.refold(boxed)

@@ -199,6 +199,18 @@ class TestNormalize:
             assert tp.normalize(n1) == n1
             assert tp.is_normal(n1)
 
+    def test_containers_first_across_symbolic_bases(self):
+        # towers on two bases: the disjunction's first child is on q, its
+        # equation on p, and each container still sorts before its parts
+        q_tower, eq = sx.delta(sym("q")), sx.Eq(c(1), sx.numeral(sym("p")))
+        target = sx.Not(sx.Or(q_tower, eq))
+        ordered = tp.chain(target, target.body, q_tower, eq, eq.right)
+        norm = tp.normalize(tp.chain(*reversed(ordered.steps)))
+        assert tp.is_normal(norm)
+        x = tp.apply_chain(ordered, boxed(target))
+        assert tp.apply_chain(norm, boxed(target)) == x
+        assert tp.is_approximation(x, target)
+
     def test_absorption_property(self):
         rng = random.Random(7)
         for _ in range(1000):
@@ -319,7 +331,131 @@ class TestCommutation:
             assert lhs == rhs
 
 
+class _RefMismatch(Exception):
+    pass
+
+
+def _ref_needed_classes(cur, goal, acc):
+    # the classes of cur's boxes that goal opens; raises _RefMismatch
+    # when no unfolding of cur can reach goal
+    if isinstance(cur, sx.Sealed):
+        if cur == goal:
+            return
+        if isinstance(goal, sx.Sealed):
+            raise _RefMismatch
+        acc.append(cur.obj)
+        return
+    if isinstance(goal, sx.Sealed) or type(cur) is not type(goal):
+        raise _RefMismatch
+    kids = cur.children
+    if not kids:
+        if cur != goal:
+            raise _RefMismatch
+        return
+    if cur.extended:
+        raise tp.TemplateError(f"non-primitive node {cur!r}")
+    if cur.scope and cur.index != goal.index:
+        raise _RefMismatch
+    for a, b in zip(kids, goal.children):
+        _ref_needed_classes(a, b, acc)
+
+
+def _ref_size(x):
+    if x.extended:
+        raise tp.TemplateError(f"non-primitive node {x!r}")
+    return 1 + sum(map(_ref_size, x.children))
+
+
+def _ref_is_approximation(x, target):
+    """The reference recogniser: from the sealed target, step on the first
+    class in the normal order that x opens and the current object keeps
+    sealed, until nothing is left to open. It does not read normalize's
+    order of unrelated classes, so it also holds that order to account."""
+    cur = boxed(target)
+    for _ in range(4 * _ref_size(x) + 4):
+        needed = []
+        try:
+            _ref_needed_classes(cur, x, needed)
+        except _RefMismatch:
+            return False
+        if not needed:
+            return cur == x
+        cur = tp.f_step(min(needed, key=tp._sort_key), cur)
+    return False
+
+
+def _random_target(rng):
+    """A primitive formula: a disjunction tower, an equation of term
+    towers, an eps tower or a formula with towers over symbolic indices
+    (each family at a symbolic index), or a plain formula."""
+    roll = rng.random()
+    if roll < 0.15:
+        return sx.delta(sym("a", 1, rng.randrange(3)))
+    if roll < 0.25:
+        return sx.Eq(sx.numeral(sym("b")), sx.addtower(sym("c")))
+    if roll < 0.3:
+        return sx.epsilon(sym("d"), random_formula(rng, 1, max_const=2))
+    if roll < 0.6:
+        return tp.refold(random_templated(rng, 3))
+    return random_formula(rng, 3, max_const=3)
+
+
+def _boxes(x):
+    return [y.obj for y in sx.subobjects(x) if isinstance(y, sx.Sealed)]
+
+
+def _reshaped(rng, x):
+    """x with one node changed alone: a box opened, or an unboxed node
+    sealed again."""
+    paths = [()]
+    for path in paths:
+        y = x
+        for k in path:
+            y = y.children[k]
+        paths.extend(path + (k,) for k in range(len(y.children)))
+
+    def at(y, path):
+        if path:
+            kids = list(y.children)
+            kids[path[0]] = at(kids[path[0]], path[1:])
+            return y.rebuild(*kids)
+        return tp._unfold(y.obj) if isinstance(y, sx.Sealed) else boxed(tp.refold(y))
+
+    return at(x, rng.choice(paths))
+
+
+def _approximation_query(rng):
+    """(x, target): x from the sealed target by a normal or an unordered
+    chain of its subobjects, then steps on the classes of its boxes (which
+    go down towers); at times reshaped at one node, and at times asked of
+    another target."""
+    target = _random_target(rng)
+    f = random_subchain(rng, [target], 5)
+    x = tp.apply_chain(tp.normalize(f) if rng.random() < 0.7 else f, boxed(target))
+    for _ in range(rng.randrange(4)):
+        if _boxes(x):
+            x = tp.f_step(rng.choice(_boxes(x)), x)
+    if rng.random() < 0.3:
+        x = _reshaped(rng, x)
+    if rng.random() < 0.15:
+        target = _random_target(rng)
+    return x, target
+
+
 class TestApproximationMembership:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_stepping_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            x, target = _approximation_query(rng)
+            assert tp.is_approximation(x, target) == _ref_is_approximation(x, target)
+
+    def test_the_queries_reach_both_verdicts(self):
+        rng = random.Random(7)
+        verdicts = [tp.is_approximation(*_approximation_query(rng)) for _ in range(1000)]
+        assert verdicts.count(True) >= 300 and verdicts.count(False) >= 150
+
     def test_zero_step(self):
         f = sx.delta(2)
         assert tp.is_approximation(boxed(f), f)
