@@ -164,7 +164,8 @@ def skeleton_congruent(x: sx.Obj, y: sx.Obj) -> bool:
     two objects relate exactly when their constructor skeletons and binder
     indices agree. Approximating steps act on these closure classes: that
     is what keeps unfolding stable under constant substitution, which the
-    substitution-commutation law requires.
+    substitution-commutation law requires. An abbreviation, which a box
+    may hold, relates as every other inner node does.
     """
     if type(x) is not type(y):
         return type(x) in _ATOMS and type(y) in _ATOMS
@@ -172,8 +173,6 @@ def skeleton_congruent(x: sx.Obj, y: sx.Obj) -> bool:
     if not kids:
         # other leaves (family references, template symbols) are opaque
         return type(x) in _ATOMS or x == y
-    if x.extended:
-        raise CongruenceError(f"congruence over non-primitive node {x!r}")
     if x.scope and x.index != y.index:
         return False
     return all(map(skeleton_congruent, kids, y.children))
@@ -211,16 +210,13 @@ class QuotientStructure:
         return [frozenset(g) for g in groups.values()]
 
 
+# the operation-table name of zero and of each function symbol
+_OP_NAMES = {sx.Zero: "zero", sx.Succ: "sc", sx.Add: "+", sx.Mul: "*"}
+
+
 def _term_key(t: sx.Term):
-    if isinstance(t, sx.Zero):
-        return ("zero",)
-    if isinstance(t, sx.Succ):
-        return ("sc", t.arg)
-    if isinstance(t, sx.Add):
-        return ("+", t.left, t.right)
-    if isinstance(t, sx.Mul):
-        return ("*", t.left, t.right)
-    return None
+    name = _OP_NAMES.get(type(t))
+    return None if name is None else (name, *t.children)
 
 
 def build_quotient(

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from itertools import count
 
 from . import syntax as sx
-from .elements import Element, ElementError, Sym, add, mul, never_equal_under, succ
+from .elements import Element, ElementError, Sym, never_equal_under
 from .ground_model import FALSE, TRUE, UNKNOWN, Tarski, TruthValue, val, witness_candidates
-from .kernel import DEFAULT_SAMPLES, Proof, Sequent, Uniform
+from .kernel import DEFAULT_SAMPLES, FUNCTION_AXIOMS, Proof, Sequent, Uniform
 from .transform import weak_to
 
 
@@ -125,35 +125,28 @@ class _Prover(Tarski):
         return _cut(frozenset((sx.Eq(t, s),)), sx.Eq(t, r), p_tr, step)
 
     def prove_named(self, t: sx.Term) -> tuple[Element, Proof]:
-        """The value a of t together with a proof of {t = c_a}."""
+        """The value a of t together with a proof of {t = c_a}: axiom3 for a
+        constant; for h(t..), its arguments named c.. left to right, h's
+        compatibility axiom cut on each argument's proof in turn gives
+        t = h(c..), which h's ground-operation axiom h(c..) = c_a closes."""
         e = sx.const_elem(t)
         if e is not None:
             return e, Proof(_single(sx.Eq(t, t)), "axiom3")
-        if isinstance(t, sx.Succ):
-            b, pb = self.prove_named(t.arg)
-            a = succ(b)
-            cb, ca = sx.const(b), sx.const(a)
-            mid = sx.Eq(sx.Succ(t.arg), sx.Succ(cb))
-            ax6 = Proof(_single_pair(sx.Not(sx.Eq(t.arg, cb)), mid), "axiom6")
-            named = _cut(frozenset((mid,)), sx.Eq(t.arg, cb), pb, ax6)
-            ax9 = Proof(_single(sx.Eq(sx.Succ(cb), ca)), "axiom9")
-            return a, self.trans_eq(named, ax9, t, sx.Succ(cb), ca)
-        if isinstance(t, (sx.Add, sx.Mul)):
-            op = sx.Add if isinstance(t, sx.Add) else sx.Mul
-            b, pb = self.prove_named(t.left)
-            d, pd = self.prove_named(t.right)
-            a = add(b, d) if op is sx.Add else mul(b, d)
-            cb, cd, ca = sx.const(b), sx.const(d), sx.const(a)
-            mid = sx.Eq(t, op(cb, cd))
-            compat = "axiom7" if op is sx.Add else "axiom8"
-            ax = Proof(Sequent(frozenset((
-                sx.Not(sx.Eq(t.left, cb)), sx.Not(sx.Eq(t.right, cd)), mid))), compat)
-            s1 = _cut(frozenset((sx.Not(sx.Eq(t.right, cd)), mid)), sx.Eq(t.left, cb), pb, ax)
-            named = _cut(frozenset((mid,)), sx.Eq(t.right, cd), pd, s1)
-            ground = "axiom10" if op is sx.Add else "axiom11"
-            axg = Proof(_single(sx.Eq(op(cb, cd), ca)), ground)
-            return a, self.trans_eq(named, axg, t, op(cb, cd), ca)
-        raise EldiagError(f"cannot name {t!r}")
+        axioms = FUNCTION_AXIOMS.get(type(t))
+        if axioms is None:
+            raise EldiagError(f"cannot name {t!r}")
+        args = t.children
+        named = [self.prove_named(u) for u in args]
+        a = sx.OPERATIONS[type(t)](*(b for b, _ in named))
+        consts = [sx.const(b) for b, _ in named]
+        image, ca = t.rebuild(*consts), sx.const(a)
+        mid = sx.Eq(t, image)
+        negs = [sx.Not(sx.Eq(u, c)) for u, c in zip(args, consts)]
+        proof = Proof(Sequent(frozenset((*negs, mid))), axioms[0])
+        for k, (u, c, (_, pu)) in enumerate(zip(args, consts, named)):
+            proof = _cut(frozenset((*negs[k + 1:], mid)), sx.Eq(u, c), pu, proof)
+        ground = Proof(_single(sx.Eq(image, ca)), axioms[1])
+        return a, self.trans_eq(proof, ground, t, image, ca)
 
     def prove_eq(self, t: sx.Term, r: sx.Term) -> Proof:
         a, pt = self.prove_named(t)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import syntax as sx
-from .elements import Element, Std, Sym, add, mul, succ
+from .elements import Element, Std, Sym, succ
 
 
 class EvalError(Exception):
@@ -106,7 +106,7 @@ def val(t: sx.Term, leaf=None) -> Element:
     elif isinstance(t, (sx.Add, sx.Mul)):
         u = val(t.left, leaf)
         w = u if t.right is t.left else val(t.right, leaf)
-        base = add(u, w) if isinstance(t, sx.Add) else mul(u, w)
+        base = sx.OPERATIONS[type(t)](u, w)
     elif leaf is not None:
         base = leaf(t)
     elif isinstance(t, sx.Var):

@@ -64,16 +64,20 @@ serialised (string hashes are randomised per process).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
+from functools import partial, reduce
+from operator import is_, or_
 from typing import Callable, Optional
 
 from . import syntax as sx
 from . import template as tp
 from .coding import code_key
-from .elements import Element, ElementError, Std, Sym, add, mul, never_equal_under, subst_base, succ
+from .elements import Element, ElementError, Std, Sym, never_equal_under, subst_base
 
 AXIOM_TAGS = tuple(f"axiom{i}" for i in range(1, 13)) + ("axiomL",)
+
+# each function symbol's compatibility axiom and ground-operation axiom
+FUNCTION_AXIOMS = {sx.Succ: ("axiom6", "axiom9"), sx.Add: ("axiom7", "axiom10"),
+                   sx.Mul: ("axiom8", "axiom11")}
 
 DEFAULT_SAMPLES: tuple[Element, ...] = (
     Std(0), Std(1), Std(2), Std(17), Sym("sample"),
@@ -337,6 +341,9 @@ def subst_param_proof(p: Proof, base: str, value: Element,
         if "witness" in info:
             info["witness"] = subst_base(info["witness"], base, value)
             same = same and info["witness"] is p.info["witness"]
+        if "tuple" in info:
+            info["tuple"] = tuple(subst_base(a, base, value) for a in info["tuple"])
+            same = same and all(map(is_, info["tuple"], p.info["tuple"]))
         if "skolem" in info:
             sk = dict(info["skolem"])
             sk["phi"] = inst(sk["phi"])
@@ -464,52 +471,31 @@ def match_axiom5(s: frozenset, params: frozenset):
     return None
 
 
-def _match_compat(s: frozenset, head):
-    # axiom6/7/8 share the shape {t != t', r != r', h(t,r) = h(t',r')}
+def _match_compat(s: frozenset, params: frozenset, head):
+    # axioms 6-8: {t_k != t'_k for each argument pair, h(t..) = h(t'..)}
     for f in s:
         if not (isinstance(f, sx.Eq) and isinstance(f.left, head) and isinstance(f.right, head)):
             continue
-        if head is sx.Succ:
-            t, tp_ = f.left.arg, f.right.arg
-            n1 = sx.Not(sx.Eq(t, tp_))
-            if s == {n1, f} and _closed_term(t) and _closed_term(tp_):
-                return {"t": t, "t2": tp_, "eq": f}
-            continue
-        t, r = f.left.left, f.left.right
-        t2, r2 = f.right.left, f.right.right
-        n1, n2 = sx.Not(sx.Eq(t, t2)), sx.Not(sx.Eq(r, r2))
-        if s == {n1, n2, f} and all(_closed_term(x) for x in (t, r, t2, r2)):
-            return {"t": t, "r": r, "t2": t2, "r2": r2, "eq": f}
+        pairs = tuple(zip(f.left.children, f.right.children))
+        if (s == {f, *(sx.Not(sx.Eq(t, t2)) for t, t2 in pairs)}
+                and all(_closed_term(t) and _closed_term(t2) for t, t2 in pairs)):
+            return {"eq": f}
     return None
 
 
-def _match_ground_op(s: frozenset, op: str):
+def _match_ground(s: frozenset, params: frozenset, head):
+    # axioms 9-11: {h(c..) = c'}, h's operation taking the named elements to c'
     if len(s) != 1:
         return None
     (f,) = s
-    if not isinstance(f, sx.Eq):
+    if not (isinstance(f, sx.Eq) and isinstance(f.left, head)):
         return None
     w = sx.const_elem(f.right)
-    if w is None:
+    args = [sx.const_elem(t) for t in f.left.children]
+    if w is None or any(a is None for a in args):
         return None
     try:
-        if op == "sc":
-            if not isinstance(f.left, sx.Succ):
-                return None
-            u = sx.const_elem(f.left.arg)
-            if u is None or succ(u) != w:
-                return None
-            return {"a": u, "b": w}
-        head = sx.Add if op == "+" else sx.Mul
-        if not isinstance(f.left, head):
-            return None
-        u, v = sx.const_elem(f.left.left), sx.const_elem(f.left.right)
-        if u is None or v is None:
-            return None
-        got = add(u, v) if op == "+" else mul(u, v)
-        if got != w:
-            return None
-        return {"a": u, "b": v, "c": w}
+        return {"eq": f} if sx.OPERATIONS[head](*args) == w else None
     except ElementError:
         return None
 
@@ -528,13 +514,9 @@ def match_axiom12(s: frozenset, params: frozenset):
 _AXIOM_MATCHERS = {
     "axiom1": match_axiom1, "axiom2": match_axiom2, "axiom3": match_axiom3,
     "axiom4": match_axiom4, "axiom5": match_axiom5,
-    "axiom6": lambda s, params: _match_compat(s, sx.Succ),
-    "axiom7": lambda s, params: _match_compat(s, sx.Add),
-    "axiom8": lambda s, params: _match_compat(s, sx.Mul),
-    "axiom9": lambda s, params: _match_ground_op(s, "sc"),
-    "axiom10": lambda s, params: _match_ground_op(s, "+"),
-    "axiom11": lambda s, params: _match_ground_op(s, "*"),
     "axiom12": match_axiom12,
+    **{tag: partial(match, head=head) for head, tags in FUNCTION_AXIOMS.items()
+       for tag, match in zip(tags, (_match_compat, _match_ground))},
 }
 
 

@@ -58,7 +58,7 @@ from functools import reduce
 from operator import attrgetter, or_
 from typing import Callable, Iterator, Mapping, Optional, Union, get_type_hints
 
-from .elements import Element, Std, Sym, elem_lt, pred, std
+from .elements import Element, Std, Sym, add, elem_lt, mul, pred, std, succ
 
 
 class SyntaxError_(Exception):
@@ -196,6 +196,10 @@ class Add(Term):
 class Mul(Term):
     left: Term
     right: Term
+
+
+# the element operation each function symbol names, over its children's values
+OPERATIONS = {Succ: succ, Add: add, Mul: mul}
 
 
 @node

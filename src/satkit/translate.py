@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from . import syntax as sx
 from . import template as tp
 from .kernel import (
-    AXIOM_TAGS, CheckReport, Proof, RulePolicy, Sequent, check, match_axiom, match_rule,
+    AXIOM_TAGS, FUNCTION_AXIOMS, CheckReport, Proof, RulePolicy, Sequent, check, match_axiom,
+    match_rule,
 )
 
 
@@ -75,8 +76,15 @@ def g_bound_at_least(n: int, m: int) -> bool:
 # ---------------------------------------------------------------------------
 # per-axiom unfolding targets
 
+_COMPAT_TAGS, _GROUND_TAGS = (frozenset(tags) for tags in zip(*FUNCTION_AXIOMS.values()))
+
 
 def _axiom_steps(tag: str, parts: dict) -> list[sx.Obj]:
+    """The unfolding targets of an axiom node, read from ``match_axiom``'s
+    parts. A function symbol's axioms share one row each: a compatibility
+    axiom unfolds its argument equations and their negations, then its
+    equation h(t..) = h(t'..) and both sides; a ground-operation axiom
+    unfolds its equation h(c..) = c', h(c..) and the first argument."""
     n = sx.Not
     e = sx.Eq
     if tag == "axiom1":
@@ -93,25 +101,16 @@ def _axiom_steps(tag: str, parts: dict) -> list[sx.Obj]:
     if tag == "axiom5":
         t, r, s = parts["t"], parts["r"], parts["s"]
         return [n(e(t, r)), n(e(r, s)), e(t, r), e(r, s), e(t, s)]
-    if tag == "axiom6":
-        t, t2 = parts["t"], parts["t2"]
-        return [n(e(t, t2)), e(t, t2), parts["eq"], sx.Succ(t), sx.Succ(t2)]
-    if tag in ("axiom7", "axiom8"):
-        t, r, t2, r2 = parts["t"], parts["r"], parts["t2"], parts["r2"]
-        eq = parts["eq"]
-        return [n(e(t, t2)), e(t, t2), n(e(r, r2)), e(r, r2),
-                eq, eq.left, eq.right]
-    if tag == "axiom9":
-        ca, cb = sx.const(parts["a"]), sx.const(parts["b"])
-        return [e(sx.Succ(ca), cb), sx.Succ(ca), ca]
-    if tag in ("axiom10", "axiom11"):
-        ca, cb = sx.const(parts["a"]), sx.const(parts["b"])
-        cc = sx.const(parts["c"])
-        head = sx.Add if tag == "axiom10" else sx.Mul
-        return [e(head(ca, cb), cc), head(ca, cb), ca]
     if tag == "axiom12":
         t = parts["t"]
         return [sx.Ex(0, e(t, sx.Var(0))), e(t, sx.Var(0)), sx.Var(0)]
+    if tag in _COMPAT_TAGS:
+        eq = parts["eq"]
+        pairs = zip(eq.left.children, eq.right.children)
+        return [g for t, t2 in pairs for g in (n(e(t, t2)), e(t, t2))] + [eq, eq.left, eq.right]
+    if tag in _GROUND_TAGS:
+        eq = parts["eq"]
+        return [eq, eq.left, eq.left.children[0]]
     raise TranslateError(f"no unfolding recipe for {tag}")
 
 

@@ -137,6 +137,24 @@ class TestProofCommands:
                              "--lam", str(lam)], capsys)
         assert code == 0 and "ok: True" in out
 
+    @pytest.mark.parametrize("concl, code, out", [
+        ("(or (tf (and (= 0 0) (= 0 0))) (tf (= 0 0)))", 0, "ok: True\nheight: 0\n"),
+        ("(or (tf (and (= 0 0) (= 0 0))) (tf (= 0 (sc 0))))", 1,
+         "ok: False\nerror: root: sentence is not an accepted extra axiom\n"),
+        ("(or (not (or (not (= 0 0)) (not (= 0 0)))) (= 0 0))", 1,
+         "ok: False\nerror: root: sentence is not an accepted extra axiom\n"),
+    ], ids=["approximation", "other-box", "expanded"])
+    def test_template_extra_axiom_may_box_an_abbreviation(self, tmp_path, capsys,
+                                                          concl, code, out):
+        # the first is the one-step approximation of the listed sentence,
+        # whose box holds a conjunction
+        lam = tmp_path / "lam.txt"
+        lam.write_text("(or (and (= 0 0) (= 0 0)) (= 0 0))\n")
+        proof = tmp_path / "ax.sexp"
+        proof.write_text(f"(rule axiomL (concl {concl}))\n")
+        assert run_cli(["check", "--in", str(proof), "--logic", "template",
+                        "--lam", str(lam)], capsys) == (code, out)
+
     def test_check_failure_exit_code(self, tmp_path, capsys):
         bad = "(rule axiom3 (concl (= 0 (sc 0))))"
         f = tmp_path / "bad.sexp"
@@ -478,6 +496,15 @@ class TestExtendedNodeFiles:
         back = sexpr.parse_proof(text)
         assert sexpr.print_proof(back) == text
         assert check(back, pol2).ok
+
+    def test_block_tuple_over_a_schema_parameter_checks_from_a_file(self, tmp_path, capsys):
+        from satkit.elements import Sym
+        from test_kernel import schema_block_proof
+        f = tmp_path / "block.sexp"
+        f.write_text(sexpr.print_proof(
+            schema_block_proof("i-ex-inf", {"block": (1,), "tuple": (Sym("q"),)})) + "\n")
+        code, out = run_cli(["check", "--in", str(f), "--allow-inf"], capsys)
+        assert code == 0 and out == "ok: True\nheight: 3\n"
 
 
 class TestDeterminism:

@@ -2,14 +2,16 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satkit.eldiag as eldiag
 import satkit.sexpr as sexpr
 import satkit.syntax as sx
 from satkit.eldiag import EldiagError, FuelExhausted, NotUniform, _Prover, prove_eldiag
-from satkit.elements import Sym, std, sym
+from satkit.elements import ElementError, Indeterminate, Sym, add, mul, std, succ, sym
 from satkit.ground_model import FALSE, TRUE, UNKNOWN, witness_candidates
-from satkit.kernel import DEFAULT_SAMPLES, M_POLICY, Proof, check, seq
+from satkit.kernel import DEFAULT_SAMPLES, M_POLICY, Proof, Sequent, check, seq
 from generators import random_decidable_sentence
 
 e, n = sx.Eq, sx.Not
@@ -93,6 +95,94 @@ class TestRandomisedDiagram:
             p = prove_eldiag(phi)
             assert p.conclusion.sentences == {sx.Not(phi)}
             assert check(p, M_POLICY).ok
+
+
+class _RefNaming(_Prover):
+    """The reference naming proof: one case for Sc and another for + and
+    *, each building its image h(c..) afresh at every use."""
+
+    def prove_named(self, t):
+        e_ = sx.const_elem(t)
+        if e_ is not None:
+            return e_, Proof(seq(sx.Eq(t, t)), "axiom3")
+        if isinstance(t, sx.Succ):
+            b, pb = self.prove_named(t.arg)
+            a = succ(b)
+            cb, ca = sx.const(b), sx.const(a)
+            mid = sx.Eq(sx.Succ(t.arg), sx.Succ(cb))
+            ax6 = Proof(Sequent(frozenset((sx.Not(sx.Eq(t.arg, cb)), mid))), "axiom6")
+            named = eldiag._cut(frozenset((mid,)), sx.Eq(t.arg, cb), pb, ax6)
+            ax9 = Proof(seq(sx.Eq(sx.Succ(cb), ca)), "axiom9")
+            return a, self.trans_eq(named, ax9, t, sx.Succ(cb), ca)
+        if isinstance(t, (sx.Add, sx.Mul)):
+            op = sx.Add if isinstance(t, sx.Add) else sx.Mul
+            b, pb = self.prove_named(t.left)
+            d, pd = self.prove_named(t.right)
+            a = add(b, d) if op is sx.Add else mul(b, d)
+            cb, cd, ca = sx.const(b), sx.const(d), sx.const(a)
+            mid = sx.Eq(t, op(cb, cd))
+            compat = "axiom7" if op is sx.Add else "axiom8"
+            ax = Proof(Sequent(frozenset((
+                sx.Not(sx.Eq(t.left, cb)), sx.Not(sx.Eq(t.right, cd)), mid))), compat)
+            s1 = eldiag._cut(frozenset((sx.Not(sx.Eq(t.right, cd)), mid)),
+                             sx.Eq(t.left, cb), pb, ax)
+            named = eldiag._cut(frozenset((mid,)), sx.Eq(t.right, cd), pd, s1)
+            ground = "axiom10" if op is sx.Add else "axiom11"
+            axg = Proof(seq(sx.Eq(op(cb, cd), ca)), ground)
+            return a, self.trans_eq(named, axg, t, op(cb, cd), ca)
+        raise EldiagError(f"cannot name {t!r}")
+
+
+def _random_closed_term(rng, depth):
+    """A closed term over standard and symbolic constants, with shared
+    arguments at times; a sum or product over two symbolic bases has no
+    value."""
+    if depth <= 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.15:
+            return sx.SymTermRef("num", sym("p"))  # no ground value
+        if roll < 0.4:
+            return sx.const(sym(rng.choice("pq"), rng.choice((1, 2)), rng.randrange(3)))
+        return sx.const(std(rng.randrange(6)))
+    head = rng.choice((sx.Succ, sx.Add, sx.Mul))
+    if head is sx.Succ:
+        return sx.Succ(_random_closed_term(rng, depth - 1))
+    left = _random_closed_term(rng, depth - 1)
+    return head(left, left if rng.random() < 0.2 else _random_closed_term(rng, depth - 1))
+
+
+def _named(prover_class, t):
+    """The printed naming proof of t and its value, or the error's type
+    and message."""
+    try:
+        a, p = prover_class(fuel=200, samples=DEFAULT_SAMPLES).prove_named(t)
+    except (EldiagError, ElementError) as exc:
+        return type(exc), str(exc)
+    return a, sexpr.print_proof(p)
+
+
+class TestNaming:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_naming_proofs_agree_with_the_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            t = _random_closed_term(rng, 4)
+            assert _named(_Prover, t) == _named(_RefNaming, t)
+
+    def test_the_terms_reach_every_outcome(self):
+        rng = random.Random(7)
+        outcomes = {"named": 0, EldiagError: 0, Indeterminate: 0}
+        for _ in range(500):
+            t = _random_closed_term(rng, 4)
+            try:
+                _, p = _Prover(fuel=200, samples=DEFAULT_SAMPLES).prove_named(t)
+            except (EldiagError, ElementError) as exc:
+                outcomes[type(exc)] += 1
+                continue
+            outcomes["named"] += 1
+            assert check(p, M_POLICY).ok
+        assert all(k >= 30 for k in outcomes.values()), outcomes
 
 
 class _SearchAgain(_Prover):

@@ -12,14 +12,15 @@ from satkit.corpus import (
     axiom_instances, base_corpus, commute_or_proof, mprop_entries,
     neq_from_hypotheses, omega_demo_proof,
 )
-from satkit.elements import Std, Sym, std, subst_base, sym
+from satkit.elements import ElementError, Std, Sym, add, mul, std, subst_base, succ, sym
 from satkit.kernel import (
-    DEFAULT_SAMPLES, KernelError, M_FREE_POLICY, M_POLICY, TEMPLATE_POLICY, Proof,
-    RulePolicy, Sequent, Uniform, bases_of, check, match_instance, seq, subst_param_proof, vee,
+    AXIOM_TAGS, DEFAULT_SAMPLES, FUNCTION_AXIOMS, KernelError, M_FREE_POLICY, M_POLICY,
+    TEMPLATE_POLICY, Proof, RulePolicy, Sequent, Uniform, bases_of, check, match_axiom,
+    match_instance, seq, subst_param_proof, vee,
 )
 from satkit.syntax import fold, subobjects
 from satkit.skolem import quantseq, table_of
-from generators import random_formula, random_templated
+from generators import random_formula, random_templated, random_term
 
 
 def c(n):
@@ -114,6 +115,183 @@ class TestAxiomMatching:
                 rep_full = check(entry.proof, RulePolicy(
                     logic="m", extra_axioms=entry.policy.extra_axioms))
                 assert rep_full.ok
+
+
+def _ref_match_compat(s, head):
+    """The reference compatibility matcher: one branch for Sc and one for
+    + and *, with their parts."""
+    for f in s:
+        if not (isinstance(f, sx.Eq) and isinstance(f.left, head) and isinstance(f.right, head)):
+            continue
+        if head is sx.Succ:
+            t, tp_ = f.left.arg, f.right.arg
+            n1 = sx.Not(sx.Eq(t, tp_))
+            if s == {n1, f} and _ref_closed(t) and _ref_closed(tp_):
+                return {"t": t, "t2": tp_, "eq": f}
+            continue
+        t, r = f.left.left, f.left.right
+        t2, r2 = f.right.left, f.right.right
+        n1, n2 = sx.Not(sx.Eq(t, t2)), sx.Not(sx.Eq(r, r2))
+        if s == {n1, n2, f} and all(_ref_closed(x) for x in (t, r, t2, r2)):
+            return {"t": t, "r": r, "t2": t2, "r2": r2, "eq": f}
+    return None
+
+
+def _ref_match_ground_op(s, op):
+    """The reference ground-operation matcher, over an op string."""
+    if len(s) != 1:
+        return None
+    (f,) = s
+    if not isinstance(f, sx.Eq):
+        return None
+    w = sx.const_elem(f.right)
+    if w is None:
+        return None
+    try:
+        if op == "sc":
+            if not isinstance(f.left, sx.Succ):
+                return None
+            u = sx.const_elem(f.left.arg)
+            if u is None or succ(u) != w:
+                return None
+            return {"a": u, "b": w}
+        head = sx.Add if op == "+" else sx.Mul
+        if not isinstance(f.left, head):
+            return None
+        u, v = sx.const_elem(f.left.left), sx.const_elem(f.left.right)
+        if u is None or v is None:
+            return None
+        got = add(u, v) if op == "+" else mul(u, v)
+        if got != w:
+            return None
+        return {"a": u, "b": v, "c": w}
+    except ElementError:
+        return None
+
+
+def _ref_closed(t):
+    return isinstance(t, sx.Term) and sx.is_closed(t)
+
+
+_HEADS = (sx.Succ, sx.Add, sx.Mul)
+_ARITY = {sx.Succ: 1, sx.Add: 2, sx.Mul: 2}
+_REF_OPS = {sx.Succ: "sc", sx.Add: "+", sx.Mul: "*"}
+
+
+def _axiom_elem(rng):
+    """A standard element, or a symbolic one over p or q, so that sums and
+    products over two of them are at times Indeterminate."""
+    if rng.random() < 0.6:
+        return std(rng.randrange(5))
+    return sym(rng.choice("pq"), rng.choice((1, 2, Fraction(1, 2))), rng.randrange(3))
+
+
+def _axiom_arg(rng):
+    roll = rng.random()
+    if roll < 0.5:
+        return sx.const(_axiom_elem(rng))
+    if roll < 0.85:
+        return random_term(rng, 2, max_const=4, closed=True)
+    return random_term(rng, 2, max_const=4)  # open at times
+
+
+def _compat_sequent(rng, head):
+    """{t_k != t'_k, h(t..) = h(t'..)}, at times with a wrong pair, a
+    dropped or extra sentence, a swapped equation or another head."""
+    arity = _ARITY[head]
+    ts = [_axiom_arg(rng) for _ in range(arity)]
+    t2s = [t if rng.random() < 0.3 else _axiom_arg(rng) for t in ts]
+    eq = sx.Eq(head(*ts), head(*t2s))
+    negs = [sx.Not(sx.Eq(t, t2)) for t, t2 in zip(ts, t2s)]
+    roll = rng.random()
+    if roll < 0.1:
+        k = rng.randrange(arity)
+        negs[k] = sx.Not(sx.Eq(t2s[k], ts[k]))
+    elif roll < 0.2:
+        negs[rng.randrange(arity)] = sx.Not(sx.Eq(_axiom_arg(rng), _axiom_arg(rng)))
+    elif roll < 0.25:
+        negs.pop()
+    elif roll < 0.3:
+        negs.append(sx.Eq(sx.ZERO, sx.ZERO))
+    elif roll < 0.35:
+        other = rng.choice(_HEADS)
+        eq = sx.Eq(eq.left, other(*[ts[0]] * _ARITY[other]))
+    return frozenset((*negs, eq))
+
+
+def _ground_sequent(rng, head):
+    """{h(c..) = c'}, c' the operation's value when it has one, at times
+    off by one, over a non-constant argument, or with an extra sentence."""
+    arity = _ARITY[head]
+    args = [_axiom_elem(rng) for _ in range(arity)]
+    try:
+        w = sx.OPERATIONS[head](*args)
+    except ElementError:
+        w = _axiom_elem(rng)
+    if rng.random() < 0.2:
+        w = succ(w)
+    terms = [sx.const(a) for a in args]
+    if rng.random() < 0.15:
+        terms[rng.randrange(arity)] = _axiom_arg(rng)
+    right = sx.const(w) if rng.random() < 0.9 else _axiom_arg(rng)
+    s = {sx.Eq(head(*terms), right)}
+    if rng.random() < 0.1:
+        s.add(sx.Eq(sx.ZERO, sx.ZERO))
+    return frozenset(s)
+
+
+class TestFunctionAxioms:
+    """The compatibility and ground-operation matchers, one per function
+    symbol's row, held to the per-symbol references."""
+
+    def test_every_row_names_axiom_tags_its_corpus_instances_match(self):
+        instances = {entry.name: entry.proof for entry in axiom_instances()}
+        assert set(FUNCTION_AXIOMS) == set(sx.OPERATIONS)
+        for head, tags in FUNCTION_AXIOMS.items():
+            for tag in tags:
+                assert tag in AXIOM_TAGS
+                s = instances[tag].conclusion.sentences
+                parts = match_axiom(tag, s, frozenset())
+                assert parts is not None and type(parts["eq"].left) is head, tag
+                assert parts["eq"] in s
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_matchers_agree_with_the_references(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            head = rng.choice(_HEADS)
+            compat = rng.random() < 0.5
+            s = _compat_sequent(rng, head) if compat else _ground_sequent(rng, head)
+            for tagged in _HEADS:  # the right head and both wrong ones
+                tag_c, tag_g = FUNCTION_AXIOMS[tagged]
+                want = _ref_match_compat(s, tagged)
+                assert match_axiom(tag_c, s, frozenset()) == (
+                    None if want is None else {"eq": want["eq"]})
+                want = _ref_match_ground_op(s, _REF_OPS[tagged])
+                assert match_axiom(tag_g, s, frozenset()) == (
+                    None if want is None else {"eq": next(iter(s))})
+
+    def test_the_sequents_reach_every_verdict(self):
+        rng = random.Random(6)
+        seen = {(tag, ok): 0 for tags in FUNCTION_AXIOMS.values() for tag in tags
+                for ok in (True, False)}
+        indeterminate = 0
+        for _ in range(3000):
+            head = rng.choice(_HEADS)
+            compat = rng.random() < 0.5
+            s = _compat_sequent(rng, head) if compat else _ground_sequent(rng, head)
+            tag = FUNCTION_AXIOMS[head][0 if compat else 1]
+            seen[tag, match_axiom(tag, s, frozenset()) is not None] += 1
+            if not compat and len(s) == 1 and head is not sx.Succ:
+                args = [sx.const_elem(t) for t in next(iter(s)).left.children]
+                if None not in args:
+                    try:
+                        sx.OPERATIONS[head](*args)
+                    except ElementError:
+                        indeterminate += 1
+        assert all(k >= 50 for k in seen.values()), seen
+        assert indeterminate >= 50
 
 
 class TestRuleArity:
@@ -503,6 +681,18 @@ class TestProofProtocol:
         assert sum(1 for _ in subobjects(q)) == 3001 and len(tr.traces) == 3001
 
 
+def schema_block_proof(rule, info):
+    """An m-rule over q concluding not ex v0 not ex v1 (v1 = v0), whose
+    schema introduces ex v1 (v1 = c_q) by ``rule`` with side data ``info``
+    over axiom3 on c_q = c_q."""
+    cq = sx.const(Sym("q"))
+    ex = sx.Ex(1, e(v(1), cq))
+    intro = Proof(seq(ex), rule, (Proof(seq(e(cq, cq)), "axiom3"),), info=info)
+    schema = Proof(seq(n(n(ex))), "neg-i", (intro,))
+    return Proof(seq(n(sx.Ex(0, n(sx.Ex(1, e(v(1), v(0))))))), "m-rule", (),
+                 Uniform(("q",), schema, tuple((a,) for a in DEFAULT_SAMPLES)))
+
+
 class TestExtendedRules:
     def test_prop_rule(self):
         for entry in mprop_entries():
@@ -533,6 +723,22 @@ class TestExtendedRules:
         pol = RulePolicy(allow_inf=True, extra_axioms={inst}.__contains__)
         rep = check(node, pol)
         assert not rep.ok and "arity" in rep.first_error()
+
+    @pytest.mark.parametrize("rule, info, verdict", [
+        ("i-ex-inf", {"block": (1,), "tuple": (Sym("q"),)}, None),
+        ("ex-i", {"witness": Sym("q")}, None),
+        ("i-ex-inf", {"block": (1,), "tuple": (Sym("q", 1, 1),)},
+         "u/0: premise is not a block instance of the conclusion"),
+        ("i-ex-inf", {"block": (1,), "tuple": (std(0),)},
+         "u/0: premise is not a block instance of the conclusion"),
+    ], ids=["tuple", "witness", "tuple-off-by-one", "tuple-standard"])
+    def test_block_tuple_is_instantiated_at_samples(self, rule, info, verdict):
+        # i-ex-inf's tuple mentions the schema's parameter, as ex-i's
+        # witness does; each sample instantiates both alike
+        p = schema_block_proof(rule, info)
+        rep = check(p, RulePolicy(allow_inf=True))
+        assert (rep.ok, rep.height, rep.first_error()) == (
+            (True, 3, None) if verdict is None else (False, None, verdict))
 
     def test_m_inf_block_schema(self):
         # not exists v0 v1 (Sc(v0 + v1) = 0) via a two-parameter schema
