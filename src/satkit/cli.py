@@ -283,6 +283,10 @@ def cmd_prop_check(args) -> int:
 def cmd_approx(args) -> int:
     chain = sexpr.parse_chain(Path(args.chain).read_text())
     obj = sexpr.parse_obj(sexpr.read_one(args.input))
+    try:
+        tp.has_templates(obj)
+    except tp.TemplateError as e:
+        raise ParseError(f"--input: abbreviation outside a box: {e}") from None
     out = tp.apply_chain(chain, obj)
     text = sexpr.print_obj(out)
     _emit(args, {"result": text}, [text])

@@ -68,22 +68,6 @@ def neq_from_hypotheses(t: sx.Term, r: sx.Term, a: Element, b: Element) -> Proof
     return Proof(seq(goal), "cut", (c6, ax2))
 
 
-def omega_demo_proof(count: int = 3) -> Proof:
-    """A finite truncation of a genuinely non-uniform premise family.
-
-    Tagged demonstration-only; the checker rejects it as incomplete.
-    """
-    e, n = sx.Eq, sx.Not
-    target = n(sx.Ex(1, n(e(sx.Var(1), sx.Var(1)))))
-    prems = []
-    for k in range(count):
-        ck = sx.const(std(k))
-        ax = Proof(seq(e(ck, ck)), "axiom3")
-        prems.append(Proof(seq(n(n(e(ck, ck)))), "neg-i", (ax,)))
-    return Proof(seq(target), "m-rule", tuple(prems), None,
-                 {"note": "demonstration only"})
-
-
 def axiom_instances() -> list[CorpusEntry]:
     e, n = sx.Eq, sx.Not
     t = sx.Succ(sx.ZERO)

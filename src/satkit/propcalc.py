@@ -528,7 +528,7 @@ class CertBuilder:
         """node -> tree when node occurs in the tree, maybe doubly negated."""
         if tree == node:
             return self.identity(node)
-        if tree == sx.Not(sx.Not(node)):
+        if _doubly_negates(tree, node):
             return self.lem(sx.Not(node))  # literally node -> not not node
         if isinstance(tree, sx.Or):
             if _tree_contains(tree.left, node):
@@ -566,8 +566,12 @@ class CertBuilder:
         return self.mp(contract, doubled)
 
 
+def _doubly_negates(tree: sx.Formula, node: sx.Formula) -> bool:  # == Not(Not(node))
+    return type(tree) is sx.Not and type(tree.body) is sx.Not and tree.body.body == node
+
+
 def _tree_contains(tree: sx.Formula, node: sx.Formula) -> bool:
-    if tree == node or tree == sx.Not(sx.Not(node)):
+    if tree == node or _doubly_negates(tree, node):
         return True
     return isinstance(tree, sx.Or) and (
         _tree_contains(tree.left, node) or _tree_contains(tree.right, node))

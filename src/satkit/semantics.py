@@ -522,27 +522,3 @@ def _reject_nonstandard(f) -> None:
     for o in sx.subobjects(f):
         if isinstance(o, (sx.SymTermRef, sx.SymFormulaRef)):
             raise SemanticsError("nonstandard family member")
-
-
-def fragment_structure(frag: SatFragment) -> TStructure:
-    """The structure reading boxed truth exactly as the fragment decided."""
-    report = check_fragment(frag)
-    q = report.quotient
-
-    def t_set(phi: sx.Formula) -> bool:
-        v = frag.decided.get(phi)
-        if v is not None:
-            return v
-        if isinstance(phi, sx.Not):
-            v = frag.decided.get(phi.body)
-            return (not v) if v is not None else False
-        return False
-
-    def t_val(t: sx.Term) -> Element:
-        if q is not None and t in q.parent:
-            e = q.const_of.get(q.find(t))
-            if e is not None:
-                return e
-        return _ground_value(t)
-
-    return TStructure("fragment", t_set, t_val)

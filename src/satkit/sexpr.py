@@ -324,7 +324,11 @@ def parse_chain(text: str) -> tp.ApproxChain:
     node = read_one(text)
     if not (isinstance(node, list) and node and node[0] == "chain"):
         raise ParseError("chain files start with (chain ...)")
-    return tp.ApproxChain(tuple(parse_obj(n) for n in node[1:]))
+    steps = tuple(parse_obj(n) for n in node[1:])
+    for k, step in enumerate(steps):
+        if step.extended:  # it would name a box that cannot unfold
+            raise ParseError(f"chain step {k} is an abbreviation: {print_obj(step)}")
+    return tp.ApproxChain(steps)
 
 
 def _read_once(node: Node, table: dict):

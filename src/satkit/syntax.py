@@ -31,9 +31,10 @@ cached facts, ``substitute`` and ``skeleton_depth`` stay recursive: on the
 kernel's hot paths an explicit stack costs up to twice as much per node.
 
 Nodes are immutable. Each carries slots for facts computed once, on first
-use, and every fact is read through one protocol: ``fact(slot, compute)``
-is the getter that reads the slot and, on a miss, stores ``compute(x)``.
-No fact is ``None``, so ``None`` means not filled yet. The facts are the
+use. The hash is read by each class's own ``__hash__``, and every other
+fact through one protocol: ``fact(slot, compute)`` is the getter that
+reads the slot and, on a miss, stores ``compute(x)``. No fact is
+``None``, so ``None`` means not filled yet. The facts are the
 hash and free variables here, the template flag in ``template`` (which
 also caches a rejection: the first abbreviation outside a box) and the
 parameter bases in ``kernel``, each from the children's; and the keys of
@@ -53,7 +54,7 @@ serialised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import reduce
 from operator import attrgetter, or_
 from typing import Callable, Iterator, Mapping, Optional, Union, get_type_hints
@@ -74,7 +75,8 @@ class CaptureRisk(SyntaxError_):
 
 # the slots every node carries: its hash, free variables (read through
 # template symbols), template flag, parameter bases, code key and
-# chain-step key; unset until first asked for, so read them through fact()
+# chain-step key; the hash is None until __hash__ fills it, the others
+# unset until first asked for, so read them through fact()
 FACT_SLOTS = ("_h", "_fv", "_tm", "_bs", "_ck", "_sk")
 
 EMPTY: frozenset = frozenset()
@@ -108,7 +110,7 @@ def node(cls):
     The hash is the dataclass hash over the fields, so it is the same in
     every process for nodes whose fields hold no strings."""
     cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = fact("_h", cls.__hash__)
+    _slot_methods(cls)
     names = [f.name for f in fields(cls)]
     hints = get_type_hints(cls)
     kids = () if issubclass(cls, Sealed) else tuple(
@@ -125,6 +127,30 @@ def node(cls):
     elif kids:
         cls.rebuild = staticmethod(cls)
     return cls
+
+
+def _slot_methods(cls) -> None:
+    """Install ``__init__``, ``__hash__`` and ``__reduce__``, generated as
+    ``dataclasses`` generates its own. ``__init__`` stores each field
+    through its slot's own setter, at half the cost of the dataclass's
+    ``object.__setattr__``, sets the hash slot to None and runs
+    ``__post_init__``. ``__hash__`` fills the hash slot with the dataclass
+    hash over the fields. Unpickling goes through the constructor."""
+    fs = fields(cls)
+    env = {"cls": cls, "_set_h": Node._h.__set__, "_post": getattr(cls, "__post_init__", None)}
+    for f in fs:
+        env[f"_set_{f.name}"], env[f"_dflt_{f.name}"] = getattr(cls, f.name).__set__, f.default
+    params = "".join(f", {f.name}" + ("" if f.default is MISSING else f"=_dflt_{f.name}")
+                     for f in fs)
+    stores = "".join(f" _set_{f.name}(self, {f.name})\n" for f in fs)
+    post = " _post(self)\n" if env["_post"] else ""
+    own = "(" + "".join(f"self.{f.name}," for f in fs) + ")"
+    exec(f"def __init__(self{params}):\n{stores} _set_h(self, None)\n{post}"
+         f"def __hash__(self):\n h = self._h\n if h is None:\n  h = hash({own})\n"
+         f"  _set_h(self, h)\n return h\ndef __reduce__(self):\n return cls, {own}\n", env)
+    for name in ("__init__", "__hash__", "__reduce__"):
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, env[name])
 
 
 def _rebuild_binder(x, *kids):

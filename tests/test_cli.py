@@ -268,6 +268,14 @@ class TestProofCommands:
             "(cert (line (= 0 0) hyp) (line (or (not (= 0 0)) (or (= 0 0) (tf (= 0 0)))) "
             "(ax add l (= 0 0) (and (= 0 0) (= 0 0)))))"))],
             "certificate line 1", id="prop-check-abbreviation-in-an-ax-argument"),
+        # an abbreviation as a chain step, whose box cannot unfold, or
+        # outside a box in the input
+        pytest.param(["approx", "--chain", ("chain.sexp", "(chain (and (= 0 0) (= 0 0)))"),
+                      "--input", "(tf (and (= 0 0) (= 0 0)))"], "chain step 0",
+                     id="approx-abbreviation-as-a-step"),
+        pytest.param(["approx", "--chain", ("chain.sexp", "(chain (= 0 0))"),
+                      "--input", "(and (= 0 0) (= 0 0))"], "--input",
+                     id="approx-abbreviation-outside-a-box"),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, option):
         argv = list(argv)

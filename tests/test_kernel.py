@@ -10,7 +10,7 @@ import satkit.syntax as sx
 import satkit.template as tp
 from satkit.corpus import (
     axiom_instances, base_corpus, commute_or_proof, mprop_entries,
-    neq_from_hypotheses, omega_demo_proof,
+    neq_from_hypotheses,
 )
 from satkit.elements import ElementError, Std, Sym, add, mul, std, subst_base, succ, sym
 from satkit.kernel import (
@@ -34,6 +34,18 @@ def v(i):
 e, n, o = sx.Eq, sx.Not, sx.Or
 ZERO_EQ = e(sx.ZERO, sx.ZERO)
 ONE_EQ = e(sx.Succ(sx.ZERO), sx.Succ(sx.ZERO))
+
+
+def omega_demo_proof(count: int = 3) -> Proof:
+    """A finite truncation of a genuinely non-uniform premise family,
+    which the checker rejects as incomplete."""
+    target = n(sx.Ex(1, n(e(v(1), v(1)))))
+    prems = []
+    for k in range(count):
+        ax = Proof(seq(e(c(k), c(k))), "axiom3")
+        prems.append(Proof(seq(n(n(e(c(k), c(k))))), "neg-i", (ax,)))
+    return Proof(seq(target), "m-rule", tuple(prems), None,
+                 {"note": "demonstration only"})
 
 
 class TestSequents:

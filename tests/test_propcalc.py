@@ -14,7 +14,7 @@ from satkit.propcalc import (
     CertLine, Exhausted, PropCertificate, PropError, axiom_instance, certificate_errors,
     check_certificate, derive_or_search, expand_pf, extract_hypotheses, imp,
     is_axiom, is_tautology, match_fo_axiom, match_prop_axiom, one_line, pf_height_check,
-    SCHEME_FORMS, recheck_unlabelled, scheme_manifest,
+    SCHEME_FORMS, recheck_unlabelled, scheme_manifest, weakening_cert,
 )
 from satkit.transform import to_certified_calculus
 from generators import random_formula
@@ -137,6 +137,24 @@ class TestCertificates:
     def test_open_line_invalid(self):
         cert = one_line(e(sx.Var(0), sx.ZERO))
         assert not check_certificate(cert, lambda f: True)
+
+    def test_double_negation_is_found_without_building_it(self, monkeypatch):
+        # finding PHI doubly negated in the target builds no Not: every
+        # Not that weakening_cert builds is a node of its certificate
+        built = []
+        init = sx.Not.__init__
+
+        def counting(self, body):
+            init(self, body)
+            built.append(self)
+
+        target = o(ZERO_EQ, o(n(n(PHI)), n(ZERO_EQ)))
+        monkeypatch.setattr(sx.Not, "__init__", counting)
+        cert = weakening_cert(PHI, target)
+        used = {id(y) for line in cert.lines for y in sx.subobjects(line.formula)}
+        assert built and all(id(x) in used for x in built)
+        assert check_certificate(cert, {PHI}.__contains__)
+        assert cert.lines[-1].formula == target
 
 
 class TestExtraction:

@@ -21,7 +21,7 @@ from satkit.kernel import (
 from satkit.semantics import (
     BadWitnessParams, OracleUndecided, SatFragment, SemanticsError, SoundnessViolation,
     TStructure, audit_soundness, check_fragment, delta_structure,
-    fragment_structure, free_tower, ground_truth_structure,
+    free_tower, ground_truth_structure,
     henkin_extend, models, quotient_witness, sc_tower, structure_oracle,
     tr_sigma, uses_axiom12, val_t,
 )
@@ -32,6 +32,29 @@ e, n, o = sx.Eq, sx.Not, sx.Or
 
 def c(k):
     return sx.const(std(k))
+
+
+def fragment_structure(frag: SatFragment) -> TStructure:
+    """The structure reading boxed truth exactly as the fragment decided."""
+    q = check_fragment(frag).quotient
+
+    def t_set(phi: sx.Formula) -> bool:
+        v = frag.decided.get(phi)
+        if v is not None:
+            return v
+        if isinstance(phi, sx.Not):
+            v = frag.decided.get(phi.body)
+            return (not v) if v is not None else False
+        return False
+
+    def t_val(t: sx.Term):
+        if q is not None and t in q.parent:
+            e = q.const_of.get(q.find(t))
+            if e is not None:
+                return e
+        return semantics._ground_value(t)
+
+    return TStructure("fragment", t_set, t_val)
 
 
 def dict_structure(truths, values=None, name="adhoc", **kw):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import pickle
 import random
 
@@ -561,6 +562,98 @@ class TestProtocol:
 
 
 # the recursive walks that ``fold`` steps replaced, kept as references
+
+
+# each node class's fields, in order, as its class body declares them
+DECLARED = {
+    sx.Zero: (), sx.Const: ("elem",), sx.Var: ("index",), sx.Succ: ("arg",),
+    sx.Add: ("left", "right"), sx.Mul: ("left", "right"), sx.SymTermRef: ("family", "index"),
+    sx.Eq: ("left", "right"), sx.Not: ("body",), sx.Or: ("left", "right"),
+    sx.Ex: ("index", "body"), sx.SymFormulaRef: ("family", "index", "payload"),
+    sx.And: ("left", "right"), sx.Imp: ("left", "right"), sx.Iff: ("left", "right"),
+    sx.Xor: ("left", "right"), sx.All: ("index", "body"), sx.Lt: ("left", "right"),
+    sx.BEx: ("index", "bound", "body"), sx.BAll: ("index", "bound", "body"),
+    tp.TemplTerm: ("obj",), tp.TemplForm: ("obj",),
+}
+
+
+def _dataclass_hash(x):
+    """The hash that dataclass(frozen=True) gives: over the fields, in order."""
+    return hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+class TestConstructor:
+    """Each node class's generated constructor, hash and pickling keep the
+    dataclass's contract."""
+
+    REJECTED = [
+        (lambda: sx.Const(Std(0)), sx.SyntaxError_),
+        (lambda: sx.SymTermRef("tower", sym("a")), sx.SyntaxError_),
+        (lambda: sx.SymTermRef("num", std(3)), sx.SyntaxError_),
+        (lambda: sx.SymFormulaRef("gamma", sym("a")), sx.SyntaxError_),
+        (lambda: sx.SymFormulaRef("delta", std(3)), sx.SyntaxError_),
+        (lambda: sx.SymFormulaRef("eps", sym("a")), sx.SyntaxError_),
+        (lambda: sx.SymFormulaRef("delta", sym("a"), sx.FALSUM), sx.SyntaxError_),
+        (lambda: tp.TemplTerm(sx.FALSUM), tp.TemplateError),
+        (lambda: tp.TemplTerm(tp.TemplTerm(sx.ZERO)), tp.TemplateError),
+        (lambda: tp.TemplForm(sx.ZERO), tp.TemplateError),
+        (lambda: tp.TemplForm(tp.TemplForm(sx.FALSUM)), tp.TemplateError),
+    ]
+
+    def test_every_node_class_is_declared(self):
+        assert set(DECLARED) == _node_classes()
+        assert sx.SymFormulaRef("delta", sym("a")).payload is None
+
+    @pytest.mark.parametrize("x", TestProtocol.EXAMPLES, ids=lambda x: type(x).__name__)
+    def test_fields_and_defaults_are_as_declared(self, x):
+        cls = type(x)
+        fs = dataclasses.fields(cls)
+        assert tuple(f.name for f in fs) == DECLARED[cls]
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == list(DECLARED[cls])
+        for f, p in zip(fs, params):
+            want = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            assert p.default == want
+        values = [getattr(x, f.name) for f in fs]
+        for y in (cls(*values), cls(**dict(zip(DECLARED[cls], values)))):
+            assert y == x and all(getattr(y, f.name) is w for f, w in zip(fs, values))
+
+    @pytest.mark.parametrize("build, error", REJECTED)
+    def test_post_init_rejects(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_the_checked_classes(self):
+        # a class that gains a __post_init__ must gain a case above
+        checked = {c for c in _node_classes() if hasattr(c, "__post_init__")}
+        assert checked == {sx.Const, sx.SymTermRef, sx.SymFormulaRef, tp.TemplTerm, tp.TemplForm}
+
+    @pytest.mark.parametrize("x", TestProtocol.EXAMPLES, ids=lambda x: type(x).__name__)
+    def test_replace_and_frozen(self, x):
+        y = dataclasses.replace(x)
+        assert y == x and y is not x and type(y) is type(x)
+        for f in dataclasses.fields(x):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, f.name, getattr(x, f.name))
+        if x.children:
+            new = tuple(sx.Not(k) if isinstance(k, sx.Formula) else sx.Succ(k)
+                        for k in x.children)
+            kids = [f.name for f in dataclasses.fields(x)][-len(new):]
+            assert dataclasses.replace(x, **dict(zip(kids, new))) == x.rebuild(*new)
+
+    @pytest.mark.parametrize("x", TestProtocol.EXAMPLES, ids=lambda x: type(x).__name__)
+    def test_hash_is_the_dataclass_hash(self, x):
+        y = dataclasses.replace(x)
+        assert y._h is None
+        assert hash(y) == _dataclass_hash(x) and y._h == hash(y)
+        assert hash(y) == hash(x)
+
+    @pytest.mark.parametrize("x", TestProtocol.EXAMPLES, ids=lambda x: type(x).__name__)
+    def test_pickle_round_trip(self, x):
+        hash(x)
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and type(y) is type(x) and y._h is None
+        assert hash(y) == hash(x) == _dataclass_hash(y) and y._h == hash(x)
 
 
 def _ref_expand(f):
