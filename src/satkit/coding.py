@@ -261,7 +261,7 @@ def _emit(x: sx.Obj, out: list[str]) -> None:
         y = pop()
         sym = SYMBOL_OF.get(type(y))
         if sym is None:
-            if isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
+            if isinstance(y, sx.FamilyRef):
                 raise NotEncodable(f"family reference {y!r} has no standard code")
             raise NotEncodable(f"abbreviation {y!r} must be expanded before coding")
         if sym == _CONST:

@@ -313,7 +313,7 @@ def eval_tr(f: sx.Formula, cls: str = "d0", fuel: int = 64) -> TruthValue:
     """
     if not sx.is_closed(f):
         raise OpenTerm("truth evaluation needs a sentence")
-    if any(isinstance(x, (sx.SymTermRef, sx.SymFormulaRef)) for x in sx.subobjects(f)):
+    if any(isinstance(x, sx.FamilyRef) for x in sx.subobjects(f)):
         raise WrongClass("a family reference is not a sentence of the ground model")
     if not check_class(f, cls):
         raise WrongClass(f"formula is not in class {cls}")

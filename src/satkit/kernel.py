@@ -213,10 +213,9 @@ def _bases(y) -> frozenset[str]:
         return bases_of(y.obj)
     if type(y) is sx.Const:
         return frozenset((y.elem.base,)) if isinstance(y.elem, Sym) else sx.EMPTY
-    if isinstance(y, (sx.SymTermRef, sx.SymFormulaRef)):
+    if isinstance(y, sx.FamilyRef):
         out = frozenset((y.index.base,))
-        payload = getattr(y, "payload", None)
-        return out if payload is None else out | bases_of(payload)
+        return out if y.payload is None else out | bases_of(y.payload)
     return reduce(or_, map(bases_of, y.children), sx.EMPTY)
 
 
@@ -255,16 +254,10 @@ def _subst_elem(x, base: str, value: Element, memo: dict):
         return _carry(x, y, (x.obj,), (y.obj,))
     if type(x) is sx.Const:
         y = sx.const(subst_base(x.elem, base, value))
-    elif isinstance(x, sx.SymTermRef):
-        idx = subst_base(x.index, base, value)
-        if isinstance(idx, Std):
-            y = sx.numeral(idx) if x.family == "num" else sx.addtower(idx)
-        else:
-            y = sx.SymTermRef(x.family, idx)
-    elif isinstance(x, sx.SymFormulaRef):
+    elif isinstance(x, sx.FamilyRef):
         payload = None if x.payload is None else subst_elem_in_obj(x.payload, base, value, memo)
-        y = sx.or_tower(x.family, subst_base(x.index, base, value), payload)
-        if payload is not None and not isinstance(y, sx.SymFormulaRef):
+        y = sx.tower(x.family, subst_base(x.index, base, value), payload)
+        if payload is not None and not isinstance(y, sx.FamilyRef):
             return y
     else:
         if x.extended:

@@ -520,5 +520,5 @@ def check_fragment(frag: SatFragment) -> ComplianceReport:
 
 def _reject_nonstandard(f) -> None:
     for o in sx.subobjects(f):
-        if isinstance(o, (sx.SymTermRef, sx.SymFormulaRef)):
+        if isinstance(o, sx.FamilyRef):
             raise SemanticsError("nonstandard family member")

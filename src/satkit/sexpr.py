@@ -15,6 +15,7 @@ object once per call.
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import partial
 from typing import Union, get_type_hints
 
 from . import syntax as sx
@@ -101,8 +102,9 @@ def print_obj(x) -> str:
             if y.scope:
                 head = f"{head} {y.index}"
             parts = (y.obj,) if isinstance(y, sx.Sealed) else y.children
-        elif isinstance(y, sx.SymFormulaRef) and y.family == "eps":
-            head, parts = f"eps {print_elem(y.index)}", (y.payload,)
+        elif isinstance(y, sx.FamilyRef):  # (family index [payload])
+            head = f"{y.family} {print_elem(y.index)}"
+            parts = () if y.payload is None else (y.payload,)
         else:
             out.append(_print_leaf(y))
             continue
@@ -121,10 +123,6 @@ def _print_leaf(x) -> str:
         if isinstance(x.elem, Std):
             return f"c{x.elem.n}"
         return f"c{print_elem(x.elem)}"
-    if isinstance(x, sx.SymTermRef):
-        return f"({x.family} {print_elem(x.index)})"
-    if isinstance(x, sx.SymFormulaRef):
-        return f"(delta {print_elem(x.index)})"
     raise ParseError(f"cannot print {x!r}")
 
 
@@ -240,14 +238,13 @@ def _natural(node: Node, what: str) -> int:
 # how to build each compound expression (head [lead] part ...): the
 # constructor, the reader of a leading argument that is not a part (a
 # binder's index, a family's element), the sort of each argument (from
-# the constructor's field types) and the most items the expression holds
+# the constructor's field types, or a family's element and payload) and
+# the most items the expression holds
 BUILDERS = {head: (make, read_lead, sorts, len(sorts) + 1) for head, make, read_lead, sorts in (
     *((head, cls, (lambda node: _natural(node, "a binder index")) if cls.scope else None,
        tuple(get_type_hints(cls)[f.name] for f in fields(cls))) for head, cls in HEADS.items()),
-    ("num", sx.numeral, parse_elem_node, (Element,)),
-    ("addtower", sx.addtower, parse_elem_node, (Element,)),
-    ("delta", sx.delta, parse_elem_node, (Element,)),
-    ("eps", sx.epsilon, parse_elem_node, (Element, sx.Formula)))}
+    *((name, partial(sx.tower, name), parse_elem_node, (Element,) + (sx.Formula,) * row.payload)
+      for name, row in sx.FAMILIES.items()))}
 
 
 def _arity_error(head: str) -> ParseError:

@@ -3,9 +3,11 @@
 The primitive connectives are negation, disjunction and existential
 quantification; everything else is an abbreviation that must be expanded
 before a formula enters the proof kernel. Nonstandard-length formula and
-term families (disjunction towers, successor towers) are represented by
-lazy reference leaves indexed by a symbolic element, and unfold one level
-at a time.
+term families (successor, addition and disjunction towers) are represented
+at a symbolic index by lazy reference leaves, ``FamilyRef`` nodes, and
+unfold one level at a time. ``FAMILIES`` is the one place a family is
+defined: its row gives the constructor each level adds and the tower at
+height 0, and every family-specific walk reads that row.
 
 Every node class, here and in ``template``, follows one structural
 protocol, and the walks over syntax are written against it:
@@ -54,10 +56,10 @@ serialised.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import reduce
 from operator import attrgetter, or_
-from typing import Callable, Iterator, Mapping, Optional, Union, get_type_hints
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union, get_type_hints
 
 from .elements import Element, Std, Sym, add, elem_lt, mul, pred, std, succ
 
@@ -135,7 +137,10 @@ def _slot_methods(cls) -> None:
     through its slot's own setter, at half the cost of the dataclass's
     ``object.__setattr__``, sets the hash slot to None and runs
     ``__post_init__``. ``__hash__`` fills the hash slot with the dataclass
-    hash over the fields. Unpickling goes through the constructor."""
+    hash over the fields. Unpickling goes through the constructor.
+    Assigning or deleting any name raises ``FrozenInstanceError``: the
+    dataclass's own methods name the class that ``slots=True`` replaced,
+    so on a name that is not a field they fail with a ``TypeError``."""
     fs = fields(cls)
     env = {"cls": cls, "_set_h": Node._h.__set__, "_post": getattr(cls, "__post_init__", None)}
     for f in fs:
@@ -151,6 +156,15 @@ def _slot_methods(cls) -> None:
     for name in ("__init__", "__hash__", "__reduce__"):
         env[name].__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, env[name])
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+
+
+def _frozen_setattr(x, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(x, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _rebuild_binder(x, *kids):
@@ -163,6 +177,27 @@ class Sealed:
     structural protocol a box is a leaf."""
 
     __slots__ = ()
+
+
+class FamilyRef:
+    """A family's tower at a symbolic index, a closed leaf unfolded
+    lazily: ``SymTermRef`` for the term families, ``SymFormulaRef`` for
+    the formula ones. Its ``family`` names a row of ``FAMILIES``; every
+    reference answers ``payload``, None but on an ``eps`` one."""
+
+    __slots__ = ()
+
+    payload = None
+
+    def __post_init__(self):
+        sort = "term" if isinstance(self, Term) else "formula"
+        row = FAMILIES.get(self.family)
+        if row is None or row.ref is not type(self):
+            raise SyntaxError_(f"unknown {sort} family {self.family!r}")
+        if not isinstance(self.index, Sym):
+            raise SyntaxError_(f"{sort} family references require a symbolic index")
+        if row.payload != (self.payload is not None):
+            raise SyntaxError_("eps references carry a base formula, delta none")
 
 
 class Node:
@@ -229,21 +264,11 @@ OPERATIONS = {Succ: succ, Add: add, Mul: mul}
 
 
 @node
-class SymTermRef(Term):
-    """A closed term family of nonstandard height, unfolded lazily.
-
-    family "num": num(e) = Sc(num(e-1)), the numeral tower.
-    family "addtower": addtower(e) = addtower(e-1) + addtower(e-1).
-    """
+class SymTermRef(FamilyRef, Term):
+    """A term family's tower at a symbolic index; see ``FamilyRef``."""
 
     family: str
     index: Element
-
-    def __post_init__(self):
-        if self.family not in ("num", "addtower"):
-            raise SyntaxError_(f"unknown term family {self.family!r}")
-        if not isinstance(self.index, Sym):
-            raise SyntaxError_("term family references require a symbolic index")
 
 
 ZERO = Zero()
@@ -297,25 +322,12 @@ class Ex(Formula):
 
 
 @node
-class SymFormulaRef(Formula):
-    """A closed formula family of nonstandard depth, unfolded lazily.
-
-    family "delta": delta(e) = delta(e-1) v delta(e-1), bottoming out
-    (only at standard indices) in 0 != 0.
-    family "eps": eps(e) = eps(e-1) v eps(e-1) over eps(0) = not(phi v not phi).
-    """
+class SymFormulaRef(FamilyRef, Formula):
+    """A formula family's tower at a symbolic index; see ``FamilyRef``."""
 
     family: str
     index: Element
     payload: Optional[Formula] = None
-
-    def __post_init__(self):
-        if self.family not in ("delta", "eps"):
-            raise SyntaxError_(f"unknown formula family {self.family!r}")
-        if not isinstance(self.index, Sym):
-            raise SyntaxError_("formula family references require a symbolic index")
-        if (self.family == "eps") != (self.payload is not None):
-            raise SyntaxError_("eps references carry a base formula, delta none")
 
 
 # extended (abbreviation) connectives; the kernel accepts none of these
@@ -401,20 +413,9 @@ def is_primitive(x: Obj) -> bool:
 
 def unfold_ref(x: Obj) -> Obj:
     """One unfolding level of a family reference; identity elsewhere."""
-    if isinstance(x, SymTermRef):
-        below = pred(x.index)
-        child: Term
-        if isinstance(below, Std):
-            child = numeral(below) if x.family == "num" else _addtower_concrete(below.n)
-        else:
-            child = SymTermRef(x.family, below)
-        if x.family == "num":
-            return Succ(child)
-        return Add(child, child)
-    if isinstance(x, SymFormulaRef):
-        sub = or_tower(x.family, pred(x.index), x.payload)
-        return Or(sub, sub)
-    return x
+    if not isinstance(x, FamilyRef):
+        return x
+    return FAMILIES[x.family].level(tower(x.family, pred(x.index), x.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +609,8 @@ def _depth_step(x: Obj, kids: list) -> Optional[Element]:
         return _bump(kids[0])
     if isinstance(x, (BEx, BAll)):
         return _elem_max1(kids[1], std(1))
-    if isinstance(x, SymFormulaRef):
-        p = x.payload
-        return _offset(x.index, std(1) if p is None else fold(Not(Or(p, Not(p))), _depth_step))
+    if isinstance(x, FamilyRef):
+        return _offset(x.index, fold(FAMILIES[x.family].base(x.payload), _depth_step))
     raise SyntaxError_(f"depth: unknown node {x!r}")
 
 
@@ -652,12 +652,8 @@ def skeleton_depth(x: Obj) -> Element:
     body) pair. A node over children on distinct symbolic bases takes its
     depth from the child on the least base, so in the normal order of
     chain steps a container comes before each of its parts."""
-    if isinstance(x, SymTermRef):
-        return _offset(x.index, std(1))
-    if isinstance(x, SymFormulaRef):
-        if x.family == "delta":
-            return _offset(x.index, std(2))
-        return _offset(x.index, skeleton_depth(Not(Or(x.payload, Not(x.payload)))))
+    if isinstance(x, FamilyRef):
+        return _offset(x.index, skeleton_depth(FAMILIES[x.family].base(x.payload)))
     kids = x.children
     if not kids:
         return std(1)
@@ -670,57 +666,70 @@ def skeleton_depth(x: Obj) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# builders: numerals and the standard pathology families
-
-
-def numeral(a: Element) -> Term:
-    """num(0) = 0, num(succ a) = Sc(num(a)); lazy at symbolic indices."""
-    if isinstance(a, Sym):
-        return SymTermRef("num", a)
-    t: Term = ZERO
-    for _ in range(a.n):
-        t = Succ(t)
-    return t
-
-
-def _addtower_concrete(n: int) -> Term:
-    t: Term = ZERO
-    for _ in range(n):
-        t = Add(t, t)
-    return t
-
-
-def addtower(a: Element) -> Term:
-    if isinstance(a, Sym):
-        return SymTermRef("addtower", a)
-    return _addtower_concrete(a.n)
+# the tower families: one row each, and the builders that read it
 
 
 FALSUM = Not(Eq(ZERO, ZERO))
 
 
-def or_tower(family: str, a: Element | int, payload: Optional[Formula] = None) -> Formula:
-    """A formula family's disjunction tower of height a, over 0 != 0 for
-    "delta" and over not(payload or not payload) for "eps"; lazy at
-    symbolic indices."""
+class Family(NamedTuple):
+    """A tower family: the constructor each level adds, the tower at
+    height 0 as a function of the payload, and whether the family carries
+    a payload formula."""
+
+    head: type
+    base: Callable[[Optional[Formula]], Obj]
+    payload: bool = False
+
+    @property
+    def ref(self) -> type:
+        """The reference class, from the sort of the head."""
+        return SymTermRef if issubclass(self.head, Term) else SymFormulaRef
+
+    def level(self, x: Obj) -> Obj:
+        """One more level over the tower x: the head over x in each child."""
+        return self.head(x) if self.head is Succ else self.head(x, x)
+
+
+FAMILIES = {
+    "num": Family(Succ, lambda p: ZERO),
+    "addtower": Family(Add, lambda p: ZERO),
+    "delta": Family(Or, lambda p: FALSUM),
+    "eps": Family(Or, lambda p: Not(Or(p, Not(p))), payload=True),
+}
+
+
+def tower(family: str, a: Element | int, payload: Optional[Formula] = None) -> Obj:
+    """The family's tower of height a over the base its payload gives;
+    the reference at a symbolic index, built level by level otherwise."""
+    row = FAMILIES[family]
     if isinstance(a, int):
         a = std(a)
     if isinstance(a, Sym):
-        return SymFormulaRef(family, a, payload)
-    f: Formula = FALSUM if family == "delta" else Not(Or(payload, Not(payload)))
+        return row.ref(family, a) if payload is None else row.ref(family, a, payload)
+    x = row.base(payload)
     for _ in range(a.n):
-        f = Or(f, f)
-    return f
+        x = row.level(x)
+    return x
+
+
+# the public builders, one family's tower each
+
+
+def numeral(a: Element) -> Term:
+    return tower("num", a)
+
+
+def addtower(a: Element) -> Term:
+    return tower("addtower", a)
 
 
 def delta(a: Element | int) -> Formula:
-    """The disjunction tower over 0 != 0; lazy at symbolic indices."""
-    return or_tower("delta", a)
+    return tower("delta", a)
 
 
 def epsilon(a: Element | int, phi: Formula) -> Formula:
-    """The disjunction tower over not(phi or not phi)."""
-    return or_tower("eps", a, phi)
+    return tower("eps", a, phi)
 
 
 def subobjects(x) -> Iterator:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Union
 
 from . import syntax as sx
 from .congruence import skeleton_congruent
-from .elements import Element, Sym
+from .elements import Element, Sym, succ
 from .coding import code_key
 
 
@@ -194,9 +194,9 @@ def normalize(f: ApproxChain) -> ApproxChain:
 
 
 def is_subobject(small: sx.Obj, big: sx.Obj) -> bool:
-    if isinstance(big, (sx.SymTermRef, sx.SymFormulaRef)):
+    if isinstance(big, sx.FamilyRef):
         if isinstance(small, type(big)) and small.family == big.family:
-            if getattr(small, "payload", None) != getattr(big, "payload", None):
+            if small.payload != big.payload:
                 return False
             try:
                 from .elements import elem_lt
@@ -205,33 +205,20 @@ def is_subobject(small: sx.Obj, big: sx.Obj) -> bool:
                 return False
         # concrete pieces of a tower live at nonstandard depth
         return _in_family_closure(small, big)
-    if isinstance(small, (sx.SymTermRef, sx.SymFormulaRef)):
+    if isinstance(small, sx.FamilyRef):
         return False
     return any(small == o for o in sx.subobjects(big))
 
 
-def _in_family_closure(small: sx.Obj, big) -> bool:
-    if isinstance(big, sx.SymFormulaRef):
-        if big.family == "delta":
-            return _is_tower(small, sx.Or, (sx.FALSUM, sx.Eq(sx.ZERO, sx.ZERO), sx.ZERO))
-        base = sx.Not(sx.Or(big.payload, sx.Not(big.payload)))
-        return _is_tower(small, sx.Or, (base,)) or any(small == o for o in sx.subobjects(base))
-    if big.family == "num":
-        return _is_succ_tower(small)
-    return _is_tower(small, sx.Add, (sx.ZERO,))
-
-
-def _is_tower(x: sx.Obj, cls: type, bases: tuple) -> bool:
-    """Is x a stack of ``cls`` nodes, each over two equal halves, on a base?"""
-    while isinstance(x, cls) and x.left == x.right:
-        x = x.left
-    return x in bases
-
-
-def _is_succ_tower(t: sx.Obj) -> bool:
-    while isinstance(t, sx.Succ):
-        t = t.arg
-    return isinstance(t, sx.Zero)
+def _in_family_closure(small: sx.Obj, big: sx.FamilyRef) -> bool:
+    """Is small a concrete tower of big's family, its levels' children
+    one object each, over big's base, or a part of that base?"""
+    row = sx.FAMILIES[big.family]
+    base = row.base(big.payload)
+    x = small
+    while type(x) is row.head and (kids := x.children).count(kids[0]) == len(kids):
+        x = kids[0]
+    return x == base or any(small == o for o in sx.subobjects(base))
 
 
 def is_normal(f: ApproxChain) -> bool:
@@ -335,15 +322,14 @@ def _refold_step(x: TObj, kids: list) -> sx.Obj:
 
 
 def _fold_tower(x: sx.Obj) -> sx.Obj:
-    from .elements import succ as esucc
+    """x one level above a family reference, when it is that family's
+    level over it (its head over the reference in every child), folds to
+    the reference at the next index; any other x stays."""
+    kids = x.children
     # the reference test comes first: == recurses through deep equal halves
-    if isinstance(x, sx.Or) and isinstance(x.left, sx.SymFormulaRef) and x.left == x.right:
-        return sx.SymFormulaRef(x.left.family, esucc(x.left.index), x.left.payload)
-    if isinstance(x, sx.Succ) and isinstance(x.arg, sx.SymTermRef) and x.arg.family == "num":
-        return sx.SymTermRef("num", esucc(x.arg.index))
-    if isinstance(x, sx.Add) and isinstance(x.left, sx.SymTermRef) \
-            and x.left.family == "addtower" and x.left == x.right:
-        return sx.SymTermRef("addtower", esucc(x.left.index))
+    if kids and isinstance(r := kids[0], sx.FamilyRef) \
+            and type(x) is sx.FAMILIES[r.family].head and kids.count(r) == len(kids):
+        return sx.tower(r.family, succ(r.index), r.payload)
     return x
 
 

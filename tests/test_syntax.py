@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ import satkit.syntax as sx
 import satkit.template as tp
 from satkit.coding import code_key, godel_decode, godel_encode
 from satkit.congruence import skeleton_congruent
-from satkit.elements import Std, Sym, std, sym
+from satkit.elements import Std, Sym, pred, std, subst_base, succ, sym
 from satkit.kernel import (
     DEFAULT_SAMPLES, TEMPLATE_POLICY, KernelError, Proof, Sequent, bases_of, check,
     subst_elem_in_obj,
@@ -603,6 +604,8 @@ class TestConstructor:
     def test_every_node_class_is_declared(self):
         assert set(DECLARED) == _node_classes()
         assert sx.SymFormulaRef("delta", sym("a")).payload is None
+        # every family reference answers payload, a term one from its class
+        assert sx.SymTermRef("num", sym("a")).payload is None
 
     @pytest.mark.parametrize("x", TestProtocol.EXAMPLES, ids=lambda x: type(x).__name__)
     def test_fields_and_defaults_are_as_declared(self, x):
@@ -632,9 +635,12 @@ class TestConstructor:
     def test_replace_and_frozen(self, x):
         y = dataclasses.replace(x)
         assert y == x and y is not x and type(y) is type(x)
-        for f in dataclasses.fields(x):
+        # a fact slot and a name that is no field at all raise as a field does
+        for name in (*(f.name for f in dataclasses.fields(x)), "_h", "_fv", "anything"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(x, f.name, getattr(x, f.name))
+                setattr(x, name, getattr(x, name, None))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
         if x.children:
             new = tuple(sx.Not(k) if isinstance(k, sx.Formula) else sx.Succ(k)
                         for k in x.children)
@@ -819,3 +825,271 @@ class TestFoldedWalks:
         assert not sx.is_primitive(boxed) and not sx.is_primitive(sx.Or(alternation, inner))
         refolded = tp.refold(boxed)
         assert sum(1 for y in sx.subobjects(refolded) if type(y) is sx.Imp) == 1
+
+
+# the per-family code that the rows of ``sx.FAMILIES`` replaced, kept as
+# references: the four builders, one unfolding level, the refold of one
+# level, the family closure and the reference branches of the depths
+
+
+def _ref_numeral(a):
+    if isinstance(a, Sym):
+        return sx.SymTermRef("num", a)
+    t = sx.ZERO
+    for _ in range(a.n):
+        t = sx.Succ(t)
+    return t
+
+
+def _ref_addtower_concrete(n):
+    t = sx.ZERO
+    for _ in range(n):
+        t = sx.Add(t, t)
+    return t
+
+
+def _ref_addtower(a):
+    if isinstance(a, Sym):
+        return sx.SymTermRef("addtower", a)
+    return _ref_addtower_concrete(a.n)
+
+
+def _ref_or_tower(family, a, payload=None):
+    if isinstance(a, int):
+        a = std(a)
+    if isinstance(a, Sym):
+        return sx.SymFormulaRef(family, a, payload)
+    f = sx.FALSUM if family == "delta" else sx.Not(sx.Or(payload, sx.Not(payload)))
+    for _ in range(a.n):
+        f = sx.Or(f, f)
+    return f
+
+
+_REF_BUILDERS = {
+    "num": lambda a, p: _ref_numeral(a),
+    "addtower": lambda a, p: _ref_addtower(a),
+    "delta": lambda a, p: _ref_or_tower("delta", a),
+    "eps": lambda a, p: _ref_or_tower("eps", a, p),
+}
+
+# the public builders, which tests and the README call
+_PUBLIC_BUILDERS = {
+    "num": lambda a, p: sx.numeral(a),
+    "addtower": lambda a, p: sx.addtower(a),
+    "delta": lambda a, p: sx.delta(a),
+    "eps": sx.epsilon,
+}
+
+
+def _ref_unfold_ref(x):
+    if isinstance(x, sx.SymTermRef):
+        below = pred(x.index)
+        if isinstance(below, Std):
+            child = _ref_numeral(below) if x.family == "num" else _ref_addtower_concrete(below.n)
+        else:
+            child = sx.SymTermRef(x.family, below)
+        if x.family == "num":
+            return sx.Succ(child)
+        return sx.Add(child, child)
+    if isinstance(x, sx.SymFormulaRef):
+        sub = _ref_or_tower(x.family, pred(x.index), x.payload)
+        return sx.Or(sub, sub)
+    return x
+
+
+def _ref_fold_tower(x):
+    if isinstance(x, sx.Or) and isinstance(x.left, sx.SymFormulaRef) and x.left == x.right:
+        return sx.SymFormulaRef(x.left.family, succ(x.left.index), x.left.payload)
+    if isinstance(x, sx.Succ) and isinstance(x.arg, sx.SymTermRef) and x.arg.family == "num":
+        return sx.SymTermRef("num", succ(x.arg.index))
+    if isinstance(x, sx.Add) and isinstance(x.left, sx.SymTermRef) \
+            and x.left.family == "addtower" and x.left == x.right:
+        return sx.SymTermRef("addtower", succ(x.left.index))
+    return x
+
+
+def _ref_in_family_closure(small, big):
+    if isinstance(big, sx.SymFormulaRef):
+        if big.family == "delta":
+            return _ref_is_tower(small, sx.Or, (sx.FALSUM, sx.Eq(sx.ZERO, sx.ZERO), sx.ZERO))
+        base = sx.Not(sx.Or(big.payload, sx.Not(big.payload)))
+        return _ref_is_tower(small, sx.Or, (base,)) or any(small == o for o in sx.subobjects(base))
+    if big.family == "num":
+        return _ref_is_succ_tower(small)
+    return _ref_is_tower(small, sx.Add, (sx.ZERO,))
+
+
+def _ref_is_tower(x, cls, bases):
+    while isinstance(x, cls) and x.left == x.right:
+        x = x.left
+    return x in bases
+
+
+def _ref_is_succ_tower(t):
+    while isinstance(t, sx.Succ):
+        t = t.arg
+    return isinstance(t, sx.Zero)
+
+
+def _ref_skeleton_depth(x):
+    """The family branches of skeleton_depth; a delta reference's is one
+    short (the fix the property below names)."""
+    if isinstance(x, sx.SymTermRef):
+        return sx._offset(x.index, std(1))
+    if x.family == "delta":
+        return sx._offset(x.index, std(2))
+    return sx._offset(x.index, sx.skeleton_depth(sx.Not(sx.Or(x.payload, sx.Not(x.payload)))))
+
+
+def _delta_over_a_part(small, big):
+    """The fixed closure verdict: the delta closure took an Or tower over
+    0 = 0 or over 0, the parts of its base, and now takes only towers
+    over 0 != 0 itself."""
+    if big.family != "delta":
+        return False
+    x = small
+    while isinstance(x, sx.Or) and x.left == x.right:
+        x = x.left
+    return x is not small and x in (sx.Eq(sx.ZERO, sx.ZERO), sx.ZERO)
+
+
+_FAMILY_PAYLOADS = (
+    sx.Eq(sx.ZERO, sx.ZERO), sx.FALSUM, sx.Eq(sx.const(sym("b")), v(1)),
+    tp.TemplForm(sx.Eq(v(0), sx.ZERO)), sx.Or(tp.TemplForm(sx.FALSUM), sx.Eq(tp.TemplTerm(v(2)), v(2))),
+)
+
+
+def _random_payload(rng, family):
+    return rng.choice(_FAMILY_PAYLOADS) if family == "eps" else None
+
+
+def _random_index(rng):
+    if rng.random() < 0.4:
+        return std(rng.randrange(5))
+    return Sym(rng.choice("ab"), rng.choice((Fraction(1), Fraction(2), Fraction(1, 2))),
+               rng.randint(-3, 3))
+
+
+def _random_ref(rng):
+    family = rng.choice(sorted(sx.FAMILIES))
+    a = Sym(rng.choice("ab"), rng.choice((Fraction(1), Fraction(2))), rng.randint(-3, 3))
+    return _REF_BUILDERS[family](a, _random_payload(rng, family))
+
+
+def _random_tower_part(rng):
+    """A concrete tower of any family, at times a part of one, or a level
+    whose halves differ, or an Or tower over a part of 0 != 0."""
+    family = rng.choice(sorted(sx.FAMILIES))
+    x = _REF_BUILDERS[family](std(rng.randrange(4)), _random_payload(rng, family))
+    r = rng.random()
+    if r < 0.15:
+        x = rng.choice(list(sx.subobjects(x)))
+    elif r < 0.3:
+        low = _REF_BUILDERS[family](std(rng.randrange(2)), _random_payload(rng, family))
+        x = x.rebuild(*[rng.choice((k, low)) for k in x.children]) if x.children else x
+    elif r < 0.4:
+        x = rng.choice((sx.Eq(sx.ZERO, sx.ZERO), sx.ZERO))
+        for _ in range(rng.randrange(4)):
+            x = sx.Or(x, x)
+    elif r < 0.45:
+        x = _random_ref(rng)
+    return x
+
+
+def _random_level(rng):
+    """A node over family references, at times one reference in every
+    child (shared or equal), at times mixed ones or other children."""
+    head = rng.choice((sx.Succ, sx.Add, sx.Mul, sx.Or, sx.Not, sx.Eq))
+    r = _random_ref(rng)
+    n = len(dataclasses.fields(head))
+    if rng.random() < 0.6:
+        kids = [r] + [rng.choice((r, dataclasses.replace(r))) for _ in range(n - 1)]
+    else:
+        kids = [rng.choice((r, _random_ref(rng), _random_tower_part(rng))) for _ in range(n)]
+    return head(*kids)
+
+
+def _outcomes(fn, x):
+    try:
+        y = fn(x)
+    except sx.SyntaxError_ as err:
+        return type(err), str(err)
+    return y, repr(y), type(y)
+
+
+class TestFamilies:
+    """Every family-specific walk reads the family's row; the per-family
+    code it replaced is the reference."""
+
+    def test_rows_give_the_public_builders(self):
+        a = sym("a")
+        for family, row in sx.FAMILIES.items():
+            p = _FAMILY_PAYLOADS[-1] if row.payload else None
+            assert sx.tower(family, std(0), p) == row.base(p)
+            assert type(sx.tower(family, a, p)) is row.ref
+            for h in (std(0), std(3), a, Sym("a", 2, -1)):
+                want = _REF_BUILDERS[family](h, p)
+                assert repr(sx.tower(family, h, p)) == repr(want)
+                assert repr(_PUBLIC_BUILDERS[family](h, p)) == repr(want)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_family_walks_agree_with_the_references(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            family = rng.choice(sorted(sx.FAMILIES))
+            h, p = _random_index(rng), _random_payload(rng, family)
+            got, want = sx.tower(family, h, p), _REF_BUILDERS[family](h, p)
+            assert type(got) is type(want) and repr(got) == repr(want)
+            ref, small = _random_ref(rng), _random_tower_part(rng)
+            for x in (ref, small):
+                assert _outcomes(sx.unfold_ref, x) == _outcomes(_ref_unfold_ref, x)
+            want = _ref_skeleton_depth(ref)
+            if ref.family == "delta":  # fixed: one short
+                want = succ(want)
+            assert sx.skeleton_depth(ref) == want
+            if isinstance(ref, sx.Formula):  # a boxed payload has no depth
+                assert _outcomes(sx.depth, ref) == _outcomes(_ref_depth, ref)
+            verdict = _ref_in_family_closure(small, ref)
+            if _delta_over_a_part(small, ref):  # fixed: never inside delta
+                verdict = False
+            assert tp._in_family_closure(small, ref) is verdict
+            x = _random_level(rng)
+            assert _outcomes(tp._fold_tower, x) == _outcomes(_ref_fold_tower, x)
+
+    def test_the_draws_reach_every_family_and_verdict(self):
+        rng = random.Random(4)
+        closure = {(f, v): 0 for f in sx.FAMILIES for v in (True, False)}
+        folds = {(f, v): 0 for f in sx.FAMILIES for v in (True, False)}
+        fixed = 0
+        for _ in range(3000):
+            ref, small = _random_ref(rng), _random_tower_part(rng)
+            closure[ref.family, tp._in_family_closure(small, ref)] += 1
+            fixed += _delta_over_a_part(small, ref)
+            x = _random_level(rng)
+            kids = [k for k in x.children if isinstance(k, sx.FamilyRef)]
+            for family in {k.family for k in kids}:
+                folds[family, tp._fold_tower(x) != x] += 1
+        assert all(n >= 20 for n in closure.values()), closure
+        assert all(n >= 20 for n in folds.values()), folds
+        assert fixed >= 20
+
+    def test_references_agree_with_their_instances(self):
+        # at a := n, a reference at a + k has its instance's depths, is
+        # instantiated to it, refolds from its unfolding and reads back
+        # from its printed form
+        p = sx.Eq(sx.ZERO, sx.Succ(sx.ZERO))
+        for family, row in sx.FAMILIES.items():
+            payload = p if row.payload else None
+            for k in range(4):
+                ref = sx.tower(family, Sym("a", 1, k), payload)
+                assert tp.refold(sx.unfold_ref(ref)) == ref
+                text = sexpr.print_obj(ref)
+                assert sexpr.parse_obj(sexpr.read_one(text)) == ref
+                for n in range(7):
+                    concrete = sx.tower(family, std(n + k), payload)
+                    assert subst_base(sx.skeleton_depth(ref), "a", Std(n)) == \
+                        sx.skeleton_depth(concrete), (family, k, n)
+                    if isinstance(ref, sx.Formula):
+                        assert subst_base(sx.depth(ref), "a", Std(n)) == sx.depth(concrete)
+                    assert subst_elem_in_obj(ref, "a", Std(n), {}) == concrete

@@ -237,6 +237,11 @@ class TestNormalize:
         assert tp.is_subobject(phi, sx.epsilon(a, phi))
         assert not tp.is_subobject(sx.Or(sx.delta(2), sx.delta(1)), sx.delta(a))
         assert not tp.is_subobject(sx.Add(sx.addtower(std(1)), sx.ZERO), sx.addtower(a))
+        # a tower over a part of delta's base is not a delta tower
+        true = sx.Eq(sx.ZERO, sx.ZERO)
+        assert not tp.is_subobject(sx.Or(true, true), sx.delta(a))
+        assert not tp.is_normal(tp.chain(sx.delta(1), sx.delta(a)))
+        assert tp.is_normal(tp.chain(sx.Or(true, true), sx.delta(a)))
 
 
 class TestUniformUnion:
