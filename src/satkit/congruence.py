@@ -165,17 +165,31 @@ def skeleton_congruent(x: sx.Obj, y: sx.Obj) -> bool:
     indices agree. Approximating steps act on these closure classes: that
     is what keeps unfolding stable under constant substitution, which the
     substitution-commutation law requires. An abbreviation, which a box
-    may hold, relates as every other inner node does.
+    may hold, relates as every other inner node does. Each object's class
+    has an id, ``class_id``, so two objects relate exactly when their ids
+    are equal.
     """
-    if type(x) is not type(y):
-        return type(x) in _ATOMS and type(y) in _ATOMS
+    return class_id(x) == class_id(y)
+
+
+# One id per closure class, numbered as first met. An inner node's key is
+# its type, its binder index (None on a non-binder) and its children's ids;
+# the atoms share one key; every other leaf (a family reference, a box)
+# relates only to its equals and is its own key.
+_CLASSES: dict = {_ATOMS: 0}
+
+
+def _class_of(x: sx.Obj) -> int:
     kids = x.children
-    if not kids:
-        # other leaves (family references, template symbols) are opaque
-        return type(x) in _ATOMS or x == y
-    if x.scope and x.index != y.index:
-        return False
-    return all(map(skeleton_congruent, kids, y.children))
+    if kids:
+        key = (type(x), x.index if x.scope else None, *map(class_id, kids))
+    else:
+        key = _ATOMS if type(x) in _ATOMS else x
+    return _CLASSES.setdefault(key, len(_CLASSES))
+
+
+# x's closure class; cached per node
+class_id = sx.fact("_cc", _class_of)
 
 
 # ---------------------------------------------------------------------------

@@ -362,10 +362,13 @@ def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):
     """Replay a certificate under parameter instantiation.
 
     ``inst`` instantiates one formula through the caller's memo, so a
-    formula that recurs across lines is instantiated once. Substitution
-    can disturb the code-canonical disjunction orderings, so hypothesis
-    lines are re-derived from the instantiated canonical forms and the
-    final line is regrouped onto the instantiated goal.
+    formula that recurs across lines is instantiated once. Instantiation
+    commutes with the axiom schemes and with modus ponens, so an axiom or
+    modus ponens line is its instance, citing the remapped lines, and is
+    emitted as it is; the checker re-checks every line at every sample.
+    Substitution can disturb the code-canonical disjunction orderings, so
+    hypothesis lines are re-derived from the instantiated canonical forms
+    and the final line is regrouped onto the instantiated goal.
     """
     from .propcalc import CertBuilder, PropError
     b = CertBuilder()
@@ -383,12 +386,12 @@ def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):
                 remap[i] = b.mp(k, j)
         elif tag == "ax":
             _, scheme, form, args = line.just
-            remap[i] = b.ax(scheme, form, tuple(inst(a) for a in args))
+            remap[i] = b._emit(f2, ("ax", scheme, form, tuple(map(inst, args))))
         elif tag == "ax-fo":
             remap[i] = b._emit(f2, ("ax-fo",))
         elif tag == "mp":
             _, j, k = line.just
-            remap[i] = b.mp(remap[j], remap[k])
+            remap[i] = b._emit(f2, ("mp", remap[j], remap[k]))
         else:
             raise PropError(f"cannot instantiate justification {tag!r}")
     last = remap[len(cert.lines) - 1]
@@ -785,7 +788,12 @@ class _Checker:
         if rule.match(p) is None:
             self.fail(path, rule.mismatch)
             return None
-        heights = [self.check(q, path + (i,), params) for i, q in enumerate(p.premises)]
+        # a plain loop, not a comprehension: a comprehension is one more
+        # frame per proof level (before Python 3.12), which cost a third
+        # of the height the checker reaches at the default recursion limit
+        heights = []
+        for i, q in enumerate(p.premises):
+            heights.append(self.check(q, path + (i,), params))
         return None if None in heights else max(heights) + 1
 
     def _block_info(self, p, path) -> bool:

@@ -38,8 +38,10 @@ fact through one protocol: ``fact(slot, compute)`` is the getter that
 reads the slot and, on a miss, stores ``compute(x)``. No fact is
 ``None``, so ``None`` means not filled yet. The facts are the
 hash and free variables here, the template flag in ``template`` (which
-also caches a rejection: the first abbreviation outside a box) and the
-parameter bases in ``kernel``, each from the children's; and the keys of
+also caches a rejection: the first abbreviation outside a box), the
+parameter bases in ``kernel`` and the congruence class id in
+``congruence`` (whose table of classes also lives only in this process),
+each from the children's; and the keys of
 the canonical orders, the code key in ``coding`` (the disjunction order)
 and the step key in ``template`` (the chain order), each from the node as
 a whole and filled only on the nodes that get sorted. Facts are filled
@@ -76,10 +78,12 @@ class CaptureRisk(SyntaxError_):
 # immutable nodes with cached facts
 
 # the slots every node carries: its hash, free variables (read through
-# template symbols), template flag, parameter bases, code key and
-# chain-step key; the hash is None until __hash__ fills it, the others
-# unset until first asked for, so read them through fact()
-FACT_SLOTS = ("_h", "_fv", "_tm", "_bs", "_ck", "_sk")
+# template symbols), template flag, parameter bases, code key, chain-step
+# key and congruence class id (``congruence.class_id``, which the
+# approximation walks and chain normalization read); the hash is None
+# until __hash__ fills it, the others unset until first asked for, so
+# read them through fact()
+FACT_SLOTS = ("_h", "_fv", "_tm", "_bs", "_ck", "_sk", "_cc")
 
 EMPTY: frozenset = frozenset()
 _CANONICAL: dict[frozenset, frozenset] = {EMPTY: EMPTY}
@@ -701,8 +705,11 @@ FAMILIES = {
 
 def tower(family: str, a: Element | int, payload: Optional[Formula] = None) -> Obj:
     """The family's tower of height a over the base its payload gives;
-    the reference at a symbolic index, built level by level otherwise."""
+    the reference at a symbolic index, built level by level otherwise.
+    The payload is checked against the family's row at every index."""
     row = FAMILIES[family]
+    if row.payload != (payload is not None):
+        raise SyntaxError_("eps references carry a base formula, delta none")
     if isinstance(a, int):
         a = std(a)
     if isinstance(a, Sym):

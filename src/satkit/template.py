@@ -8,6 +8,16 @@ containers unfold before their parts; the canonical normal order used
 here is descending skeleton depth with code/text tie-breaks, which makes
 chain unions absorbing.
 
+A chain is applied in one walk, not one walk per step. Each object's
+congruence class has an id (``congruence.class_id``, cached per node), and
+the chain's steps are indexed by it once per chain: a box opens at the first step
+from its start on whose target is in its object's class, and the boxes it
+opens into start at the step after. That is what running the steps one
+after another does, since a step acts on each box alone and a box made by
+step j meets only the steps after j; so applying a chain costs its output's
+size, not the chain's length times it. Normalization keeps the first step
+of each class through a set of their ids.
+
 Approximations keep their input's sharing: a walk steps a child once when
 it is the same object as its sibling before it, so a tower's ``Add(c, c)``
 or ``Or(s, s)`` unfolds to one shared box and stays a DAG of O(depth) nodes.
@@ -15,11 +25,13 @@ or ``Or(s, s)`` unfolds to one shared box and stays a DAG of O(depth) nodes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from . import syntax as sx
-from .congruence import skeleton_congruent
+from .congruence import class_id, skeleton_congruent
 from .elements import Element, Sym, succ
 from .coding import code_key
 
@@ -117,7 +129,8 @@ def f_step(tau: sx.Obj, x: TObj) -> TObj:
     """Unfold every template leaf whose object is congruent to tau.
 
     A subtree with no template leaf congruent to tau is returned as it
-    is; a node is rebuilt only when one of its children changed."""
+    is; a node is rebuilt only when one of its children changed. A chain
+    of steps is applied by ``apply_chain``, in one walk, not by this."""
     if not has_templates(x):  # raises on an abbreviation
         return x
     if isinstance(x, sx.Sealed):
@@ -148,15 +161,60 @@ class ApproxChain:
     def __iter__(self):
         return iter(self.steps)
 
+    @cached_property
+    def _by_class(self) -> dict[int, list[int]]:
+        # each class id's step indices, ascending; indexed once per chain
+        at: dict[int, list[int]] = {}
+        for j, tau in enumerate(self.steps):
+            at.setdefault(class_id(tau), []).append(j)
+        return at
+
+    def __getstate__(self):
+        # class ids live only in this process: pickle the steps alone
+        return {"steps": self.steps}
+
 
 def chain(*steps: sx.Obj) -> ApproxChain:
     return ApproxChain(tuple(steps))
 
 
 def apply_chain(f: ApproxChain, x: TObj) -> TObj:
-    for tau in f.steps:
-        x = f_step(tau, x)
-    return x
+    """x after the chain's steps, left to right, in one walk.
+
+    A step acts on each box alone, and a box that step j makes meets only
+    the steps after j. So each box opens at the first step, from its start
+    on, whose target is congruent to its object, and the boxes it opens
+    into start at the step after; a box that no such step meets stays
+    sealed. The walk gives every box that fate directly, through the
+    chain's index of its steps by class, so it costs the output's size
+    instead of one walk of x per step. Raises TemplateError on an
+    abbreviation outside a template symbol, unless the chain is empty."""
+    # the walk's first has_templates raises on an abbreviation
+    return _walk(x, 0, f._by_class) if f.steps else x
+
+
+def _walk(x: TObj, start: int, at: dict) -> TObj:
+    # x after the steps from start on; ``at`` maps a class id to its steps'
+    # indices, ascending. A subtree with no box is returned as it is, and
+    # a node is rebuilt only when it was opened or one of its children
+    # changed
+    if isinstance(x, sx.Sealed):
+        steps = at.get(class_id(x.obj), ())
+        i = bisect_left(steps, start)
+        if i == len(steps):
+            return x
+        x, start = _unfold(x.obj), steps[i] + 1
+    if not has_templates(x):
+        return x
+    changed = False
+    new = []
+    prev = None
+    for k in x.children:  # a child that is its sibling is walked once
+        y = new[-1] if k is prev else _walk(k, start, at)
+        changed = changed or y is not k
+        new.append(y)
+        prev = k
+    return x.rebuild(*new) if changed else x
 
 
 def apply_to_object(f: ApproxChain, obj: sx.Obj) -> TObj:
@@ -180,12 +238,11 @@ _sort_key = sx.fact("_sk", _step_key)
 
 
 def _dedup_congruent(steps: Iterable[sx.Obj]) -> list[sx.Obj]:
-    # one step per closure class; congruent steps have the same action
-    out: list[sx.Obj] = []
+    # the first step of each closure class, in order; congruent steps act alike
+    first: dict[int, sx.Obj] = {}
     for s in steps:
-        if not any(skeleton_congruent(s, t) for t in out):
-            out.append(s)
-    return out
+        first.setdefault(class_id(s), s)
+    return list(first.values())
 
 
 def normalize(f: ApproxChain) -> ApproxChain:

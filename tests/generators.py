@@ -84,6 +84,14 @@ def random_templated(rng: random.Random, depth: int, bases: str = "pq") -> sx.Ob
     return go(random_formula(rng, depth), True)
 
 
+def reatom(rng: random.Random, x: sx.Obj) -> sx.Obj:
+    """x with every constant and variable outside its boxes replaced by a
+    random one: congruent to x, and mostly unequal to it."""
+    atoms = (sx.ZERO, sx.const(std(1)), sx.const(std(2)), sx.Var(0), sx.Var(3))
+    return sx.fold(x, lambda y, kids: rng.choice(atoms)
+                   if isinstance(y, (sx.Zero, sx.Const, sx.Var)) else y.rebuild(*kids))
+
+
 # ---------------------------------------------------------------------------
 # bounded sentences in the extended syntax, plus a direct evaluator
 

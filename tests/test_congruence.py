@@ -10,14 +10,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satkit.syntax as sx
 from satkit.congruence import (
-    IllDefined, KindMismatch, build_quotient, generalize, is_congruent,
-    subterm_closure,
+    IllDefined, KindMismatch, build_quotient, class_id, generalize, is_congruent,
+    skeleton_congruent, subterm_closure,
 )
 from satkit.elements import Std, std
-from generators import random_formula, random_term
+from generators import random_formula, random_templated, random_term, reatom
 
 
 def c(n):
@@ -252,6 +254,27 @@ class TestEquivalenceLaws:
             assert is_congruent(fa, fb)
             assert is_congruent(fb, fc)
             assert is_congruent(fa, fc)
+
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_congruent_objects_share_a_class_id(self, seed):
+        # the closure classes contain pattern-relatedness: two congruent
+        # objects and their generalization's pattern have one class id, and
+        # an object's class is its skeleton's, whatever its atoms
+        rng = random.Random(seed)
+        x = random_templated(rng, 3)
+        for y in (random_templated(rng, 3), reatom(rng, x)):
+            g = generalize(x, y) if isinstance(y, sx.Formula) else None
+            if g is not None:
+                assert class_id(g.pattern) == class_id(x) == class_id(y)
+            assert (class_id(x) == class_id(y)) == skeleton_congruent(x, y)
+        assert class_id(reatom(rng, x)) == class_id(x)
+        # binder indices are part of the skeleton
+        rebound = sx.fold(x, lambda y, kids: y.rebuild(*kids) if not y.scope
+                          else type(y)(y.index + 1, *kids))
+        binds = any(y.scope for y in sx.subobjects(x))
+        assert (class_id(rebound) != class_id(x)) == binds
 
 
 # ---------------------------------------------------------------------------

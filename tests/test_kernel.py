@@ -693,6 +693,17 @@ class TestProofProtocol:
         assert sum(1 for _ in subobjects(q)) == 3001 and len(tr.traces) == 3001
 
 
+    def test_checker_height_at_the_default_recursion_limit(self):
+        # the checker recurses once per proof level; with the premise
+        # heights collected in a comprehension, one frame more per level,
+        # a chain of 340 levels already raised RecursionError
+        p = Proof(seq(ZERO_EQ), "axiom3")
+        for k in range(1, 451):
+            p = Proof(seq(*p.conclusion, e(c(k), c(k))), "weak", (p,))
+        rep = check(p)
+        assert rep.ok and rep.height == 450
+
+
 def schema_block_proof(rule, info):
     """An m-rule over q concluding not ex v0 not ex v1 (v1 = v0), whose
     schema introduces ex v1 (v1 = c_q) by ``rule`` with side data ``info``

@@ -9,7 +9,8 @@ import satkit.syntax as sx
 from satkit import sexpr
 from satkit.corpus import base_corpus, mprop_entries
 from satkit.elements import std
-from satkit.kernel import RulePolicy, check, subst_param_proof, vee
+from satkit import kernel
+from satkit.kernel import RulePolicy, bases_of, check, subst_param_proof, vee
 from satkit.propcalc import (
     CertLine, Exhausted, PropCertificate, PropError, axiom_instance, certificate_errors,
     check_certificate, derive_or_search, expand_pf, extract_hypotheses, imp,
@@ -415,6 +416,137 @@ class TestClosureByJustification:
                 assert ok == _recheck_unlabelled_cubic(cert, accept.__contains__, fo)
                 verdicts.add(ok)
         assert verdicts == {True, False}
+
+
+def _ref_subst_certificate(cert, inst, hyp_map, goal):
+    """The earlier replay, which rebuilt each axiom line from its
+    instantiated arguments and each modus ponens line from its cited
+    implication."""
+    from satkit.propcalc import CertBuilder
+    b = CertBuilder()
+    remap = {}
+    for i, line in enumerate(cert.lines):
+        f2 = inst(line.formula)
+        tag = line.just[0]
+        if tag == "hyp":
+            canon = hyp_map.get(line.formula)
+            if canon is None or canon == f2:
+                remap[i] = b.hyp(f2 if canon is None else canon)
+            else:
+                j = b.hyp(canon)
+                k = b.tree_implication(canon, f2)
+                remap[i] = b.mp(k, j)
+        elif tag == "ax":
+            _, scheme, form, args = line.just
+            remap[i] = b.ax(scheme, form, tuple(inst(a) for a in args))
+        elif tag == "ax-fo":
+            remap[i] = b._emit(f2, ("ax-fo",))
+        elif tag == "mp":
+            _, j, k = line.just
+            remap[i] = b.mp(remap[j], remap[k])
+        else:
+            raise PropError(f"cannot instantiate justification {tag!r}")
+    last = remap[len(cert.lines) - 1]
+    if b.lines[last].formula != goal:
+        k = b.tree_implication(b.lines[last].formula, goal)
+        b.mp(k, last)
+    return b.certificate(goal)
+
+
+def _uniform_nodes(p):
+    return [q for q in sx.subobjects(p) if q.uniform is not None]
+
+
+def _certified_corpus():
+    """The certified base corpus and the mprop entries, with the policy
+    each checks under."""
+    for entry in base_corpus():
+        yield to_certified_calculus(entry.proof), RulePolicy(
+            allow_prop=True, extra_axioms=entry.policy.extra_axioms)
+    for entry in mprop_entries():
+        yield entry.proof, entry.policy
+
+
+def _path_to(p, target, path=()):
+    """The checker's path from p to the node target, through premises
+    only; None when target is not among them."""
+    if p is target:
+        return path
+    for i, q in enumerate(p.premises):
+        got = _path_to(q, target, path + (i,))
+        if got is not None:
+            return got
+    return None
+
+
+def _replace_at(p, path, new):
+    if not path:
+        return new
+    prems = list(p.premises)
+    prems[path[0]] = _replace_at(prems[path[0]], path[1:], new)
+    return p.rebuild(p.conclusion, prems + ([p.uniform.schema] if p.uniform else []))
+
+
+class TestInstanceReplay:
+    """A certificate is replayed at a sample with its axiom and modus
+    ponens lines instantiated in place; the earlier replay is the
+    reference."""
+
+    def test_same_lines_as_the_rebuilding_replay_at_every_sample(self, monkeypatch):
+        calls = []
+        replay = kernel._subst_certificate
+
+        def recorded(cert, inst, hyp_map, goal):
+            got = replay(cert, inst, hyp_map, goal)
+            calls.append((got, _ref_subst_certificate(cert, inst, hyp_map, goal)))
+            # a hypothesis whose canonical disjunction the sample reorders
+            bridged.extend(line for line in cert.lines if line.just[0] == "hyp"
+                           and hyp_map.get(line.formula) not in (None, inst(line.formula)))
+            return got
+
+        bridged = []
+        monkeypatch.setattr(kernel, "_subst_certificate", recorded)
+        for proof, _ in _certified_corpus():
+            for u in (q.uniform for q in _uniform_nodes(proof)):
+                for values in u.sampled:
+                    inst = u.schema
+                    for base, value in zip(u.params, values):
+                        inst = subst_param_proof(inst, base, value)
+        assert len(calls) > 400 and len(bridged) > 100
+        for got, want in calls:
+            assert got.lines == want.lines
+
+    def test_a_faulty_line_stays_faulty_in_every_instance(self):
+        # an axiom line whose formula is not its scheme's instance: the
+        # rebuilding replay mended it at a sample, the in-place one keeps
+        # it, so the sample's re-check rejects the certificate at its node
+        pol, u, r, path, i = _first_parametric_axiom_line()
+        cert = r.info["prop"]["cert"]
+        bad = CertLine(n(cert.lines[i].formula), cert.lines[i].just)
+        faulty = r.rebuild(r.conclusion, r.children, {**r.info, "prop": {"cert": _with(cert, {i: bad})}})
+        schema = _replace_at(u.schema, path, faulty)
+        for values in u.sampled:
+            inst = schema
+            for base, value in zip(u.params, values):
+                inst = subst_param_proof(inst, base, value)
+            rep = check(inst, pol)
+            assert [(e.path, e.reason) for e in rep.errors] == [(path, "certificate rejected")]
+
+
+def _first_parametric_axiom_line():
+    """(policy, uniform, certified node of its schema, that node's path,
+    line index): the first axiom line of the certified corpus whose
+    formula holds its schema's parameter."""
+    for proof, pol in _certified_corpus():
+        for u in (q.uniform for q in _uniform_nodes(proof)):
+            for r in sx.subobjects(u.schema):
+                cert, path = r.info.get("prop", {}).get("cert"), _path_to(u.schema, r)
+                if cert is None or path is None:
+                    continue
+                for i, line in enumerate(cert.lines):
+                    if line.just[0] == "ax" and u.params[0] in bases_of(line.formula):
+                        return pol, u, r, path, i
+    raise AssertionError("no axiom line holds a parameter")
 
 
 class TestSearch:

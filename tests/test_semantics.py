@@ -572,7 +572,7 @@ class TestSharedApproximations:
     @pytest.mark.parametrize("family", ["addtower", "delta"])
     def test_walks_visit_each_node_once(self, family, monkeypatch):
         import satkit.ground_model as gm
-        calls = {"f_step": 0, "val": 0, "decide": 0}
+        calls = {"walk": 0, "val": 0, "decide": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -580,14 +580,15 @@ class TestSharedApproximations:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(tp, "f_step", counted("f_step", tp.f_step))
+        monkeypatch.setattr(tp, "_walk", counted("walk", tp._walk))
         monkeypatch.setattr(gm, "val", counted("val", gm.val))
         monkeypatch.setattr(gm.Tarski, "decide", counted("decide", gm.Tarski.decide))
         k = 12  # the depth-40 runs are in test_cli, in a child process
         target, f, t = tower_chain(family, k)
         x = tp.apply_to_object(f, target)
-        # step j walks the j nodes above the open box, once each
-        assert calls["f_step"] <= 2 * (k + 1) ** 2
+        # the one walk visits each node of the output once (stepping the
+        # chain one step at a time walked the j nodes above the box at step j)
+        assert calls["walk"] <= 2 * (k + 1)
         if family == "delta":
             assert models(t, x, fuel=8) is TRUE
             assert calls["decide"] <= 2 * (k + 1)

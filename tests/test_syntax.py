@@ -12,7 +12,7 @@ import satkit.sexpr as sexpr
 import satkit.syntax as sx
 import satkit.template as tp
 from satkit.coding import code_key, godel_decode, godel_encode
-from satkit.congruence import skeleton_congruent
+from satkit.congruence import class_id, skeleton_congruent
 from satkit.elements import Std, Sym, pred, std, subst_base, succ, sym
 from satkit.kernel import (
     DEFAULT_SAMPLES, TEMPLATE_POLICY, KernelError, Proof, Sequent, bases_of, check,
@@ -458,6 +458,13 @@ class TestCachedFacts:
         for y in _nodes(x):
             for z in others:
                 assert skeleton_congruent(y, z) == _ref_congruent(y, z)
+            # the cached class ids: a copy built apart, with no fact filled,
+            # has y's id; an id is shared exactly with the congruent nodes,
+            # a substitution instance among them unless it reached into a box
+            fresh = _rebuild(y)
+            assert class_id(fresh) == class_id(y)
+            for z in others + [sx.substitute(fresh, sx.const(e), 0)]:
+                assert (class_id(z) == class_id(fresh)) == _ref_congruent(y, z)
 
     @given(st.integers(0, 10 ** 6), st.sampled_from(DEFAULT_SAMPLES))
     @settings(max_examples=120, deadline=None)
@@ -497,6 +504,7 @@ class TestCachedFacts:
         # string hashes differ between processes, so caches must not travel
         f = sx.Eq(sx.const(sym("p")), sx.Succ(v(0)))
         hash(f), tp.has_templates(f), sx.free_vars(f), bases_of(f), code_key(f), tp._sort_key(f)
+        class_id(f)
         assert all(getattr(f, slot, None) is not None for slot in sx.FACT_SLOTS)
         g = pickle.loads(pickle.dumps(f))
         assert g == f and all(getattr(g, slot, None) is None for slot in sx.FACT_SLOTS)
@@ -1031,6 +1039,17 @@ class TestFamilies:
                 want = _REF_BUILDERS[family](h, p)
                 assert repr(sx.tower(family, h, p)) == repr(want)
                 assert repr(_PUBLIC_BUILDERS[family](h, p)) == repr(want)
+
+    def test_payloads_are_checked_at_every_index(self):
+        # at a standard height the payload was not checked: an eps tower
+        # without one was a malformed Or tower, and a delta tower dropped one
+        for family, row in sx.FAMILIES.items():
+            wrong = None if row.payload else _FAMILY_PAYLOADS[0]
+            for h in (std(0), std(2), 3, sym("a")):
+                with pytest.raises(sx.SyntaxError_, match="eps references carry"):
+                    sx.tower(family, h, wrong)
+        with pytest.raises(sx.SyntaxError_):
+            sx.epsilon(2, None)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -10,7 +11,7 @@ import satkit.syntax as sx
 import satkit.template as tp
 from satkit.congruence import skeleton_congruent
 from satkit.elements import Sym, std, sym
-from generators import random_formula, random_templated
+from generators import random_formula, random_templated, reatom
 
 
 def c(n):
@@ -170,6 +171,124 @@ class TestChains:
             got = tp.apply_to_object(full, f)
             assert got == f
             assert not tp.has_templates(got)
+
+
+def _ref_apply_chain(f, x):
+    """The chain's steps one after another, each walking all of x."""
+    for tau in f.steps:
+        x = tp.f_step(tau, x)
+    return x
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except tp.TemplateError:
+        return tp.TemplateError
+
+
+def _distinct(x):
+    """The number of distinct node objects of x, boxes' objects included."""
+    seen, stack = set(), [x]
+    while stack:
+        y = stack.pop()
+        if id(y) not in seen:
+            seen.add(id(y))
+            stack.extend(y.children + ((y.obj,) if isinstance(y, sx.Sealed) else ()))
+    return len(seen)
+
+
+def _walk_query(rng):
+    """(chain, x): x a templated formula, a sealed tower, siblings that are
+    one object, or a formula with an abbreviation inside or outside a box;
+    the chain unnormalized, from the parts its boxes hold and open into,
+    with repeated and congruent steps, at times empty."""
+    a = sym("a", 1, rng.randrange(3))
+    roll = rng.random()
+    if roll < 0.35:
+        x = random_templated(rng, 4)
+    elif roll < 0.55:
+        x = boxed(rng.choice([sx.delta(a), sx.addtower(a), sx.numeral(a),
+                              sx.epsilon(a, random_formula(rng, 1, max_const=2)),
+                              sx.delta(rng.randrange(4)), sx.addtower(std(rng.randrange(4)))]))
+        if isinstance(x, tp.TemplTerm):
+            x = sx.Eq(x, c(1))
+    elif roll < 0.75:
+        y = random_templated(rng, 3) if rng.random() < 0.5 else boxed(sx.delta(a))
+        x = sx.Not(sx.Or(y, y))
+    else:
+        f, g = random_formula(rng, 2), random_formula(rng, 1)
+        inner = sx.Or(boxed(sx.And(f, g)), random_templated(rng, 2))
+        x = inner if rng.random() < 0.6 else sx.And(boxed(f), g)
+    pool = []
+    for box in (y for y in sx.subobjects(x) if isinstance(y, sx.Sealed)):
+        for z in sx.subobjects(box.obj):
+            pool.append(z)
+            if isinstance(z, sx.FamilyRef):  # what the reference opens into
+                pool.extend(sx.subobjects(sx.unfold_ref(sx.unfold_ref(z).children[0])))
+    pool += list(sx.subobjects(random_formula(rng, 2)))
+    steps = [rng.choice(pool) for _ in range(rng.randrange(9))] if rng.random() < 0.9 else []
+    for _ in range(rng.randrange(3)):
+        if steps:
+            s = rng.choice(steps)
+            steps.insert(rng.randrange(len(steps) + 1), s if rng.random() < 0.5 else reatom(rng, s))
+    return tp.ApproxChain(tuple(steps)), x
+
+
+class TestOneWalk:
+    """apply_chain's one walk against the steps one after another."""
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_stepwise_chain(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            f, x = _walk_query(rng)
+            got, want = _outcome(tp.apply_chain, f, x), _outcome(_ref_apply_chain, f, x)
+            assert got == want
+            if got is tp.TemplateError:
+                continue
+            if not f.steps:
+                assert got is x
+            # siblings that are one object stay one: towers stay DAGs
+            assert _distinct(got) == _distinct(want)
+            kept = tp._dedup_congruent(f.steps)
+            assert kept == [s for i, s in enumerate(f.steps)
+                            if not any(skeleton_congruent(s, t) for t in f.steps[:i])]
+
+    def test_the_queries_reach_every_case(self):
+        rng = random.Random(3)
+        seen = {"raised": 0, "empty": 0, "opened": 0, "repeated": 0, "untouched": 0}
+        for _ in range(1000):
+            f, x = _walk_query(rng)
+            got = _outcome(tp.apply_chain, f, x)
+            seen["raised"] += got is tp.TemplateError
+            seen["empty"] += not f.steps
+            seen["repeated"] += len(tp._dedup_congruent(f.steps)) < len(f.steps)
+            if got is not tp.TemplateError and f.steps:
+                seen["opened" if got != x else "untouched"] += 1
+        assert all(n >= 50 for n in seen.values()), seen
+
+    def test_pickling_carries_no_class_index(self):
+        # class ids are numbered per process, so the chain's index of its
+        # steps by class must not travel
+        f = tp.chain(sx.delta(2), sx.delta(1))
+        tp.apply_chain(f, boxed(sx.delta(2)))
+        assert "_by_class" in vars(f)
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and "_by_class" not in vars(g)
+        assert tp.apply_chain(g, boxed(sx.delta(2))) == tp.apply_chain(f, boxed(sx.delta(2)))
+
+    def test_a_box_opens_at_its_first_step_and_its_parts_after_it(self):
+        # the parts of a box opened by the second step meet only the third
+        d2, d1, d0 = sx.delta(2), sx.delta(1), sx.delta(0)
+        x = sx.Or(boxed(d2), boxed(d1))
+        got = tp.apply_chain(tp.chain(d1, d2, d1), x)
+        assert got == _ref_apply_chain(tp.chain(d1, d2, d1), x)
+        assert got == sx.Or(sx.Or(sx.Or(boxed(d0), boxed(d0)), sx.Or(boxed(d0), boxed(d0))),
+                            sx.Or(boxed(d0), boxed(d0)))
+        assert tp.apply_chain(tp.chain(d1, d2), x) == \
+            sx.Or(sx.Or(boxed(d1), boxed(d1)), sx.Or(boxed(d0), boxed(d0)))
 
 
 class TestNormalize:
