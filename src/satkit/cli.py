@@ -130,6 +130,12 @@ def cmd_eval_tr(args) -> int:
     return 0
 
 
+def _towers_below(root: sx.FamilyRef, depth: int) -> list:
+    """The towers 0..depth-1 levels below a family reference, root first."""
+    i = root.index
+    return [sx.tower(root.family, Sym(i.base, i.coeff, i.offset - k)) for k in range(depth)]
+
+
 def cmd_witness(args) -> int:
     depth = args.depth
     if depth < 0:
@@ -140,7 +146,7 @@ def cmd_witness(args) -> int:
     if args.name == "delta":
         t = delta_structure(a)
         target = sx.delta(a)
-        chain_steps = [sx.delta(Sym(a.base, a.coeff, a.offset - k)) for k in range(depth)]
+        chain_steps = _towers_below(target, depth)
         for k in range(depth + 1):
             f = tp.ApproxChain(tuple(chain_steps[:k]))
             approx = tp.apply_to_object(f, target)
@@ -150,9 +156,8 @@ def cmd_witness(args) -> int:
     elif args.name == "sc-tower":
         h = parse_element(_given(args.height, "witness sc-tower: --height"))
         t = sc_tower(args.family, h, a)
-        root = sx.SymTermRef(args.family, h)
-        steps = [sx.SymTermRef(args.family, Sym(h.base, h.coeff, h.offset - k))
-                 for k in range(depth)]
+        root = sx.tower(args.family, h)
+        steps = _towers_below(root, depth)
         for k in range(depth + 1):
             f = tp.ApproxChain(tuple(steps[:k]))
             value = val_t(t, tp.apply_to_object(f, root))
@@ -162,7 +167,7 @@ def cmd_witness(args) -> int:
         t = free_tower(a, parse_element(_given(args.b, "witness free-tower: --b")))
         target = sx.Not(sx.Ex(0, sx.Eq(sx.numeral(a), sx.Var(0))))
         base_chain = [target, target.body, sx.Eq(sx.numeral(a), sx.Var(0)), sx.Var(0)]
-        tower_steps = [sx.numeral(Sym(a.base, a.coeff, a.offset - k)) for k in range(depth)]
+        tower_steps = _towers_below(sx.numeral(a), depth)
         for k in range(depth + 1):
             f = tp.normalize(tp.ApproxChain(tuple(base_chain + tower_steps[:k])))
             approx = tp.apply_to_object(f, target)

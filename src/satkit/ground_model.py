@@ -14,6 +14,8 @@ search order for an existential.
 A walk values or decides a child once when it is the same object as its
 sibling: ``Add(x, x)``, ``Mul(x, x)`` and ``Or(x, x)`` cost one recursive
 call, as towers and their approximations are shared DAGs (see ``template``).
+The class check and the family-reference scan visit each distinct node
+once, so a tower costs its height.
 """
 
 from __future__ import annotations
@@ -136,63 +138,55 @@ def witness_candidates(body: sx.Formula, bound: int):
 # ---------------------------------------------------------------------------
 # formula classes
 
-# The bounded-quantifier recognizer matches exactly the shape produced by
-# expanding "exists v_i < t":  Ex(i, not(not(v_i < t) or not(body))) with
-# the < expansion Ex(j, not(v_j = 0 or not(v_i + v_j = t))).
-
-
-def _match_lt(f: sx.Formula) -> tuple[sx.Term, sx.Term] | None:
-    if not (isinstance(f, sx.Ex) and isinstance(f.body, sx.Not)):
-        return None
-    j = f.index
-    disj = f.body.body
-    if not (isinstance(disj, sx.Or) and isinstance(disj.left, sx.Eq)):
-        return None
-    if disj.left != sx.Eq(sx.Var(j), sx.ZERO):
-        return None
-    if not (isinstance(disj.right, sx.Not) and isinstance(disj.right.body, sx.Eq)):
-        return None
-    eq = disj.right.body
-    if not (isinstance(eq.left, sx.Add) and eq.left.right == sx.Var(j)):
-        return None
-    x, y = eq.left.left, eq.right
-    if j in sx.free_vars(x) or j in sx.free_vars(y):
-        return None
-    return x, y
-
 
 def match_bounded_exists(f: sx.Formula) -> tuple[int, sx.Term, sx.Formula] | None:
-    """Recognize Ex(i, guard and body) with guard the expansion of v_i < t."""
-    if not (isinstance(f, sx.Ex) and isinstance(f.body, sx.Not)):
+    """(i, t, body) when f is exists v_i < t, body as ``syntax`` expands it:
+    i, the guard's index j, t and the body are read at their places, and f
+    matches when j != i, neither is free in t, and ``sx.bex_expansion``
+    rebuilds f from them. A wrong node on the way down is no match."""
+    try:
+        i, guard, body = f.index, f.body.body.left.body, f.body.body.right.body
+        j, t = guard.index, guard.body.body.right.body.right
+    except AttributeError:
         return None
-    disj = f.body.body
-    if not (isinstance(disj, sx.Or) and isinstance(disj.left, sx.Not)
-            and isinstance(disj.right, sx.Not)):
+    if j == i or {i, j} & sx.free_vars(t) or sx.bex_expansion(i, j, t, body) != f:
         return None
-    lt = _match_lt(disj.left.body)
-    if lt is None or lt[0] != sx.Var(f.index):
-        return None
-    bound = lt[1]
-    if f.index in sx.free_vars(bound):
-        return None
-    return f.index, bound, disj.right.body
+    return i, t, body
 
 
-def is_atomic(f: sx.Formula) -> bool:
-    return isinstance(f, sx.Eq)
+def _walk_once(x, step) -> bool:
+    """Walk each distinct node that x reaches through step once, by an
+    explicit stack and a seen set of ids: step(y) gives the parts of y to
+    visit next, or None to stop the walk with False."""
+    stack, seen = [x], set()
+    while stack:
+        y = stack.pop()
+        if id(y) not in seen:
+            seen.add(id(y))
+            parts = step(y)
+            if parts is None:
+                return False
+            stack.extend(parts)
+    return True
+
+
+def mentions_family(x) -> bool:
+    """Does x hold a family reference (a nonstandard tower) anywhere?"""
+    return not _walk_once(x, lambda y: None if isinstance(y, sx.FamilyRef) else y.children)
+
+
+def _delta0_parts(f: sx.Formula):
+    # the parts f's delta-0 class rests on, None when f is no delta-0 node
+    if type(f) is sx.Eq:
+        return ()
+    if type(f) in (sx.Not, sx.Or):
+        return f.children
+    m = match_bounded_exists(f)
+    return None if m is None else (m[2],)
 
 
 def is_delta0(f: sx.Formula) -> bool:
-    if isinstance(f, sx.Eq):
-        return True
-    if isinstance(f, sx.Not):
-        return is_delta0(f.body)
-    if isinstance(f, sx.Or):
-        return is_delta0(f.left) and is_delta0(f.right)
-    if isinstance(f, sx.Ex):
-        m = match_bounded_exists(f)
-        return m is not None and is_delta0(m[2])
-    return False
+    return _walk_once(f, _delta0_parts)
 
 
 def _strip_exists_block(f: sx.Formula) -> sx.Formula:
@@ -225,7 +219,7 @@ def is_pi(f: sx.Formula, k: int) -> bool:
 def check_class(f: sx.Formula, cls: str) -> bool:
     """cls is one of "at", "d0", "s<k>", "p<k>"."""
     if cls == "at":
-        return is_atomic(f)
+        return isinstance(f, sx.Eq)
     if cls == "d0":
         return is_delta0(f)
     if cls.startswith("s"):
@@ -313,7 +307,7 @@ def eval_tr(f: sx.Formula, cls: str = "d0", fuel: int = 64) -> TruthValue:
     """
     if not sx.is_closed(f):
         raise OpenTerm("truth evaluation needs a sentence")
-    if any(isinstance(x, sx.FamilyRef) for x in sx.subobjects(f)):
+    if mentions_family(f):
         raise WrongClass("a family reference is not a sentence of the ground model")
     if not check_class(f, cls):
         raise WrongClass(f"formula is not in class {cls}")

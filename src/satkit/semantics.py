@@ -21,8 +21,9 @@ from typing import Callable, Iterable, Optional
 from . import syntax as sx
 from . import template as tp
 from .congruence import QuotientStructure, build_quotient, subterm_closure
-from .elements import Element, ElementError, Std, Sym, affine_hits, half
-from .ground_model import FALSE, TRUE, UNKNOWN, Tarski, TruthValue, eval_tr, of_bool, val
+from .elements import Element, ElementError, Std, Sym, affine_hits, half, pred
+from .ground_model import (FALSE, TRUE, UNKNOWN, Tarski, TruthValue, eval_tr,
+                           mentions_family, of_bool, val)
 from .kernel import Proof, match_instance
 
 _GENERIC = "generic"
@@ -218,11 +219,10 @@ def delta_structure(a: Element, with_ground_truth: bool = False) -> TStructure:
     """
     if not isinstance(a, Sym):
         raise BadWitnessParams("the tower index must be symbolic")
+    root = sx.delta(a)
 
     def family(phi: sx.Formula) -> bool:
-        return (isinstance(phi, sx.SymFormulaRef) and phi.family == "delta"
-                and isinstance(phi.index, Sym) and phi.index.base == a.base
-                and phi.index.coeff == a.coeff and phi.index.offset <= a.offset)
+        return _levels_below(root, phi) is not None
 
     if not with_ground_truth:
         return TStructure(f"delta({a})", family, lambda t: Std(0))
@@ -234,41 +234,50 @@ def delta_structure(a: Element, with_ground_truth: bool = False) -> TStructure:
     )
 
 
-def _tower_value(root_index: Sym, family: str, a: Sym, t: sx.Term) -> Element:
-    if isinstance(t, sx.SymTermRef) and t.family == family:
-        idx = t.index
-        if (isinstance(idx, Sym) and idx.base == root_index.base
-                and idx.coeff == root_index.coeff and idx.offset <= root_index.offset):
-            k = root_index.offset - idx.offset
-            if family == "num":
-                return Sym(a.base, a.coeff, a.offset - k)
-            v: Element = a
-            for _ in range(k):
-                v = half(v)
-            return v
-    e = sx.const_elem(t)
-    return Std(0) if e is None else e
+def _levels_below(root: sx.FamilyRef, x) -> Optional[int]:
+    """k when x is root's family at root's index - k, k >= 0, else None."""
+    if type(x) is not type(root) or x.family != root.family:
+        return None
+    a, b = root.index, x.index
+    if (b.base, b.coeff) != (a.base, a.coeff) or b.offset > a.offset:
+        return None
+    return a.offset - b.offset
+
+
+# the inverse of a term family's head operation, keyed by the head's type
+_LEVEL_DOWN = {sx.Succ: pred, sx.Add: half}
+
+
+def _tower_value(root: sx.SymTermRef, a: Element, t: sx.Term) -> Element:
+    """t's value when root's tower is valued at a: the tower k levels below
+    root is a stepped down k times by the inverse of its row's head, a
+    constant its element, and any other term 0."""
+    k = _levels_below(root, t)
+    if k is None:
+        e = sx.const_elem(t)
+        return Std(0) if e is None else e
+    down = _LEVEL_DOWN[sx.FAMILIES[root.family].head]
+    for _ in range(k):
+        a = down(a)
+    return a
 
 
 def sc_tower(family: str, height: Element, a: Element) -> TStructure:
     """A tower with no constants or multiplications at finite depth whose
     every approximation is valued at the target element."""
-    if family not in ("num", "addtower"):
+    row = sx.FAMILIES.get(family)
+    if row is None or row.head not in _LEVEL_DOWN:
         raise BadWitnessParams(
             "towers with constants or multiplications at finite depth are "
             "refutable and carry no witness structure")
     if not isinstance(height, Sym) or not isinstance(a, Sym):
         raise BadWitnessParams("tower height and target must be symbolic")
-    root = sx.SymTermRef(family, height)
+    root = sx.tower(family, height)
     target = sx.Eq(root, sx.const(a))
-
-    def t_set(phi: sx.Formula) -> bool:
-        return phi == target
-
     return TStructure(
         f"sc_tower({family},{height},{a})",
-        t_set,
-        lambda t: _tower_value(height, family, a, t),
+        lambda phi: phi == target,
+        lambda t: _tower_value(root, a, t),
         domain_syms=(a,),
     )
 
@@ -329,11 +338,12 @@ def free_tower(a: Element, b: Element) -> TStructure:
         raise BadWitnessParams("both indices must be symbolic")
     if a.base == b.base:
         raise BadWitnessParams("the outside value needs its own base")
+    root = sx.numeral(a)
 
     return TStructure(
         f"free_tower({a},{b})",
         lambda phi: False,
-        lambda t: _tower_value(a, "num", b, t),
+        lambda t: _tower_value(root, b, t),
         outside_bases=frozenset((b.base,)),
     )
 
@@ -347,12 +357,6 @@ class SatFragment:
     decided: dict
     stage_log: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
-
-    def holds(self, phi: sx.Formula) -> Optional[bool]:
-        return self.decided.get(phi)
-
-    def accepted(self) -> list[sx.Formula]:
-        return [f for f, v in self.decided.items() if v]
 
 
 ORACLE_FUEL = 32  # the quantifier fuel of each evaluation
@@ -499,11 +503,7 @@ def check_fragment(frag: SatFragment) -> ComplianceReport:
             atom, truth = f, v
         elif isinstance(f, sx.Not) and isinstance(f.body, sx.Eq):
             atom, truth = f.body, not v
-        if atom is None or not sx.is_closed(atom):
-            continue
-        try:
-            _reject_nonstandard(atom)
-        except SemanticsError:
+        if atom is None or not sx.is_closed(atom) or mentions_family(atom):
             continue
         (eqs if truth else denied).append((atom.left, atom.right))
         terms.extend((atom.left, atom.right))
@@ -516,9 +516,3 @@ def check_fragment(frag: SatFragment) -> ComplianceReport:
             if quotient.same_class(t, r):
                 failures.append(f"equation both accepted and denied: {t!r} = {r!r}")
     return ComplianceReport(passed=not failures, failures=failures, quotient=quotient)
-
-
-def _reject_nonstandard(f) -> None:
-    for o in sx.subobjects(f):
-        if isinstance(o, sx.FamilyRef):
-            raise SemanticsError("nonstandard family member")

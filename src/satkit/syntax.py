@@ -546,10 +546,15 @@ def _and(a: Formula, b: Formula) -> Formula:
     return Not(Or(Not(a), Not(b)))
 
 
+def bex_expansion(i: int, j: int, bound: Term, body: Formula) -> Formula:
+    """exists v_i < bound, body, with v_j the witness of v_i < bound: the
+    one place the bounded existential's primitive shape is spelled out."""
+    return Ex(i, _and(_lt_expansion(Var(i), bound, j), body))
+
+
 def _bex(f: Formula, body: Formula) -> Formula:
     """f's bounded existential over an expanded body."""
-    j = _fresh_above(f.bound, f.body, Var(f.index))
-    return Ex(f.index, _and(_lt_expansion(Var(f.index), f.bound, j), body))
+    return bex_expansion(f.index, _fresh_above(f.bound, f.body, Var(f.index)), f.bound, body)
 
 
 def expand_abbreviation(f: Formula) -> Formula:

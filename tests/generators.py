@@ -7,7 +7,10 @@ deliberately separate from the package's stratified evaluator.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import satkit.syntax as sx
 import satkit.template as tp
@@ -234,3 +237,19 @@ def random_decidable_sentence(rng: random.Random, want_true: bool,
         return sx.Or(build(False, depth - 1, quants), build(False, depth - 1, quants))
 
     return build(want_true, 3, qdepth)
+
+
+# ---------------------------------------------------------------------------
+# a child process for the walks that must finish on deep towers
+
+
+def assert_finishes(script: str, timeout: float = 30) -> None:
+    """Run a Python script in a child process with this process's import
+    path, stopped after timeout seconds (``subprocess.TimeoutExpired``).
+    A walk that loses a tower's sharing takes 2^depth steps and never
+    ends at depth 40, so it cannot hang the test run. The script must
+    exit 0 having printed exactly "ok"."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=timeout, env=env)
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -10,6 +9,7 @@ import satkit.sexpr as sexpr
 from satkit.cli import build_parser, main
 from satkit.corpus import commute_or_proof
 import satkit.syntax as sx
+from generators import assert_finishes
 from test_sexpr import INTEGER_FIELDS, NOT_NATURALS
 
 
@@ -347,9 +347,8 @@ class TestWitnessCommands:
     def test_towers_of_depth_40_finish(self):
         # a tower unfolds to Add(c, c) or Or(s, s) over one child; walks
         # that lost that sharing took 2^depth steps (depth 14 took seconds,
-        # 40 would never end), so this runs in a child process that is
-        # stopped after half a minute
-        script = """if True:
+        # 40 would never end)
+        assert_finishes("""if True:
             import contextlib, io, json
             from satkit.cli import main
             for argv, want in [
@@ -363,11 +362,7 @@ class TestWitnessCommands:
                 assert code == 0 and len(results) == 41, (argv, code, results)
                 assert all(v == want for _, v in results), (argv, results)
             print("ok")
-        """
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             timeout=30, env=env)
-        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+        """)
 
 
 class TestDataCommands:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satkit.syntax as sx
 from satkit.elements import std, sym
@@ -8,7 +10,9 @@ from satkit.ground_model import (
     FALSE, TRUE, UNKNOWN, OpenTerm, WrongClass, check_class,
     eval_tr, is_delta0, is_sigma, match_bounded_exists, val, witness_candidates,
 )
-from generators import direct_eval, random_bounded_sentence, random_term
+from generators import (
+    assert_finishes, direct_eval, random_bounded_sentence, random_formula, random_term,
+)
 
 
 def c(n):
@@ -94,6 +98,92 @@ class TestClassChecker:
                 eval_tr(f, "d0")
 
 
+# the isinstance ladder that recognised the expansion of "exists v_i < t",
+# kept as the reference for the matcher that rebuilds it:
+#   Ex(i, not(not(v_i < t) or not(body))) with the < expansion
+#   Ex(j, not(v_j = 0 or not(v_i + v_j = t)))
+
+
+def _ref_match_lt(f):
+    if not (isinstance(f, sx.Ex) and isinstance(f.body, sx.Not)):
+        return None
+    j = f.index
+    disj = f.body.body
+    if not (isinstance(disj, sx.Or) and isinstance(disj.left, sx.Eq)):
+        return None
+    if disj.left != sx.Eq(sx.Var(j), sx.ZERO):
+        return None
+    if not (isinstance(disj.right, sx.Not) and isinstance(disj.right.body, sx.Eq)):
+        return None
+    eq = disj.right.body
+    if not (isinstance(eq.left, sx.Add) and eq.left.right == sx.Var(j)):
+        return None
+    x, y = eq.left.left, eq.right
+    if j in sx.free_vars(x) or j in sx.free_vars(y):
+        return None
+    return x, y
+
+
+def _ref_match_bounded_exists(f):
+    if not (isinstance(f, sx.Ex) and isinstance(f.body, sx.Not)):
+        return None
+    disj = f.body.body
+    if not (isinstance(disj, sx.Or) and isinstance(disj.left, sx.Not)
+            and isinstance(disj.right, sx.Not)):
+        return None
+    lt = _ref_match_lt(disj.left.body)
+    if lt is None or lt[0] != sx.Var(f.index):
+        return None
+    bound = lt[1]
+    if f.index in sx.free_vars(bound):
+        return None
+    return f.index, bound, disj.right.body
+
+
+_MISSES = ("zero first", "add swapped", "wrong guard variable", "not for the guard",
+           "not for the binder")
+
+
+def _near_bex(rng):
+    """exists v_i < t, body spelled out by hand: as syntax expands it, or
+    with one part changed. j may equal i, and t may hold v_i or v_j."""
+    i, j = rng.randrange(3), rng.randrange(3)
+    t = random_term(rng, 2, max_var=3)
+    body = random_formula(rng, 2, max_var=3)
+    miss = rng.choice((None,) * 3 + _MISSES)
+    vi, vj = sx.Var(i), sx.Var(j)
+    zero = sx.Eq(sx.ZERO, vj) if miss == "zero first" else sx.Eq(vj, sx.ZERO)
+    if miss == "add swapped":
+        add = sx.Add(vj, vi)
+    elif miss == "wrong guard variable":
+        add = sx.Add(sx.Var(rng.choice([k for k in range(4) if k != i])), vj)
+    else:
+        add = sx.Add(vi, vj)
+    lt = sx.Not(sx.Or(zero, sx.Not(sx.Eq(add, t))))
+    guard = lt if miss == "not for the guard" else sx.Ex(j, lt)
+    f = sx.Not(sx.Or(sx.Not(guard), sx.Not(body)))
+    return f if miss == "not for the binder" else sx.Ex(i, f)
+
+
+class TestBoundedExistsMatcher:
+    """The matcher that rebuilds syntax's expansion, held to the ladder."""
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_reference(self, seed):
+        rng = random.Random(seed)
+        prim = sx.expand_abbreviation(random_bounded_sentence(rng, 3, max_bound=5))
+        for f in [*sx.subobjects(prim), *(_near_bex(rng) for _ in range(40))]:
+            assert match_bounded_exists(f) == _ref_match_bounded_exists(f), f
+
+    def test_the_near_misses_reach_both_verdicts(self):
+        rng = random.Random(7)
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            seen[_ref_match_bounded_exists(_near_bex(rng)) is not None] += 1
+        assert min(seen.values()) >= 50, seen
+
+
 class TestEvalTr:
     def test_atomic_truth(self):
         f = sx.Eq(sx.Add(sx.Succ(sx.ZERO), sx.Succ(sx.ZERO)),
@@ -126,3 +216,14 @@ class TestEvalTr:
             got = eval_tr(prim, "d0", 0)
             want = direct_eval(ext, {})
             assert got is (TRUE if want else FALSE)
+
+    def test_towers_of_depth_40_finish(self):
+        # the class check and the family scan visit a shared child once; a
+        # walk that lost that sharing would take 2^40 steps
+        assert_finishes("""if True:
+            import satkit.syntax as sx
+            from satkit.ground_model import FALSE, TRUE, eval_tr
+            assert eval_tr(sx.delta(40), "d0") is FALSE
+            assert eval_tr(sx.Eq(sx.addtower(40), sx.ZERO), "at") is TRUE
+            print("ok")
+        """)

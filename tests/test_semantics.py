@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,8 +14,8 @@ from satkit.corpus import (
     base_corpus, commute_or_proof, template_tautology_corpus,
 )
 from satkit.eldiag import prove_eldiag
-from satkit.elements import Std, Sym, std, sym
-from satkit.ground_model import FALSE, TRUE, UNKNOWN, eval_tr
+from satkit.elements import ElementError, Std, Sym, half, std, sym
+from satkit.ground_model import FALSE, TRUE, UNKNOWN, eval_tr, val
 from satkit.kernel import (
     M_POLICY, Proof, Sequent, TEMPLATE_POLICY, check, seq,
 )
@@ -122,6 +123,40 @@ class TestModels:
         assert models(s, sx.Ex(0, body), 4) is TRUE
 
 
+def _ref_tower_value(root_index, family, a, t):
+    # the tower valuation that picked its step by the family's name, kept
+    # as the reference for the one that steps by the inverse of its row's head
+    if isinstance(t, sx.SymTermRef) and t.family == family:
+        idx = t.index
+        if (isinstance(idx, Sym) and idx.base == root_index.base
+                and idx.coeff == root_index.coeff and idx.offset <= root_index.offset):
+            k = root_index.offset - idx.offset
+            if family == "num":
+                return Sym(a.base, a.coeff, a.offset - k)
+            v = a
+            for _ in range(k):
+                v = half(v)
+            return v
+    e = sx.const_elem(t)
+    return Std(0) if e is None else e
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the element error it raises."""
+    try:
+        return fn(*args)
+    except ElementError as err:
+        return type(err)
+
+
+def _ref_leaf(root_index, family, a):
+    """val's leaf for the reference: a box's object and a family reference
+    are valued by _ref_tower_value."""
+    def leaf(x):
+        return _ref_tower_value(root_index, family, a, x.obj if isinstance(x, tp.TemplTerm) else x)
+    return leaf
+
+
 class TestGallery:
     def test_delta_structure_depth_eight(self):
         a = sym("a")
@@ -151,6 +186,36 @@ class TestGallery:
     def test_multiplication_tower_rejected(self):
         with pytest.raises(BadWitnessParams):
             sc_tower("multower", sym("h"), sym("a"))
+
+    @pytest.mark.parametrize("family", ["delta", "eps"])
+    def test_formula_towers_rejected(self, family):
+        # their rows' head, Or, has no inverse to step a value down by
+        with pytest.raises(BadWitnessParams):
+            sc_tower(family, sym("h"), sym("a"))
+
+    @pytest.mark.parametrize("family", ["num", "addtower"])
+    @pytest.mark.parametrize("a", [sym("a"), Sym("a", Fraction(4), 2)])
+    def test_tower_valuations_agree_with_the_reference(self, family, a):
+        # 4a+2 halves once exactly and then has an odd offset
+        h, b = sym("h"), sym("b")
+        for t, root, target in ((sc_tower(family, h, a), sx.SymTermRef(family, h), a),
+                                (free_tower(a, b), sx.numeral(a), b)):
+            fam, idx = root.family, root.index
+            probes = [sx.SymTermRef(g, Sym(base, idx.coeff, idx.offset + d))
+                      for g in ("num", "addtower") for base in (idx.base, "g")
+                      for d in range(-5, 3)]
+            probes += [sx.SymTermRef(fam, Sym(idx.base, 2 * idx.coeff, idx.offset)),
+                       sx.ZERO, c(5), sx.const(sym("q")), sx.Succ(root)]
+            for x in probes:
+                assert (_outcome(t.t_val, x)
+                        == _outcome(_ref_tower_value, idx, fam, target, x)), x
+            for k in range(11):
+                chain = tp.ApproxChain(tuple(
+                    sx.SymTermRef(fam, Sym(idx.base, idx.coeff, idx.offset - j))
+                    for j in range(k)))
+                x = tp.apply_to_object(chain, root)
+                assert (_outcome(val_t, t, x)
+                        == _outcome(val, x, _ref_leaf(idx, fam, target))), k
 
     def test_prime_counterexample_desk_instance(self):
         # a multiplication-bearing tower instantiated at desk scale is
