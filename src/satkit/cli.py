@@ -70,6 +70,10 @@ def _policy(args) -> RulePolicy:
 
 def cmd_encode(args) -> int:
     obj = sexpr.parse_obj(sexpr.read_one(args.input))
+    n = coding.code_length(obj)
+    if n > coding.MAX_CODE_SYMBOLS:
+        raise coding.NotEncodable(f"the code has {coding.to_decimal(n)} symbols, "
+                                  f"past the limit of {coding.MAX_CODE_SYMBOLS}")
     text = coding.to_decimal(coding.godel_encode(obj).code)
     _emit(args, {"code": text}, [text])
     return 0

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from . import syntax as sx
 from .elements import Std
@@ -280,6 +281,44 @@ def godel_encode(x: sx.Obj) -> GodelCode:
     return GodelCode(int("".join(out)[::-1], 16))
 
 
+# the most symbols ``satkit encode`` writes; the reader builds no standard
+# tower higher than this either, as its code would be longer
+MAX_CODE_SYMBOLS = 100_000
+
+
+def _run_length(y) -> int:
+    # the length of the index run after y's symbol: the index's base-4
+    # digits and the terminator (a constant with no code has none)
+    if type(y) is sx.Const:
+        return (y.elem.n.bit_length() + 3) // 2 if isinstance(y.elem, Std) else 0
+    return (y.index.bit_length() + 3) // 2
+
+
+# the classes whose symbol an index run follows
+_INDEXED = frozenset({sx.Var, sx.Ex, sx.Const})
+
+
+def code_length(x: sx.Obj) -> int:
+    """The number of symbols ``godel_encode`` writes for x. A child that
+    is the same object as its sibling is walked once and counted twice,
+    so a shared tower costs its height. A node with no code counts one
+    symbol; ``godel_encode`` refuses it."""
+    n, stack = 0, [(x, 1)]  # a part and how many times it occurs
+    while stack:
+        y, k = stack.pop()
+        while True:  # down a run of one-child nodes without the stack
+            n += k * (1 + _run_length(y)) if type(y) in _INDEXED else k
+            kids = y.children
+            if len(kids) != 1:
+                break
+            y = kids[0]
+        if len(kids) == 2 and kids[0] is kids[1]:
+            stack.append((kids[0], 2 * k))
+        else:
+            stack += ((c, k) for c in reversed(kids))
+    return n
+
+
 def _code_key(x: sx.Obj) -> tuple:
     try:
         return (0, godel_encode(x).code)
@@ -378,24 +417,21 @@ def _const(n: int) -> sx.Const:
     return sx.Const(Std(n))
 
 
-# what each symbol starts, by kind: its node's constructor, whether an
-# index run follows the symbol, and the kinds of the parts after that
-_SHAPES = {
-    "term": {
-        SYM_ZERO: (lambda: sx.ZERO, False, ()),
-        SYM_CONST: (_const, True, ()),
-        SYM_VAR: (sx.Var, True, ()),
-        SYM_SC: (sx.Succ, False, ("term",)),
-        SYM_ADD: (sx.Add, False, ("term", "term")),
-        SYM_MUL: (sx.Mul, False, ("term", "term")),
-    },
-    "formula": {
-        SYM_EQ: (sx.Eq, False, ("term", "term")),
-        SYM_NOT: (sx.Not, False, ("formula",)),
-        SYM_OR: (sx.Or, False, ("formula", "formula")),
-        SYM_EXISTS: (sx.Ex, True, ("formula",)),
-    },
-}
+def _shape(cls: type) -> tuple:
+    """What cls's symbol starts: its node's constructor, whether an index
+    run follows the symbol (an ``index`` or ``elem`` field) and the kinds
+    of the parts after that (its ``Term`` and ``Formula`` fields)."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    make = {sx.Zero: lambda: sx.ZERO, sx.Const: _const}.get(cls, cls)
+    return (make, "index" in names or "elem" in names,
+            tuple(hints[n].__name__.lower() for n in names if hints[n] in (sx.Term, sx.Formula)))
+
+
+# each symbol's shape, by the kind of object it starts
+_SHAPES = {kind: {int(sym, 16): _shape(cls) for cls, sym in SYMBOL_OF.items()
+                  if issubclass(cls, sort)}
+           for kind, sort in (("term", sx.Term), ("formula", sx.Formula))}
 
 
 # a code's hex digits (as ASCII bytes) to the symbols they stand for

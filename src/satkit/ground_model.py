@@ -11,11 +11,11 @@ and searches, and eldiag's decision and template satisfaction
 (``semantics.models``) subclass it with their own atoms and their own
 search order for an existential.
 
-A walk values or decides a child once when it is the same object as its
-sibling: ``Add(x, x)``, ``Mul(x, x)`` and ``Or(x, x)`` cost one recursive
-call, as towers and their approximations are shared DAGs (see ``template``).
-The class check and the family-reference scan visit each distinct node
-once, so a tower costs its height.
+Towers and their approximations are shared DAGs (see ``template``), and
+each walk here keeps ``syntax``'s sibling rule, so a tower costs its
+height: ``val`` and ``decide`` spell it out (``Or(x, x)`` costs one
+recursive call), the family-reference scan is a ``syntax.fold`` and the
+class check visits each distinct node once.
 """
 
 from __future__ import annotations
@@ -154,39 +154,27 @@ def match_bounded_exists(f: sx.Formula) -> tuple[int, sx.Term, sx.Formula] | Non
     return i, t, body
 
 
-def _walk_once(x, step) -> bool:
-    """Walk each distinct node that x reaches through step once, by an
-    explicit stack and a seen set of ids: step(y) gives the parts of y to
-    visit next, or None to stop the walk with False."""
-    stack, seen = [x], set()
-    while stack:
-        y = stack.pop()
-        if id(y) not in seen:
-            seen.add(id(y))
-            parts = step(y)
-            if parts is None:
-                return False
-            stack.extend(parts)
-    return True
-
-
 def mentions_family(x) -> bool:
     """Does x hold a family reference (a nonstandard tower) anywhere?"""
-    return not _walk_once(x, lambda y: None if isinstance(y, sx.FamilyRef) else y.children)
-
-
-def _delta0_parts(f: sx.Formula):
-    # the parts f's delta-0 class rests on, None when f is no delta-0 node
-    if type(f) is sx.Eq:
-        return ()
-    if type(f) in (sx.Not, sx.Or):
-        return f.children
-    m = match_bounded_exists(f)
-    return None if m is None else (m[2],)
+    return sx.fold(x, lambda y, kids: isinstance(y, sx.FamilyRef) or any(kids))
 
 
 def is_delta0(f: sx.Formula) -> bool:
-    return _walk_once(f, _delta0_parts)
+    """Is f a delta-0 formula? Each distinct node is visited once; a
+    bounded existential's part is its body, which is not a child."""
+    stack, seen = [f], set()
+    while stack:
+        y = stack.pop()
+        if type(y) is sx.Eq or id(y) in seen:
+            continue
+        seen.add(id(y))
+        if type(y) in (sx.Not, sx.Or):
+            stack.extend(y.children)
+        elif (m := match_bounded_exists(y)) is not None:
+            stack.append(m[2])
+        else:
+            return False
+    return True
 
 
 def _strip_exists_block(f: sx.Formula) -> sx.Formula:

@@ -20,6 +20,7 @@ from typing import Union, get_type_hints
 
 from . import syntax as sx
 from . import template as tp
+from .coding import MAX_CODE_SYMBOLS
 from .elements import Element, ElementError, Std, parse_element
 from .kernel import KernelError, Proof, Sequent, Uniform
 from .propcalc import CertLine, PropCertificate
@@ -235,6 +236,16 @@ def _natural(node: Node, what: str) -> int:
     return n
 
 
+def _tower(family: str, a: Element, payload=None):
+    """The family's tower of height a. A standard height past
+    ``MAX_CODE_SYMBOLS`` is refused before a node is built: the tower
+    would have a code longer than that, and building it costs its height."""
+    if isinstance(a, Std) and a.n > MAX_CODE_SYMBOLS:
+        raise ParseError(f"a {family} tower of height {a.n} is past the limit of "
+                         f"{MAX_CODE_SYMBOLS} levels")
+    return sx.tower(family, a, payload)
+
+
 # how to build each compound expression (head [lead] part ...): the
 # constructor, the reader of a leading argument that is not a part (a
 # binder's index, a family's element), the sort of each argument (from
@@ -243,7 +254,7 @@ def _natural(node: Node, what: str) -> int:
 BUILDERS = {head: (make, read_lead, sorts, len(sorts) + 1) for head, make, read_lead, sorts in (
     *((head, cls, (lambda node: _natural(node, "a binder index")) if cls.scope else None,
        tuple(get_type_hints(cls)[f.name] for f in fields(cls))) for head, cls in HEADS.items()),
-    *((name, partial(sx.tower, name), parse_elem_node, (Element,) + (sx.Formula,) * row.payload)
+    *((name, partial(_tower, name), parse_elem_node, (Element,) + (sx.Formula,) * row.payload)
       for name, row in sx.FAMILIES.items()))}
 
 

@@ -31,6 +31,9 @@ naming node classes or looking fields up by name. Proof trees
 ``fold(x, step)`` (post-order) walk both kinds of tree at any depth. The
 cached facts, ``substitute`` and ``skeleton_depth`` stay recursive: on the
 kernel's hot paths an explicit stack costs up to twice as much per node.
+A tower level is its head over one child object (``Or(s, s)``). ``fold``
+and every node's ``==`` keep one sibling rule, so a tower costs its height:
+a child that is the same object as its sibling before it is walked once.
 
 Nodes are immutable. Each carries slots for facts computed once, on first
 use. The hash is read by each class's own ``__hash__``, and every other
@@ -136,15 +139,17 @@ def node(cls):
 
 
 def _slot_methods(cls) -> None:
-    """Install ``__init__``, ``__hash__`` and ``__reduce__``, generated as
-    ``dataclasses`` generates its own. ``__init__`` stores each field
-    through its slot's own setter, at half the cost of the dataclass's
-    ``object.__setattr__``, sets the hash slot to None and runs
+    """Install ``__init__``, ``__hash__``, ``__eq__`` and ``__reduce__``,
+    generated as ``dataclasses`` generates its own. ``__init__`` stores
+    each field through its slot's own setter, at half the cost of the
+    dataclass's ``object.__setattr__``, sets the hash slot to None and runs
     ``__post_init__``. ``__hash__`` fills the hash slot with the dataclass
-    hash over the fields. Unpickling goes through the constructor.
-    Assigning or deleting any name raises ``FrozenInstanceError``: the
-    dataclass's own methods name the class that ``slots=True`` replaced,
-    so on a name that is not a field they fail with a ``TypeError``."""
+    hash over the fields. ``__eq__`` compares the fields in order but skips
+    one that is the same object as the one before it, on both sides.
+    Unpickling goes through the constructor. Assigning or deleting any name
+    raises ``FrozenInstanceError``: the dataclass's own methods name the
+    class that ``slots=True`` replaced, so on a name that is not a field
+    they fail with a ``TypeError``."""
     fs = fields(cls)
     env = {"cls": cls, "_set_h": Node._h.__set__, "_post": getattr(cls, "__post_init__", None)}
     for f in fs:
@@ -154,10 +159,15 @@ def _slot_methods(cls) -> None:
     stores = "".join(f" _set_{f.name}(self, {f.name})\n" for f in fs)
     post = " _post(self)\n" if env["_post"] else ""
     own = "(" + "".join(f"self.{f.name}," for f in fs) + ")"
+    same = ["", *(f"(a{k} is not a{k - 1} or b{k} is not b{k - 1}) and " for k in range(1, len(fs)))]
+    compares = "".join(f" a{k}, b{k} = self.{f.name}, other.{f.name}\n if {same[k]}a{k} is not b{k}"
+                       f" and not a{k} == b{k}:\n  return False\n" for k, f in enumerate(fs))
     exec(f"def __init__(self{params}):\n{stores} _set_h(self, None)\n{post}"
          f"def __hash__(self):\n h = self._h\n if h is None:\n  h = hash({own})\n"
-         f"  _set_h(self, h)\n return h\ndef __reduce__(self):\n return cls, {own}\n", env)
-    for name in ("__init__", "__hash__", "__reduce__"):
+         f"  _set_h(self, h)\n return h\ndef __reduce__(self):\n return cls, {own}\n"
+         f"def __eq__(self, other):\n if self is other:\n  return True\n if other.__class__"
+         f" is not self.__class__:\n  return NotImplemented\n{compares} return True\n", env)
+    for name in ("__init__", "__hash__", "__eq__", "__reduce__"):
         env[name].__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, env[name])
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
@@ -757,7 +767,8 @@ def subobjects(x) -> Iterator:
 def fold(x, step: Callable[[object, list], object]):
     """Fold a syntax or proof tree in post-order, siblings left to right:
     ``step(node, results)`` gets the children's results in ``children``
-    order and gives the node's. Iterative, so any depth is fine."""
+    order and gives the node's. Two children that are one object are
+    folded once, and the result passed twice. Iterative, so any depth is fine."""
     stack: list = [x]
     results: list = []
     while stack:
@@ -765,8 +776,10 @@ def fold(x, step: Callable[[object, list], object]):
         if type(q) is tuple:  # (node, n) once its n children have results
             cut = len(results) - q[1]
             results[cut:] = [step(q[0], results[cut:])]
+        elif q is None:  # the second of two children that are one object
+            results.append(results[-1])
         else:
             kids = q.children
             stack.append((q, len(kids)))
-            stack.extend(reversed(kids))
+            stack += (None, kids[0]) if len(kids) == 2 and kids[0] is kids[1] else reversed(kids)
     return results[0]

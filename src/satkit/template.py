@@ -18,9 +18,9 @@ step j meets only the steps after j; so applying a chain costs its output's
 size, not the chain's length times it. Normalization keeps the first step
 of each class through a set of their ids.
 
-Approximations keep their input's sharing: a walk steps a child once when
-it is the same object as its sibling before it, so a tower's ``Add(c, c)``
-or ``Or(s, s)`` unfolds to one shared box and stays a DAG of O(depth) nodes.
+Approximations keep their input's sharing by ``syntax``'s sibling rule, as
+``fold`` and ``==`` do: a tower's ``Add(c, c)`` or ``Or(s, s)`` unfolds to
+one shared box, and an approximation steps, refolds and compares in O(depth).
 """
 
 from __future__ import annotations

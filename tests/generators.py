@@ -89,7 +89,9 @@ def random_templated(rng: random.Random, depth: int, bases: str = "pq") -> sx.Ob
 
 def reatom(rng: random.Random, x: sx.Obj) -> sx.Obj:
     """x with every constant and variable outside its boxes replaced by a
-    random one: congruent to x, and mostly unequal to it."""
+    random one: congruent to x, and mostly unequal to it. A fold draws
+    once for a child that is the same object as its sibling, so
+    ``Eq(0, 0)`` over the one ``ZERO`` gets one atom on both sides."""
     atoms = (sx.ZERO, sx.const(std(1)), sx.const(std(2)), sx.Var(0), sx.Var(3))
     return sx.fold(x, lambda y, kids: rng.choice(atoms)
                    if isinstance(y, (sx.Zero, sx.Const, sx.Var)) else y.rebuild(*kids))

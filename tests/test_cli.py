@@ -8,6 +8,7 @@ import satkit.cli as cli
 import satkit.sexpr as sexpr
 from satkit.cli import build_parser, main
 from satkit.corpus import commute_or_proof
+from satkit.coding import to_decimal
 import satkit.syntax as sx
 from generators import assert_finishes
 from test_sexpr import INTEGER_FIELDS, NOT_NATURALS
@@ -62,6 +63,31 @@ class TestBasicCommands:
         code, out = run_cli(["encode", "--json", text], capsys)
         assert code == 0 and len(json.loads(out)["code"]) == 4458
         assert sys.get_int_max_str_digits() == limit
+
+    def test_encode_refuses_a_code_past_the_limit(self, capsys):
+        # 99,998 successors, their 0, the = and the other 0: one symbol
+        # too many; (num 100001) is refused by the reader before it is built
+        for text, message in [
+                ("(= (num 99998) 0)",
+                 "error: the code has 100001 symbols, past the limit of 100000\n"),
+                ("(num 100001)",
+                 "error: a num tower of height 100001 is past the limit of 100000 levels\n")]:
+            assert main(["encode", text]) == 2
+            assert capsys.readouterr().err == message
+        # a length past the interpreter's 4300-digit str limit is still named
+        assert main(["encode", "(addtower 20000)"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: the code has {to_decimal(2 ** 20001 - 1)} symbols, past the limit of 100000\n"
+
+    def test_encode_refuses_unbounded_codes_at_once(self):
+        # the code of (delta 30) has 5 * 2^30 - 1 symbols, and (num 10^9)
+        # would be 10^9 nodes: both are refused before any is written
+        assert_finishes("""if True:
+            from satkit.cli import main
+            assert main(["encode", "(delta 30)"]) == 2
+            assert main(["encode", "(num 1000000000)"]) == 2
+            print("ok")
+        """, timeout=20)
 
     def test_too_deep_input_exits_2(self, capsys):
         # eval-tr still evaluates recursively

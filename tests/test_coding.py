@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import satkit.syntax as sx
 from satkit.coding import (
-    GodelCode, InvalidCode, NotWellFormed, SeqCode, encoding_manifest,
-    godel_decode, godel_encode, is_valid_code, proj, seq_concat, seq_decode,
+    MAX_CODE_SYMBOLS, GodelCode, InvalidCode, NotWellFormed, SeqCode, code_length,
+    encoding_manifest, godel_decode, godel_encode, is_valid_code, proj, seq_concat, seq_decode,
     seq_encode, seq_len, set_difference, set_intersection, set_member,
     set_members, set_of, set_singleton, set_union,
 )
+import satkit.sexpr as sexpr
+from satkit.elements import std
 from generators import random_formula
 
 
@@ -186,6 +188,32 @@ class TestGodelCodec:
                              capture_output=True, text=True, timeout=30, env=env)
         assert cli.returncode == 2
         assert cli.stderr == "error: expected a binder index, found '-1'\n"
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_code_length_counts_the_symbols(self, seed):
+        rng = random.Random(seed)
+        f = random_formula(rng, rng.randrange(1, 5), max_const=rng.choice((30, 10 ** 6)),
+                           max_var=rng.choice((3, 5000)))
+        for _ in range(rng.randrange(3)):  # a tower level over one shared child
+            f = sx.Or(f, f) if rng.random() < 0.5 else sx.Not(sx.Or(f, f))
+        assert code_length(f) == len(format(godel_encode(f).code, "x"))
+
+    def test_code_length_of_a_tower_is_its_count(self):
+        # the code of delta(n) has 2^n copies of the base's 4 symbols and
+        # 2^n - 1 or symbols; the count takes a step per level. The
+        # assertions name lengths only: a failing one would print the tower
+        delta_length, numeral_length = code_length(sx.delta(30)), code_length(sx.numeral(std(99_999)))
+        assert delta_length == 5 * 2 ** 30 - 1
+        assert numeral_length == MAX_CODE_SYMBOLS
+
+    def test_the_reader_refuses_a_tower_past_the_limit(self):
+        for text in ("(num 100001)", "(addtower 1000000000)", "(delta 100001)",
+                     "(eps 100001 (= 0 0))"):
+            with pytest.raises(sexpr.ParseError, match="past the limit of 100000 levels"):
+                sexpr.parse_obj(sexpr.read_one(text))
+        length = code_length(sexpr.parse_obj(sexpr.read_one("(addtower 100000)")))
+        assert length == 2 ** 100_001 - 1
 
     def test_manifest_is_stable(self):
         m = encoding_manifest()

@@ -18,7 +18,10 @@ from satkit.kernel import (
     DEFAULT_SAMPLES, TEMPLATE_POLICY, KernelError, Proof, Sequent, bases_of, check,
     subst_elem_in_obj,
 )
-from generators import random_bounded_sentence, random_formula, random_templated, random_term
+from generators import (
+    assert_finishes, random_bounded_sentence, random_formula, random_templated, random_term,
+    reatom,
+)
 
 
 def v(i):
@@ -820,7 +823,7 @@ class TestFoldedWalks:
             text = sexpr.print_obj(f)
             assert sexpr.print_obj(sx.expand_abbreviation(f)) == text
             assert sexpr.print_obj(tp.refold(f)) == text
-        # refold rebuilds each half apart, so the halves are equal, not identical
+        # refold folds the one half once and rebuilds the pair over it
         twins = sx.Or(nest, nest)
         assert sexpr.print_obj(tp.refold(twins)) == sexpr.print_obj(twins)
         inner = sx.Imp(sx.FALSUM, nest)
@@ -1112,3 +1115,155 @@ class TestFamilies:
                     if isinstance(ref, sx.Formula):
                         assert subst_base(sx.depth(ref), "a", Std(n)) == sx.depth(concrete)
                     assert subst_elem_in_obj(ref, "a", Std(n), {}) == concrete
+
+
+# ---------------------------------------------------------------------------
+# the sibling rule: fold and == walk a child that is its sibling once
+
+
+def _ref_fold(x, step):
+    """The fold before the sibling rule: every child is folded, a child
+    that is the same object as its sibling too."""
+    stack: list = [x]
+    results: list = []
+    while stack:
+        q = stack.pop()
+        if type(q) is tuple:
+            cut = len(results) - q[1]
+            results[cut:] = [step(q[0], results[cut:])]
+        else:
+            kids = q.children
+            stack.append((q, len(kids)))
+            stack.extend(reversed(kids))
+    return results[0]
+
+
+def _ref_eq(a, b) -> bool:
+    """The dataclass equality spelled out: the same class, then each field
+    in order; nodes are compared by this walk, never by ==."""
+    if not isinstance(a, sx.Node) or not isinstance(b, sx.Node):
+        return not isinstance(a, sx.Node) and not isinstance(b, sx.Node) and a == b
+    return type(a) is type(b) and all(_ref_eq(getattr(a, f.name), getattr(b, f.name))
+                                      for f in dataclasses.fields(a))
+
+
+def _with_towers(rng, x):
+    """x with towers mixed in: some parts doubled into a level over one
+    shared child (Add(y, y), Or(y, y)), some replaced by a short tower."""
+    y = x.rebuild(*(_with_towers(rng, k) for k in x.children))
+    roll = rng.random()
+    if roll < 0.15:
+        return sx.Add(y, y) if isinstance(y, sx.Term) else sx.Or(y, y)
+    if roll < 0.2:
+        height = std(rng.randrange(5))
+        return sx.addtower(height) if isinstance(y, sx.Term) else sx.delta(height)
+    return y
+
+
+def _sibling_input(seed):
+    """A templated formula or a bounded sentence (abbreviations in it),
+    with towers mixed in, and the generator that drew it."""
+    rng = random.Random(seed)
+    x = random_templated(rng, 4) if seed % 2 else random_bounded_sentence(rng, 3)
+    return _with_towers(rng, x), rng
+
+
+def _rebuild_step(y, kids):
+    return y.rebuild(*kids)
+
+
+def _count_step(y, kids):
+    return 1 + sum(kids)
+
+
+class TestSiblingRule:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_agrees_with_the_reference_fold(self, seed):
+        x, _ = _sibling_input(seed)
+        for step in (_rebuild_step, _count_step, sx._expand_step, sx._depth_step):
+            assert _outcome(lambda y: sx.fold(y, step), x) == \
+                _outcome(lambda y: _ref_fold(y, step), x)
+
+    def test_the_inputs_share_and_reach_both_outcomes(self):
+        shared = expanded = failed = 0
+        for seed in range(100):
+            x, _ = _sibling_input(seed)
+            shared += any(len(y.children) == 2 and y.children[0] is y.children[1]
+                          for y in _distinct_nodes(x))
+            got = _outcome(sx.expand_abbreviation, x)[0]
+            expanded += not isinstance(got, type)
+            failed += isinstance(got, type)
+        assert shared >= 50 and expanded >= 20 and failed >= 5, (shared, expanded, failed)
+
+    def test_a_tower_is_stepped_once_per_level(self):
+        # the assertions name counts only: a failing one would print any
+        # tower it names, 2^n nodes
+        def steps(x) -> int:
+            calls = [0]
+
+            def step(y, kids):
+                calls[0] += 1
+
+            sx.fold(x, step)
+            return calls[0]
+
+        for n in (10, 1000):
+            delta_steps, addtower_steps = steps(sx.delta(n)), steps(sx.addtower(std(n)))
+            assert delta_steps == n + 3  # the levels, then not, = and the one 0
+            assert addtower_steps == n + 1
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_eq_agrees_with_the_field_walk(self, seed):
+        x, rng = _sibling_input(seed)
+        pairs = [(x, x), (x, _reparse(x)), (x, _fresh_copy(x, {})), (x, reatom(rng, x))]
+        pairs += [(y, y.rebuild(*reversed(y.children))) for y in _distinct_nodes(x)
+                  if len(y.children) == 2 and not y.scope]
+        for a, b in pairs:
+            want = _ref_eq(a, b)
+            assert (a == b) is want and (a != b) is not want and (b == a) is want
+
+    def test_eq_pins(self):
+        a, b = sx.Eq(sx.ZERO, sx.ZERO), sx.FALSUM
+        assert sx.ZERO != 0 and not sx.ZERO == 0 and sx.ZERO.__eq__(0) is NotImplemented
+        assert sx.Or(a, b) != sx.And(a, b) and sx.Or(a, b) == sx.Or(a, b)
+
+    def test_deep_nests_built_apart_compare(self):
+        # the dataclass __eq__ took a frame for its field tuples on every
+        # level and raised RecursionError at 332 levels
+        assert_finishes("""if True:
+            import satkit.syntax as sx
+            def nest(atom):
+                for _ in range(490):
+                    atom = sx.Not(atom)
+                return atom
+            a, b = nest(sx.Eq(sx.ZERO, sx.ZERO)), nest(sx.Eq(sx.ZERO, sx.ZERO))
+            assert a is not b and a == b and not a != b
+            assert a != nest(sx.Eq(sx.ZERO, sx.Succ(sx.ZERO)))
+            print("ok")
+        """)
+
+    def test_towers_of_height_40_finish(self):
+        # without the sibling rule each of these walks 2^40 nodes
+        assert_finishes("""if True:
+            import contextlib, io
+            import satkit.syntax as sx
+            import satkit.template as tp
+            from satkit.cli import main
+            from satkit.elements import Sym, std, sym
+            d = sx.delta(40)
+            assert d == sx.tower("delta", 40) != sx.delta(39)  # built apart
+            assert sx.expand_abbreviation(d) == d and sx.depth(d) == std(41)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["eval-tr", "--class", "d0", "--formula", "(delta 40)"])
+            assert code == 0 and out.getvalue() == "False\\n", (code, out.getvalue())
+            h = sym("h")
+            root = sx.SymTermRef("addtower", h)
+            x = tp.apply_to_object(tp.ApproxChain(tuple(
+                sx.SymTermRef("addtower", Sym("h", h.coeff, -j)) for j in range(40))), root)
+            assert tp.apprx_member(x, lambda base: base == root)
+            assert tp.is_approximation(x, root)
+            print("ok")
+        """)
