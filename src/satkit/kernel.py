@@ -12,7 +12,8 @@ cut, ex-i, m-rule, and the extensions prop, i-ex-inf, m-inf, skolem, pred.
 
 Proof trees follow the syntax nodes' protocol, ``Proof.children`` (the
 premises, then the uniform schema) and ``Proof.rebuild``; they are walked
-by ``syntax.subobjects``, and every proof rewrite is a ``syntax.fold`` step.
+by ``syntax.subobjects``, and every proof rewrite is a ``syntax.fold`` step
+but a schema's instantiation, which replays the steps a fold planned.
 
 This module alone decides a rule's principal formula: ``match_axiom``
 gives an axiom's parts and ``match_rule`` an inference's principal
@@ -39,8 +40,18 @@ call keeps one instantiation memo per (parameter, value), read and
 filled at every node level by every schema, sample and certificate line
 of that call, so each distinct subtree is instantiated once per value
 and equal sentences of the instances are one object, whose set
-comparisons succeed on identity. The instantiation memo ends
-with its call and is never kept across calls. A sample that takes an
+comparisons succeed on identity. A schema is instantiated from a plan
+(``plan_instantiation``): one walk per (schema, parameter) per call
+lists, in fold post-order, the subproofs the parameter reaches through a
+sentence, a witness, a block tuple, a Skolem formula, a certificate line
+or a subproof, read from the cached bases, with the positions of their
+moving sentences and rebuilt children. Every sample replays that list
+(``replay_plan``) through the memo, so the subproofs it leaves out come
+back unvisited. The checker also vets each sentence object once per call
+(closed, no abbreviation outside a box, no box in a ground-logic proof)
+and records it by identity; the table holds the object, so its id is not
+reused. The instantiation memo, the plans and the vetted table end with
+their call and are never kept across calls. A sample that takes an
 element out of the naturals is a located error at that sample.
 
 The checker also keeps a check-result memo. It records successes only,
@@ -65,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from operator import is_, or_
+from operator import or_
 from typing import Callable, Optional
 
 from . import syntax as sx
@@ -88,6 +99,26 @@ class KernelError(Exception):
     pass
 
 
+# the most nodes of a sentence that a message writes out
+_NAMED_NODES = 256
+
+
+def _named(f) -> str:
+    """f's repr while it has at most ``_NAMED_NODES`` nodes, else its size.
+    The repr writes every occurrence of a shared child, so a tower's
+    doubles with each level; the count folds a tower in its height."""
+    n = _nodes(f)
+    return repr(f) if n <= _NAMED_NODES else f"<a formula of {n} nodes>"
+
+
+def _nodes(x) -> int:
+    # the nodes x's repr writes: a box's object and an eps tower's formula too
+    def step(y, kids):
+        inner = y.obj if isinstance(y, sx.Sealed) else getattr(y, "payload", None)
+        return 1 + sum(kids) + (0 if inner is None else _nodes(inner))
+    return sx.fold(x, step)
+
+
 @dataclass(frozen=True)
 class Sequent:
     sentences: frozenset
@@ -100,9 +131,9 @@ class Sequent:
             try:
                 tp.has_templates(f)  # raises on an abbreviation
             except tp.TemplateError:
-                raise KernelError(f"abbreviation in a sequent: {f!r}") from None
+                raise KernelError(f"abbreviation in a sequent: {_named(f)}") from None
             if not sx.is_closed(f):
-                raise KernelError(f"open sentence in a sequent: {f!r}")
+                raise KernelError(f"open sentence in a sequent: {_named(f)}")
         return Sequent(frozenset(formulas))
 
     def __contains__(self, f) -> bool:
@@ -261,7 +292,7 @@ def _subst_elem(x, base: str, value: Element, memo: dict):
             return y
     else:
         if x.extended:
-            raise KernelError(f"cannot instantiate inside {x!r}")
+            raise KernelError(f"cannot instantiate inside {_named(x)}")
         kids = x.children
         news = [subst_elem_in_obj(k, base, value, memo) for k in kids]
         return _carry(x, x.rebuild(*news), kids, news)
@@ -310,52 +341,100 @@ def subst_param_proof(p: Proof, base: str, value: Element,
     length of a check, and without one the call starts its own. Equal
     sentences of the copy are one object. A subproof that does not
     mention the parameter, in its sentences or its side data, is returned
-    as it is.
+    as it is. The call plans for itself; a checker keeps one plan per
+    schema and parameter and replays it at every sample.
     """
-    if memo is None:
-        memo = {}
+    return replay_plan(p, plan_instantiation(p, base), base, value,
+                       {} if memo is None else memo)
 
-    def inst(f):
-        return subst_elem_in_obj(f, base, value, memo)
 
-    def step(p: Proof, subs: list) -> Proof:
-        new, same = [], True
-        for f in p.conclusion.sentences:
-            if base in bases_of(f):  # then f's instance is a new object
-                same = False
+def plan_instantiation(p: Proof, base: str) -> list:
+    """The steps that instantiate ``base`` throughout a proof, in fold
+    post-order: one ``(node, sentences, moving, kids)`` per subproof that
+    the parameter reaches, through a sentence, its side data or a
+    subproof. ``sentences`` is the node's conclusion in iteration order,
+    ``moving`` the positions of those that mention the parameter and
+    ``kids`` the positions of the children that are rebuilt (None when
+    the node's two children are one object, folded once). Every other
+    subproof is left out, so a replay returns it unvisited."""
+    plan: list = []
+
+    def step(q: Proof, moved: list) -> bool:
+        sents = tuple(q.conclusion.sentences)
+        moving = tuple(i for i, f in enumerate(sents) if base in bases_of(f))
+        kids = tuple(k for k, m in enumerate(moved) if m)
+        if not (moving or kids or q.info and _side_names(q.info, base)):
+            return False
+        children = q.children
+        if kids and len(children) == 2 and children[0] is children[1]:
+            kids = None  # the fold stepped the one child once
+        plan.append((q, sents, moving, kids))
+        return True
+
+    sx.fold(p, step)
+    return plan
+
+
+def _side_names(info: dict, base: str) -> bool:
+    """Does a node's side data name the parameter: a witness, a block
+    tuple, a Skolem formula or a certificate line?"""
+    def names(a) -> bool:
+        return isinstance(a, Sym) and a.base == base
+
+    return (names(info.get("witness")) or any(map(names, info.get("tuple", ())))
+            or "skolem" in info and base in bases_of(info["skolem"]["phi"])
+            or "prop" in info and any(
+                base in bases_of(line.formula)
+                or line.just[0] == "ax" and any(base in bases_of(a) for a in line.just[3])
+                for line in info["prop"]["cert"].lines))
+
+
+def replay_plan(p: Proof, plan: list, base: str, value: Element, memo: dict) -> Proof:
+    """The proof at ``base := value``, rebuilding the nodes of its plan
+    in order through the instantiation memo; p itself when the plan is
+    empty."""
+    done: list = []
+    for q, sents, moving, kids in plan:
+        concl = q.conclusion
+        if moving:
+            new = list(sents)
+            for i in moving:
+                f = new[i]
                 g = memo.get(f)
                 if g is None:
                     g = memo[f] = _subst_elem(f, base, value, memo)
-                f = g
-            new.append(f)
-        concl = p.conclusion if same else Sequent(frozenset(new))
-        same = same and all(q2 is q for q2, q in zip(subs, p.children))
-        info = dict(p.info) if p.info else {}
-        if "witness" in info:
-            info["witness"] = subst_base(info["witness"], base, value)
-            same = same and info["witness"] is p.info["witness"]
-        if "tuple" in info:
-            info["tuple"] = tuple(subst_base(a, base, value) for a in info["tuple"])
-            same = same and all(map(is_, info["tuple"], p.info["tuple"]))
-        if "skolem" in info:
-            sk = dict(info["skolem"])
-            sk["phi"] = inst(sk["phi"])
-            same = same and sk["phi"] is info["skolem"]["phi"]
-            info["skolem"] = sk
-        if "prop" in info:
-            cert = info["prop"]["cert"]
-            same = same and not any(
-                base in bases_of(line.formula)
-                or line.just[0] == "ax" and any(base in bases_of(a) for a in line.just[3])
-                for line in cert.lines)
-            if not same:
-                # a certified node has premises only, so subs are its premises
-                hyp_map = {vee(q.conclusion.sentences): vee(r.conclusion.sentences)
-                           for q, r in zip(p.premises, subs)}
-                info["prop"] = {"cert": _subst_certificate(cert, inst, hyp_map, vee(concl.sentences))}
-        return p if same else p.rebuild(concl, subs, info)
+                new[i] = g
+            concl = Sequent(frozenset(new))
+        subs = q.children
+        if kids:
+            subs = list(subs)
+            for k in reversed(kids):
+                subs[k] = done.pop()
+        elif kids is None:
+            subs = [done.pop()] * 2
+        info = _subst_info(q, subs, concl, base, value, memo) if q.info else {}
+        done.append(q.rebuild(concl, subs, info))
+    return done[-1] if plan else p
 
-    return sx.fold(p, step)
+
+def _subst_info(q: Proof, subs, concl: Sequent, base: str, value: Element, memo: dict) -> dict:
+    """A copy of a rebuilt node's side data at ``base := value``."""
+    info = dict(q.info)
+    if "witness" in info:
+        info["witness"] = subst_base(info["witness"], base, value)
+    if "tuple" in info:
+        info["tuple"] = tuple(subst_base(a, base, value) for a in info["tuple"])
+    if "skolem" in info:
+        info["skolem"] = dict(info["skolem"])
+        info["skolem"]["phi"] = subst_elem_in_obj(info["skolem"]["phi"], base, value, memo)
+    if "prop" in info:
+        # a certified node has premises only, so subs are its premises
+        hyp_map = {vee(a.conclusion.sentences): vee(b.conclusion.sentences)
+                   for a, b in zip(q.premises, subs)}
+        inst = partial(subst_elem_in_obj, base=base, value=value, memo=memo)
+        info["prop"] = {"cert": _subst_certificate(info["prop"]["cert"], inst, hyp_map,
+                                                   vee(concl.sentences))}
+    return info
 
 
 def _subst_certificate(cert, inst: Callable, hyp_map: dict, goal):
@@ -441,28 +520,43 @@ def match_axiom3(s: frozenset, params: frozenset):
     return None
 
 
+# The matchers of axioms 4-8 read a sequent's one equation and its negated
+# equations field by field; none builds the sentence or the set it compares.
+
+
+def _negated_equation(f) -> bool:
+    return type(f) is sx.Not and type(f.body) is sx.Eq
+
+
 def match_axiom4(s: frozenset, params: frozenset):
-    for f in s:
-        if isinstance(f, sx.Not) and isinstance(f.body, sx.Eq):
-            t, r = f.body.left, f.body.right
-            if not (_closed_term(t) and _closed_term(r)):
-                continue
-            if s == {f, sx.Eq(r, t)}:
-                return {"t": t, "r": r}
+    # {t != r, r = t}
+    if len(s) != 2:
+        return None
+    f, g = s
+    if type(f) is not sx.Not:
+        f, g = g, f
+    if not (_negated_equation(f) and type(g) is sx.Eq):
+        return None
+    t, r = f.body.left, f.body.right
+    if g.left == r and g.right == t and _closed_term(t) and _closed_term(r):
+        return {"t": t, "r": r}
     return None
 
 
 def match_axiom5(s: frozenset, params: frozenset):
-    negs = [f for f in s if isinstance(f, sx.Not) and isinstance(f.body, sx.Eq)]
+    # {t != r, r != u, t = u}; t != r is r != u when t, r and u are one term
+    eqs = [f for f in s if type(f) is sx.Eq]
+    negs = [f for f in s if _negated_equation(f)]
+    if len(eqs) != 1 or len(negs) != len(s) - 1 or len(negs) > 2:
+        return None
+    (e,) = eqs
     for f1 in negs:
         for f2 in negs:
+            if f1 is f2 and len(negs) == 2:
+                continue
             t, r = f1.body.left, f1.body.right
             r2, u = f2.body.left, f2.body.right
-            if r2 != r:
-                continue
-            if not all(_closed_term(x) for x in (t, r, u)):
-                continue
-            if s == {f1, f2, sx.Eq(t, u)}:
+            if r2 == r and e.left == t and e.right == u and all(map(_closed_term, (t, r, u))):
                 return {"t": t, "r": r, "s": u}
     return None
 
@@ -473,7 +567,11 @@ def _match_compat(s: frozenset, params: frozenset, head):
         if not (isinstance(f, sx.Eq) and isinstance(f.left, head) and isinstance(f.right, head)):
             continue
         pairs = tuple(zip(f.left.children, f.right.children))
-        if (s == {f, *(sx.Not(sx.Eq(t, t2)) for t, t2 in pairs)}
+        # the other sentences are the disequations of the distinct pairs
+        distinct = 1 if len(pairs) == 1 or pairs[0] == pairs[1] else 2
+        if (len(s) == distinct + 1
+                and all(_negated_equation(g) and (g.body.left, g.body.right) in pairs
+                        for g in s if g is not f)
                 and all(_closed_term(t) and _closed_term(t2) for t, t2 in pairs)):
             return {"eq": f}
     return None
@@ -628,8 +726,16 @@ def _match_neg_i(p):
 
 def _match_cut(p):
     c = p.conclusion.sentences
-    p0, p1 = (q.conclusion.sentences for q in p.premises)
-    for f in p0 - c or p0:
+    left, right = p.premises
+    p0, p1 = left.conclusion.sentences, right.conclusion.sentences
+    new0, new1 = p0 - c, p1 - c
+    if len(new0) == 1 and len(new1) == 1:
+        # the common shape: the pivot f and not f each new to the context
+        (f,), (g,) = new0, new1
+        if len(p0) == len(p1) == len(c) + 1 and type(g) is sx.Not and g.body == f:
+            return f
+        return None
+    for f in new0 or p0:  # the pivot or its negation is in the context
         if p0 == c | {f} and p1 == c | {sx.Not(f)}:
             return f
     return None
@@ -706,6 +812,11 @@ class _Checker:
         # passed inside the schemas being checked; the entry holds the
         # subproof, so its id is not reused while the entry lives
         self.passed: dict[int, tuple[Proof, int, frozenset]] = {}
+        # id(sentence) -> sentence for each sentence object that passed the
+        # sequent tests; the entry holds it, so its id is not reused
+        self.vetted: dict[int, sx.Formula] = {}
+        # (id(schema), base) -> (schema, its instantiation plan)
+        self.plans: dict[tuple[int, str], tuple[Proof, list]] = {}
 
     def fail(self, path, reason: str):
         self.errors.append(CheckError(tuple(path), reason))
@@ -718,20 +829,23 @@ class _Checker:
         entry = self.passed.get(id(p))
         if entry is not None and params <= entry[2]:
             return entry[1]
-        pol = self.policy
+        pol, vetted = self.policy, self.vetted
         for f in p.conclusion.sentences:
+            if id(f) in vetted:
+                continue
             try:
                 templated = tp.has_templates(f)
             except tp.TemplateError:  # an abbreviation outside a template symbol
-                self.fail(path, f"ill-formed template sentence {f!r}" if pol.template
-                          else f"abbreviation {f!r} in a sequent")
+                self.fail(path, f"ill-formed template sentence {_named(f)}" if pol.template
+                          else f"abbreviation {_named(f)} in a sequent")
                 return None
             if not sx.is_closed(f):
-                self.fail(path, f"open sentence {f!r}")
+                self.fail(path, f"open sentence {_named(f)}")
                 return None
             if templated and not pol.template:
                 self.fail(path, "template symbol in a ground-logic proof")
                 return None
+            vetted[id(f)] = f
 
         rule = _RULES.get(p.rule)
         if rule is None:
@@ -864,7 +978,11 @@ class _Checker:
         try:
             for base, e in assignment:
                 memo = self.instances.setdefault((base, e), {})
-                schema = subst_param_proof(schema, base, e, memo)
+                planned = self.plans.get((id(schema), base))
+                if planned is None:
+                    planned = self.plans[id(schema), base] = (
+                        schema, plan_instantiation(schema, base))
+                schema = replay_plan(schema, planned[1], base, e, memo)
         except (ElementError, KernelError) as exc:
             self.fail(path, f"sample does not instantiate the schema: {exc}")
             return None

@@ -89,6 +89,22 @@ class TestBasicCommands:
             print("ok")
         """, timeout=20)
 
+    def test_check_names_a_tower_by_its_size(self, tmp_path, capsys):
+        # an open sentence over a shared tower: its repr would write every
+        # occurrence of each level, 224 KB at (delta 12), and does not end
+        # at (delta 30); the message names its size instead
+        proof = tmp_path / "tower.proof"
+        proof.write_text("(rule axiom3\n  (concl (or (delta 12) (= v0 0))))\n")
+        assert main(["check", "--in", str(proof)]) == 2
+        assert capsys.readouterr().err == \
+            "error: open sentence in a sequent: <a formula of 20483 nodes>\n"
+        proof.write_text("(rule axiom3\n  (concl (or (delta 30) (= v0 0))))\n")
+        assert_finishes(f"""if True:
+            from satkit.cli import main
+            assert main(["check", "--in", {str(proof)!r}]) == 2
+            print("ok")
+        """, timeout=20)
+
     def test_too_deep_input_exits_2(self, capsys):
         # eval-tr still evaluates recursively
         depth = 3000

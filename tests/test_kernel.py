@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satkit.kernel as kernel
 import satkit.syntax as sx
 import satkit.template as tp
 from satkit.corpus import (
@@ -501,20 +502,7 @@ class TestExistentialRules:
         assert not check(node, M_POLICY).ok
 
     def test_sample_leaving_the_naturals_is_a_located_error(self):
-        # the schema cuts on c_{q/2} = c_{q/2}; at q := 1 that constant
-        # would name 1/2, so sample 1 cannot be instantiated
-        q = sx.const(Sym("q"))
-        half = sx.const(sym("q", Fraction(1, 2)))
-        claim = n(n(e(q, q)))
-        schema = Proof(seq(claim), "cut", (
-            Proof(seq(claim, e(half, half)), "weak", (Proof(seq(e(half, half)), "axiom3"),)),
-            Proof(seq(claim, n(e(half, half))), "weak", (
-                Proof(seq(claim), "neg-i", (Proof(seq(e(q, q)), "axiom3"),)),)),
-        ))
-        target = n(sx.Ex(0, n(e(v(0), v(0)))))
-        node = Proof(seq(target), "m-rule", (),
-                     Uniform(("q",), schema, tuple((s,) for s in DEFAULT_SAMPLES)))
-        rep = check(node, M_POLICY)
+        rep = check(_half_sample_proof(), M_POLICY)
         assert not rep.ok
         assert [str(err).split(":")[0] for err in rep.errors] == ["s/1"]
         assert "not a natural" in rep.first_error()
@@ -537,6 +525,22 @@ class TestExistentialRules:
         node = Proof(seq(target), "m-rule", (), Uniform((base,), schema, ()))
         rep = check(node, RulePolicy(extra_axioms=lambda f: True))
         assert not rep.ok and "unsampled" in rep.first_error().lower()
+
+
+def _half_sample_proof():
+    """An m-rule whose schema cuts on c_{q/2} = c_{q/2}; at q := 1 that
+    constant would name 1/2, so sample 1 cannot be instantiated."""
+    q = sx.const(Sym("q"))
+    half = sx.const(sym("q", Fraction(1, 2)))
+    claim = n(n(e(q, q)))
+    schema = Proof(seq(claim), "cut", (
+        Proof(seq(claim, e(half, half)), "weak", (Proof(seq(e(half, half)), "axiom3"),)),
+        Proof(seq(claim, n(e(half, half))), "weak", (
+            Proof(seq(claim), "neg-i", (Proof(seq(e(q, q)), "axiom3"),)),)),
+    ))
+    target = n(sx.Ex(0, n(e(v(0), v(0)))))
+    return Proof(seq(target), "m-rule", (),
+                 Uniform(("q",), schema, tuple((s,) for s in DEFAULT_SAMPLES)))
 
 
 def _proof_nodes(p):
@@ -625,6 +629,160 @@ class TestInstantiationMemo:
         moved = subst_param_proof(mentions, "p", std(4))
         assert moved is not mentions and moved.info["prop"] != mentions.info["prop"]
         assert check(moved, RulePolicy(allow_prop=True)).ok
+
+
+def _ref_subst_param_proof(p, base, value, memo):
+    """The fold-based instantiation that plans replaced: every subproof is
+    stepped at every sample, and one is rebuilt when a sentence, its side
+    data or a premise changed."""
+    def inst(f):
+        return kernel.subst_elem_in_obj(f, base, value, memo)
+
+    def step(p, subs):
+        new, same = [], True
+        for f in p.conclusion.sentences:
+            if base in bases_of(f):  # then f's instance is a new object
+                same = False
+                g = memo.get(f)
+                if g is None:
+                    g = memo[f] = kernel._subst_elem(f, base, value, memo)
+                f = g
+            new.append(f)
+        concl = p.conclusion if same else Sequent(frozenset(new))
+        same = same and all(q2 is q for q2, q in zip(subs, p.children))
+        info = dict(p.info) if p.info else {}
+        if "witness" in info:
+            info["witness"] = subst_base(info["witness"], base, value)
+            same = same and info["witness"] is p.info["witness"]
+        if "tuple" in info:
+            info["tuple"] = tuple(subst_base(a, base, value) for a in info["tuple"])
+            same = same and all(a is b for a, b in zip(info["tuple"], p.info["tuple"]))
+        if "skolem" in info:
+            sk = dict(info["skolem"])
+            sk["phi"] = inst(sk["phi"])
+            same = same and sk["phi"] is info["skolem"]["phi"]
+            info["skolem"] = sk
+        if "prop" in info:
+            cert = info["prop"]["cert"]
+            same = same and not any(
+                base in bases_of(line.formula)
+                or line.just[0] == "ax" and any(base in bases_of(a) for a in line.just[3])
+                for line in cert.lines)
+            if not same:
+                hyp_map = {vee(q.conclusion.sentences): vee(r.conclusion.sentences)
+                           for q, r in zip(p.premises, subs)}
+                info["prop"] = {"cert": kernel._subst_certificate(
+                    cert, inst, hyp_map, vee(concl.sentences))}
+        return p if same else p.rebuild(concl, subs, info)
+
+    return fold(p, step)
+
+
+def _replay_sources():
+    """The seeded criterion-11 eldiag output with a refutation of depth 2,
+    base_corpus() and mprop_entries(), the certified conversions of both,
+    and a schema whose sample 1 leaves the naturals."""
+    from satkit.eldiag import prove_eldiag
+    from satkit.transform import to_certified_calculus
+    from generators import random_decidable_sentence
+    rng = random.Random(1111)
+    proofs = [prove_eldiag(random_decidable_sentence(rng, want_true=i < 200))
+              for i in range(300)]
+    proofs.append(prove_eldiag(sx.Ex(0, o(e(sx.Succ(v(0)), sx.ZERO),
+                                          sx.Ex(1, e(sx.Succ(v(1)), sx.ZERO))))))
+    corpus = [entry.proof for entry in base_corpus() + mprop_entries()]
+    side_only = [_side_only_proof("ex-i", {"witness": Sym("q")}),
+                 _side_only_proof("i-ex-inf", {"block": (1,), "tuple": (Sym("q"),)})]
+    return (proofs + corpus + [to_certified_calculus(q) for q in corpus]
+            + [_half_sample_proof()] + side_only)
+
+
+def _side_only_proof(rule, info):
+    """An m-rule over q whose schema introduces ex v1 (0 = 0) by ``rule``
+    with side data ``info``, which alone names q there."""
+    cq, ex = sx.const(Sym("q")), sx.Ex(1, ZERO_EQ)
+    intro = Proof(seq(ex), rule, (Proof(seq(ZERO_EQ), "axiom3"),), info=info)
+    schema = Proof(seq(ex, n(n(e(cq, cq)))), "weak", (intro,))
+    return Proof(seq(ex, n(sx.Ex(0, n(e(v(0), v(0)))))), "m-rule", (),
+                 Uniform(("q",), schema, tuple((a,) for a in DEFAULT_SAMPLES)))
+
+
+class TestPlanReplay:
+    def test_replay_is_the_fold_at_every_sample_of_every_schema(self):
+        from satkit.sexpr import print_proof
+        seen = {"nested": 0, "same": 0, "rebuilt": 0, "errors": 0, "certified": 0}
+        for p in _replay_sources():
+            memos: dict = {}  # one per side and (base, value), as in one check
+            plans: dict = {}
+            todo = [p]
+            while todo:
+                tree = todo.pop()
+                for q in subobjects(tree):
+                    if q.uniform is None:
+                        continue
+                    u = q.uniform
+                    seen["nested"] += any(r.uniform is not None for r in subobjects(u.schema))
+                    for values in u.sampled:
+                        got = want = u.schema
+                        try:
+                            for base, value in zip(u.params, values):
+                                memo = memos.setdefault(("ref", base, value), {})
+                                want = _ref_subst_param_proof(want, base, value, memo)
+                        except (ElementError, KernelError) as exc:
+                            want = f"{type(exc).__name__}: {exc}"
+                        try:
+                            for base, value in zip(u.params, values):
+                                plan = plans.setdefault((id(got), base),
+                                                        (got, kernel.plan_instantiation(got, base)))
+                                memo = memos.setdefault(("plan", base, value), {})
+                                got = kernel.replay_plan(got, plan[1], base, value, memo)
+                        except (ElementError, KernelError) as exc:
+                            got = f"{type(exc).__name__}: {exc}"
+                        if isinstance(want, str):
+                            assert got == want
+                            seen["errors"] += 1
+                            continue
+                        if any("prop" in r.info for r in subobjects(got)):
+                            # printing certificates took most of this test's
+                            # time; equal proofs print equally
+                            assert got == want
+                        else:
+                            assert print_proof(got) == print_proof(want)
+                        for old, a, b in zip(_proof_nodes(u.schema), _proof_nodes(got),
+                                             _proof_nodes(want)):
+                            assert (a is old) == (b is old)
+                            seen["same" if a is old else "rebuilt"] += 1
+                            seen["certified"] += a is not old and "prop" in a.info
+                        if got is not u.schema:
+                            todo.append(got)  # its schemas, instances themselves
+        assert all(seen.values()), seen
+
+    def test_without_the_checker_the_call_plans_for_itself(self):
+        cq = sx.const(Sym("q"))
+        leaf = Proof(seq(e(cq, cq)), "axiom3")
+        plain = Proof(seq(ZERO_EQ), "axiom3")
+        p = Proof(seq(e(cq, cq), ZERO_EQ), "weak", (leaf,))
+        root = Proof(seq(e(cq, cq), ZERO_EQ, ONE_EQ), "weak", (p,))
+        plan = kernel.plan_instantiation(root, "q")
+        assert [step[0] for step in plan] == [leaf, p, root]
+        assert kernel.plan_instantiation(plain, "q") == []
+        got = subst_param_proof(root, "q", std(3))
+        assert got.conclusion == seq(e(c(3), c(3)), ZERO_EQ, ONE_EQ)
+        assert got.premises[0].premises[0].conclusion == seq(e(c(3), c(3)))
+        assert subst_param_proof(plain, "q", std(3)) is plain
+        # two premises that are one object stay one object, as in the fold
+        twin = Proof(seq(e(cq, cq), ZERO_EQ), "cut", (p, p))
+        got = subst_param_proof(twin, "q", std(3))
+        assert got.premises[0] is got.premises[1] is not p
+        assert got == _ref_subst_param_proof(twin, "q", std(3), {})
+
+    def test_a_witness_alone_moves_its_node(self):
+        p = _side_only_proof("ex-i", {"witness": Sym("q")})
+        assert check(p, M_POLICY).ok
+        schema = p.uniform.schema
+        got = subst_param_proof(schema, "q", std(5))
+        assert got.premises[0].info == {"witness": std(5)}
+        assert got.premises[0].premises[0] is schema.premises[0].premises[0]
 
 
 class TestProofProtocol:
@@ -889,6 +1047,33 @@ class TestTemplateLogic:
         boxed = tp.TemplForm(ZERO_EQ)
         a1 = Proof(Sequent(frozenset((boxed, n(boxed)))), "axiom1")
         assert not check(a1, M_POLICY).ok
+
+    def test_messages_name_a_large_sentence_by_its_size(self):
+        # a shared tower's repr writes every occurrence of each level (224
+        # KB at delta(12)); past 256 nodes a message names the sentence by
+        # its node count, a box's object included
+        tower = sx.delta(12)  # 5 * 2^12 - 1 nodes
+        opened, abbreviated = o(tower, e(v(0), sx.ZERO)), sx.And(tower, ZERO_EQ)
+        with pytest.raises(KernelError) as err:
+            seq(opened)
+        assert str(err.value) == "open sentence in a sequent: <a formula of 20483 nodes>"
+        with pytest.raises(KernelError) as err:
+            seq(abbreviated)
+        assert str(err.value) == "abbreviation in a sequent: <a formula of 20483 nodes>"
+        boxed = o(tp.TemplForm(tower), e(v(0), sx.ZERO))
+        for f, policy, reason in [
+                (opened, M_POLICY, "open sentence <a formula of 20483 nodes>"),
+                (abbreviated, M_POLICY, "abbreviation <a formula of 20483 nodes> in a sequent"),
+                (abbreviated, TEMPLATE_POLICY,
+                 "ill-formed template sentence <a formula of 20483 nodes>"),
+                (boxed, TEMPLATE_POLICY, "open sentence <a formula of 20484 nodes>")]:
+            rep = check(Proof(Sequent(frozenset((f,))), "axiom3"), policy)
+            assert rep.first_error() == "root: " + reason
+        cp = sx.const(Sym("p"))
+        with pytest.raises(KernelError) as err:
+            subst_param_proof(Proof(seq(tp.TemplForm(sx.And(tower, e(cp, cp)))), "axiomL"),
+                              "p", std(1))
+        assert str(err.value) == "cannot instantiate inside <a formula of 20483 nodes>"
 
 
 def test_proving_and_checking_leave_no_garbage_cycles():
